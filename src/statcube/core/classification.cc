@@ -57,6 +57,14 @@ Status ClassificationHierarchy::Link(size_t child_level, const Value& child,
   return Status::OK();
 }
 
+const std::vector<Value>& ClassificationHierarchy::ValuesAt(
+    size_t level) const {
+  // Storage is sized lazily by the first mutation; until then every level
+  // is empty.
+  static const std::vector<Value> kNone;
+  return level < level_values_.size() ? level_values_[level] : kNone;
+}
+
 std::vector<Value> ClassificationHierarchy::Parents(size_t level,
                                                     const Value& v) const {
   if (!CheckLevel(level).ok() || level + 1 >= levels_.size()) return {};

@@ -59,10 +59,9 @@ class ClassificationHierarchy {
   /// with different parents make the structure non-strict.
   Status Link(size_t child_level, const Value& child, const Value& parent);
 
-  /// All values at a level, in insertion order.
-  const std::vector<Value>& ValuesAt(size_t level) const {
-    return level_values_[level];
-  }
+  /// All values at a level, in insertion order (empty for a level with no
+  /// values yet or out of range).
+  const std::vector<Value>& ValuesAt(size_t level) const;
 
   /// Parents of `v` one level up (empty if unmapped or at the top level).
   std::vector<Value> Parents(size_t level, const Value& v) const;

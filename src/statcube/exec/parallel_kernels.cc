@@ -63,31 +63,6 @@ void MergeGroupedStates(GroupedStates* dst, GroupedStates* src) {
 
 }  // namespace
 
-Table ParallelSelect(const Table& input, const RowPredicate& pred,
-                     const ExecOptions& options) {
-  obs::Span span("op.select");
-  // ByteSize walks every cell — compute it only when someone is counting.
-  if (obs::Enabled()) obs::RecordBytesTouched(input.ByteSize());
-  ParallelForOptions loop = LoopOptions("select", options);
-  size_t n = input.num_rows();
-  std::vector<std::vector<Row>> parts(NumMorsels(n, loop.morsel_size));
-
-  ParallelFor(
-      n,
-      [&](size_t m, size_t begin, size_t end) {
-        std::vector<Row>& out = parts[m];
-        for (size_t r = begin; r < end; ++r)
-          if (pred(input.row(r))) out.push_back(input.row(r));
-      },
-      loop);
-
-  Table out(input.name() + "_sel", input.schema());
-  for (std::vector<Row>& part : parts)
-    for (Row& row : part) out.AppendRowUnchecked(std::move(row));
-  obs::RecordOperator("select", input.num_rows(), out.num_rows());
-  return out;
-}
-
 Result<GroupedStates> ParallelGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
     const std::vector<AggSpec>& aggs, const ExecOptions& options) {

@@ -24,7 +24,6 @@
 #include "statcube/exec/task_scheduler.h"
 #include "statcube/molap/dense_array.h"
 #include "statcube/relational/aggregate.h"
-#include "statcube/relational/expression.h"
 #include "statcube/relational/table.h"
 
 namespace statcube::exec {
@@ -72,11 +71,6 @@ struct ExecOptions {
     return threads <= 0 ? DefaultThreads() : threads;
   }
 };
-
-/// sigma, parallel: same rows (same order) as relational Select — morsels
-/// filter independently, outputs concatenate in morsel order.
-Table ParallelSelect(const Table& input, const RowPredicate& pred,
-                     const ExecOptions& options = {});
 
 /// Accumulator states per group, computed with thread-local partial
 /// aggregation and merged via AggState::Merge in ascending morsel order.

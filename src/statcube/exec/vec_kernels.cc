@@ -315,10 +315,13 @@ uint32_t DictCode(TupleDict& d, const Table& input,
       return code;
     }
     if (d.hashes[size_t(s)] == h) {
+      // An empty BY has zero-width records and no record storage at all
+      // (memcmp must not see its null pointer): every key is equal.
       bool equal =
           (rec_ok && d.rec_ok[size_t(s)] != 0)
-              ? std::memcmp(d.recs.data() + size_t(s) * stride, rec,
-                            stride) == 0
+              ? stride == 0 ||
+                    std::memcmp(d.recs.data() + size_t(s) * stride, rec,
+                                stride) == 0
               : TupleEq(input.row(d.rows[size_t(s)]), row, gidx);
       if (equal) {
         ++d.counts[size_t(s)];

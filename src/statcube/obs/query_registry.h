@@ -8,7 +8,7 @@
 /// Why it exists: EXPLAIN PROFILE, /profiles, and /tracez (query_profile.h,
 /// flight_recorder.h) only show queries *after* they finished. A stuck or
 /// runaway query is invisible exactly when an operator needs to see it. The
-/// registry closes that gap: QueryProfiled (query/profiled.cc) enrolls every
+/// registry closes that gap: QueryProfiled (query/executor.cc) enrolls every
 /// query for the duration of its execution, so /queryz can list what is
 /// running right now — with live resource totals read from the query's
 /// `ResourceAccumulator` mid-flight — and POST /queryz/cancel can stop it.

@@ -20,9 +20,12 @@ std::vector<double> TimeSeriesRing::Snapshot() const {
   for (uint64_t i = begin; i < end; ++i)
     out.push_back(slots_[size_t(i % cap)].load(std::memory_order_acquire));
   // Anything the writer rotated past while we copied is suspect: the slot
-  // for logical index i may now hold a newer value. Drop those from the
-  // front — the window shrinks instead of tearing.
-  const uint64_t end2 = count_.load(std::memory_order_acquire);
+  // for logical index i may now hold a newer value. A push that overwrote a
+  // slot we read announced itself before its release store, and our acquire
+  // load of that slot makes the announcement visible here — even while the
+  // push is still in flight (count_ has not moved yet). Drop those entries
+  // from the front — the window shrinks instead of tearing.
+  const uint64_t end2 = writing_.load(std::memory_order_relaxed);
   const uint64_t new_begin = end2 > cap ? end2 - cap : 0;
   const uint64_t overwritten = new_begin > begin ? new_begin - begin : 0;
   if (overwritten >= out.size()) return {};

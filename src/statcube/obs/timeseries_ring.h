@@ -10,9 +10,10 @@
 /// into preallocated atomic slots and reuses preallocated scratch buffers,
 /// so steady-state sampling performs no allocation. Readers (HTTP scrape
 /// threads) snapshot rings without blocking the sampler: slots are
-/// `std::atomic<double>` (tear-free by construction) and a before/after
-/// read of the push count discards any slot the single writer may have
-/// overwritten mid-snapshot.
+/// `std::atomic<double>` (tear-free by construction), the writer announces
+/// each push before it stores the slot, and a snapshot re-reads that
+/// announcement after copying to discard any slot the single writer may
+/// have overwritten mid-snapshot.
 
 #ifndef STATCUBE_OBS_TIMESERIES_RING_H_
 #define STATCUBE_OBS_TIMESERIES_RING_H_
@@ -46,6 +47,10 @@ class TimeSeriesRing {
   /// Appends `v`, overwriting the oldest value when full. Single writer.
   void Push(double v) {
     uint64_t c = count_.load(std::memory_order_relaxed);
+    // Announce the push before touching the slot. The slot's release store
+    // carries the announcement to any reader whose acquire load sees the new
+    // value, so Snapshot knows logical index c - capacity is gone.
+    writing_.store(c + 1, std::memory_order_relaxed);
     slots_[size_t(c % slots_.size())].store(v, std::memory_order_release);
     count_.store(c + 1, std::memory_order_release);
   }
@@ -68,7 +73,8 @@ class TimeSeriesRing {
 
  private:
   std::vector<std::atomic<double>> slots_;
-  std::atomic<uint64_t> count_{0};
+  std::atomic<uint64_t> count_{0};    // pushes completed
+  std::atomic<uint64_t> writing_{0};  // pushes started
 };
 
 /// Options for MetricSampler.

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
-
-#include "statcube/relational/cube_operator.h"
-#include "statcube/relational/expression.h"
-#include "statcube/relational/operators.h"
 
 namespace statcube {
 
@@ -213,81 +208,6 @@ Result<ParsedQuery> ParseQuery(const std::string& text) {
   if (tok.kind != TokKind::kEnd)
     return Status::InvalidArgument("trailing tokens after query");
   return q;
-}
-
-Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query) {
-  // Every referenced attribute that is a *hierarchy level* rather than a
-  // dimension or measure is derived as an extra column (leaf value -> its
-  // ancestor at that level) so that grouping/filtering on it is the implied
-  // roll-up of Figure 13 — without collapsing the leaf dimension, which may
-  // itself be referenced.
-  std::set<std::string> referenced;
-  for (const auto& b : query.by) referenced.insert(b);
-  for (const auto& [attr, v] : query.where) referenced.insert(attr);
-
-  Table data = obj.data();
-  {
-    obs::Span plan_span("plan");
-    for (const auto& attr : referenced) {
-      if (obj.DimensionNamed(attr).ok()) continue;  // plain dimension
-      if (data.schema().Contains(attr)) continue;   // measure or derived
-      // Find a hierarchy level with this name on some dimension.
-      bool resolved = false;
-      for (const auto& d : obj.dimensions()) {
-        auto lv = d.LevelNamed(attr);
-        if (!lv.ok() || lv->second == 0) continue;
-        obs::Span rollup_span("rollup:" + attr);
-        const ClassificationHierarchy* hier = lv->first;
-        size_t level = lv->second;
-        // A non-strict path would assign several ancestors to one cell;
-        // refuse rather than silently double-count.
-        for (size_t step = 0; step < level; ++step) {
-          if (!hier->IsStrictAt(step))
-            return Status::NotSummarizable(
-                "attribute '" + attr + "' reached through non-strict "
-                "hierarchy '" + hier->name() + "'");
-        }
-        STATCUBE_ASSIGN_OR_RETURN(size_t leaf_idx,
-                                  data.schema().IndexOf(d.name()));
-        Schema s2 = data.schema();
-        s2.AddColumn(attr, ValueType::kString);
-        Table derived(data.name(), s2);
-        for (const Row& r : data.rows()) {
-          STATCUBE_ASSIGN_OR_RETURN(std::vector<Value> anc,
-                                    hier->Ancestors(0, r[leaf_idx], level));
-          Row r2 = r;
-          r2.push_back(anc.empty() ? Value::Null() : anc.front());
-          derived.AppendRowUnchecked(std::move(r2));
-        }
-        obs::RecordOperator("rollup", data.num_rows(), derived.num_rows());
-        data = std::move(derived);
-        resolved = true;
-        break;
-      }
-      if (!resolved)
-        return Status::NotFound("no dimension, level or measure named '" +
-                                attr + "'");
-    }
-  }
-  if (!query.where.empty()) {
-    obs::Span filter_span("filter");
-    std::vector<RowPredicate> preds;
-    for (const auto& [attr, v] : query.where) {
-      STATCUBE_ASSIGN_OR_RETURN(RowPredicate p,
-                                expr::ColumnEq(data.schema(), attr, v));
-      preds.push_back(std::move(p));
-    }
-    data = Select(data, expr::And(std::move(preds)));
-  }
-
-  // Fill default output names.
-  std::vector<AggSpec> aggs = query.aggs;
-  for (auto& a : aggs)
-    if (a.output_name.empty()) a.output_name = a.EffectiveName();
-  obs::Span agg_span("aggregate");
-  if (query.cube) return CubeBy(data, query.by, aggs);
-  return GroupBy(data, query.by, aggs);
 }
 
 Result<Table> Query(const StatisticalObject& obj, const std::string& text) {

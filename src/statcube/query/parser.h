@@ -14,9 +14,9 @@
 //
 // Identifiers name dimensions, classification levels, or measures of the
 // target object. A dimension-level identifier (e.g. "city" when the object
-// stores stores) triggers the automatic-aggregation machinery: the object
-// is rolled up along the hierarchy owning that level before grouping — the
-// Figure 13 inference, exposed through text.
+// stores stores) triggers the automatic-aggregation machinery: each row's
+// leaf is rolled up along the hierarchy owning that level before grouping —
+// the Figure 13 inference, exposed through text.
 
 #ifndef STATCUBE_QUERY_PARSER_H_
 #define STATCUBE_QUERY_PARSER_H_
@@ -51,24 +51,23 @@ struct ParsedQuery {
 Result<ParsedQuery> ParseQuery(const std::string& text);
 
 /// Executes a parsed query against a statistical object: resolves
-/// identifiers (dimension, hierarchy level, or measure), rolls the object up
-/// to any referenced hierarchy levels, applies WHERE equalities, groups and
-/// aggregates. Returns the result table (group columns then aggregates).
+/// identifiers (dimension, hierarchy level, or measure), rolls each row up to
+/// referenced levels, applies WHERE equalities, groups and aggregates into
+/// (group columns, aggregates). Stops when CurrentCancelContext() fires.
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const ParsedQuery& query);
 
 /// Parse + execute.
 Result<Table> Query(const StatisticalObject& obj, const std::string& text);
 
-/// ExecuteQuery over the parallel kernels (statcube/exec): the WHERE filter
-/// and the grouping/CUBE run morsel-parallel with `threads` workers (0 =
-/// exec::DefaultThreads()). Output is bit-identical across thread counts;
-/// see the determinism contract in exec/parallel_kernels.h for when it also
-/// matches ExecuteQuery exactly. `stop` (optional) is the query's stop
-/// context — morsel loops check it between morsels and the call returns
-/// kCancelled / kDeadlineExceeded instead of a partial table once it fires.
-/// `vectorized` routes the grouping through the radix kernels
-/// (exec/vec_kernels.h) — same results, bit for bit.
+/// ExecuteQuery with the grouping/CUBE on the morsel-parallel kernels
+/// (statcube/exec), `threads` workers (0 = exec::DefaultThreads()). Output is
+/// bit-identical across thread counts; see exec/parallel_kernels.h for when
+/// it also matches ExecuteQuery exactly. `stop` (default: the thread's
+/// CurrentCancelContext()) is checked by the row pass and between morsels;
+/// once it fires the call returns kCancelled / kDeadlineExceeded instead of
+/// a partial table. `vectorized` routes the grouping through the radix
+/// kernels (exec/vec_kernels.h) — same results, bit for bit.
 Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
                                    const ParsedQuery& query, int threads,
                                    const CancelContext* stop = nullptr,

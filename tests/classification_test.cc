@@ -176,5 +176,18 @@ TEST(ClassificationTest, LinkIdempotent) {
   EXPECT_EQ(h.ValuesAt(1).size(), 3u);
 }
 
+TEST(ClassificationTest, ValuesAtOnEmptyHierarchyAndBadLevel) {
+  // Level storage is sized by the first mutation; reading before that, or
+  // past the last level, yields an empty list rather than a wild read.
+  ClassificationHierarchy fresh("calendar", {"day", "month"});
+  EXPECT_TRUE(fresh.ValuesAt(0).empty());
+  EXPECT_TRUE(fresh.ValuesAt(1).empty());
+  EXPECT_TRUE(fresh.ValuesAt(2).empty());
+  ASSERT_TRUE(fresh.AddValue(1, Value("1996-1")).ok());
+  EXPECT_TRUE(fresh.ValuesAt(0).empty());
+  EXPECT_EQ(fresh.ValuesAt(1), std::vector<Value>{Value("1996-1")});
+  EXPECT_TRUE(fresh.ValuesAt(99).empty());
+}
+
 }  // namespace
 }  // namespace statcube

@@ -21,8 +21,6 @@
 #include "statcube/olap/backend.h"
 #include "statcube/query/parser.h"
 #include "statcube/relational/cube_operator.h"
-#include "statcube/relational/expression.h"
-#include "statcube/relational/operators.h"
 #include "statcube/workload/census.h"
 #include "statcube/workload/hmo.h"
 #include "statcube/workload/retail.h"
@@ -87,32 +85,8 @@ struct Workloads {
 };
 
 // ---------------------------------------------------------------------------
-// Kernel level: Select / GroupBy / CubeBy / RollupBy vs their parallel
-// counterparts, on every workload's data table.
-
-TEST(KernelEquivalence, SelectMatchesSerial) {
-  const auto& w = Workloads::Get();
-  struct Case {
-    const Table* table;
-    std::string column;
-    Value value;
-  } cases[] = {
-      {&w.retail.flat, "city", Value("city1")},
-      {&w.census.data(), "sex", Value("M")},
-      {&w.hmo.data(), "hospital", Value("hosp0")},
-      {&w.stocks.data(), "stock", Value("TKR3")},
-  };
-  for (const auto& c : cases) {
-    auto pred = expr::ColumnEq(c.table->schema(), c.column, c.value);
-    ASSERT_TRUE(pred.ok()) << pred.status().ToString();
-    Table serial = Select(*c.table, *pred);
-    for (int t : {1, 2, 4, 8}) {
-      Table parallel = exec::ParallelSelect(*c.table, *pred, Threads(t));
-      ExpectTablesIdentical(serial, parallel,
-                            c.table->name() + " select@" + std::to_string(t));
-    }
-  }
-}
+// Kernel level: GroupBy / CubeBy / RollupBy vs their parallel counterparts,
+// on every workload's data table.
 
 TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
   const auto& w = Workloads::Get();

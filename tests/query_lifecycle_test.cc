@@ -398,6 +398,44 @@ TEST(QueryLifecycleTest, SuccessfulQueryOutcomeIsOk) {
             std::string::npos);
 }
 
+// The executors' row pass checks the stop context itself, so a fired scope
+// stops a relational query before it reaches the group-by — serially and at
+// any thread count, with or without a WHERE. (A query with nothing to derive
+// or filter has no row pass; its group-by stops it.)
+TEST(QueryLifecycleTest, FiredScopeStopsTheScan) {
+  CancellationToken token;
+  token.Cancel();
+  CancelContext ctx;
+  ctx.token = &token;
+  CancelScope scope(&ctx);
+  for (const char* text : {"SELECT sum(amount) BY city WHERE product = 'prod1'",
+                           "SELECT sum(amount) BY store, month"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    Result<Table> serial = ExecuteQuery(Retail(), *q);
+    EXPECT_EQ(serial.status().ToString(),
+              "Cancelled: query cancelled during scan")
+        << text;
+    for (int threads : {1, 2}) {
+      Result<Table> parallel = ExecuteQueryParallel(Retail(), *q, threads);
+      EXPECT_EQ(parallel.status().ToString(),
+                "Cancelled: query cancelled during scan")
+          << text << " @" << threads;
+    }
+  }
+  auto plain = ParseQuery("SELECT sum(amount) BY store");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(ExecuteQuery(Retail(), *plain).status().ToString(),
+            "Cancelled: query cancelled during groupby");
+  // An explicit stop context wins over the scope's.
+  CancelContext expired;
+  expired.deadline_us = 1;
+  auto q = ParseQuery("SELECT count() BY month");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(ExecuteQueryParallel(Retail(), *q, 2, &expired).status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
 TEST(QueryLifecycleTest, QueryNeverAppearsInRegistryAfterReturn) {
   size_t before = obs::QueryRegistry::Global().ActiveCount();
   QueryOptions opt;

@@ -1,10 +1,21 @@
 // Tests for the concise query language (§5.1): parsing, execution,
-// hierarchy-level inference, error reporting.
+// hierarchy-level inference, error reporting — and a seeded differential
+// battery holding the executor to the plain per-row pipeline it replaced.
 
 #include "statcube/query/parser.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <set>
+
+#include "statcube/common/rng.h"
+#include "statcube/exec/parallel_kernels.h"
+#include "statcube/relational/cube_operator.h"
+#include "statcube/relational/expression.h"
+#include "statcube/relational/operators.h"
+#include "statcube/workload/census.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -127,18 +138,320 @@ TEST(ExecuteTest, ByCubeProducesAllRows) {
   EXPECT_FALSE(ParseQuery("SELECT sum(a) BY CUBE()").ok());
 }
 
-TEST(ExecuteTest, MatchesManualPipeline) {
-  // The text query equals the hand-built group-by.
-  auto text = Query(Sales(), "SELECT sum(amount) BY day");
-  auto manual = GroupBy(Sales().data(), {"day"},
-                        {{AggFn::kSum, "amount", "sum_amount"}});
-  ASSERT_TRUE(text.ok());
-  ASSERT_TRUE(manual.ok());
-  ASSERT_EQ(text->num_rows(), manual->num_rows());
-  for (size_t i = 0; i < text->num_rows(); ++i) {
-    EXPECT_EQ(text->at(i, 0), manual->at(i, 0));
-    EXPECT_NEAR(text->at(i, 1).AsDouble(), manual->at(i, 1).AsDouble(), 1e-6);
+// ------------------------------------------------- reference pipeline
+
+// The executor as it stood before its single-pass rewrite, kept as the test
+// oracle: copy the base table, derive each referenced hierarchy level row by
+// row with ClassificationHierarchy::Ancestors, then filter with Select.
+Result<Table> ReferenceRows(const StatisticalObject& obj,
+                            const ParsedQuery& query) {
+  std::set<std::string> referenced;
+  for (const auto& b : query.by) referenced.insert(b);
+  for (const auto& [attr, v] : query.where) referenced.insert(attr);
+  Table data = obj.data();
+  for (const auto& attr : referenced) {
+    if (obj.DimensionNamed(attr).ok()) continue;
+    if (data.schema().Contains(attr)) continue;
+    bool resolved = false;
+    for (const auto& d : obj.dimensions()) {
+      auto lv = d.LevelNamed(attr);
+      if (!lv.ok() || lv->second == 0) continue;
+      const ClassificationHierarchy* hier = lv->first;
+      size_t level = lv->second;
+      for (size_t step = 0; step < level; ++step) {
+        if (!hier->IsStrictAt(step))
+          return Status::NotSummarizable(
+              "attribute '" + attr + "' reached through non-strict "
+              "hierarchy '" + hier->name() + "'");
+      }
+      STATCUBE_ASSIGN_OR_RETURN(size_t leaf_idx,
+                                data.schema().IndexOf(d.name()));
+      Schema s2 = data.schema();
+      s2.AddColumn(attr, ValueType::kString);
+      Table derived(data.name(), s2);
+      for (const Row& r : data.rows()) {
+        STATCUBE_ASSIGN_OR_RETURN(std::vector<Value> anc,
+                                  hier->Ancestors(0, r[leaf_idx], level));
+        Row r2 = r;
+        r2.push_back(anc.empty() ? Value::Null() : anc.front());
+        derived.AppendRowUnchecked(std::move(r2));
+      }
+      data = std::move(derived);
+      resolved = true;
+      break;
+    }
+    if (!resolved)
+      return Status::NotFound("no dimension, level or measure named '" +
+                              attr + "'");
   }
+  if (query.where.empty()) return data;
+  std::vector<RowPredicate> preds;
+  for (const auto& [attr, v] : query.where) {
+    STATCUBE_ASSIGN_OR_RETURN(RowPredicate p,
+                              expr::ColumnEq(data.schema(), attr, v));
+    preds.push_back(std::move(p));
+  }
+  return Select(data, expr::And(std::move(preds)));
+}
+
+// Groups the reference rows: the serial operators, or the parallel kernels
+// when `parallel` is set.
+Result<Table> ReferenceGroup(const Result<Table>& rows,
+                             const ParsedQuery& query,
+                             const exec::ExecOptions* parallel) {
+  if (!rows.ok()) return rows.status();
+  std::vector<AggSpec> aggs = query.aggs;
+  for (auto& a : aggs)
+    if (a.output_name.empty()) a.output_name = a.EffectiveName();
+  if (parallel != nullptr)
+    return query.cube ? exec::ParallelCubeBy(*rows, query.by, aggs, *parallel)
+                      : exec::ParallelGroupBy(*rows, query.by, aggs, *parallel);
+  return query.cube ? CubeBy(*rows, query.by, aggs)
+                    : GroupBy(*rows, query.by, aggs);
+}
+
+// Same status text, or the same table: name, schema, and every cell with the
+// same type and value (doubles bit for bit).
+void ExpectSameResult(const Result<Table>& want, const Result<Table>& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.status().ToString(), got.status().ToString()) << what;
+  if (!want.ok()) return;
+  ASSERT_EQ(want->name(), got->name()) << what;
+  ASSERT_TRUE(want->schema() == got->schema()) << what;
+  ASSERT_EQ(want->num_rows(), got->num_rows()) << what;
+  for (size_t i = 0; i < want->num_rows(); ++i) {
+    for (size_t c = 0; c < want->num_columns(); ++c) {
+      const Value& x = want->at(i, c);
+      const Value& y = got->at(i, c);
+      ASSERT_EQ(x.type(), y.type()) << what << " row " << i << " col " << c;
+      if (x.type() == ValueType::kDouble)
+        ASSERT_EQ(std::bit_cast<uint64_t>(x.AsDouble()),
+                  std::bit_cast<uint64_t>(y.AsDouble()))
+            << what << " row " << i << " col " << c;
+      else
+        ASSERT_TRUE(x == y) << what << " row " << i << " col " << c;
+    }
+  }
+}
+
+// Seeded queries over an object's vocabulary: names that resolve
+// (dimensions, hierarchy levels of any index, measures) and one that does
+// not; literals drawn from the data and the hierarchies, and some that match
+// nothing or have another type.
+class QueryGenerator {
+ public:
+  QueryGenerator(const StatisticalObject& obj, uint64_t seed) : rng_(seed) {
+    for (const auto& d : obj.dimensions()) {
+      names_.push_back(d.name());
+      literals_[d.name()] = d.values();
+      for (const auto& h : d.hierarchies()) {
+        for (size_t l = 0; l < h.num_levels(); ++l) {
+          names_.push_back(h.levels()[l]);
+          const auto& vals = h.ValuesAt(l);
+          auto& pool = literals_[h.levels()[l]];
+          pool.insert(pool.end(), vals.begin(), vals.end());
+        }
+      }
+    }
+    for (const auto& m : obj.measures()) {
+      names_.push_back(m.name);
+      measures_.push_back(m.name);
+      for (size_t r = 0; r < obj.data().num_rows(); r += 37)
+        literals_[m.name].push_back(
+            obj.data().at(r, *obj.data().schema().IndexOf(m.name)));
+    }
+    names_.push_back("ghost");
+  }
+
+  std::string Next() {
+    static const char* kFns[] = {"sum", "count", "avg", "min",
+                                 "max", "stddev", "var"};
+    std::string q = "SELECT ";
+    for (uint64_t i = 0, n = 1 + rng_.Uniform(2); i < n; ++i) {
+      std::string fn = kFns[rng_.Uniform(7)];
+      std::string col = rng_.Uniform(6) == 0 ? Pick(names_) : Pick(measures_);
+      if (fn == "count" && rng_.Uniform(2) == 0) col.clear();
+      q += (i ? ", " : "") + fn + "(" + col + ")";
+    }
+    if (uint64_t nby = rng_.Uniform(4); nby > 0) {
+      const bool cube = rng_.Uniform(4) == 0;
+      q += cube ? " BY CUBE(" : " BY ";
+      for (uint64_t i = 0; i < nby; ++i) q += (i ? ", " : "") + Pick(names_);
+      if (cube) q += ")";
+    }
+    for (uint64_t i = 0, n = rng_.Uniform(3); i < n; ++i) {
+      std::string attr = Pick(names_);
+      q += (i ? " AND " : " WHERE ") + attr + " = " + Literal(attr);
+    }
+    return q;
+  }
+
+ private:
+  const std::string& Pick(const std::vector<std::string>& from) {
+    return from[rng_.Uniform(from.size())];
+  }
+  // A literal as the lexer reads it: 'string', integer, or a double with a
+  // decimal point (the lexer has no exponents).
+  std::string Literal(const std::string& attr) {
+    const std::vector<Value>& pool = literals_[attr];
+    Value v = !pool.empty() && rng_.Uniform(5) != 0
+                  ? pool[rng_.Uniform(pool.size())]
+                  : std::vector<Value>{"nowhere", 1, 1.0, -2}[rng_.Uniform(4)];
+    if (v.type() == ValueType::kString) return "'" + v.AsString() + "'";
+    if (v.type() == ValueType::kInt64) return std::to_string(v.AsInt64());
+    if (v.type() != ValueType::kDouble) return "0";
+    char buf[64];
+    snprintf(buf, sizeof buf, "%.6f", v.AsDouble());
+    return buf;
+  }
+
+  Rng rng_;
+  std::vector<std::string> names_, measures_;
+  std::map<std::string, std::vector<Value>> literals_;
+};
+
+// Runs `n` generated queries through ExecuteQuery and ExecuteQueryParallel
+// (threads 1 and 2, vectorized off and on) and through the reference, and
+// requires identical answers — errors included.
+void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
+                            int n) {
+  QueryGenerator gen(obj, seed);
+  int errors = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::string text = gen.Next();
+    Result<ParsedQuery> q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    const Result<Table> rows = ReferenceRows(obj, *q);
+    const Result<Table> want = ReferenceGroup(rows, *q, nullptr);
+    errors += want.ok() ? 0 : 1;
+    ExpectSameResult(want, ExecuteQuery(obj, *q), text + " [serial]");
+    for (int threads : {1, 2}) {
+      for (bool vectorized : {false, true}) {
+        exec::ExecOptions o;
+        o.threads = threads;
+        o.vectorized = vectorized;
+        ExpectSameResult(
+            ReferenceGroup(rows, *q, &o),
+            ExecuteQueryParallel(obj, *q, threads, nullptr, vectorized),
+            text + " [threads " + std::to_string(threads) +
+                (vectorized ? ", vectorized]" : "]"));
+      }
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The battery must exercise both answers and refusals.
+  EXPECT_GT(errors, n / 10);
+  EXPECT_GT(n - errors, n / 3);
+}
+
+// The corners a roll-up must get right: a non-strict step (greens belong to
+// food and feed), leaves the hierarchy does not know (durian, 2.5, 4 roll up
+// to NULL), int and double leaves that compare equal (1 and 1.0, 2 and 2.0),
+// leaves past 2^53 where Value::Compare stops being transitive (2^53 + 1 and
+// the double 2^53 are equal, 2^53 + 1 and 2^53 are not), a level name two
+// hierarchies share (tier), a level 0 named apart from its dimension (sku),
+// and NULL measures.
+StatisticalObject EdgeCaseObject() {
+  ClassificationHierarchy kind("kind", {"product", "family", "division"});
+  EXPECT_TRUE(kind.Link(0, "apple", "fruit").ok());
+  EXPECT_TRUE(kind.Link(0, "pear", "fruit").ok());
+  EXPECT_TRUE(kind.Link(0, "kale", "greens").ok());
+  EXPECT_TRUE(kind.Link(1, "fruit", "food").ok());
+  EXPECT_TRUE(kind.Link(1, "greens", "food").ok());
+  EXPECT_TRUE(kind.Link(1, "greens", "feed").ok());
+  ClassificationHierarchy shelf("shelf", {"sku", "aisle"});
+  EXPECT_TRUE(shelf.Link(0, "apple", "a1").ok());
+  EXPECT_TRUE(shelf.Link(0, "kale", "a2").ok());
+  ClassificationHierarchy promo("promo", {"product", "tier"});
+  EXPECT_TRUE(promo.Link(0, "apple", "gold").ok());
+  ClassificationHierarchy promo2("promo2", {"product", "tier"});
+  EXPECT_TRUE(promo2.Link(0, "pear", "gold").ok());
+  Dimension product("product");
+  for (auto* h : {&kind, &shelf, &promo, &promo2}) product.AddHierarchy(*h);
+
+  ClassificationHierarchy band("band", {"code", "band"});
+  EXPECT_TRUE(band.Link(0, Value(int64_t(1)), "low").ok());
+  EXPECT_TRUE(band.Link(0, Value(2.0), "low").ok());
+  EXPECT_TRUE(band.Link(0, Value(int64_t(3)), "high").ok());
+  const int64_t two53 = int64_t(1) << 53;
+  EXPECT_TRUE(band.Link(0, Value(two53), "big").ok());
+  EXPECT_TRUE(band.Link(0, Value(two53 + 1), "huge").ok());
+  Dimension code("code");
+  code.AddHierarchy(band);
+
+  StatisticalObject obj("edge");
+  EXPECT_TRUE(obj.AddDimension(product).ok());
+  EXPECT_TRUE(obj.AddDimension(code).ok());
+  EXPECT_TRUE(obj.AddDimension(Dimension("year", DimensionKind::kTemporal))
+                  .ok());
+  EXPECT_TRUE(
+      obj.AddMeasure({"amount", "", MeasureType::kFlow, AggFn::kSum, ""})
+          .ok());
+  EXPECT_TRUE(
+      obj.AddMeasure({"qty", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
+  const std::vector<Value> products = {"apple", "pear", "kale", "durian"};
+  const std::vector<Value> codes = {
+      int64_t(1), 1.0, int64_t(2), 2.0, int64_t(3), 3.0, 2.5, int64_t(4),
+      two53 + 1,  double(two53)};
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    Value amount = rng.Uniform(6) == 0 ? Value::Null()
+                                       : Value(double(rng.Uniform(1000)) / 8);
+    Value qty = rng.Uniform(7) == 0 ? Value::Null()
+                                    : Value(int64_t(rng.Uniform(20)));
+    EXPECT_TRUE(obj.AddCell({products[rng.Uniform(products.size())],
+                             codes[rng.Uniform(codes.size())],
+                             Value(int64_t(2000 + rng.Uniform(3)))},
+                            {amount, qty})
+                    .ok());
+  }
+  return obj;
+}
+
+TEST(ReferencePipelineTest, Retail) {
+  RetailOptions opt;
+  opt.num_products = 12;
+  opt.num_stores = 6;
+  opt.num_cities = 3;
+  opt.num_days = 40;
+  opt.num_rows = 600;
+  ExpectMatchesReference(MakeRetailWorkload(opt)->object, 1, 300);
+}
+
+TEST(ReferencePipelineTest, Census) {
+  CensusOptions opt;
+  opt.num_states = 3;
+  opt.counties_per_state = 3;
+  opt.num_races = 2;
+  opt.num_age_groups = 3;
+  opt.num_years = 2;
+  ExpectMatchesReference(MakeCensusWorkload(opt).ValueOrDie(), 2, 300);
+}
+
+TEST(ReferencePipelineTest, EdgeCases) {
+  const StatisticalObject obj = EdgeCaseObject();
+  // The corners are really there: 1.0 and 2 roll up through 1 and 2.0,
+  // durian and 2.5 roll up to NULL, and division is refused.
+  auto bands = Query(obj, "SELECT count() BY code, band");
+  ASSERT_TRUE(bands.ok()) << bands.status().ToString();
+  int checked = 0;
+  for (const Row& r : bands->rows()) {
+    if (r[0] == Value(1) || r[0] == Value(2)) {
+      EXPECT_EQ(r[1], Value("low")) << r[0].ToString();
+      ++checked;
+    } else if (r[0] == Value(2.5)) {
+      EXPECT_TRUE(r[1].is_null());
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3);
+  auto family = Query(obj, "SELECT count() BY product, family");
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  for (const Row& r : family->rows())
+    EXPECT_EQ(r[1].is_null(), r[0].AsString() == "durian");
+  EXPECT_EQ(Query(obj, "SELECT count() BY division").status().code(),
+            StatusCode::kNotSummarizable);
+  ExpectMatchesReference(obj, 3, 400);
 }
 
 }  // namespace
