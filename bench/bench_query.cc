@@ -3,10 +3,14 @@
 // costs only parsing — execution is dominated by the same group-by the
 // hand-built pipeline runs — and that hierarchy-level inference costs one
 // ancestor lookup per distinct leaf plus a memo probe per row.
+// TextQueryAtFourThreads times the parallel path across input sizes.
 //
 // Counters: none; compare wall times of adjacent benchmarks.
 
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
@@ -85,6 +89,39 @@ void BM_TextQueryRollupFiltered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TextQueryRollupFiltered);
+
+// The same language at threads = 4 (the CLI's default on a 4-core box)
+// through QueryProfiled, cache off: the parallel group-by's fixed cost per
+// query shows at the small end. Arg = rows of a seed-17 retail object.
+void TextQueryAtFourThreads(benchmark::State& state, const char* text) {
+  static std::map<int64_t, std::unique_ptr<StatisticalObject>> objects;
+  std::unique_ptr<StatisticalObject>& obj = objects[state.range(0)];
+  if (obj == nullptr) {
+    RetailOptions opt;
+    opt.num_rows = int(state.range(0));
+    opt.seed = 17;
+    obj = std::make_unique<StatisticalObject>(MakeRetailWorkload(opt)->object);
+  }
+  QueryOptions o;
+  o.threads = 4;
+  o.record = false;
+  for (auto _ : state) {
+    auto r = QueryProfiled(*obj, text, o);
+    benchmark::DoNotOptimize(r->table.num_rows());
+  }
+}
+BENCHMARK_CAPTURE(TextQueryAtFourThreads, by_store,
+                  "SELECT sum(amount) BY store")
+    ->Arg(600)->Arg(5000)->Arg(30000)->Arg(200000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(TextQueryAtFourThreads, by_city,
+                  "SELECT sum(amount), avg(qty) BY city")
+    ->Arg(600)->Arg(5000)->Arg(30000)->Arg(200000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(TextQueryAtFourThreads, cube,
+                  "SELECT sum(amount) BY CUBE(city, month)")
+    ->Arg(600)->Arg(5000)->Arg(30000)->Arg(200000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace statcube

@@ -12,16 +12,14 @@
 // (single SUM over dimensions) through that physical organization instead of
 // the relational executor — the §6.6 comparison, one flag apart.
 //
-// Parallelism: `--threads=N` executes queries on N workers through the
-// morsel-parallel kernels (statcube/exec); results are bit-identical to
-// serial execution at any thread count. The default comes from the
-// STATCUBE_THREADS environment variable, falling back to the hardware
-// concurrency; `--threads=1` forces the serial operators. The worker pool is
-// built at startup, so /varz shows statcube.exec.pool_size immediately.
-// `--vectorized[=0|1]` routes parallel group-bys through the block-at-a-time
-// radix kernels (exec/vec_kernels.h); results stay bit-identical, and
-// EXPLAIN PROFILE shows the vec.columnarize/partition/aggregate/emit spans.
-// The default comes from the STATCUBE_VECTORIZED environment variable.
+// Parallelism: `--threads=N` groups on N workers through the radix-partitioned
+// parallel group-by (statcube/exec); results are bit-identical to serial
+// execution at any thread count, and EXPLAIN PROFILE shows its vec.* phase
+// spans (vec.partition only past the fan-out threshold). The default comes
+// from the STATCUBE_THREADS environment variable, falling back to the
+// hardware concurrency; `--threads=1` forces the serial operators. The worker
+// pool is built at startup, so /varz shows statcube.exec.pool_size
+// immediately.
 //
 // Caching: `--cache=off|on|derive` answers repeated queries from the
 // result cache (`on` = exact reuse, `derive` = also roll up cached
@@ -45,7 +43,7 @@
 // "deadline_exceeded"). Implies the profiled path, like --cache.
 //
 // Run: ./build/examples/olap_cli [--profile] [--engine=E] [--threads=N]
-//          [--vectorized[=0|1]] [--cache=M] [--serve=PORT] [--slow-query-us=N]
+//          [--cache=M] [--serve=PORT] [--slow-query-us=N]
 //          [--flight-capacity=N] [--statusz-sample-ms=D] [--deadline-ms=N]
 //          [object-file]
 //      echo "EXPLAIN PROFILE SELECT sum(amount) BY city" | ./build/examples/olap_cli
@@ -79,8 +77,6 @@ struct CliOptions {
   bool profile = false;
   QueryEngine engine = QueryEngine::kRelational;
   int threads = exec::DefaultThreads();  // --threads=N / STATCUBE_THREADS
-  // --vectorized[=0|1] / STATCUBE_VECTORIZED
-  bool vectorized = exec::DefaultVectorized();
   int serve_port = -1;          // --serve=PORT; -1 = no server
   long slow_query_us = -1;      // --slow-query-us=N; -1 = leave default
   long flight_capacity = -1;    // --flight-capacity=N; -1 = leave default
@@ -107,7 +103,6 @@ bool Execute(const StatisticalObject& obj, const std::string& text,
     QueryOptions opt;
     opt.engine = cli.engine;
     opt.threads = cli.threads;
-    opt.vectorized = cli.vectorized;
     opt.cache = cli.cache;
     opt.deadline_us = uint64_t(cli.deadline_ms) * 1000;
     auto result = QueryProfiled(obj, text, opt);
@@ -123,10 +118,7 @@ bool Execute(const StatisticalObject& obj, const std::string& text,
     }
     return true;
   }
-  auto result = cli.threads != 1
-                    ? ExecuteQueryParallel(obj, *parsed, cli.threads,
-                                           /*stop=*/nullptr, cli.vectorized)
-                    : ExecuteQuery(obj, *parsed);
+  auto result = ExecuteQuery(obj, *parsed, cli.threads);
   if (!result.ok()) {
     fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return false;
@@ -157,10 +149,6 @@ int main(int argc, char** argv) {
                 exec::kMaxThreads);
         return 1;
       }
-    } else if (arg == "--vectorized" || arg == "--vectorized=1") {
-      cli.vectorized = true;
-    } else if (arg == "--vectorized=0") {
-      cli.vectorized = false;
     } else if (arg.rfind("--cache=", 0) == 0) {
       auto mode = cache::ModeFromName(arg.substr(strlen("--cache=")));
       if (!mode.ok()) {
@@ -205,14 +193,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       printf("usage: olap_cli [--profile] [--engine=relational|molap|rolap|"
-             "rolap+bitmap] [--threads=N] [--vectorized[=0|1]] "
-             "[--cache=off|on|derive] "
+             "rolap+bitmap] [--threads=N] [--cache=off|on|derive] "
              "[--serve=PORT] [--slow-query-us=N] [--flight-capacity=N] "
              "[--statusz-sample-ms=D] [--deadline-ms=N] [object-file]\n"
              "  --threads=N   execute on N workers (default: "
              "STATCUBE_THREADS or hardware concurrency; 1 = serial)\n"
-             "  --vectorized  block-at-a-time radix group-by kernels; "
-             "bit-identical results (default: STATCUBE_VECTORIZED)\n"
              "  --cache=M     result cache: on = exact reuse, derive = also "
              "roll up cached supersets (default: off)\n"
              "  --deadline-ms=N  per-query execution budget; past it the "

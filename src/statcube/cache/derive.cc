@@ -53,7 +53,7 @@ std::string DerivedName(const std::string& cached_name,
 }  // namespace
 
 Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
-                            int threads, bool vectorized) {
+                            int threads) {
   std::vector<AggSpec> respecs;
   respecs.reserve(src.agg_fns.size());
   for (size_t i = 0; i < src.agg_fns.size(); ++i)
@@ -64,7 +64,6 @@ Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
   if (threads != 1) {
     exec::ExecOptions xo;
     xo.threads = threads;
-    xo.vectorized = vectorized;
     STATCUBE_ASSIGN_OR_RETURN(
         states, exec::ParallelGroupByStates(src.result, key.by, respecs, xo));
   } else {

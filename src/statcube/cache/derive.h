@@ -24,22 +24,14 @@
 #include "statcube/common/status.h"
 #include "statcube/relational/table.h"
 
-namespace statcube::exec {
-/// See exec/parallel_kernels.h.
-bool DefaultVectorized();
-}  // namespace statcube::exec
-
 namespace statcube::cache {
 
 /// Rolls `src` (a cached superset result) up to `key.by`. `threads` follows
-/// QueryOptions::threads: 1 = serial kernels, anything else = the morsel
-/// engine with that worker cap (0 = default pool); `vectorized` additionally
-/// routes the parallel grouping through the radix kernels
-/// (exec/vec_kernels.h). The returned table is bit-identical to executing
-/// `key`'s query directly.
+/// QueryOptions::threads: 1 = serial kernels, anything else = the parallel
+/// group-by with that worker cap (0 = default pool). The returned table is
+/// bit-identical to executing `key`'s query directly.
 Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
-                            int threads,
-                            bool vectorized = exec::DefaultVectorized());
+                            int threads);
 
 }  // namespace statcube::cache
 

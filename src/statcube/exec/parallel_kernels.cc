@@ -7,8 +7,6 @@
 #include "statcube/common/mutex.h"
 #include "statcube/common/str_util.h"
 #include "statcube/common/vec_block.h"
-#include "statcube/exec/vec_kernels.h"
-#include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
 #include "statcube/relational/cube_operator.h"
@@ -42,92 +40,7 @@ StopReason StopAfter(const ExecOptions& options) {
   return options.stop == nullptr ? StopReason::kNone : options.stop->Check();
 }
 
-// Folds `src` into `dst`. Called in ascending morsel order, so the sequence
-// of inserts and AggState::Merge calls is a pure function of the input —
-// the iteration order of each (deterministically built) partial map is
-// itself deterministic for a fixed standard library.
-void MergeGroupedStates(GroupedStates* dst, GroupedStates* src) {
-  if (dst->empty()) {
-    *dst = std::move(*src);
-    return;
-  }
-  for (auto& [key, st] : *src) {
-    auto it = dst->find(key);
-    if (it == dst->end()) {
-      dst->emplace(key, std::move(st));
-    } else {
-      for (size_t i = 0; i < st.size(); ++i) it->second[i].Merge(st[i]);
-    }
-  }
-}
-
 }  // namespace
-
-Result<GroupedStates> ParallelGroupByStates(
-    const Table& input, const std::vector<std::string>& group_cols,
-    const std::vector<AggSpec>& aggs, const ExecOptions& options) {
-  // Vectorized route: the radix kernel either answers (bit-identical to the
-  // serial scan) or declines with Unimplemented when the input exceeds its
-  // 32-bit row indexes — then the scalar morsel path below serves as the
-  // fallback. Real errors (bad columns, stop) propagate unchanged.
-  if (options.vectorized) {
-    Result<GroupedStates> r =
-        VectorizedGroupByStates(input, group_cols, aggs, options);
-    if (r.ok() || r.status().code() != StatusCode::kUnimplemented) return r;
-    if (obs::Enabled())
-      obs::MetricsRegistry::Global()
-          .GetCounter("statcube.exec.vec.fallbacks")
-          .Add(1);
-  }
-
-  // Resolve columns up front (exactly as GroupByStates) so every error
-  // surfaces before any task is spawned.
-  STATCUBE_ASSIGN_OR_RETURN(std::vector<size_t> gidx,
-                            input.schema().IndexesOf(group_cols));
-  std::vector<int64_t> aidx(aggs.size(), -1);
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].fn == AggFn::kCountAll && aggs[i].column.empty()) continue;
-    STATCUBE_ASSIGN_OR_RETURN(size_t idx,
-                              input.schema().IndexOf(aggs[i].column));
-    aidx[i] = static_cast<int64_t>(idx);
-  }
-
-  // ByteSize walks every cell — compute it only when someone is counting.
-  if (obs::Enabled()) obs::RecordBytesTouched(input.ByteSize());
-  ParallelForOptions loop = LoopOptions("groupby", options);
-  size_t n = input.num_rows();
-  std::vector<GroupedStates> parts(NumMorsels(n, loop.morsel_size));
-
-  ParallelFor(
-      n,
-      [&](size_t m, size_t begin, size_t end) {
-        GroupedStates& states = parts[m];
-        Row key(gidx.size());
-        for (size_t r = begin; r < end; ++r) {
-          const Row& row = input.row(r);
-          for (size_t k = 0; k < gidx.size(); ++k) key[k] = row[gidx[k]];
-          auto it = states.find(key);
-          if (it == states.end())
-            it = states.emplace(key, std::vector<AggState>(aggs.size()))
-                     .first;
-          for (size_t i = 0; i < aggs.size(); ++i) {
-            if (aidx[i] < 0) {
-              ++it->second[i].rows;  // kCountAll without a column
-            } else {
-              it->second[i].Add(row[static_cast<size_t>(aidx[i])]);
-            }
-          }
-        }
-      },
-      loop);
-
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-
-  GroupedStates merged;
-  for (GroupedStates& part : parts) MergeGroupedStates(&merged, &part);
-  return merged;
-}
 
 Result<Table> ParallelGroupBy(const Table& input,
                               const std::vector<std::string>& group_cols,
@@ -196,34 +109,6 @@ Result<Table> ParallelCubeBy(const Table& input,
   for (size_t level = ndims; level-- > 0;)
     for (uint32_t m : levels[level])
       EmitCubeGrouping(computed[m], m, ndims, aggs, &out);
-  SortCubeRows(&out, ndims);
-  return out;
-}
-
-Result<Table> ParallelRollupBy(const Table& input,
-                               const std::vector<std::string>& dims,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecOptions& options) {
-  obs::Span span("op.rollup");
-  size_t ndims = dims.size();
-  Table out(input.name() + "_rollup", CubeOutputSchema(dims, aggs));
-
-  // Only the base scan parallelizes; the n+1 prefixes form a chain, and
-  // each link is tiny compared to the scan.
-  STATCUBE_ASSIGN_OR_RETURN(GroupedStates states,
-                            ParallelGroupByStates(input, dims, aggs, options));
-  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
-  uint32_t mask = full;
-  for (size_t len = ndims + 1; len-- > 0;) {
-    uint32_t m = len == 0 ? 0 : ((1u << len) - 1);
-    if (m != mask) {
-      states = RollupGroupedStates(states, mask, m, ndims);
-      mask = m;
-    }
-    EmitCubeGrouping(states, m, ndims, aggs, &out);
-  }
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "rollup");
   SortCubeRows(&out, ndims);
   return out;
 }

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "statcube/common/vec_block.h"
+#include "statcube/exec/parallel_kernels.h"
 #include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
@@ -42,17 +43,8 @@ double SumBlockAuto(const double* v, size_t n, bool all_integral,
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized radix group-by
+// Radix group-by
 // ---------------------------------------------------------------------------
-
-bool DefaultVectorized() {
-  static const bool value = [] {
-    const char* env = std::getenv("STATCUBE_VECTORIZED");
-    if (env == nullptr || env[0] == '\0') return false;
-    return !(env[0] == '0' && env[1] == '\0');
-  }();
-  return value;
-}
 
 namespace {
 
@@ -75,15 +67,23 @@ inline size_t PartitionOf(uint32_t gid) {
   return size_t(gid) & (kRadixPartitions - 1);
 }
 
+// Dictionary entries are capped at the int32_t slot range; DictCode answers
+// kDictFull instead of a code once a dictionary holds kMaxGroups tuples.
+constexpr size_t kMaxGroups = size_t(INT32_MAX);
+constexpr uint32_t kDictFull = UINT32_MAX;
+
 size_t NumMorsels(size_t n, size_t morsel) {
   return n == 0 ? 0 : (n + morsel - 1) / morsel;
 }
 
+// Morsels are capped at kMaxGroups rows, so a morsel's dictionary, codes and
+// counts always fit 32 bits (the result does not depend on the morsel size).
 ParallelForOptions LoopOptions(const char* label, const ExecOptions& options) {
   ParallelForOptions loop;
   loop.label = label;
-  loop.morsel_size =
-      options.morsel_rows == 0 ? kDefaultMorselRows : options.morsel_rows;
+  loop.morsel_size = std::min(
+      options.morsel_rows == 0 ? kDefaultMorselRows : options.morsel_rows,
+      kMaxGroups);
   loop.max_workers = options.EffectiveThreads();
   loop.scheduler = options.scheduler;
   loop.stop = options.stop;
@@ -161,7 +161,7 @@ inline bool EncodeKeyCell(const Value& v, uint8_t* out) {
 struct TupleDict {
   std::vector<int32_t> slots;    // entry index, -1 = empty; power-of-two
   std::vector<uint64_t> hashes;  // per entry: cached tuple hash
-  std::vector<uint32_t> rows;    // per entry: first-occurrence row
+  std::vector<size_t> rows;      // per entry: first-occurrence row
   std::vector<uint32_t> counts;  // per entry: occurrences seen
   std::vector<uint8_t> recs;     // per entry: inline key record
   std::vector<uint8_t> rec_ok;   // per entry: record decides equality
@@ -294,7 +294,8 @@ bool TupleEq(const Row& a, const Row& b, const std::vector<size_t>& gidx) {
 
 // Finds or inserts `row` (at global index r, with hash h and encoded key
 // record `rec` of `stride` bytes, exact iff `rec_ok`) and returns its entry
-// index. The caller sizes the dictionary so it never grows. A hash match
+// index, or kDictFull when a new tuple would not fit an int32_t slot. The
+// caller sizes the slot table so it never grows. A hash match
 // resolves with one record memcmp when both records are exact; otherwise it
 // re-checks with the exact TupleEq against the entry's borrowed first row.
 uint32_t DictCode(TupleDict& d, const Table& input,
@@ -305,10 +306,11 @@ uint32_t DictCode(TupleDict& d, const Table& input,
   for (;;) {
     int32_t s = d.slots[idx];
     if (s < 0) {
+      if (d.rows.size() == kMaxGroups) return kDictFull;
       uint32_t code = uint32_t(d.rows.size());
       d.slots[idx] = int32_t(code);
       d.hashes.push_back(h);
-      d.rows.push_back(uint32_t(r));
+      d.rows.push_back(r);
       d.counts.push_back(1);
       d.recs.insert(d.recs.end(), rec, rec + stride);
       d.rec_ok.push_back(rec_ok ? 1 : 0);
@@ -332,9 +334,37 @@ uint32_t DictCode(TupleDict& d, const Table& input,
   }
 }
 
+// --- Phase 4: emit ---------------------------------------------------------
+// Gid order IS global first-occurrence order (the dictionary merge), so
+// inserting by ascending gid reproduces the serial scan's emplace sequence —
+// and with it the output map's growth history and iteration order, which
+// downstream lattice rollups fold in. Key Rows are rebuilt from each group's
+// first row, replicating the serial representative choice (int64 2 and
+// double 2.0 compare equal; the serial map keeps whichever arrived first).
+// `states` holds `naggs` states per gid.
+GroupedStates EmitGroups(const Table& input, const std::vector<size_t>& gidx,
+                         const std::vector<size_t>& first_row, size_t naggs,
+                         const std::vector<AggState>& states) {
+  obs::Span span("vec.emit");
+  const size_t ngroups = first_row.size();
+  GroupedStates out;
+  Row key(gidx.size());
+  for (size_t g = 0; g < ngroups; ++g) {
+    const Row& first = input.row(first_row[g]);
+    for (size_t k = 0; k < gidx.size(); ++k) key[k] = first[gidx[k]];
+    out.emplace(key, std::vector<AggState>(states.begin() + g * naggs,
+                                           states.begin() + (g + 1) * naggs));
+  }
+  if (obs::Enabled())
+    obs::MetricsRegistry::Global()
+        .GetCounter("statcube.exec.vec.groups")
+        .Add(ngroups);
+  return out;
+}
+
 }  // namespace
 
-Result<GroupedStates> VectorizedGroupByStates(
+Result<GroupedStates> ParallelGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
     const std::vector<AggSpec>& aggs, const ExecOptions& options) {
   // Resolve columns up front (exactly as GroupByStates) so every error
@@ -353,16 +383,6 @@ Result<GroupedStates> VectorizedGroupByStates(
   const size_t ncols = gidx.size();
   const size_t naggs = aggs.size();
   if (n == 0) return GroupedStates{};
-  if (n >= size_t(UINT32_MAX)) {
-    // The pipeline stores row indexes as uint32; inputs beyond that route
-    // back to the scalar kernel through the caller's fallback.
-    if (obs::Enabled())
-      obs::MetricsRegistry::Global()
-          .GetCounter("statcube.exec.vec.row_overflow")
-          .Add(1);
-    return Status::Unimplemented(
-        "input exceeds the vectorized kernel's 32-bit row indexes");
-  }
 
   if (obs::Enabled()) {
     obs::RecordBytesTouched(input.ByteSize());
@@ -536,13 +556,18 @@ Result<GroupedStates> VectorizedGroupByStates(
     const TupleDict& d = dicts[m];
     std::vector<uint32_t>& rm = remap[m];
     rm.resize(d.rows.size());
-    for (size_t e = 0; e < d.rows.size(); ++e)
+    for (size_t e = 0; e < d.rows.size(); ++e) {
       rm[e] = DictCode(global, input, gidx, input.row(d.rows[e]), d.rows[e],
                        d.hashes[e], d.recs.data() + e * stride,
                        d.rec_ok[e] != 0, stride);
+      if (rm[e] == kDictFull)
+        return Status::OutOfRange("group-by over more than " +
+                                  std::to_string(kMaxGroups) +
+                                  " distinct tuples");
+    }
   }
   const size_t ngroups = global.rows.size();
-  const std::vector<uint32_t>& first_row = global.rows;  // per gid
+  const std::vector<size_t>& first_row = global.rows;  // per gid
 
   // A measure with no gap anywhere (every row non-null numeric — the
   // morsel evidence already knows) needs no flag bytes downstream: the
@@ -552,6 +577,56 @@ Result<GroupedStates> VectorizedGroupByStates(
     bool gap = false;
     for (size_t m = 0; m < nmorsels; ++m) gap = gap || m_gap[m][i] != 0;
     no_gap[i] = gap ? 0 : 1;
+  }
+
+  // Folds slab position `e` (values vp[i][e], flags fp[i][e]) into one
+  // group's states: AggState::Add's branch structure over the flag bytes,
+  // with gids indexing the flat state array directly (no hash table, no Row
+  // allocation, no Value access).
+  std::vector<AggState> states(ngroups * naggs);
+  std::vector<const double*> vp(naggs, nullptr);
+  std::vector<const uint8_t*> fp(naggs, nullptr);
+  auto fold = [&](uint32_t gid, size_t e) {
+    AggState* st = &states[size_t(gid) * naggs];
+    for (size_t i = 0; i < naggs; ++i) {
+      ++st[i].rows;
+      if (aidx[i] < 0) continue;  // kCountAll without a column
+      if (no_gap[i] == 0) {
+        uint8_t f = fp[i][e];
+        if ((f & kFlagNonNull) == 0) continue;
+        ++st[i].count;
+        if ((f & kFlagNumeric) == 0) continue;
+      } else {
+        ++st[i].count;
+      }
+      double d = vp[i][e];
+      st[i].sum += d;
+      st[i].sum_sq += d * d;
+      if (d < st[i].min) st[i].min = d;
+      if (d > st[i].max) st[i].max = d;
+    }
+  };
+
+  if (!fan_out) {
+    // Below the fan-out threshold the partitions would be aggregated on the
+    // caller anyway, so the scatter is skipped: one pass in global row
+    // order over the phase-1 slabs hands every group its rows in the same
+    // ascending order the stable scatter would.
+    {
+      obs::Span span("vec.aggregate");
+      for (uint32_t i : mslots) {
+        vp[i] = vals[i].get();
+        fp[i] = flags[i].get();
+      }
+      for (size_t m = 0; m < nmorsels; ++m) {
+        const std::vector<uint32_t>& rm = remap[m];
+        const size_t end = std::min(n, (m + 1) * morsel);
+        for (size_t r = m * morsel; r < end; ++r) fold(rm[codes[r]], r);
+      }
+    }
+    if (StopReason r = StopAfter(options); r != StopReason::kNone)
+      return StopStatus(r, "groupby");
+    return EmitGroups(input, gidx, first_row, naggs, states);
   }
 
   // --- Phase 2: radix partition -------------------------------------------
@@ -576,7 +651,6 @@ Result<GroupedStates> VectorizedGroupByStates(
   std::vector<size_t> part_begin(kRadixPartitions + 1, 0);
   {
     obs::Span span("vec.partition");
-    ParallelForOptions ploop = LoopOptions("vec_partition", options);
     for (size_t m = 0; m < nmorsels; ++m) {
       const std::vector<uint32_t>& rm = remap[m];
       const std::vector<uint32_t>& cnt = dicts[m].counts;
@@ -597,106 +671,51 @@ Result<GroupedStates> VectorizedGroupByStates(
     }
     part_begin[kRadixPartitions] = pos;
 
-    auto scatter = [&](size_t m, size_t begin, size_t end) {
-      const std::vector<uint32_t>& rm = remap[m];
-      std::vector<size_t>& off = offsets[m];
-      for (size_t r = begin; r < end; ++r) {
-        uint32_t g = rm[codes[r]];
-        size_t idx = off[PartitionOf(g)]++;
-        part_gids[idx] = g;
-        for (uint32_t i : mslots) {
-          part_vals[i][idx] = vals[i][r];
-          if (no_gap[i] == 0) part_flags[i][idx] = flags[i][r];
-        }
-      }
-    };
-    if (fan_out) {
-      ParallelFor(n, scatter, ploop);
-    } else {
-      for (size_t m = 0; m < nmorsels; ++m)
-        scatter(m, m * morsel, std::min(n, (m + 1) * morsel));
-    }
+    ParallelFor(
+        n,
+        [&](size_t m, size_t begin, size_t end) {
+          const std::vector<uint32_t>& rm = remap[m];
+          std::vector<size_t>& off = offsets[m];
+          for (size_t r = begin; r < end; ++r) {
+            uint32_t g = rm[codes[r]];
+            size_t idx = off[PartitionOf(g)]++;
+            part_gids[idx] = g;
+            for (uint32_t i : mslots) {
+              part_vals[i][idx] = vals[i][r];
+              if (no_gap[i] == 0) part_flags[i][idx] = flags[i][r];
+            }
+          }
+        },
+        LoopOptions("vec_partition", options));
   }
   if (StopReason r = StopAfter(options); r != StopReason::kNone)
     return StopStatus(r, "groupby");
 
   // --- Phase 3: per-partition aggregation ---------------------------------
-  // One task per partition; gids index the flat AggState array directly (no
-  // hash table, no Row allocation, no Value hashing), and partitions own
-  // disjoint gid sets, so the writes never race and there is no
-  // cross-thread merge of thread-local partials. Rows arrive in ascending
-  // global row order (stable scatter), so every group's AggState replays
-  // the serial accumulation sequence bit for bit.
-  std::vector<AggState> states(ngroups * naggs);
+  // One task per partition. Partitions own disjoint gid sets, so the writes
+  // never race and there is no cross-thread merge of thread-local partials.
+  // Rows arrive in ascending global row order (stable scatter), so every
+  // group's AggState replays the serial accumulation sequence bit for bit.
   {
     obs::Span span("vec.aggregate");
-    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
-    aloop.morsel_size = 1;
-    std::vector<const double*> vp(naggs, nullptr);
-    std::vector<const uint8_t*> fp(naggs, nullptr);
     for (uint32_t i : mslots) {
       vp[i] = part_vals[i].get();
       fp[i] = part_flags[i].get();
     }
-    auto aggregate = [&](size_t, size_t pbegin, size_t pend) {
-      for (size_t p = pbegin; p < pend; ++p) {
-        for (size_t e = part_begin[p]; e < part_begin[p + 1]; ++e) {
-          AggState* st = &states[size_t(part_gids[e]) * naggs];
-          for (size_t i = 0; i < naggs; ++i) {
-            if (aidx[i] < 0) {
-              ++st[i].rows;  // kCountAll without a column
-              continue;
-            }
-            ++st[i].rows;
-            if (no_gap[i] == 0) {
-              uint8_t f = fp[i][e];
-              if ((f & kFlagNonNull) == 0) continue;
-              ++st[i].count;
-              if ((f & kFlagNumeric) == 0) continue;
-            } else {
-              ++st[i].count;
-            }
-            double d = vp[i][e];
-            st[i].sum += d;
-            st[i].sum_sq += d * d;
-            if (d < st[i].min) st[i].min = d;
-            if (d > st[i].max) st[i].max = d;
-          }
-        }
-      }
-    };
-    if (fan_out) {
-      ParallelFor(kRadixPartitions, aggregate, aloop);
-    } else {
-      aggregate(0, 0, kRadixPartitions);
-    }
+    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
+    aloop.morsel_size = 1;
+    ParallelFor(
+        kRadixPartitions,
+        [&](size_t, size_t pbegin, size_t pend) {
+          for (size_t p = pbegin; p < pend; ++p)
+            for (size_t e = part_begin[p]; e < part_begin[p + 1]; ++e)
+              fold(part_gids[e], e);
+        },
+        aloop);
   }
   if (StopReason r = StopAfter(options); r != StopReason::kNone)
     return StopStatus(r, "groupby");
-
-  // --- Phase 4: emit -------------------------------------------------------
-  // Gid order IS global first-occurrence order (the merge above), so
-  // inserting by ascending gid reproduces the serial scan's emplace
-  // sequence — and with it the output map's growth history and iteration
-  // order, which downstream lattice rollups fold in. Key Rows are rebuilt
-  // from each group's first row, replicating the serial representative
-  // choice (int64 2 and double 2.0 compare equal; the serial map keeps
-  // whichever arrived first).
-  obs::Span span("vec.emit");
-  GroupedStates out;
-  Row key(ncols);
-  for (size_t g = 0; g < ngroups; ++g) {
-    const Row& first = input.row(first_row[g]);
-    for (size_t k = 0; k < ncols; ++k) key[k] = first[gidx[k]];
-    std::vector<AggState> st(states.begin() + g * naggs,
-                             states.begin() + (g + 1) * naggs);
-    out.emplace(key, std::move(st));
-  }
-  if (obs::Enabled())
-    obs::MetricsRegistry::Global()
-        .GetCounter("statcube.exec.vec.groups")
-        .Add(ngroups);
-  return out;
+  return EmitGroups(input, gidx, first_row, naggs, states);
 }
 
 }  // namespace statcube::exec

@@ -1,11 +1,10 @@
 /// \file
-/// \brief Vectorized, radix-partitioned aggregation kernels (DESIGN.md §12):
-/// the block-at-a-time group-by core behind `ExecOptions::vectorized`.
+/// \brief The radix-partitioned group-by behind exec::ParallelGroupByStates
+/// (DESIGN.md §12), and the block-sum wrapper it uses.
 ///
-/// The scalar kernels (parallel_kernels.h) run the row-at-a-time path inside
-/// each morsel: build a key Row, hash Values, probe an unordered_map, fold
-/// one AggState per row. `VectorizedGroupByStates` replaces that hot loop
-/// with a columnar pipeline over the paper's §6.1 transposed layout:
+/// Instead of a row-at-a-time loop (build a key Row, hash Values, probe an
+/// unordered_map, fold one AggState per row) the parallel group-by runs a
+/// columnar pipeline over the paper's §6.1 transposed layout:
 ///
 ///   1. **Columnarize** — one parallel pass dictionary-encodes each morsel's
 ///      group-column *tuples* into dense local codes through an
@@ -30,18 +29,16 @@
 ///      value slabs straight into flat per-gid AggState slices (gids index
 ///      directly — no hash table, no Row allocation, no Value access; every
 ///      load is sequential). Partitions own disjoint gid sets, so there is
-///      no cross-thread merge of thread-local partials at all — the radix
-///      refinement of PR 3's morsel design.
+///      no cross-thread merge of thread-local partials at all.
 ///   4. **Emit** — gids are already first-occurrence-ordered, so groups
 ///      insert into the output GroupedStates by ascending gid; each key Row
 ///      is rebuilt from the group's first input row (the exact
 ///      representative the serial map keeps).
 ///
-/// Determinism contract (extends parallel_kernels.h's): the output is
-/// **bit-identical for any thread count, and bit-identical to the serial
-/// GroupByStates for every measure** — including non-integral doubles where
-/// the scalar parallel kernel only promises last-ulp agreement. Two
-/// properties make this exact rather than approximate:
+/// Determinism contract: the output is **bit-identical for any thread count,
+/// and bit-identical to the serial GroupByStates for every measure** —
+/// including non-integral doubles, whose sums depend on the order of
+/// addition. Two properties make this exact rather than approximate:
 ///
 ///   * the stable scatter hands each partition its rows in global row
 ///     order, so every group's AggState sees the exact floating-point
@@ -54,22 +51,22 @@
 /// Reassociated (SIMD) summation is used only where vec_block.h's
 /// `ReorderIsExact` proves it cannot change a bit; everything else keeps
 /// the ordered loops. The cheap phases (scatter, aggregate) fan out to the
-/// pool only past `ExecOptions::vec_fanout_rows` rows per worker — below
-/// that a pool barrier costs more than the phase itself — with identical
-/// results either way. Spans `vec.columnarize` / `vec.partition` /
-/// `vec.aggregate` / `vec.emit` and `statcube.exec.vec.*` counters expose
-/// each phase.
+/// pool only past `ExecOptions::vec_fanout_rows` rows per worker. Below
+/// that a pool barrier costs more than the phase itself, so the scatter is
+/// skipped and one pass on the caller folds the phase-1 slabs in global row
+/// order — the order the stable scatter would produce, so the results are
+/// identical either way. Spans `vec.columnarize` / `vec.partition` (fanned
+/// out only) / `vec.aggregate` / `vec.emit` and `statcube.exec.vec.*`
+/// counters expose each phase.
+///
+/// Limits: row indexes are `size_t`, so the input size is unbounded; group
+/// ids live in the dictionaries' `int32_t` slots, so more than 2^31 - 1
+/// distinct tuples return OutOfRange.
 
 #ifndef STATCUBE_EXEC_VEC_KERNELS_H_
 #define STATCUBE_EXEC_VEC_KERNELS_H_
 
-#include <string>
-#include <vector>
-
-#include "statcube/common/status.h"
-#include "statcube/exec/parallel_kernels.h"
-#include "statcube/relational/aggregate.h"
-#include "statcube/relational/table.h"
+#include <cstddef>
 
 namespace statcube::exec {
 
@@ -88,19 +85,6 @@ inline constexpr size_t kRadixPartitions = 64;
 /// common in the layer DAG.
 double SumBlockAuto(const double* v, size_t n, bool all_integral,
                     double max_abs);
-
-/// Accumulator states per group over the vectorized pipeline above. Output
-/// is bit-identical to the serial GroupByStates (and therefore to itself at
-/// every thread count). Honors `options.stop` between phases like every
-/// parallel kernel.
-///
-/// Returns Unimplemented when the input does not fit the kernel's 32-bit
-/// row indexes (more than 2^32 - 1 rows) — the router in
-/// ParallelGroupByStates falls back to the scalar kernel and bumps
-/// `statcube.exec.vec.fallbacks`.
-Result<GroupedStates> VectorizedGroupByStates(
-    const Table& input, const std::vector<std::string>& group_cols,
-    const std::vector<AggSpec>& aggs, const ExecOptions& options = {});
 
 }  // namespace statcube::exec
 

@@ -232,7 +232,6 @@ class RolapBackend : public CubeBackend {
     if (query.threads != 1) {
       exec::ExecOptions xo;
       xo.threads = query.threads;
-      xo.vectorized = query.vectorized;
       return exec::ParallelGroupBy(filtered, query.group_dims,
                                    {{AggFn::kSum, measure, "sum"}}, xo);
     }

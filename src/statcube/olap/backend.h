@@ -30,12 +30,6 @@
 #include "statcube/storage/dictionary.h"
 #include "statcube/storage/stores.h"
 
-namespace statcube::exec {
-/// See exec/parallel_kernels.h (declared here to avoid pulling the whole
-/// kernel layer into every backend user).
-bool DefaultVectorized();
-}  // namespace statcube::exec
-
 namespace statcube {
 
 /// A dimension-subset aggregate query: SUM(measure) grouped by `group_dims`
@@ -49,10 +43,6 @@ struct CubeQuery {
   /// scans/groupings through the morsel-parallel kernels (statcube/exec)
   /// with N workers (0 = exec::DefaultThreads()). Results are identical.
   int threads = 1;
-  /// Routes the parallel grouping (threads != 1) through the vectorized
-  /// radix kernels (exec/vec_kernels.h). Results stay bit-identical; see
-  /// ExecOptions::vectorized.
-  bool vectorized = exec::DefaultVectorized();
 };
 
 /// Backend-independent query interface over one (object, measure) pair.

@@ -111,14 +111,21 @@ Result<ScanPlan> PlanQuery(const StatisticalObject& obj,
   return plan;
 }
 
+}  // namespace
+
 // Plans, then passes once over the base rows in place: derived cells come
 // from the memos, WHERE uses Value::Compare as expr::ColumnEq does, passing
-// rows are kept projected, and `stop` is checked every 1024 rows. The kept
-// rows — or, with nothing to derive or filter, the base rows themselves —
-// are grouped serially or, given `parallel`, on the kernels.
-Result<Table> Execute(const StatisticalObject& obj, const ParsedQuery& query,
-                      const CancelContext* stop,
-                      const exec::ExecOptions* parallel) {
+// rows are kept projected, and the stop context is checked every 1024 rows.
+// The kept rows — or, with nothing to derive or filter, the base rows
+// themselves — are grouped by the serial operators at one thread, else on
+// the parallel kernels.
+Result<Table> ExecuteQuery(const StatisticalObject& obj,
+                           const ParsedQuery& query, int threads,
+                           const CancelContext* stop) {
+  // The serial operators read only the thread's context, so an explicit
+  // `stop` is installed there for the whole call.
+  CancelScope stop_scope(stop);
+  stop = CurrentCancelContext();
   STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan, PlanQuery(obj, query));
   const Table& base = obj.data();
   const size_t nbase = base.num_columns();
@@ -180,34 +187,17 @@ Result<Table> Execute(const StatisticalObject& obj, const ParsedQuery& query,
     if (a.output_name.empty()) a.output_name = a.EffectiveName();
   obs::Span agg_span("aggregate");
   const Table& input = scan ? rows : base;
-  if (parallel != nullptr)
-    return query.cube ? exec::ParallelCubeBy(input, query.by, aggs, *parallel)
-                      : exec::ParallelGroupBy(input, query.by, aggs, *parallel);
-  return query.cube ? CubeBy(input, query.by, aggs)
-                    : GroupBy(input, query.by, aggs);
-}
-
-}  // namespace
-
-Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query) {
-  return Execute(obj, query, CurrentCancelContext(), nullptr);
-}
-
-Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
-                                   const ParsedQuery& query, int threads,
-                                   const CancelContext* stop,
-                                   bool vectorized) {
-  exec::ExecOptions options{.threads = threads,
-                            .stop = stop ? stop : CurrentCancelContext(),
-                            .vectorized = vectorized};
-  return Execute(obj, query, options.stop, &options);
+  if (threads == 1)
+    return query.cube ? CubeBy(input, query.by, aggs)
+                      : GroupBy(input, query.by, aggs);
+  exec::ExecOptions options{.threads = threads, .stop = stop};
+  return query.cube ? exec::ParallelCubeBy(input, query.by, aggs, options)
+                    : exec::ParallelGroupBy(input, query.by, aggs, options);
 }
 
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
-                                    CubeBackend& backend, int threads,
-                                    bool vectorized) {
+                                    CubeBackend& backend, int threads) {
   if (query.cube)
     return Status::Unimplemented("BY CUBE is not backend-expressible");
   if (query.aggs.size() != 1 || query.aggs[0].fn != AggFn::kSum)
@@ -218,7 +208,6 @@ Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
       return Status::Unimplemented("BY '" + b + "' is not a plain dimension");
   CubeQuery cq;
   cq.threads = threads;
-  cq.vectorized = vectorized;
   cq.group_dims = query.by;
   for (const auto& [attr, v] : query.where) {
     if (!obj.DimensionNamed(attr).ok())
@@ -261,8 +250,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   STATCUBE_ASSIGN_OR_RETURN(q, ParseQuery(text));
 
   // Stop configuration: a token copy shared with the caller (if any) plus
-  // the absolute deadline. The CancelScope hands it to serial row loops
-  // thread-locally; parallel paths get it explicitly via ExecOptions.
+  // the absolute deadline. The CancelScope hands it to the executor's row
+  // pass and group-by, serial or parallel, thread-locally.
   CancellationToken token =
       options.cancel != nullptr ? *options.cancel : CancellationToken();
   CancelContext cctx;
@@ -330,8 +319,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");
           const auto derive_start = std::chrono::steady_clock::now();
-          Result<Table> derived = cache::RollupDerived(
-              *src, *key, options.threads, options.vectorized);
+          Result<Table> derived =
+              cache::RollupDerived(*src, *key, options.threads);
           if (derived.ok()) {
             out = *std::move(derived);
             executed = true;
@@ -385,9 +374,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
       }
     }
     if (backend.ok()) {
-      Result<Table> res = ExecuteQueryOnBackend(obj, q, **backend,
-                                                options.threads,
-                                                options.vectorized);
+      Result<Table> res =
+          ExecuteQueryOnBackend(obj, q, **backend, options.threads);
       if (res.ok()) {
         out = std::move(res).value();
         executed = true;
@@ -406,10 +394,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     Result<Table> res = Status::Internal("unreachable");
     {
       obs::Span exec_span("execute");
-      res = options.threads != 1
-                ? ExecuteQueryParallel(obj, q, options.threads, &cctx,
-                                       options.vectorized)
-                : ExecuteQuery(obj, q);
+      res = ExecuteQuery(obj, q, options.threads);
     }
     if (!res.ok()) {
       if (is_stop(res.status())) return fail(res.status());

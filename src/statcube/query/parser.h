@@ -53,25 +53,19 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 /// Executes a parsed query against a statistical object: resolves
 /// identifiers (dimension, hierarchy level, or measure), rolls each row up to
 /// referenced levels, applies WHERE equalities, groups and aggregates into
-/// (group columns, aggregates). Stops when CurrentCancelContext() fires.
+/// (group columns, aggregates). `threads` == 1 groups with the serial
+/// relational operators; any other value runs the grouping/CUBE on the
+/// parallel kernels (statcube/exec) with that many workers (0 =
+/// exec::DefaultThreads()) — the same table, bit for bit. `stop` (default:
+/// the thread's CurrentCancelContext()) is checked by the row pass and the
+/// group-by; once it fires the call returns kCancelled / kDeadlineExceeded
+/// instead of a partial table.
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query);
+                           const ParsedQuery& query, int threads = 1,
+                           const CancelContext* stop = nullptr);
 
 /// Parse + execute.
 Result<Table> Query(const StatisticalObject& obj, const std::string& text);
-
-/// ExecuteQuery with the grouping/CUBE on the morsel-parallel kernels
-/// (statcube/exec), `threads` workers (0 = exec::DefaultThreads()). Output is
-/// bit-identical across thread counts; see exec/parallel_kernels.h for when
-/// it also matches ExecuteQuery exactly. `stop` (default: the thread's
-/// CurrentCancelContext()) is checked by the row pass and between morsels;
-/// once it fires the call returns kCancelled / kDeadlineExceeded instead of
-/// a partial table. `vectorized` routes the grouping through the radix
-/// kernels (exec/vec_kernels.h) — same results, bit for bit.
-Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
-                                   const ParsedQuery& query, int threads,
-                                   const CancelContext* stop = nullptr,
-                                   bool vectorized = exec::DefaultVectorized());
 
 /// Executes a parsed query through a CubeBackend (§6.6: the same textual
 /// query served by either physical organization). Only backend-expressible
@@ -79,12 +73,10 @@ Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
 /// measure, BY plain dimensions (no CUBE), WHERE equalities on dimensions;
 /// anything else returns Unimplemented so callers can fall back to
 /// ExecuteQuery. `threads` != 1 routes the backend's scan/grouping through
-/// the parallel kernels (CubeQuery::threads); `vectorized` is forwarded to
-/// CubeQuery::vectorized.
+/// the parallel kernels (CubeQuery::threads).
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
-                                    CubeBackend& backend, int threads = 1,
-                                    bool vectorized = exec::DefaultVectorized());
+                                    CubeBackend& backend, int threads = 1);
 
 /// Which execution engine QueryProfiled routes through.
 enum class QueryEngine { kRelational, kMolap, kRolap, kRolapBitmap };
@@ -97,10 +89,10 @@ Result<QueryEngine> EngineFromName(const std::string& name);
 
 struct QueryOptions {
   QueryEngine engine = QueryEngine::kRelational;
-  /// Execution parallelism: 1 (default) keeps the legacy serial operators;
-  /// N > 1 routes scans and groupings through the morsel-parallel kernels
-  /// with N workers; 0 means exec::DefaultThreads() (STATCUBE_THREADS or
-  /// the hardware concurrency).
+  /// Execution parallelism: 1 (default) keeps the serial operators; N > 1
+  /// routes groupings (and the backends' scans) through the parallel
+  /// kernels with N workers; 0 means exec::DefaultThreads()
+  /// (STATCUBE_THREADS or the hardware concurrency).
   int threads = 1;
   /// Rows shown by the render phase of QueryProfiled.
   size_t render_limit = 25;
@@ -129,12 +121,6 @@ struct QueryOptions {
   /// the /queryz registry entry, and the flight-recorder record so every
   /// observability surface can attribute the work.
   std::string tenant;
-  /// Routes groupings (parallel path, backends, cache derivation) through
-  /// the vectorized radix kernels (exec/vec_kernels.h). Any setting returns
-  /// bit-identical tables; defaults to the STATCUBE_VECTORIZED environment
-  /// gate. Exposed as `--vectorized` in the CLI and `"vectorized"` in the
-  /// /query JSON body.
-  bool vectorized = exec::DefaultVectorized();
 };
 
 /// A query result with its profile (and the table already rendered, so the

@@ -135,6 +135,9 @@ Result<Table> CubeBy(const Table& input, const std::vector<std::string>& dims,
 Result<Table> RollupBy(const Table& input,
                        const std::vector<std::string>& dims,
                        const std::vector<AggSpec>& aggs) {
+  // Groupings are uint32_t masks; a 32nd dimension would shift past them.
+  if (dims.size() > 31)
+    return Status::InvalidArgument("rollup over >31 dimensions refused");
   size_t ndims = dims.size();
   Table out(input.name() + "_rollup", CubeOutputSchema(dims, aggs));
 

@@ -37,6 +37,7 @@ Result<Table> CubeBy(const Table& input, const std::vector<std::string>& dims,
                      const std::vector<AggSpec>& aggs);
 
 /// GROUP BY ROLLUP: the n+1 prefix groupings (d1..dn), (d1..dn-1), ..., ().
+/// InvalidArgument past 31 dimensions (groupings are 32-bit masks).
 Result<Table> RollupBy(const Table& input,
                        const std::vector<std::string>& dims,
                        const std::vector<AggSpec>& aggs);

@@ -108,9 +108,9 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
   if (!body.is_object())
     return JsonError(400, "request body must be a JSON object");
 
-  static const char* kKnownKeys[] = {"query",       "engine", "cache",
-                                     "threads",     "deadline_ms",
-                                     "tenant",      "render", "vectorized"};
+  static const char* kKnownKeys[] = {"query",   "engine",      "cache",
+                                     "threads", "deadline_ms", "tenant",
+                                     "render"};
   for (const auto& [key, value] : body.AsObject()) {
     bool known = false;
     for (const char* k : kKnownKeys) known = known || key == k;
@@ -147,13 +147,6 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
       return JsonError(400, "\"threads\" must be an integer in [0, " +
                                 std::to_string(options_.max_threads) + "]");
     qopt.threads = int(v->AsInt());
-  }
-  if (const JsonValue* v = body.Find("vectorized")) {
-    if (!v->is_bool())
-      return JsonError(400, "\"vectorized\" must be a boolean");
-    // Bit-identical either way (exec/vec_kernels.h); exposed so tenants can
-    // A/B the kernels per request.
-    qopt.vectorized = v->AsBool();
   }
   if (const JsonValue* v = body.Find("deadline_ms")) {
     if (!v->is_int() || v->AsInt() < 0)

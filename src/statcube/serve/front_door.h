@@ -28,8 +28,7 @@
 ///  "threads": 4,                // 0 = exec::DefaultThreads()
 ///  "deadline_ms": 250,          // 0 = no deadline
 ///  "tenant":  "team-fraud",     // [A-Za-z0-9_.-]{1,64}; default "default"
-///  "render":  true,             // include the ASCII rendering too
-///  "vectorized": true}          // radix kernels; default STATCUBE_VECTORIZED
+///  "render":  true}             // include the ASCII rendering too
 /// ```
 ///
 /// Unknown keys are a 400, not silently ignored — a client that misspells

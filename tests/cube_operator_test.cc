@@ -137,5 +137,24 @@ TEST(CubeOperatorTest, RefusesHugeDimensionLists) {
   EXPECT_FALSE(CubeBy(t, dims, {{AggFn::kCountAll, "", "n"}}).ok());
 }
 
+TEST(CubeOperatorTest, RollupRefusesMoreDimensionsThanMaskBits) {
+  // Groupings are 32-bit masks: 31 dimensions fit, 32 would shift past the
+  // mask width.
+  Schema s;
+  std::vector<std::string> dims;
+  for (int d = 0; d < 32; ++d) {
+    dims.push_back(std::string("d").append(std::to_string(d)));
+    s.AddColumn(dims.back(), ValueType::kInt64);
+  }
+  Table t("wide", s);
+  t.AppendRowUnchecked(Row(32, Value(int64_t(1))));
+  auto refused = RollupBy(t, dims, {{AggFn::kCountAll, "", "n"}});
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  dims.pop_back();
+  auto rollup = RollupBy(t, dims, {{AggFn::kCountAll, "", "n"}});
+  ASSERT_TRUE(rollup.ok()) << rollup.status().ToString();
+  EXPECT_EQ(rollup->num_rows(), 32u);  // one row per prefix, () to (d0..d30)
+}
+
 }  // namespace
 }  // namespace statcube

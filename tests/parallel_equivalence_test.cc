@@ -1,8 +1,11 @@
 // Serial/parallel equivalence: every parallel kernel must produce output
-// BIT-identical to its serial counterpart on exact-sum measures, and
-// bit-identical to itself at any thread count (1/2/4/8) on every measure —
+// BIT-identical to its serial counterpart at any thread count (1/2/4/8) —
 // the determinism contract of statcube/exec (parallel_kernels.h, DESIGN.md
-// §6). Covered across all four paper workloads (census, hmo, retail,
+// §6). The radix group-by (vec_kernels.h) and the CUBE built on it match
+// the serial operators on EVERY measure, the inexact stock close price
+// included: the stable radix scatter replays each group's serial
+// accumulation order and groups are emitted in serial first-occurrence
+// order. Covered across all four paper workloads (census, hmo, retail,
 // stocks), the query path, the cube backends, the MOLAP reductions, and the
 // materialization layer.
 
@@ -61,6 +64,7 @@ exec::ExecOptions Threads(int t, size_t morsel_rows = 512) {
   exec::ExecOptions o;
   o.threads = t;
   o.morsel_rows = morsel_rows;  // small: several morsels even on small data
+  o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
   return o;
 }
 
@@ -85,8 +89,8 @@ struct Workloads {
 };
 
 // ---------------------------------------------------------------------------
-// Kernel level: GroupBy / CubeBy / RollupBy vs their parallel counterparts,
-// on every workload's data table.
+// Kernel level: GroupBy / CubeBy vs their parallel counterparts, on every
+// workload's data table.
 
 TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
   const auto& w = Workloads::Get();
@@ -95,8 +99,6 @@ TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
     std::vector<std::string> group_cols;
     std::vector<AggSpec> aggs;
   } cases[] = {
-      // Every workload measure is integer-valued except the stock close
-      // price, so these sums are exact and serial == parallel bit-for-bit.
       {&w.retail.flat,
        {"category", "city"},
        {{AggFn::kSum, "amount", ""},
@@ -109,9 +111,12 @@ TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
       {&w.hmo.data(),
        {"hospital"},
        {{AggFn::kSum, "cost", ""}, {AggFn::kSum, "visits", ""}}},
+      // Inexact measure on purpose: close is a non-integer double.
       {&w.stocks.data(),
        {"stock"},
-       {{AggFn::kSum, "volume", ""}, {AggFn::kCountAll, "", ""}}},
+       {{AggFn::kSum, "volume", ""},
+        {AggFn::kAvg, "close", ""},
+        {AggFn::kCountAll, "", ""}}},
   };
   for (const auto& c : cases) {
     auto serial = GroupBy(*c.table, c.group_cols, c.aggs);
@@ -140,40 +145,84 @@ TEST(KernelEquivalence, CubeByMatchesSerial) {
   }
 }
 
-TEST(KernelEquivalence, RollupByMatchesSerial) {
+TEST(KernelEquivalence, InexactMeasureMatchesSerialAtSmallMorsels) {
+  // Small morsels force many partial dictionaries and a multi-morsel
+  // scatter or inline pass; the per-group accumulation order of close — a
+  // non-integer double, so the order shows in the bits — must still be the
+  // serial one.
   const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "population", ""}};
-  auto serial = RollupBy(w.census.data(), {"race", "sex", "age_group"}, aggs);
+  std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
+                               {AggFn::kSum, "close", ""},
+                               {AggFn::kVariance, "close", ""}};
+  auto serial = GroupBy(w.stocks.data(), {"stock"}, aggs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelRollupBy(
-        w.census.data(), {"race", "sex", "age_group"}, aggs, Threads(t));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "rollup@" + std::to_string(t));
+    // Fanned-out scatter, and the caller's inline pass below the threshold.
+    for (size_t fanout : {size_t(0), size_t(1) << 30}) {
+      exec::ExecOptions o = Threads(t, /*morsel_rows=*/64);
+      o.vec_fanout_rows = fanout;
+      auto parallel =
+          exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs, o);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectTablesIdentical(*serial, *parallel,
+                            "close@" + std::to_string(t) + "/" +
+                                std::to_string(fanout));
+    }
   }
 }
 
-TEST(KernelEquivalence, ThreadCountInvariantOnInexactMeasure) {
-  // avg(close) sums non-integer doubles: parallel output need not match the
-  // serial operator bit-for-bit, but it MUST match itself at every thread
-  // count — morsel boundaries and merge order never depend on the workers.
+TEST(KernelEquivalence, EmptyByAndEmptyInput) {
+  // Empty BY list = one global group over the measure slabs (the block-sum
+  // fast path); an empty input yields an empty result in both paths.
   const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
-                               {AggFn::kSum, "close", ""}};
-  auto baseline = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                        Threads(1, /*morsel_rows=*/64));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (int t : {2, 4, 8}) {
-    auto other = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                       Threads(t, /*morsel_rows=*/64));
-    ASSERT_TRUE(other.ok()) << other.status().ToString();
-    ExpectTablesIdentical(*baseline, *other, "close@" + std::to_string(t));
+  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
+                               {AggFn::kMin, "amount", ""},
+                               {AggFn::kMax, "amount", ""},
+                               {AggFn::kAvg, "amount", ""},
+                               {AggFn::kCountAll, "", ""}};
+  auto serial = GroupBy(w.retail.flat, {}, aggs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  Table empty("empty", w.retail.flat.schema());
+  auto empty_serial = GroupBy(empty, {"city"}, aggs);
+  ASSERT_TRUE(empty_serial.ok());
+  for (int t : {1, 2, 4, 8}) {
+    auto parallel = exec::ParallelGroupBy(w.retail.flat, {}, aggs, Threads(t));
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectTablesIdentical(*serial, *parallel, "empty-by@" + std::to_string(t));
+    auto empty_parallel =
+        exec::ParallelGroupBy(empty, {"city"}, aggs, Threads(t));
+    ASSERT_TRUE(empty_parallel.ok()) << empty_parallel.status().ToString();
+    ExpectTablesIdentical(*empty_serial, *empty_parallel,
+                          "empty-input@" + std::to_string(t));
+  }
+}
+
+TEST(KernelEquivalence, SingleKeySkew) {
+  // Every row carries the same key, so one radix partition receives the
+  // whole table while the other 63 stay empty — the degenerate load-balance
+  // case. Inexact measure values make accumulation order observable.
+  Schema schema;
+  schema.AddColumn("k", ValueType::kString);
+  schema.AddColumn("v", ValueType::kDouble);
+  Table skew("skew", schema);
+  for (int i = 0; i < 5000; ++i)
+    skew.AppendRowUnchecked({Value("only"), Value(0.1 * double(i % 997))});
+  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
+                               {AggFn::kAvg, "v", ""},
+                               {AggFn::kMin, "v", ""},
+                               {AggFn::kMax, "v", ""}};
+  auto serial = GroupBy(skew, {"k"}, aggs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (int t : {1, 2, 4, 8}) {
+    auto parallel = exec::ParallelGroupBy(skew, {"k"}, aggs, Threads(t, 256));
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectTablesIdentical(*serial, *parallel, "skew@" + std::to_string(t));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Query path: ExecuteQuery vs ExecuteQueryParallel on the §5.1 language,
-// across all four workloads.
+// Query path: ExecuteQuery at one thread (the serial operators) vs 2/4/8
+// workers on the §5.1 language, across all four workloads.
 
 void ExpectQueryEquivalent(const StatisticalObject& obj,
                            const std::string& text) {
@@ -181,8 +230,8 @@ void ExpectQueryEquivalent(const StatisticalObject& obj,
   ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
   auto serial = ExecuteQuery(obj, *parsed);
   ASSERT_TRUE(serial.ok()) << text << ": " << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto parallel = ExecuteQueryParallel(obj, *parsed, t);
+  for (int t : {2, 4, 8}) {
+    auto parallel = ExecuteQuery(obj, *parsed, t);
     ASSERT_TRUE(parallel.ok()) << text << ": " << parallel.status().ToString();
     ExpectTablesIdentical(*serial, *parallel,
                           text + " @" + std::to_string(t) + " threads");
@@ -234,7 +283,7 @@ TEST(QueryEquivalence, StockQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Backends: MOLAP and ROLAP GroupBySum with threads=1 vs threads=4.
+// Backends: MOLAP and ROLAP GroupBySum, serial (threads=1) vs 2/4/8 workers.
 
 TEST(BackendEquivalence, GroupBySumThreadInvariant) {
   const auto& w = Workloads::Get();
@@ -260,7 +309,7 @@ TEST(BackendEquivalence, GroupBySumThreadInvariant) {
       q.threads = 1;
       auto serial = backend->GroupBySum(q);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      for (int t : {2, 4}) {
+      for (int t : {2, 4, 8}) {
         q.threads = t;
         auto parallel = backend->GroupBySum(q);
         ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -371,237 +420,6 @@ TEST(MaterializeEquivalence, MaterializeAllMatchesSerialOrder) {
     auto b = parallel.Query(m);
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectTablesIdentical(*a, *b, "view mask " + std::to_string(m));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized kernels (exec/vec_kernels.h): the radix group-by carries a
-// STRONGER contract than the scalar-parallel path — its output is
-// bit-identical to the SERIAL operators for EVERY measure (exact-sum or
-// not) at every thread count, because the stable radix scatter replays each
-// group's serial accumulation order and groups are emitted in global
-// first-occurrence order. So every test below compares against serial
-// directly, including the inexact stock close price that the scalar-parallel
-// path only promises thread-count invariance for.
-
-exec::ExecOptions VecThreads(int t, size_t morsel_rows = 512) {
-  exec::ExecOptions o = Threads(t, morsel_rows);
-  o.vectorized = true;
-  o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
-  return o;
-}
-
-TEST(VectorizedEquivalence, GroupByMatchesSerialOnEveryWorkload) {
-  const auto& w = Workloads::Get();
-  struct Case {
-    const Table* table;
-    std::vector<std::string> group_cols;
-    std::vector<AggSpec> aggs;
-  } cases[] = {
-      {&w.retail.flat,
-       {"category", "city"},
-       {{AggFn::kSum, "amount", ""},
-        {AggFn::kCount, "qty", ""},
-        {AggFn::kMin, "amount", ""},
-        {AggFn::kMax, "amount", ""}}},
-      {&w.census.data(),
-       {"race", "sex"},
-       {{AggFn::kSum, "population", ""}, {AggFn::kAvg, "population", ""}}},
-      {&w.hmo.data(),
-       {"hospital"},
-       {{AggFn::kSum, "cost", ""}, {AggFn::kSum, "visits", ""}}},
-      // Inexact measure on purpose: close is a non-integer double, and the
-      // vectorized path must STILL match serial bit-for-bit.
-      {&w.stocks.data(),
-       {"stock"},
-       {{AggFn::kSum, "volume", ""},
-        {AggFn::kAvg, "close", ""},
-        {AggFn::kCountAll, "", ""}}},
-  };
-  for (const auto& c : cases) {
-    auto serial = GroupBy(*c.table, c.group_cols, c.aggs);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int t : {1, 2, 4, 8}) {
-      auto vec = exec::ParallelGroupBy(*c.table, c.group_cols, c.aggs,
-                                       VecThreads(t));
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ExpectTablesIdentical(*serial, *vec,
-                            c.table->name() + " vec@" + std::to_string(t));
-    }
-  }
-}
-
-TEST(VectorizedEquivalence, MatchesSerialOnInexactMeasureAtSmallMorsels) {
-  // Small morsels force many partial dictionaries and a multi-morsel
-  // scatter; the per-group accumulation order must still be the serial one.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
-                               {AggFn::kSum, "close", ""},
-                               {AggFn::kVariance, "close", ""}};
-  auto serial = GroupBy(w.stocks.data(), {"stock"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                     VecThreads(t, /*morsel_rows=*/64));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "close vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, CubeAndRollupMatchSerial) {
-  // CUBE/ROLLUP exercise RollupGroupedStates over the vectorized base map:
-  // lattice roll-ups fold groups in map iteration order, so this only holds
-  // because the vectorized map replays the serial insertion order.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
-  auto cube_serial = CubeBy(w.retail.flat, {"category", "city", "month"}, aggs);
-  ASSERT_TRUE(cube_serial.ok());
-  std::vector<AggSpec> census_aggs = {{AggFn::kSum, "population", ""}};
-  auto rollup_serial =
-      RollupBy(w.census.data(), {"race", "sex", "age_group"}, census_aggs);
-  ASSERT_TRUE(rollup_serial.ok());
-  for (int t : {1, 2, 4, 8}) {
-    auto cube = exec::ParallelCubeBy(
-        w.retail.flat, {"category", "city", "month"}, aggs, VecThreads(t));
-    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-    ExpectTablesIdentical(*cube_serial, *cube,
-                          "vec cube@" + std::to_string(t));
-    auto rollup = exec::ParallelRollupBy(
-        w.census.data(), {"race", "sex", "age_group"}, census_aggs,
-        VecThreads(t));
-    ASSERT_TRUE(rollup.ok()) << rollup.status().ToString();
-    ExpectTablesIdentical(*rollup_serial, *rollup,
-                          "vec rollup@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, EmptyByAndEmptyInput) {
-  // Empty BY list = one global group over the measure slabs (the block-sum
-  // fast path); an empty input yields an empty result in both paths.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kMin, "amount", ""},
-                               {AggFn::kMax, "amount", ""},
-                               {AggFn::kAvg, "amount", ""},
-                               {AggFn::kCountAll, "", ""}};
-  auto serial = GroupBy(w.retail.flat, {}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Table empty("empty", w.retail.flat.schema());
-  auto empty_serial = GroupBy(empty, {"city"}, aggs);
-  ASSERT_TRUE(empty_serial.ok());
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(w.retail.flat, {}, aggs, VecThreads(t));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "empty-by vec@" + std::to_string(t));
-    auto empty_vec =
-        exec::ParallelGroupBy(empty, {"city"}, aggs, VecThreads(t));
-    ASSERT_TRUE(empty_vec.ok()) << empty_vec.status().ToString();
-    ExpectTablesIdentical(*empty_serial, *empty_vec,
-                          "empty-input vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, SingleKeySkew) {
-  // Every row carries the same key, so one radix partition receives the
-  // whole table while the other 63 stay empty — the degenerate load-balance
-  // case. Inexact measure values make accumulation order observable.
-  Schema schema;
-  schema.AddColumn("k", ValueType::kString);
-  schema.AddColumn("v", ValueType::kDouble);
-  Table skew("skew", schema);
-  for (int i = 0; i < 5000; ++i)
-    skew.AppendRowUnchecked({Value("only"), Value(0.1 * double(i % 997))});
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
-                               {AggFn::kAvg, "v", ""},
-                               {AggFn::kMin, "v", ""},
-                               {AggFn::kMax, "v", ""}};
-  auto serial = GroupBy(skew, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(skew, {"k"}, aggs, VecThreads(t, 256));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "skew vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, QueryPathMatchesSerial) {
-  // ExecuteQueryParallel with vectorized=true, across all four workloads'
-  // query batteries (the same queries the scalar-parallel tests run).
-  const auto& w = Workloads::Get();
-  struct Battery {
-    const StatisticalObject* obj;
-    std::vector<const char*> queries;
-  } batteries[] = {
-      {&w.retail.object,
-       {"SELECT sum(amount) BY city",
-        "SELECT sum(qty), avg(amount) BY category",
-        "SELECT sum(amount) BY month WHERE city = 'city1'",
-        "SELECT sum(amount) BY CUBE(city, month)",
-        "SELECT count() WHERE price_range = 'premium'",
-        "SELECT sum(amount), sum(qty) BY CUBE(category, city, year)"}},
-      {&w.census,
-       {"SELECT sum(population) BY race",
-        "SELECT sum(population) BY CUBE(race, sex)",
-        "SELECT sum(population) BY age_group WHERE sex = 'M'"}},
-      {&w.hmo,
-       {"SELECT sum(cost), sum(visits) BY hospital",
-        "SELECT sum(cost) BY CUBE(hospital, month)"}},
-      {&w.stocks,
-       {"SELECT sum(volume) BY stock",
-        "SELECT avg(close) BY stock",
-        "SELECT sum(volume) BY CUBE(stock, day)"}},
-  };
-  for (const auto& b : batteries) {
-    for (const char* q : b.queries) {
-      auto parsed = ParseQuery(q);
-      ASSERT_TRUE(parsed.ok()) << q;
-      auto serial = ExecuteQuery(*b.obj, *parsed);
-      ASSERT_TRUE(serial.ok()) << q << ": " << serial.status().ToString();
-      for (int t : {1, 2, 4, 8}) {
-        auto vec = ExecuteQueryParallel(*b.obj, *parsed, t, /*stop=*/nullptr,
-                                        /*vectorized=*/true);
-        ASSERT_TRUE(vec.ok()) << q << ": " << vec.status().ToString();
-        ExpectTablesIdentical(*serial, *vec,
-                              std::string(q) + " vec@" + std::to_string(t));
-      }
-    }
-  }
-}
-
-TEST(VectorizedEquivalence, BackendsMatchScalarSerial) {
-  // All three cube backends, vectorized on, 1/2/4/8 workers, against the
-  // scalar serial execution of the same backend.
-  const auto& w = Workloads::Get();
-  auto molap = MakeMolapBackend(w.retail.object, "amount").ValueOrDie();
-  auto rolap = MakeRolapBackend(w.retail.object, "amount").ValueOrDie();
-  auto indexed = MakeRolapBackend(w.retail.object, "amount",
-                                  {.build_bitmap_indexes = true})
-                     .ValueOrDie();
-  std::vector<CubeQuery> queries;
-  {
-    CubeQuery q;
-    q.group_dims = {"store"};
-    queries.push_back(q);
-    q.group_dims = {"product", "store"};
-    q.filters = {{"day", Value("1996-1-3")}};
-    queries.push_back(q);
-  }
-  for (CubeBackend* backend : {molap.get(), rolap.get(), indexed.get()}) {
-    for (CubeQuery q : queries) {
-      q.threads = 1;
-      q.vectorized = false;
-      auto serial = backend->GroupBySum(q);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      q.vectorized = true;
-      for (int t : {1, 2, 4, 8}) {
-        q.threads = t;
-        auto vec = backend->GroupBySum(q);
-        ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-        ExpectTablesIdentical(*serial, *vec,
-                              backend->name() + " vec@" + std::to_string(t));
-      }
-    }
   }
 }
 

@@ -398,7 +398,7 @@ TEST(QueryLifecycleTest, SuccessfulQueryOutcomeIsOk) {
             std::string::npos);
 }
 
-// The executors' row pass checks the stop context itself, so a fired scope
+// The executor's row pass checks the stop context itself, so a fired scope
 // stops a relational query before it reaches the group-by — serially and at
 // any thread count, with or without a WHERE. (A query with nothing to derive
 // or filter has no row pass; its group-by stops it.)
@@ -412,28 +412,33 @@ TEST(QueryLifecycleTest, FiredScopeStopsTheScan) {
                            "SELECT sum(amount) BY store, month"}) {
     auto q = ParseQuery(text);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
-    Result<Table> serial = ExecuteQuery(Retail(), *q);
-    EXPECT_EQ(serial.status().ToString(),
-              "Cancelled: query cancelled during scan")
-        << text;
     for (int threads : {1, 2}) {
-      Result<Table> parallel = ExecuteQueryParallel(Retail(), *q, threads);
-      EXPECT_EQ(parallel.status().ToString(),
+      EXPECT_EQ(ExecuteQuery(Retail(), *q, threads).status().ToString(),
                 "Cancelled: query cancelled during scan")
           << text << " @" << threads;
     }
   }
   auto plain = ParseQuery("SELECT sum(amount) BY store");
+  auto derived = ParseQuery("SELECT count() BY month");
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(ExecuteQuery(Retail(), *plain).status().ToString(),
-            "Cancelled: query cancelled during groupby");
-  // An explicit stop context wins over the scope's.
+  ASSERT_TRUE(derived.ok());
+  // An explicit stop context wins over the scope's, at one thread too, in
+  // the group-by and in the row pass.
   CancelContext expired;
   expired.deadline_us = 1;
-  auto q = ParseQuery("SELECT count() BY month");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(ExecuteQueryParallel(Retail(), *q, 2, &expired).status().code(),
-            StatusCode::kDeadlineExceeded);
+  for (int threads : {1, 2}) {
+    EXPECT_EQ(ExecuteQuery(Retail(), *plain, threads).status().ToString(),
+              "Cancelled: query cancelled during groupby")
+        << threads;
+    EXPECT_EQ(
+        ExecuteQuery(Retail(), *plain, threads, &expired).status().ToString(),
+        "DeadlineExceeded: deadline exceeded during groupby")
+        << threads;
+    EXPECT_EQ(
+        ExecuteQuery(Retail(), *derived, threads, &expired).status().ToString(),
+        "DeadlineExceeded: deadline exceeded during scan")
+        << threads;
+  }
 }
 
 TEST(QueryLifecycleTest, QueryNeverAppearsInRegistryAfterReturn) {

@@ -11,7 +11,6 @@
 #include <set>
 
 #include "statcube/common/rng.h"
-#include "statcube/exec/parallel_kernels.h"
 #include "statcube/relational/cube_operator.h"
 #include "statcube/relational/expression.h"
 #include "statcube/relational/operators.h"
@@ -194,18 +193,13 @@ Result<Table> ReferenceRows(const StatisticalObject& obj,
   return Select(data, expr::And(std::move(preds)));
 }
 
-// Groups the reference rows: the serial operators, or the parallel kernels
-// when `parallel` is set.
+// Groups the reference rows with the serial operators.
 Result<Table> ReferenceGroup(const Result<Table>& rows,
-                             const ParsedQuery& query,
-                             const exec::ExecOptions* parallel) {
+                             const ParsedQuery& query) {
   if (!rows.ok()) return rows.status();
   std::vector<AggSpec> aggs = query.aggs;
   for (auto& a : aggs)
     if (a.output_name.empty()) a.output_name = a.EffectiveName();
-  if (parallel != nullptr)
-    return query.cube ? exec::ParallelCubeBy(*rows, query.by, aggs, *parallel)
-                      : exec::ParallelGroupBy(*rows, query.by, aggs, *parallel);
   return query.cube ? CubeBy(*rows, query.by, aggs)
                     : GroupBy(*rows, query.by, aggs);
 }
@@ -310,9 +304,8 @@ class QueryGenerator {
   std::map<std::string, std::vector<Value>> literals_;
 };
 
-// Runs `n` generated queries through ExecuteQuery and ExecuteQueryParallel
-// (threads 1 and 2, vectorized off and on) and through the reference, and
-// requires identical answers — errors included.
+// Runs `n` generated queries through ExecuteQuery (threads 1 and 2) and
+// through the reference, and requires identical answers — errors included.
 void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
                             int n) {
   QueryGenerator gen(obj, seed);
@@ -321,22 +314,11 @@ void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
     const std::string text = gen.Next();
     Result<ParsedQuery> q = ParseQuery(text);
     ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
-    const Result<Table> rows = ReferenceRows(obj, *q);
-    const Result<Table> want = ReferenceGroup(rows, *q, nullptr);
+    const Result<Table> want = ReferenceGroup(ReferenceRows(obj, *q), *q);
     errors += want.ok() ? 0 : 1;
-    ExpectSameResult(want, ExecuteQuery(obj, *q), text + " [serial]");
-    for (int threads : {1, 2}) {
-      for (bool vectorized : {false, true}) {
-        exec::ExecOptions o;
-        o.threads = threads;
-        o.vectorized = vectorized;
-        ExpectSameResult(
-            ReferenceGroup(rows, *q, &o),
-            ExecuteQueryParallel(obj, *q, threads, nullptr, vectorized),
-            text + " [threads " + std::to_string(threads) +
-                (vectorized ? ", vectorized]" : "]"));
-      }
-    }
+    for (int threads : {1, 2})
+      ExpectSameResult(want, ExecuteQuery(obj, *q, threads),
+                       text + " [threads " + std::to_string(threads) + "]");
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The battery must exercise both answers and refusals.

@@ -71,6 +71,8 @@ TEST(FrontDoorValidationTest, RejectsBadBodies) {
       {R"({"query":42})", "must be a non-empty string"},
       {R"({"query":"SELECT sum(amount) BY city","deadlin_ms":5})",
        "unknown request field"},
+      {R"({"query":"SELECT sum(amount) BY city","vectorized":true})",
+       "unknown request field"},
       {R"({"query":"SELECT sum(amount) BY city","engine":7})",
        "engine"},
       {R"({"query":"SELECT sum(amount) BY city","engine":"warp"})", "engine"},

@@ -1,8 +1,8 @@
 // Unit tests for the block-at-a-time kernels (common/vec_block.h) and the
-// radix-partitioned group-by (exec/vec_kernels.h): block primitive
-// semantics, the exactness gate that licenses reassociation, the packed-key
-// overflow fallback, and the null/non-numeric/NaN edges of the flag-encoded
-// measure slabs.
+// radix-partitioned group-by behind exec::ParallelGroupByStates
+// (exec/vec_kernels.h): block primitive semantics, the exactness gate that
+// licenses reassociation, wide keys, and the null/non-numeric/NaN edges of
+// the flag-encoded measure slabs.
 
 #include "statcube/exec/vec_kernels.h"
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "statcube/common/vec_block.h"
+#include "statcube/exec/parallel_kernels.h"
 #include "statcube/relational/aggregate.h"
 
 namespace statcube {
@@ -129,12 +130,14 @@ void ExpectStatesIdentical(const GroupedStates& a, const GroupedStates& b) {
   }
 }
 
-exec::ExecOptions Vec(int threads, size_t morsel_rows = 128) {
+// fanout_rows = 0 forces the parallel phases even at test sizes; a huge
+// value keeps them in the caller's single inline pass.
+exec::ExecOptions Vec(int threads, size_t morsel_rows = 128,
+                      size_t fanout_rows = 0) {
   exec::ExecOptions o;
   o.threads = threads;
   o.morsel_rows = morsel_rows;
-  o.vectorized = true;
-  o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
+  o.vec_fanout_rows = fanout_rows;
   return o;
 }
 
@@ -171,9 +174,12 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   auto serial = GroupByStates(t, {"k"}, aggs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int threads : {1, 2, 4}) {
-    auto vec = exec::VectorizedGroupByStates(t, {"k"}, aggs, Vec(threads));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectStatesIdentical(*serial, *vec);
+    for (size_t fanout : {size_t(0), size_t(1) << 30}) {
+      auto vec = exec::ParallelGroupByStates(t, {"k"}, aggs,
+                                             Vec(threads, 128, fanout));
+      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+      ExpectStatesIdentical(*serial, *vec);
+    }
   }
 }
 
@@ -192,7 +198,7 @@ TEST(VecGroupBy, MixedIntAndDoubleKeysPickSerialRepresentative) {
   std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
   auto serial = GroupByStates(t, {"k"}, aggs);
   ASSERT_TRUE(serial.ok());
-  auto vec = exec::VectorizedGroupByStates(t, {"k"}, aggs, Vec(2, 1));
+  auto vec = exec::ParallelGroupByStates(t, {"k"}, aggs, Vec(2, 1));
   ASSERT_TRUE(vec.ok()) << vec.status().ToString();
   ASSERT_EQ(serial->size(), vec->size());
   // Same representative TYPE, not just equal value.
@@ -208,9 +214,8 @@ TEST(VecGroupBy, MixedIntAndDoubleKeysPickSerialRepresentative) {
 
 TEST(VecGroupBy, WideHighCardinalityKeys) {
   // Nine group columns with up-to-256 distinct values each: the tuple
-  // dictionary never packs per-column codes, so wide keys need no fallback
-  // — the kernel answers directly, bit-identical to serial, through both
-  // the direct entry point and the ParallelGroupByStates router.
+  // dictionary never packs per-column codes, so wide keys are answered
+  // directly, bit-identical to serial.
   Schema s;
   for (int c = 0; c < 9; ++c)
     s.AddColumn(std::string("c").append(std::to_string(c)),
@@ -231,21 +236,18 @@ TEST(VecGroupBy, WideHighCardinalityKeys) {
 
   auto serial = GroupByStates(t, by, aggs);
   ASSERT_TRUE(serial.ok());
-  auto direct = exec::VectorizedGroupByStates(t, by, aggs, Vec(2));
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  ExpectStatesIdentical(*serial, *direct);
-  auto routed = exec::ParallelGroupByStates(t, by, aggs, Vec(2));
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  ExpectStatesIdentical(*serial, *routed);
+  auto vec = exec::ParallelGroupByStates(t, by, aggs, Vec(2));
+  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+  ExpectStatesIdentical(*serial, *vec);
 }
 
-TEST(VecGroupBy, BadColumnErrorsMatchScalarPath) {
+TEST(VecGroupBy, BadColumnsAreErrors) {
   Table t("kv", KvSchema());
   t.AppendRowUnchecked({Value("a"), Value(1.0)});
   std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
   EXPECT_FALSE(
-      exec::VectorizedGroupByStates(t, {"missing"}, aggs, Vec(2)).ok());
-  EXPECT_FALSE(exec::VectorizedGroupByStates(
+      exec::ParallelGroupByStates(t, {"missing"}, aggs, Vec(2)).ok());
+  EXPECT_FALSE(exec::ParallelGroupByStates(
                    t, {"k"}, {{AggFn::kSum, "missing", ""}}, Vec(2))
                    .ok());
 }
@@ -262,10 +264,15 @@ TEST(VecGroupBy, ManyGroupsAcrossPartitions) {
   auto serial = GroupByStates(t, {"k"}, aggs);
   ASSERT_TRUE(serial.ok());
   ASSERT_EQ(701u, serial->size());
-  for (int threads : {1, 2, 4, 8}) {
-    auto vec = exec::VectorizedGroupByStates(t, {"k"}, aggs, Vec(threads));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectStatesIdentical(*serial, *vec);
+  // A size_t-max morsel: the kernel caps morsels at 2^31 - 1 rows (its
+  // 32-bit per-morsel codes), so the whole table is one morsel.
+  for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()}) {
+    for (int threads : {1, 2, 4, 8}) {
+      auto vec =
+          exec::ParallelGroupByStates(t, {"k"}, aggs, Vec(threads, morsel));
+      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+      ExpectStatesIdentical(*serial, *vec);
+    }
   }
 }
 
