@@ -18,20 +18,20 @@
 // spans (vec.partition only past the fan-out threshold). The default comes
 // from the STATCUBE_THREADS environment variable, falling back to the
 // hardware concurrency; `--threads=1` forces the serial operators. The worker
-// pool is built at startup, so /varz shows statcube.exec.pool_size
+// pool is built at startup, so /metrics shows statcube.exec.pool_size
 // immediately.
 //
 // Caching: `--cache=off|on|derive` answers repeated queries from the
 // result cache (`on` = exact reuse, `derive` = also roll up cached
 // supersets through the lattice; see cache/result_cache.h). Cached answers
 // are bit-identical to direct execution; the profile's `cache:` line shows
-// hit / derived / miss, and statcube.cache.* metrics land in \m and /varz.
+// hit / derived / miss, and statcube.cache.* metrics land in \m and /metrics.
 // Any --cache mode routes queries through QueryProfiled even without
 // --profile, so admission can see execution timings.
 //
 // Serving: `--serve=PORT` runs the embedded stats server for the session's
 // lifetime (and implies --profile, so every query is recorded), so
-// `curl localhost:PORT/metrics` (or /profiles, /varz, /healthz)
+// `curl localhost:PORT/metrics` (or /profiles, /statusz, /healthz)
 // works while you type queries; `--slow-query-us=N` makes any profiled query
 // slower than N microseconds emit one structured slow-query log line to
 // stderr. Profiled queries land in the flight recorder either way (`\p`
@@ -110,12 +110,9 @@ bool Execute(const StatisticalObject& obj, const std::string& text,
       fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
       return false;
     }
-    if (cli.profile || parsed->explain_profile) {
-      printf("%s\n%s", result->rendered.c_str(),
-             result->profile.ToString().c_str());
-    } else {
-      printf("%s\n", result->rendered.c_str());
-    }
+    printf("%s\n", result->table.ToString(25).c_str());
+    if (cli.profile || parsed->explain_profile)
+      printf("%s", result->profile.ToString().c_str());
     return true;
   }
   auto result = ExecuteQuery(obj, *parsed, cli.threads);
@@ -242,7 +239,7 @@ int main(int argc, char** argv) {
     obj = std::move(data->object);
   }
   // Build the worker pool up front: query latency stays flat from the first
-  // query, and the pool-size gauge is in /varz before any query runs.
+  // query, and the pool-size gauge is in /metrics before any query runs.
   if (cli.threads > 1) exec::TaskScheduler::Global().EnsureThreads(cli.threads);
 
   if (cli.profile) obs::SetEnabled(true);
@@ -276,7 +273,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     printf("stats server on http://localhost:%u  "
-           "(/metrics /varz /profiles /statusz /tracez /healthz)\n\n",
+           "(/metrics /profiles /statusz /tracez /queryz /healthz)\n\n",
            unsigned(server->port()));
   }
   printf("Query language: [EXPLAIN PROFILE] SELECT fn(measure)[, ...]"

@@ -4,10 +4,10 @@
 //
 //   ./build/examples/stats_server --port=8080 &
 //   curl localhost:8080/metrics     # Prometheus text, latency histograms
-//   curl localhost:8080/varz        # JSON metrics + uptime
 //   curl localhost:8080/profiles    # last N query profiles (flight recorder)
 //   curl localhost:8080/statusz     # HTML: uptime, QPS/p99 sparklines
 //   curl localhost:8080/tracez      # recent trace trees (?format=json)
+//   curl localhost:8080/queryz      # in-flight queries (?format=json)
 //   curl localhost:8080/healthz
 //
 // The workload rotates through the paper's query shapes (rollup by hierarchy
@@ -312,7 +312,7 @@ int main(int argc, char** argv) {
     fprintf(stderr, "%s\n", started.ToString().c_str());
     return 1;
   }
-  printf("serving on http://localhost:%u  (/metrics /varz /profiles "
+  printf("serving on http://localhost:%u  (/metrics /profiles "
          "/statusz /tracez /queryz /healthz; POST /query); Ctrl-C stops\n",
          unsigned(server.port()));
   fflush(stdout);

@@ -28,7 +28,7 @@
 ///
 /// Observability: statcube.cache.{hits,misses,derived_hits,inserts,
 /// admission_rejects,evictions} counters and statcube.cache.{bytes,entries}
-/// gauges, visible in /metrics and /varz when obs is enabled; identical
+/// gauges, visible on /metrics when obs is enabled; identical
 /// numbers are always available via stats() for tests.
 
 #ifndef STATCUBE_CACHE_RESULT_CACHE_H_

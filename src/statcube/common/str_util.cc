@@ -1,5 +1,6 @@
 #include "statcube/common/str_util.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace statcube {
@@ -37,6 +38,11 @@ std::string WithCommas(int64_t v) {
   }
   if (neg) out += '-';
   return std::string(out.rbegin(), out.rend());
+}
+
+void AppendDouble(std::string* out, double v) {
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace statcube

@@ -136,7 +136,7 @@ void TaskScheduler::EnsureThreads(int n) {
   // Submitters may round-robin to a queue whose worker has not started yet;
   // the queue is preallocated and the task waits there.
   active_workers_.store(n, std::memory_order_release);
-  PoolSizeGauge().Set(double(n));  // /varz shows the pool size
+  PoolSizeGauge().Set(double(n));  // /metrics shows the pool size
   for (int id = have; id < n; ++id) SpawnLocked(id);
 }
 

@@ -11,7 +11,8 @@ namespace statcube {
 namespace {
 
 // Strings are always quoted (so the reader can tell "1996" the string from
-// 1996 the number); numbers, ALL and NULL (empty) are never quoted.
+// 1996 the number); numbers, ALL and NULL (empty) are never quoted. Doubles
+// are exact, an integral one with a ".0" so it reads back as a double.
 std::string FieldFor(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
@@ -19,8 +20,13 @@ std::string FieldFor(const Value& v) {
     case ValueType::kAll:
       return "ALL";
     case ValueType::kInt64:
-    case ValueType::kDouble:
-      return v.ToString();
+      return std::to_string(v.AsInt64());
+    case ValueType::kDouble: {
+      std::string out = FormatDouble(v.AsDouble());
+      if (out.find_first_not_of("-0123456789") == std::string::npos)
+        out += ".0";
+      return out;
+    }
     case ValueType::kString: {
       std::string out = "\"";
       for (char c : v.AsString()) {

@@ -20,7 +20,9 @@ namespace statcube {
 
 /// Serializes a table as RFC-4180-ish CSV (header row; quotes doubled;
 /// fields with commas/quotes/newlines quoted; NULL as empty, ALL as the
-/// reserved word ALL).
+/// reserved word ALL). Doubles are exact (FormatDouble, with ".0" appended
+/// when the text would read back as an integer), so ReadCsv returns the
+/// same type and bits.
 std::string WriteCsv(const Table& table);
 
 /// Parses CSV into a table. All columns are typed kString except values that

@@ -1,24 +1,22 @@
 #include "statcube/obs/exporter.h"
 
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <sstream>
 #include <utility>
+
+#include "statcube/common/str_util.h"
 
 namespace statcube::obs {
 
 namespace {
 
-// Prometheus sample values: integers print exactly, doubles via %.6g.
-std::string Num(double v) {
-  if (v == double(int64_t(v)) && v > -1e15 && v < 1e15) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+// A sample value: exact (FormatDouble) when finite, else the exposition
+// format's own spellings.
+std::string SampleValue(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return FormatDouble(v);
 }
 
 }  // namespace
@@ -48,7 +46,7 @@ std::string PrometheusSnapshot(const MetricsRegistry& registry) {
       [&os](const std::string& name, const Gauge& g) {
         std::string pn = PrometheusName(name);
         os << "# TYPE " << pn << " gauge\n";
-        os << pn << " " << Num(g.Value()) << "\n";
+        os << pn << " " << SampleValue(g.Value()) << "\n";
       },
       [&os](const std::string& name, const Histogram& h) {
         std::string pn = PrometheusName(name);
@@ -56,19 +54,19 @@ std::string PrometheusSnapshot(const MetricsRegistry& registry) {
         uint64_t cum = 0;
         for (size_t i = 0; i < h.bounds().size(); ++i) {
           cum += h.BucketCount(i);
-          os << pn << "_bucket{le=\"" << Num(h.bounds()[i]) << "\"} " << cum
-             << "\n";
+          os << pn << "_bucket{le=\"" << SampleValue(h.bounds()[i]) << "\"} "
+             << cum << "\n";
         }
         cum += h.BucketCount(h.bounds().size());
         os << pn << "_bucket{le=\"+Inf\"} " << cum << "\n";
-        os << pn << "_sum " << Num(h.Sum()) << "\n";
+        os << pn << "_sum " << SampleValue(h.Sum()) << "\n";
         os << pn << "_count " << h.TotalCount() << "\n";
         // Derived quantile gauges (estimates; see Histogram::Percentile).
         constexpr std::pair<const char*, double> kQuantiles[] = {
             {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
         for (const auto& [suffix, q] : kQuantiles) {
           os << "# TYPE " << pn << suffix << " gauge\n";
-          os << pn << suffix << " " << Num(h.Percentile(q)) << "\n";
+          os << pn << suffix << " " << SampleValue(h.Percentile(q)) << "\n";
         }
       });
   return os.str();

@@ -1,19 +1,20 @@
 #include "statcube/obs/flight_recorder.h"
 
-#include <sstream>
-
 #include "statcube/obs/json.h"
 #include "statcube/obs/log.h"
 
 namespace statcube::obs {
 
 std::string RecordedProfile::ToJson() const {
-  std::ostringstream os;
-  os << "{\"id\":" << id << ",\"query\":" << JsonStr(query)
-     << ",\"latency_us\":" << latency_us
-     << ",\"slow\":" << (slow ? "true" : "false")
-     << ",\"profile\":" << profile.ToJson() << "}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("id").Uint(id)
+      .Key("query").String(query)
+      .Key("latency_us").Uint(latency_us)
+      .Key("slow").Bool(slow)
+      .Key("profile").Raw(profile.ToJson())
+      .EndObject();
+  return w.Take();
 }
 
 namespace {
@@ -115,15 +116,15 @@ std::string FlightRecorder::ToJson(size_t limit,
     total = next_id_ - 1;
     threshold = slow_threshold_us_;
   }
-  std::ostringstream os;
-  os << "{\"capacity\":" << capacity() << ",\"recorded\":" << total
-     << ",\"slow_query_threshold_us\":" << threshold << ",\"profiles\":[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i) os << ",";
-    os << entries[i].ToJson();
-  }
-  os << "]}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("capacity").Uint(capacity())
+      .Key("recorded").Uint(total)
+      .Key("slow_query_threshold_us").Uint(threshold)
+      .Key("profiles").BeginArray();
+  for (const RecordedProfile& rec : entries) w.Raw(rec.ToJson());
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 uint64_t FlightRecorder::SetSlowQueryThresholdUs(uint64_t us) {

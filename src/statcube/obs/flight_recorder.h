@@ -13,8 +13,8 @@
 //
 // Concurrency: one mutex guards the ring. Record() copies the profile in;
 // Snapshot()/Get() copy profiles out. Profiles are a few KB; this is far
-// off the query hot path (one Record per *profiled* query, after the
-// result is rendered).
+// off the query hot path (one Record per *profiled* query, after it
+// completes).
 
 #ifndef STATCUBE_OBS_FLIGHT_RECORDER_H_
 #define STATCUBE_OBS_FLIGHT_RECORDER_H_

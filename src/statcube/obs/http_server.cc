@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 
+#include "statcube/common/str_util.h"
 #include "statcube/obs/exporter.h"
 #include "statcube/obs/flight_recorder.h"
 #include "statcube/obs/json.h"
@@ -194,18 +195,6 @@ std::string Sparkline(const std::vector<double>& values) {
   return out;
 }
 
-std::string FmtDouble(double v) {
-  std::ostringstream os;
-  if (v == double(int64_t(v)) && v < 1e15 && v > -1e15) {
-    os << int64_t(v);
-  } else {
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%.3f", v);
-    os << buf;
-  }
-  return os.str();
-}
-
 }  // namespace
 
 StatsServer::StatsServer(StatsServerOptions options)
@@ -221,21 +210,6 @@ StatsServer::StatsServer(StatsServerOptions options)
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
     resp.body = PrometheusSnapshot();
-    return resp;
-  });
-  Handle("/varz", [this](const HttpRequest&) {
-    double uptime = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start_time_)
-                        .count();
-    HttpResponse resp;
-    resp.content_type = "application/json";
-    std::ostringstream os;
-    os << "{\"uptime_s\":" << JsonNum(uptime)
-       << ",\"requests_served\":" << requests_served_.load()
-       << ",\"log_dropped\":" << LogDroppedCount()
-       << ",\"profiles_recorded\":" << FlightRecorder::Global().TotalRecorded()
-       << ",\"metrics\":" << MetricsRegistry::Global().JsonSnapshot() << "}";
-    resp.body = os.str();
     return resp;
   });
   Handle("/profiles", [](const HttpRequest& req) {
@@ -297,7 +271,10 @@ StatsServer::StatsServer(StatsServerOptions options)
       return SimpleResponse(404, "no in-flight query with that id\n");
     HttpResponse resp;
     resp.content_type = "application/json";
-    resp.body = "{\"cancelled\":" + std::to_string(id) + "}\n";
+    JsonWriter w;
+    w.BeginObject().Key("cancelled").Uint(id).EndObject();
+    resp.body = w.Take();
+    resp.body.push_back('\n');
     return resp;
   });
   Handle("/statusz", [this](const HttpRequest& req) {
@@ -337,7 +314,7 @@ HttpResponse StatsServer::StatuszPage() const {
      << "<h1>statcube</h1>";
 
   os << "<h2>Process</h2><table>"
-     << "<tr><th>uptime_s</th><td>" << FmtDouble(uptime) << "</td></tr>"
+     << "<tr><th>uptime_s</th><td>" << FormatDouble(uptime) << "</td></tr>"
      << "<tr><th>build</th><td>" << HtmlEscape(__DATE__ " " __TIME__)
      << "</td></tr>"
      << "<tr><th>compiler</th><td>" << HtmlEscape(__VERSION__) << "</td></tr>"
@@ -357,7 +334,7 @@ HttpResponse StatsServer::StatuszPage() const {
     for (const auto& [name, values] : options_.sampler->SnapshotAll()) {
       os << "<tr><td>" << HtmlEscape(name) << "</td><td class=\"spark\">"
          << Sparkline(values) << "</td><td>"
-         << (values.empty() ? std::string("-") : FmtDouble(values.back()))
+         << (values.empty() ? std::string("-") : FormatDouble(values.back()))
          << "</td></tr>";
     }
     os << "</table>";
@@ -371,7 +348,7 @@ HttpResponse StatsServer::StatuszPage() const {
       nullptr,
       [&os](const std::string& name, const Gauge& g) {
         os << "<tr><td>" << HtmlEscape(name) << "</td><td>"
-           << FmtDouble(g.Value()) << "</td></tr>";
+           << FormatDouble(g.Value()) << "</td></tr>";
       },
       nullptr);
   os << "</table>";
@@ -404,7 +381,7 @@ HttpResponse StatsServer::StatuszPage() const {
   for (const auto& [title, html_fn] : statusz_sections_)
     os << "<h2>" << HtmlEscape(title) << "</h2>" << html_fn();
 
-  os << "<p><a href=\"/tracez\">/tracez</a> <a href=\"/varz\">/varz</a> "
+  os << "<p><a href=\"/tracez\">/tracez</a> "
      << "<a href=\"/metrics\">/metrics</a> "
      << "<a href=\"/profiles\">/profiles</a> "
      << "<a href=\"/queryz\">/queryz</a></p></body></html>";
@@ -464,29 +441,21 @@ HttpResponse StatsServer::TracezPage(size_t limit, bool json) {
       FlightRecorder::Global().Snapshot(limit);
   HttpResponse resp;
   if (json) {
-    std::ostringstream os;
-    os << "{\"traces\":[";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const RecordedProfile& rec = entries[i];
-      if (i) os << ",";
-      os << "{\"id\":" << rec.id << ",\"query\":" << JsonStr(rec.query)
-         << ",\"latency_us\":" << rec.latency_us
-         << ",\"dropped_spans\":" << rec.profile.trace.dropped_spans()
-         << ",\"spans\":[";
-      const std::vector<SpanRecord>& spans = rec.profile.trace.spans();
-      for (size_t s = 0; s < spans.size(); ++s) {
-        if (s) os << ",";
-        os << "{\"name\":" << JsonStr(spans[s].name)
-           << ",\"parent\":" << spans[s].parent
-           << ",\"start_us\":" << double(spans[s].start_ns) / 1000.0
-           << ",\"dur_us\":" << double(spans[s].dur_ns) / 1000.0
-           << ",\"thread\":" << spans[s].thread_id << "}";
-      }
-      os << "]}";
+    JsonWriter w;
+    w.BeginObject().Key("traces").BeginArray();
+    for (const RecordedProfile& rec : entries) {
+      w.BeginObject()
+          .Key("id").Uint(rec.id)
+          .Key("query").String(rec.query)
+          .Key("latency_us").Uint(rec.latency_us)
+          .Key("dropped_spans").Uint(rec.profile.trace.dropped_spans())
+          .Key("spans");
+      rec.profile.trace.WriteSpansJson(w);
+      w.EndObject();
     }
-    os << "]}";
+    w.EndArray().EndObject();
     resp.content_type = "application/json";
-    resp.body = os.str();
+    resp.body = w.Take();
     return resp;
   }
   std::ostringstream os;

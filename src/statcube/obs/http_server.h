@@ -10,7 +10,6 @@
 // Built-in endpoints (GET unless noted; HEAD answers headers-only):
 //   /metrics         Prometheus text exposition v0.0.4 (obs/exporter.h)
 //   /healthz         "ok\n", 200 — liveness for load balancers
-//   /varz            JSON: uptime, request counts, MetricsRegistry snapshot
 //   /profiles        flight-recorder ring as JSON, oldest first (?n= limit)
 //   /profiles/<id>   one retained profile by id (404 once evicted)
 //   /queryz          in-flight queries from obs::QueryRegistry, HTML by

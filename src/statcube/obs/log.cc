@@ -102,41 +102,37 @@ uint64_t LogDroppedCount() { return g_dropped.load(); }
 LogEvent::LogEvent(LogLevel level, const std::string& event)
     : level_(level), enabled_(int(level) >= g_min_level.load()) {
   if (!enabled_) return;
-  fields_ = ",\"level\":\"";
-  fields_ += LogLevelName(level);
-  fields_ += "\",\"event\":";
-  fields_ += JsonStr(event);
+  line_.BeginObject()
+      .Key("ts").String(TimestampUtc())
+      .Key("level").String(LogLevelName(level))
+      .Key("event").String(event);
 }
 
 LogEvent& LogEvent::Str(const std::string& key, const std::string& value) {
-  if (enabled_)
-    fields_ += "," + JsonStr(key) + ":" + JsonStr(value);
+  if (enabled_) line_.Key(key).String(value);
   return *this;
 }
 
 LogEvent& LogEvent::Num(const std::string& key, double value) {
-  if (enabled_)
-    fields_ += "," + JsonStr(key) + ":" + JsonNum(value);
+  if (enabled_) line_.Key(key).Double(value);
   return *this;
 }
 
 LogEvent& LogEvent::Int(const std::string& key, int64_t value) {
-  if (enabled_)
-    fields_ += "," + JsonStr(key) + ":" + std::to_string(value);
+  if (enabled_) line_.Key(key).Int(value);
   return *this;
 }
 
 LogEvent& LogEvent::Bool(const std::string& key, bool value) {
-  if (enabled_)
-    fields_ += "," + JsonStr(key) + ":" + (value ? "true" : "false");
+  if (enabled_) line_.Key(key).Bool(value);
   return *this;
 }
 
 std::string LogEvent::Render() const {
-  std::string line = "{\"ts\":\"" + TimestampUtc() + "\"";
-  line += fields_;
-  line += "}";
-  return line;
+  if (!enabled_) return {};
+  JsonWriter line = line_;
+  line.EndObject();
+  return line.Take();
 }
 
 bool LogEvent::Emit() {

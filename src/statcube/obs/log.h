@@ -3,8 +3,8 @@
 //   {"ts":"2026-08-06T12:34:56.789Z","level":"warn","event":"slow_query",
 //    "latency_us":52341,"backend":"rolap","query":"SELECT ..."}
 //
-// `ts` is wall-clock UTC with millisecond precision; every other field is a
-// caller-supplied key/value pair, escaped through obs::JsonEscape so hostile
+// `ts` (wall-clock UTC, milliseconds) is taken when the event is built; every
+// other field is a caller-supplied pair written by obs::JsonWriter, so hostile
 // query text cannot break the line's JSON-ness. Events are built fluently:
 //
 //   obs::LogEvent(obs::LogLevel::kWarn, "slow_query")
@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+
+#include "statcube/obs/json.h"
 
 namespace statcube::obs {
 
@@ -70,12 +72,12 @@ class LogEvent {
   /// line was written, false if suppressed (level or rate limit).
   bool Emit();
 
-  /// The line as it would be written (with a fresh timestamp); for tests.
+  /// The line Emit would write ("" below the minimum level); for tests.
   std::string Render() const;
 
  private:
   LogLevel level_;
-  std::string fields_;  // ",\"k\":v" pairs, pre-rendered
+  JsonWriter line_;  // the open object: ts, level, event, then the fields
   bool enabled_;
 };
 

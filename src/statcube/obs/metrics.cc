@@ -1,10 +1,9 @@
 #include "statcube/obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
-#include "statcube/obs/json.h"
+#include "statcube/common/str_util.h"
 
 namespace statcube::obs {
 
@@ -109,67 +108,26 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   return *it->second;
 }
 
-namespace {
-// Formats a double without trailing zeros ("12", "12.5", "0.001").
-std::string Num(double v) { return JsonNum(v); }
-}  // namespace
-
 std::string MetricsRegistry::TextSnapshot() const {
   MutexLock lock(mu_);
   std::ostringstream os;
   for (const auto& [name, c] : counters_)
     os << name << " " << c->Value() << "\n";
   for (const auto& [name, g] : gauges_)
-    os << name << " " << Num(g->Value()) << "\n";
+    os << name << " " << FormatDouble(g->Value()) << "\n";
   for (const auto& [name, h] : histograms_) {
     os << name << ".count " << h->TotalCount() << "\n";
-    os << name << ".sum " << Num(h->Sum()) << "\n";
+    os << name << ".sum " << FormatDouble(h->Sum()) << "\n";
     // le_ lines are cumulative (Prometheus convention; see metrics.h).
     uint64_t cum = 0;
     for (size_t i = 0; i < h->bounds().size(); ++i) {
       cum += h->BucketCount(i);
-      os << name << ".le_" << Num(h->bounds()[i]) << " " << cum << "\n";
+      os << name << ".le_" << FormatDouble(h->bounds()[i]) << " " << cum
+         << "\n";
     }
     cum += h->BucketCount(h->bounds().size());
     os << name << ".le_inf " << cum << "\n";
   }
-  return os.str();
-}
-
-std::string MetricsRegistry::JsonSnapshot() const {
-  MutexLock lock(mu_);
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << JsonStr(name) << ":" << c->Value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << JsonStr(name) << ":" << Num(g->Value());
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << JsonStr(name) << ":{\"count\":" << h->TotalCount()
-       << ",\"sum\":" << Num(h->Sum()) << ",\"buckets\":[";
-    for (size_t i = 0; i < h->bounds().size(); ++i) {
-      if (i) os << ",";
-      os << "{\"le\":" << Num(h->bounds()[i])
-         << ",\"count\":" << h->BucketCount(i) << "}";
-    }
-    if (!h->bounds().empty()) os << ",";
-    os << "{\"le\":\"inf\",\"count\":" << h->BucketCount(h->bounds().size())
-       << "}]}";
-  }
-  os << "}}";
   return os.str();
 }
 

@@ -139,14 +139,6 @@ class MetricsRegistry {
   /// (obs/exporter.h); a scraper can diff any two snapshots line-by-line.
   std::string TextSnapshot() const;
 
-  /// JSON object with "counters", "gauges", and "histograms" keys.
-  ///
-  /// Unlike TextSnapshot, histogram buckets here are PER-BUCKET (each
-  /// "count" is that bucket alone, not cumulative) — JSON consumers want
-  /// the raw distribution for plotting; cumulative sums are trivially
-  /// recovered with a running total.
-  std::string JsonSnapshot() const;
-
   /// Calls the given callbacks for every registered metric, in name order
   /// per kind, while holding the registry mutex (callbacks must not call
   /// back into the registry). Null callbacks skip that kind. This is how

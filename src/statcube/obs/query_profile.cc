@@ -144,36 +144,33 @@ std::string QueryProfile::ToString() const {
 }
 
 std::string QueryProfile::ToJson() const {
-  std::ostringstream os;
-  os << "{\"backend\":"
-     << JsonStr(backend.empty() ? std::string("relational") : backend)
-     << ",\"cache\":" << JsonStr(cache.empty() ? std::string("off") : cache)
-     << ",\"outcome\":"
-     << JsonStr(outcome.empty() ? std::string("ok") : outcome)
-     << ",\"tenant\":" << JsonStr(tenant) << ",\"spans\":[";
-  const auto& spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"name\":" << JsonStr(spans[i].name)
-       << ",\"parent\":" << spans[i].parent
-       << ",\"start_us\":" << double(spans[i].start_ns) / 1000.0
-       << ",\"dur_us\":" << double(spans[i].dur_ns) / 1000.0
-       << ",\"thread\":" << spans[i].thread_id << "}";
+  JsonWriter w;
+  w.BeginObject()
+      .Key("backend").String(backend.empty() ? "relational" : backend)
+      .Key("cache").String(cache.empty() ? "off" : cache)
+      .Key("outcome").String(outcome.empty() ? "ok" : outcome)
+      .Key("tenant").String(tenant)
+      .Key("spans");
+  trace.WriteSpansJson(w);
+  w.Key("dropped_spans").Uint(trace.dropped_spans())
+      .Key("resources").Raw(resources.ToJson())
+      .Key("operators").BeginArray();
+  for (const OperatorStats& op : operators) {
+    w.BeginObject()
+        .Key("op").String(op.op)
+        .Key("rows_in").Uint(op.rows_in)
+        .Key("rows_out").Uint(op.rows_out)
+        .EndObject();
   }
-  os << "],\"dropped_spans\":" << trace.dropped_spans()
-     << ",\"resources\":" << resources.ToJson() << ",\"operators\":[";
-  for (size_t i = 0; i < operators.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"op\":" << JsonStr(operators[i].op)
-       << ",\"rows_in\":" << operators[i].rows_in
-       << ",\"rows_out\":" << operators[i].rows_out << "}";
-  }
-  os << "],\"blocks_read\":" << blocks.blocks_read()
-     << ",\"bytes_read\":" << blocks.bytes_read()
-     << ",\"view_hits\":" << view_hits << ",\"view_misses\":" << view_misses
-     << ",\"reaggregated_rows\":" << reaggregated_rows
-     << ",\"result_rows\":" << result_rows << "}";
-  return os.str();
+  w.EndArray()
+      .Key("blocks_read").Uint(blocks.blocks_read())
+      .Key("bytes_read").Uint(blocks.bytes_read())
+      .Key("view_hits").Uint(view_hits)
+      .Key("view_misses").Uint(view_misses)
+      .Key("reaggregated_rows").Uint(reaggregated_rows)
+      .Key("result_rows").Uint(result_rows)
+      .EndObject();
+  return w.Take();
 }
 
 }  // namespace statcube::obs

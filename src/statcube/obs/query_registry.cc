@@ -36,27 +36,6 @@ Counter& WatchdogCancelledCounter() {
 
 }  // namespace
 
-// ------------------------------------------------------ ActiveQuerySnapshot
-
-std::string ActiveQuerySnapshot::ToJson() const {
-  std::string out = "{";
-  out += "\"id\":" + std::to_string(id);
-  out += ",\"query\":" + JsonStr(query);
-  out += ",\"engine\":" + JsonStr(engine);
-  out += ",\"cache\":" + JsonStr(cache_mode);
-  out += ",\"tenant\":" + JsonStr(tenant);
-  out += ",\"threads\":" + std::to_string(threads);
-  out += ",\"elapsed_us\":" + std::to_string(elapsed_us);
-  out += ",\"deadline_us\":" + std::to_string(deadline_us);
-  out += std::string(",\"cancelled\":") + (cancelled ? "true" : "false");
-  out += ",\"cpu_us\":" + std::to_string(resources.cpu_us);
-  out += ",\"bytes_touched\":" + std::to_string(resources.bytes_touched);
-  out += ",\"morsels\":" + std::to_string(resources.morsels);
-  out += ",\"tasks_spawned\":" + std::to_string(resources.tasks_spawned);
-  out += "}";
-  return out;
-}
-
 // ------------------------------------------------------------ QueryRegistry
 
 QueryRegistry& QueryRegistry::Global() {
@@ -123,15 +102,30 @@ size_t QueryRegistry::ActiveCount() const {
 
 std::string QueryRegistry::ToJson() const {
   std::vector<ActiveQuerySnapshot> snaps = Snapshot();
-  std::string out = "{\"now_us\":" + std::to_string(SteadyNowUs());
-  out += ",\"active\":" + std::to_string(snaps.size());
-  out += ",\"queries\":[";
-  for (size_t i = 0; i < snaps.size(); ++i) {
-    if (i > 0) out += ",";
-    out += snaps[i].ToJson();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("now_us").Uint(SteadyNowUs())
+      .Key("active").Uint(snaps.size())
+      .Key("queries").BeginArray();
+  for (const ActiveQuerySnapshot& s : snaps) {
+    w.BeginObject()
+        .Key("id").Uint(s.id)
+        .Key("query").String(s.query)
+        .Key("engine").String(s.engine)
+        .Key("cache").String(s.cache_mode)
+        .Key("tenant").String(s.tenant)
+        .Key("threads").Int(s.threads)
+        .Key("elapsed_us").Uint(s.elapsed_us)
+        .Key("deadline_us").Uint(s.deadline_us)
+        .Key("cancelled").Bool(s.cancelled)
+        .Key("cpu_us").Uint(s.resources.cpu_us)
+        .Key("bytes_touched").Uint(s.resources.bytes_touched)
+        .Key("morsels").Uint(s.resources.morsels)
+        .Key("tasks_spawned").Uint(s.resources.tasks_spawned)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 std::vector<StuckQuery> QueryRegistry::SweepStuck(uint64_t stuck_after_us,

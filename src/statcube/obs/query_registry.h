@@ -93,10 +93,6 @@ struct ActiveQuerySnapshot {
   bool cancelled = false;
   /// Mid-flight resource totals (zeroes when no accumulator was registered).
   ResourceVector resources;
-
-  /// JSON object with every field (elapsed CPU/bytes/morsels inlined from
-  /// `resources`).
-  std::string ToJson() const;
 };
 
 /// One watchdog-actionable query returned by QueryRegistry::SweepStuck.
@@ -141,7 +137,8 @@ class QueryRegistry {
   size_t ActiveCount() const;
 
   /// JSON document for /queryz?format=json:
-  /// {"now_us":N,"active":N,"queries":[...]}.
+  /// {"now_us":N,"active":N,"queries":[...]}, one object per snapshot with
+  /// every field (CPU, bytes, morsels and tasks inlined from `resources`).
   std::string ToJson() const;
 
   /// The watchdog's sweep primitive (exposed on the registry so tests can

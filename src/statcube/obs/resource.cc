@@ -80,20 +80,21 @@ std::string ResourceVector::ToString() const {
 }
 
 std::string ResourceVector::ToJson() const {
-  std::ostringstream os;
-  os << "{\"cpu_us\":" << cpu_us << ",\"bytes_touched\":" << bytes_touched
-     << ",\"morsels\":" << morsels << ",\"steals\":" << steals
-     << ",\"tasks_spawned\":" << tasks_spawned
-     << ",\"cache_hits\":" << cache_hits
-     << ",\"cache_derived_hits\":" << cache_derived_hits
-     << ",\"cache_misses\":" << cache_misses << ",\"cpu_us_by_thread\":[";
-  for (size_t i = 0; i < cpu_us_by_thread.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"thread\":" << cpu_us_by_thread[i].first
-       << ",\"us\":" << cpu_us_by_thread[i].second << "}";
-  }
-  os << "]}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("cpu_us").Uint(cpu_us)
+      .Key("bytes_touched").Uint(bytes_touched)
+      .Key("morsels").Uint(morsels)
+      .Key("steals").Uint(steals)
+      .Key("tasks_spawned").Uint(tasks_spawned)
+      .Key("cache_hits").Uint(cache_hits)
+      .Key("cache_derived_hits").Uint(cache_derived_hits)
+      .Key("cache_misses").Uint(cache_misses)
+      .Key("cpu_us_by_thread").BeginArray();
+  for (const auto& [thread, us] : cpu_us_by_thread)
+    w.BeginObject().Key("thread").Uint(thread).Key("us").Uint(us).EndObject();
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 }  // namespace statcube::obs

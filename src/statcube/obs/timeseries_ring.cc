@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "statcube/obs/json.h"
@@ -308,22 +307,19 @@ std::vector<double> MetricSampler::Series(const std::string& name) const {
 }
 
 std::string MetricSampler::ToJson() const {
-  std::ostringstream os;
-  os << "{\"interval_ms\":" << interval_ms_ << ",\"window\":" << window_
-     << ",\"samples\":" << samples() << ",\"series\":{";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject()
+      .Key("interval_ms").Int(interval_ms_)
+      .Key("window").Uint(window_)
+      .Key("samples").Uint(samples())
+      .Key("series").BeginObject();
   for (const auto& [name, values] : SnapshotAll()) {
-    if (!first) os << ",";
-    first = false;
-    os << JsonStr(name) << ":[";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i) os << ",";
-      os << values[i];
-    }
-    os << "]";
+    w.Key(name).BeginArray();
+    for (double v : values) w.Double(v);
+    w.EndArray();
   }
-  os << "}}";
-  return os.str();
+  w.EndObject().EndObject();
+  return w.Take();
 }
 
 }  // namespace statcube::obs

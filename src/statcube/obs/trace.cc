@@ -179,18 +179,34 @@ std::string Trace::TreeString() const {
 }
 
 std::string Trace::ChromeTraceJson() const {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    const SpanRecord& s = spans_[i];
-    if (i) os << ",";
-    os << "{\"name\":" << JsonStr(s.name) << ",\"ph\":\"X\",\"ts\":"
-       << double(s.start_ns) / 1000.0 << ",\"dur\":"
-       << double(s.dur_ns) / 1000.0 << ",\"pid\":1,\"tid\":"
-       << s.thread_id + 1 << "}";
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const SpanRecord& s : spans_) {
+    w.BeginObject()
+        .Key("name").String(s.name)
+        .Key("ph").String("X")
+        .Key("ts").Double(double(s.start_ns) / 1000.0)
+        .Key("dur").Double(double(s.dur_ns) / 1000.0)
+        .Key("pid").Int(1)
+        .Key("tid").Uint(uint64_t(s.thread_id) + 1)
+        .EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.Take();
+}
+
+void Trace::WriteSpansJson(JsonWriter& w) const {
+  w.BeginArray();
+  for (const SpanRecord& s : spans_) {
+    w.BeginObject()
+        .Key("name").String(s.name)
+        .Key("parent").Int(s.parent)
+        .Key("start_us").Double(double(s.start_ns) / 1000.0)
+        .Key("dur_us").Double(double(s.dur_ns) / 1000.0)
+        .Key("thread").Uint(s.thread_id)
+        .EndObject();
+  }
+  w.EndArray();
 }
 
 }  // namespace statcube::obs

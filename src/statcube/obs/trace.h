@@ -1,5 +1,5 @@
 // Per-query tracing: RAII `Span` scopes on a monotonic clock that build a
-// span tree (parse → plan → rollup → execute → render), renderable as an
+// span tree (parse → plan → rollup → execute), renderable as an
 // ASCII tree or exportable as Chrome `trace_event` JSON (load chrome://tracing
 // or https://ui.perfetto.dev on the output).
 //
@@ -42,6 +42,8 @@
 #include "statcube/obs/metrics.h"
 
 namespace statcube::obs {
+
+class JsonWriter;
 
 /// Compact process-wide id of the calling thread (assigned on first use,
 /// starting at 0). Stable for the thread's lifetime; used to attribute
@@ -126,6 +128,11 @@ class Trace {
   /// spans land on their recording thread's tid lane. Requires quiescence
   /// (see spans()).
   std::string ChromeTraceJson() const STATCUBE_NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Writes the spans as a JSON array of {name, parent, start_us, dur_us,
+  /// thread} objects: the "spans" of QueryProfile::ToJson and of
+  /// /tracez?format=json. Requires quiescence (see spans()).
+  void WriteSpansJson(JsonWriter& w) const STATCUBE_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
   uint64_t NowNs() const {

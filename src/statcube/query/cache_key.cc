@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "statcube/common/epoch.h"
+#include "statcube/obs/json.h"
 #include "statcube/query/parser.h"
 
 namespace statcube::query {
@@ -21,10 +22,13 @@ uint64_t FnvMix(uint64_t h, const std::string& s) {
   return h;
 }
 
-// Type-tagged rendering: the string '1', the integer 1 and the double 1.0
-// must not collide in predicate fingerprints or row samples.
+// Type-tagged exact rendering, a JSON pair such as `"double",0.1`: the
+// string '1', the integer 1 and the double 1.0 must not collide in
+// predicate fingerprints or row samples, nor may two doubles one bit apart.
+// Strings are JSON-quoted, so no literal can spell the '&' and '=' that
+// join predicates.
 std::string Tagged(const Value& v) {
-  return std::string(ValueTypeName(v.type())) + ":" + v.ToString();
+  return obs::JsonWriter().String(ValueTypeName(v.type())).Cell(v).Take();
 }
 
 uint64_t FingerprintRow(uint64_t h, const Row& row) {

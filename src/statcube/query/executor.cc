@@ -425,10 +425,6 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   }
 
   ProfiledQuery pq;
-  {
-    obs::Span render_span("render");
-    pq.rendered = out.ToString(options.render_limit);
-  }
   pq.table = std::move(out);
   pq.profile = scope.Take();
   pq.profile.result_rows = pq.table.num_rows();

@@ -94,8 +94,6 @@ struct QueryOptions {
   /// kernels with N workers; 0 means exec::DefaultThreads()
   /// (STATCUBE_THREADS or the hardware concurrency).
   int threads = 1;
-  /// Rows shown by the render phase of QueryProfiled.
-  size_t render_limit = 25;
   /// Retain the completed profile in obs::FlightRecorder::Global() (and
   /// emit a slow_query log line past its threshold). Off for callers that
   /// must not perturb the recorder (A/B benchmarks, recorder tests).
@@ -123,18 +121,16 @@ struct QueryOptions {
   std::string tenant;
 };
 
-/// A query result with its profile (and the table already rendered, so the
-/// render phase is part of the measured span tree).
+/// A query result with its profile.
 struct ProfiledQuery {
   Table table;
-  std::string rendered;
   obs::QueryProfile profile;
   /// Flight-recorder id of the retained profile (0 if recording was off).
   uint64_t profile_id = 0;
 };
 
-/// Parse + execute + render with full observability: enables obs for the
-/// call, collects the span tree (parse → plan → rollup → execute → render),
+/// Parse + execute with full observability: enables obs for the call,
+/// collects the span tree (parse → plan → rollup → execute),
 /// per-operator row counts, and block I/O. Cube-engine options build the
 /// backend per call (visible as a backend.build span) and fall back to the
 /// relational path — noted in profile.backend — when the query is not

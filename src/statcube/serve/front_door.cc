@@ -1,8 +1,8 @@
 #include "statcube/serve/front_door.h"
 
-#include <algorithm>
 #include <sstream>
 
+#include "statcube/common/str_util.h"
 #include "statcube/obs/json.h"
 #include "statcube/obs/log.h"
 #include "statcube/obs/metrics.h"
@@ -12,12 +12,25 @@ namespace statcube::serve {
 
 namespace {
 
-obs::HttpResponse JsonError(int status, const std::string& message) {
+// Rows of the text table a request with "render": true also receives.
+constexpr size_t kRenderRows = 25;
+
+// Closes the object `w` holds and sends it, newline-terminated, with
+// `status`.
+obs::HttpResponse JsonResponse(int status, obs::JsonWriter& w) {
   obs::HttpResponse resp;
   resp.status = status;
   resp.content_type = "application/json";
-  resp.body = "{\"error\":" + obs::JsonStr(message) + "}\n";
+  w.EndObject();
+  resp.body = w.Take();
+  resp.body.push_back('\n');
   return resp;
+}
+
+obs::HttpResponse JsonError(int status, const std::string& message) {
+  obs::JsonWriter w;
+  w.BeginObject().Key("error").String(message);
+  return JsonResponse(status, w);
 }
 
 // HTTP status for a query that was admitted but failed to execute. The
@@ -47,39 +60,24 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
-void AppendValueJson(std::ostringstream& os, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull: os << "null"; break;
-    case ValueType::kInt64: os << v.AsInt64(); break;
-    case ValueType::kDouble: os << obs::JsonNum(v.AsDouble()); break;
-    case ValueType::kString: os << obs::JsonStr(v.AsString()); break;
-    case ValueType::kAll: os << "\"ALL\""; break;
+void AppendTable(obs::JsonWriter& w, const Table& table) {
+  w.BeginObject().Key("name").String(table.name()).Key("columns").BeginArray();
+  for (const auto& column : table.schema().columns()) w.String(column.name);
+  w.EndArray().Key("rows").Uint(table.num_rows()).Key("data").BeginArray();
+  for (const Row& row : table.rows()) {
+    w.BeginArray();
+    for (const Value& v : row) w.Cell(v);
+    w.EndArray();
   }
+  w.EndArray().EndObject();
 }
 
 }  // namespace
 
-std::string TableToJson(const Table& table, size_t max_rows) {
-  std::ostringstream os;
-  os << "{\"name\":" << obs::JsonStr(table.name()) << ",\"columns\":[";
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (c) os << ",";
-    os << obs::JsonStr(table.schema().column(c).name);
-  }
-  size_t emit = table.num_rows();
-  if (max_rows > 0) emit = std::min(emit, max_rows);
-  os << "],\"rows\":" << table.num_rows() << ",\"data\":[";
-  for (size_t r = 0; r < emit; ++r) {
-    if (r) os << ",";
-    os << "[";
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) os << ",";
-      AppendValueJson(os, table.at(r, c));
-    }
-    os << "]";
-  }
-  os << "]}";
-  return os.str();
+std::string TableToJson(const Table& table) {
+  obs::JsonWriter w;
+  AppendTable(w, table);
+  return w.Take();
 }
 
 QueryFrontDoor::QueryFrontDoor(const StatisticalObject& obj,
@@ -174,16 +172,14 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
       obs::MetricsRegistry::Global()
           .GetCounter("statcube.serve.rejected")
           .Add();
-    obs::HttpResponse resp = JsonError(
-        429, std::string("tenant over ") + AdmitOutcomeName(admission.outcome) +
-                 " quota");
-    resp.body.pop_back();  // re-open the JSON object to add fields
-    resp.body.erase(resp.body.size() - 1);
-    resp.body += ",\"tenant\":" + obs::JsonStr(tenant) +
-                 ",\"reason\":" +
-                 obs::JsonStr(AdmitOutcomeName(admission.outcome)) +
-                 ",\"retry_after_ms\":" +
-                 std::to_string(admission.retry_after_ms) + "}\n";
+    obs::JsonWriter w;
+    w.BeginObject()
+        .Key("error").String(std::string("tenant over ") +
+                             AdmitOutcomeName(admission.outcome) + " quota")
+        .Key("tenant").String(tenant)
+        .Key("reason").String(AdmitOutcomeName(admission.outcome))
+        .Key("retry_after_ms").Uint(admission.retry_after_ms);
+    obs::HttpResponse resp = JsonResponse(429, w);
     // Retry-After is whole seconds; round up so clients never retry early.
     // The concurrency gate has no time component — suggest one second.
     uint64_t after_s = admission.retry_after_ms == 0
@@ -223,33 +219,31 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
 
   if (!result.ok()) {
     const Status& st = result.status();
-    obs::HttpResponse resp = JsonError(StatusToHttp(st), st.message());
-    resp.body.erase(resp.body.size() - 2);  // strip "}\n" to append fields
-    resp.body += ",\"code\":" + obs::JsonStr(StatusCodeName(st.code())) +
-                 ",\"tenant\":" + obs::JsonStr(tenant) + "}\n";
-    return release(std::move(resp), /*ok=*/false);
+    obs::JsonWriter w;
+    w.BeginObject()
+        .Key("error").String(st.message())
+        .Key("code").String(StatusCodeName(st.code()))
+        .Key("tenant").String(tenant);
+    return release(JsonResponse(StatusToHttp(st), w), /*ok=*/false);
   }
 
+  // One buffer for the whole response, result table included. "result"
+  // stays the last member unless a rendering was asked for.
   const ProfiledQuery& pq = *result;
-  std::ostringstream os;
-  os << "{\"tenant\":" << obs::JsonStr(tenant)
-     << ",\"engine\":" << obs::JsonStr(QueryEngineName(qopt.engine))
-     << ",\"backend\":" << obs::JsonStr(pq.profile.backend)
-     << ",\"cache\":"
-     << obs::JsonStr(pq.profile.cache.empty() ? std::string("off")
-                                              : pq.profile.cache)
-     << ",\"outcome\":" << obs::JsonStr(pq.profile.outcome)
-     << ",\"profile_id\":" << pq.profile_id
-     << ",\"result\":" << TableToJson(pq.table, options_.max_result_rows);
-  if (render) os << ",\"rendered\":" << obs::JsonStr(pq.rendered);
-  os << "}\n";
-
-  obs::HttpResponse resp;
-  resp.content_type = "application/json";
-  resp.body = os.str();
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Key("tenant").String(tenant)
+      .Key("engine").String(QueryEngineName(qopt.engine))
+      .Key("backend").String(pq.profile.backend)
+      .Key("cache").String(pq.profile.cache.empty() ? "off" : pq.profile.cache)
+      .Key("outcome").String(pq.profile.outcome)
+      .Key("profile_id").Uint(pq.profile_id)
+      .Key("result");
+  AppendTable(w, pq.table);
+  if (render) w.Key("rendered").String(pq.table.ToString(kRenderRows));
   if (obs::Enabled())
     obs::MetricsRegistry::Global().GetCounter("statcube.serve.ok").Add();
-  return release(std::move(resp), /*ok=*/true);
+  return release(JsonResponse(200, w), /*ok=*/true);
 }
 
 void QueryFrontDoor::Register(obs::StatsServer& server) {
@@ -281,8 +275,8 @@ std::string QueryFrontDoor::StatuszSection() const {
        << s.rejected_rate << "</td><td>" << s.rejected_bytes << "</td><td>"
        << s.shed << "</td><td>" << s.queries_ok << "</td><td>"
        << s.queries_error << "</td><td>" << s.bytes_served << "</td><td>"
-       << obs::JsonNum(s.rate_tokens) << "</td><td>"
-       << obs::JsonNum(s.byte_tokens) << "</td></tr>";
+       << FormatDouble(s.rate_tokens) << "</td><td>"
+       << FormatDouble(s.byte_tokens) << "</td></tr>";
   }
   os << "</table>";
   return os.str();

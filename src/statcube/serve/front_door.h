@@ -28,7 +28,7 @@
 ///  "threads": 4,                // 0 = exec::DefaultThreads()
 ///  "deadline_ms": 250,          // 0 = no deadline
 ///  "tenant":  "team-fraud",     // [A-Za-z0-9_.-]{1,64}; default "default"
-///  "render":  true}             // include the ASCII rendering too
+///  "render":  true}             // also send the first 25 rows as text
 /// ```
 ///
 /// Unknown keys are a 400, not silently ignored — a client that misspells
@@ -71,20 +71,19 @@ struct FrontDoorOptions {
   int max_threads = 64;
   /// Deadline applied when the request does not say (0 = none).
   uint64_t default_deadline_ms = 0;
-  /// Rows of the result included in the JSON "data" array. 0 = all rows
-  /// (the default: responses are bounded by the byte budget, not by
-  /// truncation — a truncated analytical answer is worse than none).
-  size_t max_result_rows = 0;
 };
 
 /// Serializes a result table as a JSON object:
-/// `{"name":...,"columns":[...],"rows":N,"data":[[...],...]}`.
-/// Cell encoding: int64 → JSON integer, double → JSON number, string →
-/// JSON string, NULL → null, ALL → the string "ALL". With `max_rows` > 0
-/// only the first `max_rows` rows are emitted ("rows" still reports the
-/// full count, so clients can detect truncation). Exposed so tests can
-/// assert the served bytes equal an independent encoding of the same table.
-std::string TableToJson(const Table& table, size_t max_rows = 0);
+/// `{"name":...,"columns":[...],"rows":N,"data":[[...],...]}`, every row
+/// included (responses are bounded by the tenant's byte budget, never
+/// truncated). Cell encoding: int64 → JSON integer; double → the shortest
+/// JSON number that `strtod` reads back as the same bits ("2658072",
+/// "0.1", "1e+21", "-0"); NaN, +∞ and −∞ → the strings "NaN", "Infinity"
+/// and "-Infinity" (the proto3 JSON mapping, since null is taken); string →
+/// JSON string; NULL → null; ALL → the string "ALL". Exposed so tests and
+/// the benchmark's answer check can compare served bytes with an
+/// independent encoding of the same table.
+std::string TableToJson(const Table& table);
 
 /// The /query serving subsystem: owns the tenant table and the admission
 /// queue, and turns HTTP requests into QueryProfiled calls against one

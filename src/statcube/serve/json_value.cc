@@ -16,30 +16,27 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 }
 
 std::string JsonValue::Dump() const {
+  obs::JsonWriter w;
   switch (type_) {
-    case JsonType::kNull: return "null";
-    case JsonType::kBool: return bool_ ? "true" : "false";
+    case JsonType::kNull: w.Null(); break;
+    case JsonType::kBool: w.Bool(bool_); break;
     case JsonType::kNumber:
-      return is_int_ ? std::to_string(int_) : obs::JsonNum(num_);
-    case JsonType::kString: return obs::JsonStr(str_);
-    case JsonType::kArray: {
-      std::string out = "[";
-      for (size_t i = 0; i < arr_.size(); ++i) {
-        if (i) out += ",";
-        out += arr_[i].Dump();
-      }
-      return out + "]";
-    }
-    case JsonType::kObject: {
-      std::string out = "{";
-      for (size_t i = 0; i < obj_.size(); ++i) {
-        if (i) out += ",";
-        out += obs::JsonStr(obj_[i].first) + ":" + obj_[i].second.Dump();
-      }
-      return out + "}";
-    }
+      if (is_int_) w.Int(int_);
+      else w.Double(num_);
+      break;
+    case JsonType::kString: w.String(str_); break;
+    case JsonType::kArray:
+      w.BeginArray();
+      for (const JsonValue& v : arr_) w.Raw(v.Dump());
+      w.EndArray();
+      break;
+    case JsonType::kObject:
+      w.BeginObject();
+      for (const auto& [key, v] : obj_) w.Key(key).Raw(v.Dump());
+      w.EndObject();
+      break;
   }
-  return "null";
+  return w.Take();
 }
 
 // Recursive-descent parser. Kept as a class so position/depth state does not

@@ -86,8 +86,8 @@ class JsonValue {
   /// duplicate wins, matching common JSON-decoder behaviour).
   const JsonValue* Find(const std::string& key) const;
 
-  /// Re-serializes this value as compact JSON (test/debug aid; uses
-  /// obs::JsonStr escaping rules for strings).
+  /// Re-serializes this value as compact JSON through obs::JsonWriter
+  /// (integers as written, other numbers exact).
   std::string Dump() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "statcube/common/cancellation.h"
 #include "statcube/obs/json.h"
@@ -170,34 +169,34 @@ std::vector<TenantStats> TenantRegistry::Snapshot() const {
 
 std::string TenantRegistry::ToJson() const {
   MutexLock lock(mu_);
-  std::ostringstream os;
-  os << "{\"tenants\":[";
-  bool first = true;
+  obs::JsonWriter w;
+  w.BeginObject().Key("tenants").BeginArray();
   for (const auto& [name, t] : tenants_) {
-    if (!first) os << ",";
-    first = false;
     const TenantStats& s = t.stats;
-    os << "{\"tenant\":" << obs::JsonStr(name)
-       << ",\"active\":" << s.active
-       << ",\"admitted\":" << s.admitted
-       << ",\"rejected_concurrency\":" << s.rejected_concurrency
-       << ",\"rejected_rate\":" << s.rejected_rate
-       << ",\"rejected_bytes\":" << s.rejected_bytes
-       << ",\"shed\":" << s.shed
-       << ",\"queries_ok\":" << s.queries_ok
-       << ",\"queries_error\":" << s.queries_error
-       << ",\"bytes_served\":" << s.bytes_served
-       << ",\"rate_tokens\":" << obs::JsonNum(t.rate_tokens)
-       << ",\"byte_tokens\":" << obs::JsonNum(t.byte_tokens)
-       << ",\"quota\":{\"max_concurrent\":" << t.quota.max_concurrent
-       << ",\"rate_qps\":" << obs::JsonNum(t.quota.rate_qps)
-       << ",\"burst\":" << obs::JsonNum(EffectiveBurst(t.quota))
-       << ",\"bytes_per_sec\":" << t.quota.bytes_per_sec
-       << ",\"byte_burst\":" << uint64_t(EffectiveByteBurst(t.quota))
-       << "}}";
+    w.BeginObject()
+        .Key("tenant").String(name)
+        .Key("active").Int(s.active)
+        .Key("admitted").Uint(s.admitted)
+        .Key("rejected_concurrency").Uint(s.rejected_concurrency)
+        .Key("rejected_rate").Uint(s.rejected_rate)
+        .Key("rejected_bytes").Uint(s.rejected_bytes)
+        .Key("shed").Uint(s.shed)
+        .Key("queries_ok").Uint(s.queries_ok)
+        .Key("queries_error").Uint(s.queries_error)
+        .Key("bytes_served").Uint(s.bytes_served)
+        .Key("rate_tokens").Double(t.rate_tokens)
+        .Key("byte_tokens").Double(t.byte_tokens)
+        .Key("quota").BeginObject()
+        .Key("max_concurrent").Int(t.quota.max_concurrent)
+        .Key("rate_qps").Double(t.quota.rate_qps)
+        .Key("burst").Double(EffectiveBurst(t.quota))
+        .Key("bytes_per_sec").Uint(t.quota.bytes_per_sec)
+        .Key("byte_burst").Uint(uint64_t(EffectiveByteBurst(t.quota)))
+        .EndObject()
+        .EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 size_t TenantRegistry::TenantCount() const {

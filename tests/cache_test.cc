@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "round_trip_cells.h"
 #include "statcube/cache/derive.h"
 #include "statcube/common/epoch.h"
 #include "statcube/query/cache_key.h"
@@ -153,6 +155,39 @@ TEST(QueryKeyTest, ValueTypeTagsDoNotCollide) {
   auto b = BuildQueryKey(obj, *parsed_num, QueryEngine::kRelational);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->exact, b->exact);
+}
+
+// Literals that differ in one bit (each double and its neighbour with the
+// lowest bit flipped) never share a key; neither do the int64 edges nor a
+// string that spells key syntax. NaNs are left out: a NaN literal matches
+// no row, so every NaN answer is the same empty table.
+TEST(QueryKeyTest, WhereLiteralsOneBitApartGetDistinctKeys) {
+  std::vector<Value> literals;
+  auto add = [&literals](const Value& v) {
+    if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) return;
+    for (const Value& seen : literals)
+      if (SameBits(seen, v)) return;
+    literals.push_back(v);
+  };
+  for (const Value& v : RoundTripCells()) {
+    add(v);
+    if (v.type() != ValueType::kDouble) continue;
+    uint64_t bits = DoubleBits(v.AsDouble()) ^ 1;
+    double flipped = 0;
+    std::memcpy(&flipped, &bits, sizeof flipped);
+    add(Value(flipped));
+  }
+
+  auto parsed = ParseQuery("SELECT sum(amount) BY day");
+  ASSERT_TRUE(parsed.ok());
+  std::set<std::string> keys;
+  for (const Value& v : literals) {
+    parsed->where = {{"store", v}};
+    auto key = BuildQueryKey(Retail(), *parsed, QueryEngine::kRelational);
+    ASSERT_TRUE(key.ok());
+    keys.insert(key->exact);
+  }
+  EXPECT_EQ(keys.size(), literals.size());
 }
 
 // --------------------------------------------------------------------------

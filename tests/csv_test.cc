@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "round_trip_cells.h"
 #include "statcube/olap/homomorphism.h"
 #include "statcube/workload/retail.h"
 
@@ -44,6 +45,42 @@ TEST(CsvTest, QuotedStringsStayStrings) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->at(0, 0).type(), ValueType::kString);
   EXPECT_EQ(back->at(0, 0), Value("1996"));
+}
+
+// Numbers are written exactly and an integral double keeps a ".0", so every
+// cell reads back with its type and bits.
+TEST(CsvTest, EveryCellRoundTripsExactly) {
+  const std::vector<Value> cells = RoundTripCells();
+  Schema s;
+  s.AddColumn("v", ValueType::kDouble);
+  Table t("t", s);
+  for (const Value& v : cells) t.AppendRowUnchecked({v});
+
+  const std::string csv = WriteCsv(t);
+  auto back = ReadCsv(csv, "t");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i)
+    EXPECT_TRUE(SameBits(back->at(i, 0), cells[i]))
+        << "row " << i << ": " << back->at(i, 0).ToString() << " in\n" << csv;
+}
+
+TEST(ExportImportTest, EveryMeasureCellRoundTripsExactly) {
+  const std::vector<Value> cells = RoundTripCells();
+  StatisticalObject obj("cells");
+  ASSERT_TRUE(obj.AddDimension(Dimension("k")).ok());
+  SummaryMeasure measure;
+  measure.name = "v";
+  ASSERT_TRUE(obj.AddMeasure(measure).ok());
+  for (size_t i = 0; i < cells.size(); ++i)
+    ASSERT_TRUE(obj.AddCell({Value(std::to_string(i))}, {cells[i]}).ok());
+
+  auto back = ImportObject(ExportObject(obj));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->data().num_rows(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i)
+    EXPECT_TRUE(SameBits(back->data().at(i, 1), cells[i]))
+        << "row " << i << ": " << back->data().at(i, 1).ToString();
 }
 
 TEST(CsvTest, Errors) {

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "statcube/obs/exporter.h"
 #include "statcube/obs/metrics.h"
 
 namespace statcube::exec {
@@ -311,12 +312,15 @@ TEST(ExecMetricsTest, CountersAndHistogramAppearInSnapshots) {
         "statcube.exec.morsel_us.count", "statcube.exec.morsel_us.le_inf"})
     EXPECT_NE(text.find(name), std::string::npos) << name;
 
-  // JSON snapshot: the histogram serializes per-bucket with an "inf" tail.
-  std::string json = reg.JsonSnapshot();
-  EXPECT_NE(json.find("\"statcube.exec.morsel_us\":{\"count\":"),
+  // Prometheus snapshot: the histogram ends in a +Inf bucket, and the pool
+  // size is a gauge.
+  std::string prom = obs::PrometheusSnapshot(reg);
+  EXPECT_NE(prom.find("# TYPE statcube_exec_morsel_us histogram"),
             std::string::npos);
-  EXPECT_NE(json.find("{\"le\":\"inf\",\"count\":"), std::string::npos);
-  EXPECT_NE(json.find("\"statcube.exec.pool_size\":"), std::string::npos);
+  EXPECT_NE(prom.find("statcube_exec_morsel_us_bucket{le=\"+Inf\"} "),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE statcube_exec_pool_size gauge"),
+            std::string::npos);
 }
 
 TEST(ExecMetricsTest, DisabledGateMutatesNothing) {

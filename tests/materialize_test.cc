@@ -267,10 +267,10 @@ TEST(ViewStoreTest, ObservabilityCountsHitsMissesAndRefreshRows) {
   ASSERT_TRUE(reagg.ok());
   EXPECT_EQ(reg.GetCounter("statcube.viewstore.reagg_rows").Value(), *reagg);
 
-  // The JSON snapshot carries the counters (acceptance criterion).
-  std::string json = reg.JsonSnapshot();
-  EXPECT_NE(json.find("\"statcube.viewstore.hits\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"statcube.viewstore.misses\":2"), std::string::npos);
+  // The text snapshot carries the counters (acceptance criterion).
+  std::string text = reg.TextSnapshot();
+  EXPECT_NE(text.find("statcube.viewstore.hits 1\n"), std::string::npos);
+  EXPECT_NE(text.find("statcube.viewstore.misses 2\n"), std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the observability serving layer: shared JSON escaping, the
+// Tests for the observability serving layer: the shared JSON writer, the
 // Prometheus exporter, the structured log (levels, sinks, token-bucket rate
 // limit), the flight recorder (ring semantics, slow-query promotion), and
 // the embedded HTTP stats server end-to-end over a real socket.
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -72,14 +73,14 @@ std::string Body(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
-// ------------------------------------------------------------ JsonEscape
+// ------------------------------------------------------------ JsonWriter
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(obs::JsonEscape("plain"), "plain");
-  EXPECT_EQ(obs::JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::JsonEscape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(obs::JsonEscape(std::string("a\x01z")), "a\\u0001z");
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(obs::JsonStr("plain"), "\"plain\"");
+  EXPECT_EQ(obs::JsonStr("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(obs::JsonStr("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(obs::JsonStr("a\nb\tc"), "\"a\\nb\\tc\"");
+  EXPECT_EQ(obs::JsonStr(std::string("a\x01z")), "\"a\\u0001z\"");
   EXPECT_EQ(obs::JsonStr("x\"y"), "\"x\\\"y\"");
   // Every escaped string must parse as JSON.
   for (const char* hostile :
@@ -89,15 +90,34 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
   }
 }
 
-// Hostile names flow through every serializer and stay valid JSON.
-TEST(JsonEscapeTest, SerializersSurviveHostileNames) {
+TEST(JsonWriterTest, PlacesCommasAndSpellsNonFiniteDoubles) {
+  obs::JsonWriter w;
+  w.BeginObject().Key("a").BeginArray().EndArray().Key("b").BeginObject();
+  w.EndObject().Key("c").BeginArray().Int(-1).Uint(2).Double(0.1);
+  w.Double(NAN).Double(INFINITY).Double(-INFINITY).Bool(true).Null();
+  w.Cell(Value::All()).Raw("{\"x\":1}").EndArray().EndObject();
+  const std::string json = w.Take();
+  EXPECT_EQ(json,
+            "{\"a\":[],\"b\":{},\"c\":[-1,2,0.1,\"NaN\",\"Infinity\","
+            "\"-Infinity\",true,null,\"ALL\",{\"x\":1}]}");
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+}
+
+// Hostile names flow through every serializer and stay valid JSON (or, on
+// /metrics, a valid Prometheus name).
+TEST(JsonWriterTest, SerializersSurviveHostileNames) {
   const std::string hostile = "evil\"name\\with\ncontrol\x01chars";
 
-  // Metrics registry JSON snapshot.
+  // Metrics registry on /metrics: the name is sanitized, not escaped.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.Reset();
   reg.GetCounter("statcube.test." + hostile).Add(1);
-  EXPECT_TRUE(JsonChecker(reg.JsonSnapshot()).Valid()) << reg.JsonSnapshot();
+  const std::string name = obs::PrometheusName("statcube.test." + hostile);
+  EXPECT_EQ(name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
+            std::string::npos)
+      << name;
+  const std::string prom = obs::PrometheusSnapshot(reg);
+  EXPECT_NE(prom.find("\n" + name + " 1\n"), std::string::npos) << prom;
 
   // Trace Chrome export with a hostile span name.
   {
@@ -398,11 +418,25 @@ TEST_F(StatsServerTest, MetricsEndpointServesPrometheusText) {
   obs::MetricsRegistry::Global().Reset();
 }
 
-TEST_F(StatsServerTest, VarzIsValidJson) {
-  std::string body = Body(HttpGet(server_->port(), "/varz"));
-  EXPECT_TRUE(JsonChecker(body).Valid()) << body;
-  EXPECT_NE(body.find("\"uptime_s\""), std::string::npos);
-  EXPECT_NE(body.find("\"metrics\""), std::string::npos);
+// Gauge values are exact, and non-finite ones use the exposition format's
+// spellings. A double-to-integer cast of any value here but the last is
+// undefined, so the formatter must not make one.
+TEST_F(StatsServerTest, MetricsGaugesAreExactAndSpellNonFinite) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.Reset();
+  const std::pair<const char*, double> gauges[] = {
+      {"nan", NAN},      {"pinf", INFINITY}, {"ninf", -INFINITY},
+      {"huge", 1e300},   {"big", 1234567.891}};
+  for (const auto& [name, v] : gauges)
+    reg.GetGauge(std::string("statcube.test.g_") + name).Set(v);
+
+  const std::string body = Body(HttpGet(server_->port(), "/metrics"));
+  for (const char* line :
+       {"\nstatcube_test_g_nan NaN\n", "\nstatcube_test_g_pinf +Inf\n",
+        "\nstatcube_test_g_ninf -Inf\n", "\nstatcube_test_g_huge 1e+300\n",
+        "\nstatcube_test_g_big 1234567.891\n"})
+    EXPECT_NE(body.find(line), std::string::npos) << line << " in\n" << body;
+  reg.Reset();
 }
 
 TEST_F(StatsServerTest, ProfilesEndpointsServeTheGlobalRecorder) {

@@ -237,7 +237,6 @@ TEST_F(StatuszTest, ProfilesHonorsNAndRejectsBadValues) {
 TEST_F(StatuszTest, EveryEndpointDeclaresItsContentType) {
   EXPECT_EQ(ContentTypeOf(HttpGet(port_, "/metrics")),
             "text/plain; version=0.0.4; charset=utf-8");
-  EXPECT_EQ(ContentTypeOf(HttpGet(port_, "/varz")), "application/json");
   EXPECT_EQ(ContentTypeOf(HttpGet(port_, "/profiles")), "application/json");
   EXPECT_EQ(ContentTypeOf(HttpGet(port_, "/statusz")),
             "text/html; charset=utf-8");

@@ -1,5 +1,6 @@
 // Tests for the serving subsystem's building blocks: the JSON request
-// parser (serve/json_value.h), per-tenant admission control with its quota
+// parser (serve/json_value.h), the exactness of the result encoding
+// (TableToJson), per-tenant admission control with its quota
 // edge cases (serve/tenant_registry.h), and the bounded execute-or-shed
 // gate (serve/admission_queue.h) — including a concurrent admit/release
 // hammer that the TSan CI job runs.
@@ -12,7 +13,9 @@
 #include <vector>
 
 #include "json_checker.h"
+#include "round_trip_cells.h"
 #include "statcube/serve/admission_queue.h"
+#include "statcube/serve/front_door.h"
 #include "statcube/serve/json_value.h"
 #include "statcube/serve/tenant_registry.h"
 
@@ -104,6 +107,47 @@ TEST(JsonValueTest, DumpRoundTripsAndIsValidJson) {
   auto v2 = ParseJson(dumped);
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2->Dump(), dumped);
+}
+
+// ---------------------------------------------------------- TableToJson
+
+// Every number on the wire reads back (strtod, as ParseJson does) as the
+// bits that went in; the doubles JSON cannot carry are the documented
+// strings, and strings survive escaping.
+TEST(TableToJsonTest, EveryCellRoundTripsExactly) {
+  const std::vector<Value> cells = RoundTripCells();
+  Schema schema;
+  schema.AddColumn("v", ValueType::kDouble);
+  Table table("cells", schema);
+  for (const Value& v : cells) table.AppendRowUnchecked({v});
+
+  const std::string json = TableToJson(table);
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+  const JsonValue* data = parsed->Find("data");
+  ASSERT_NE(data, nullptr);
+  ASSERT_EQ(data->AsArray().size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const JsonValue& got = data->AsArray()[i].AsArray().at(0);
+    const Value& want = cells[i];
+    const std::string what = "cell " + std::to_string(i) + " in " + json;
+    if (want.type() == ValueType::kInt64) {
+      ASSERT_TRUE(got.is_int()) << what;
+      EXPECT_EQ(got.AsInt(), want.AsInt64()) << what;
+    } else if (want.type() == ValueType::kString) {
+      ASSERT_TRUE(got.is_string()) << what;
+      EXPECT_EQ(got.AsString(), want.AsString()) << what;
+    } else if (std::isnan(want.AsDouble())) {
+      EXPECT_EQ(got.AsString(), "NaN") << what;
+    } else if (std::isinf(want.AsDouble())) {
+      EXPECT_EQ(got.AsString(), want.AsDouble() > 0 ? "Infinity" : "-Infinity")
+          << what;
+    } else {
+      ASSERT_TRUE(got.is_number()) << what;
+      EXPECT_EQ(DoubleBits(got.AsDouble()), DoubleBits(want.AsDouble()))
+          << what;
+    }
+  }
 }
 
 // ------------------------------------------------------- TenantRegistry

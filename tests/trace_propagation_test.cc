@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "statcube/exec/task_scheduler.h"
+#include "statcube/io/csv.h"
 #include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
@@ -203,6 +204,8 @@ TEST_F(TraceQueryTest, ResultsBitIdenticalAcrossThreadCountsWhileProfiled) {
       "SELECT sum(qty), avg(amount) BY category",
       "SELECT sum(amount) BY CUBE(city, month)",
   };
+  // WriteCsv keeps every cell's type and bits (csv_test), so equal text is
+  // a bit-identical table.
   for (const char* text : queries) {
     std::string baseline;
     for (int t : {1, 2, 4}) {
@@ -212,9 +215,10 @@ TEST_F(TraceQueryTest, ResultsBitIdenticalAcrossThreadCountsWhileProfiled) {
       auto r = QueryProfiled(data_->object, text, opt);
       ASSERT_TRUE(r.ok()) << text << ": " << r.status().ToString();
       if (t == 1) {
-        baseline = r->rendered;
+        baseline = WriteCsv(r->table);
       } else {
-        EXPECT_EQ(r->rendered, baseline) << text << " @" << t << " threads";
+        EXPECT_EQ(WriteCsv(r->table), baseline) << text << " @" << t
+                                                << " threads";
       }
     }
   }
