@@ -41,7 +41,8 @@ void BM_QueryObsDisabled(benchmark::State& state) {
   (void)Sales();
   obs::EnabledScope off(false);
   for (auto _ : state) {
-    auto r = Query(Sales(), "SELECT sum(amount) BY store");
+    auto q = ParseQuery("SELECT sum(amount) BY store");
+    auto r = ExecuteQuery(Sales(), *q);
     benchmark::DoNotOptimize(r->num_rows());
   }
 }

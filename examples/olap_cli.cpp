@@ -13,11 +13,11 @@
 // the relational executor — the §6.6 comparison, one flag apart.
 //
 // Parallelism: `--threads=N` groups on N workers through the radix-partitioned
-// parallel group-by (statcube/exec); results are bit-identical to serial
-// execution at any thread count, and EXPLAIN PROFILE shows its vec.* phase
-// spans (vec.partition only past the fan-out threshold). The default comes
-// from the STATCUBE_THREADS environment variable, falling back to the
-// hardware concurrency; `--threads=1` forces the serial operators. The worker
+// group-by (statcube/exec); results are bit-identical to serial execution at
+// any thread count, and EXPLAIN PROFILE shows its vec.* phase spans
+// (vec.partition only past the fan-out threshold). The default comes from
+// the STATCUBE_THREADS environment variable, falling back to the hardware
+// concurrency; `--threads=1` runs the same kernel on the caller. The worker
 // pool is built at startup, so /metrics shows statcube.exec.pool_size
 // immediately.
 //

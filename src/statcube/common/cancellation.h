@@ -109,8 +109,8 @@ inline const CancelContext* CurrentCancelContext() {
 
 /// Installs `ctx` as this thread's current cancel context for the scope's
 /// lifetime (nullptr installs nothing and keeps the previous context).
-/// QueryProfiled wraps execution in one so the serial operators see the
-/// query's deadline/token without signature changes.
+/// QueryProfiled wraps execution in one so the executor and the serial
+/// operators see the query's deadline/token without signature changes.
 class CancelScope {
  public:
   explicit CancelScope(const CancelContext* ctx)

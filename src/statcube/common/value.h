@@ -5,6 +5,7 @@
 #ifndef STATCUBE_COMMON_VALUE_H_
 #define STATCUBE_COMMON_VALUE_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -140,6 +141,20 @@ struct RowEq {
     for (size_t i = 0; i < a.size(); ++i)
       if (a[i] != b[i]) return false;
     return true;
+  }
+};
+
+/// Equality by representation: the same type, then the same value, doubles
+/// by bits. Finer than operator==, under which 1 == 1.0, -0.0 == 0.0 and NaN
+/// equals every number; Value::Hash is consistent with it.
+struct SameRepr {
+  bool operator()(const Value& a, const Value& b) const {
+    if (a.type() != b.type()) return false;
+    if (a.type() == ValueType::kInt64) return a.AsInt64() == b.AsInt64();
+    if (a.type() == ValueType::kString) return a.AsString() == b.AsString();
+    if (a.type() != ValueType::kDouble) return true;  // NULL, ALL
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
   }
 };
 

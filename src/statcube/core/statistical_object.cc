@@ -12,6 +12,10 @@ void StatisticalObject::RebuildSchema() {
   for (const auto& m : measures_) s.AddColumn(m.name, ValueType::kDouble);
   Table t(name_, s);
   data_ = std::move(t);
+  code_cols_.assign(dims_.size(), {});
+  code_index_.assign(dims_.size(), {});
+  registered_.assign(dims_.size(), {});
+  slabs_.assign(measures_.size(), {});
 }
 
 Status StatisticalObject::AddDimension(Dimension dim) {
@@ -48,8 +52,11 @@ Result<Dimension*> StatisticalObject::MutableDimensionNamed(
     const std::string& name) {
   for (auto& d : dims_)
     if (d.name() == name) {
-      // Handing out a mutable hierarchy invalidates cached roll-ups.
+      // Handing out a mutable hierarchy invalidates cached roll-ups, and
+      // the handle may clear the registered values.
       DataEpochs::Global().Bump(name_);
+      std::vector<uint8_t>& reg = registered_[size_t(&d - dims_.data())];
+      std::fill(reg.begin(), reg.end(), uint8_t{0});
       return &d;
     }
   return Status::NotFound("object '" + name_ + "' has no dimension '" + name +
@@ -82,14 +89,39 @@ Status StatisticalObject::AddCell(const Row& dim_values,
     return Status::InvalidArgument(
         "expected " + std::to_string(measures_.size()) +
         " measure values, got " + std::to_string(measure_values.size()));
+  // Codes are dense per column and a column has at most one per row.
+  if (data_.num_rows() >= size_t(UINT32_MAX))
+    return Status::OutOfRange("object '" + name_ + "' is full");
   Row row;
   row.reserve(dim_values.size() + measure_values.size());
   for (size_t i = 0; i < dim_values.size(); ++i) {
-    dims_[i].AddValue(dim_values[i]);
-    row.push_back(dim_values[i]);
+    const Value& v = dim_values[i];
+    CodeColumn& col = code_cols_[i];
+    auto [it, added] =
+        code_index_[i].try_emplace(v, uint32_t(col.dictionary.size()));
+    if (added) {
+      col.dictionary.push_back(v);
+      registered_[i].push_back(0);
+    }
+    // Dimension::AddValue scans the registry. The registry only grows
+    // between mutable handles, so once a representation has been
+    // registered the call is a no-op: make it once per representation.
+    if (registered_[i][it->second] == 0) {
+      dims_[i].AddValue(v);
+      registered_[i][it->second] = 1;
+    }
+    col.codes.push_back(it->second);
+    row.push_back(v);
   }
-  for (const Value& v : measure_values) row.push_back(v);
-  STATCUBE_RETURN_NOT_OK(data_.AppendRow(std::move(row)));
+  for (size_t j = 0; j < measure_values.size(); ++j) {
+    MeasureSlab& slab = slabs_[j];
+    double x = 0.0;
+    slab.flags.push_back(
+        EncodeSlabEntry(measure_values[j], &x, &slab.evidence));
+    slab.values.push_back(x);
+    row.push_back(measure_values[j]);
+  }
+  data_.AppendRowUnchecked(std::move(row));
   // Publish the mutation so cached query results against the old contents
   // stop matching (common/epoch.h).
   DataEpochs::Global().Bump(name_);

@@ -11,11 +11,18 @@
 // category/summary semantics the paper says the bare relational model
 // lacks. The OLAP layer (statcube/olap) evaluates S-operators and
 // slice/dice/roll-up against this object via pluggable physical backends.
+//
+// Beside the table, every cell is also kept in the transposed,
+// dictionary-coded form of §6.1 (Figs 18-19), current on append: one code
+// column per dimension and one double slab per measure. The query executor
+// runs on these (DESIGN.md §14).
 
 #ifndef STATCUBE_CORE_STATISTICAL_OBJECT_H_
 #define STATCUBE_CORE_STATISTICAL_OBJECT_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "statcube/common/epoch.h"
@@ -23,6 +30,7 @@
 #include "statcube/common/value.h"
 #include "statcube/core/dimension.h"
 #include "statcube/core/measure.h"
+#include "statcube/relational/aggregate.h"
 #include "statcube/relational/table.h"
 
 namespace statcube {
@@ -42,16 +50,14 @@ class StatisticalObject {
   Status AddMeasure(SummaryMeasure measure);
 
   const std::vector<Dimension>& dimensions() const { return dims_; }
-  /// Mutable handle; conservatively bumps the cache epoch (hierarchy edits
-  /// change roll-up results, so cached answers must stop matching).
-  std::vector<Dimension>& mutable_dimensions() {
-    DataEpochs::Global().Bump(name_);
-    return dims_;
-  }
   const std::vector<SummaryMeasure>& measures() const { return measures_; }
 
   /// Looks up a dimension by name.
   Result<const Dimension*> DimensionNamed(const std::string& name) const;
+  /// Mutable handle; conservatively bumps the cache epoch (hierarchy edits
+  /// change roll-up results, so cached answers must stop matching), and
+  /// since the handle can clear the registered values, the next AddCell
+  /// registers each of this dimension's values again.
   Result<Dimension*> MutableDimensionNamed(const std::string& name);
 
   /// Looks up a measure by name.
@@ -61,18 +67,33 @@ class StatisticalObject {
   Result<size_t> DimensionIndex(const std::string& name) const;
 
   /// Appends one cell: `dim_values` in dimension order, `measure_values` in
-  /// measure order. Leaf category values are registered on their
-  /// dimensions automatically.
+  /// measure order; the only writer of rows. Leaf category values are
+  /// registered on their dimensions automatically, once per representation
+  /// (Dimension::AddValue again would be a no-op).
   Status AddCell(const Row& dim_values, const Row& measure_values);
 
   /// The macro-data: dimension columns then measure columns.
   const Table& data() const { return data_; }
-  /// Mutable handle; conservatively bumps the cache epoch (any direct edit
-  /// of the macro-data invalidates cached query results).
-  Table& mutable_data() {
-    DataEpochs::Global().Bump(name_);
-    return data_;
-  }
+
+  /// One dimension's column, dictionary-coded: `dictionary` holds each
+  /// distinct representation (type and bits, SameRepr) in first-occurrence
+  /// order, and row r's value is `dictionary[codes[r]]`, exactly.
+  struct CodeColumn {
+    std::vector<Value> dictionary;
+    std::vector<uint32_t> codes;
+  };
+  /// One code column per dimension, in dimension order.
+  const std::vector<CodeColumn>& code_columns() const { return code_cols_; }
+
+  /// One measure as the aggregation kernels read it: per row the number
+  /// and the flag byte of EncodeSlabEntry, plus the evidence over all rows.
+  struct MeasureSlab {
+    std::vector<double> values;
+    std::vector<uint8_t> flags;
+    SlabEvidence evidence;
+  };
+  /// One slab per measure, in measure order.
+  const std::vector<MeasureSlab>& measure_slabs() const { return slabs_; }
 
   /// Builds a statistical object directly from a relational table —
   /// `dim_columns` become dimensions (kCategorical unless listed in
@@ -96,6 +117,13 @@ class StatisticalObject {
   std::vector<Dimension> dims_;
   std::vector<SummaryMeasure> measures_;
   Table data_;
+  std::vector<CodeColumn> code_cols_;  // per dimension
+  // Per dimension: representation -> code, and whether the code's value
+  // was handed to Dimension::AddValue since the last mutable handle.
+  std::vector<std::unordered_map<Value, uint32_t, std::hash<Value>, SameRepr>>
+      code_index_;
+  std::vector<std::vector<uint8_t>> registered_;
+  std::vector<MeasureSlab> slabs_;  // per measure
 };
 
 }  // namespace statcube

@@ -63,19 +63,27 @@ Result<Table> ParallelCubeBy(const Table& input,
   if (dims.size() > 20)
     return Status::InvalidArgument("cube over >20 dimensions refused");
   obs::Span span("op.cube");
-  size_t ndims = dims.size();
-  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
-
   // The finest grouping: one parallel scan of the input.
   STATCUBE_ASSIGN_OR_RETURN(GroupedStates base,
                             ParallelGroupByStates(input, dims, aggs, options));
+  return CubeLattice(input.name(), std::move(base), dims, aggs, options);
+}
+
+Result<Table> CubeLattice(const std::string& name, GroupedStates finest,
+                          const std::vector<std::string>& dims,
+                          const std::vector<AggSpec>& aggs,
+                          const ExecOptions& options) {
+  if (dims.size() > 20)
+    return Status::InvalidArgument("cube over >20 dimensions refused");
+  size_t ndims = dims.size();
+  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
 
   // Every coarser grouping rolls up from the parent with the lowest absent
   // dimension added — the same parent CubeBy picks, so the merged states are
   // identical. Groupings within one popcount level depend only on the level
   // above, so each level is one parallel loop (morsel = one grouping set).
   std::vector<GroupedStates> computed(size_t(full) + 1);
-  computed[full] = std::move(base);
+  computed[full] = std::move(finest);
 
   std::vector<std::vector<uint32_t>> levels(ndims);  // by popcount, asc mask
   for (uint32_t m = 0; m < full; ++m)
@@ -104,7 +112,7 @@ Result<Table> ParallelCubeBy(const Table& input,
   // Emission order matches CubeBy (popcount desc, mask asc); the canonical
   // sort would make any emission order equivalent anyway since every
   // dim/ALL pattern is unique.
-  Table out(input.name() + "_cube", CubeOutputSchema(dims, aggs));
+  Table out(name + "_cube", CubeOutputSchema(dims, aggs));
   EmitCubeGrouping(computed[full], full, ndims, aggs, &out);
   for (size_t level = ndims; level-- > 0;)
     for (uint32_t m : levels[level])

@@ -1,6 +1,7 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
-// the radix-partitioned group-by (vec_kernels.h), the CUBE grouping-set
-// lattice built on it, and MOLAP dense-array reductions.
+// the radix-partitioned group-by (vec_kernels.h) — from a Table, or from
+// rows already reduced to group ids and measure slabs (GroupIdRows) — the
+// CUBE grouping-set lattice built on it, and MOLAP dense-array reductions.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
 // documented in DESIGN.md §6): every kernel's output is **bit-identical for
@@ -14,6 +15,8 @@
 #ifndef STATCUBE_EXEC_PARALLEL_KERNELS_H_
 #define STATCUBE_EXEC_PARALLEL_KERNELS_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,6 +59,43 @@ struct ExecOptions {
   }
 };
 
+/// One aggregate's input to GroupIdStates: a measure slab — the numbers
+/// and the flag bytes of EncodeSlabEntry — or null pointers for count()
+/// without a column.
+struct SlabView {
+  const double* values = nullptr;
+  const uint8_t* flags = nullptr;
+  /// Evidence over these rows or a superset of them.
+  SlabEvidence evidence;
+};
+
+/// Rows already reduced to dense group ids: the radix group-by's input
+/// after its columnarize phase (vec_kernels.h), whoever produced them.
+struct GroupIdRows {
+  size_t rows = 0;
+  /// Row r's group in [0, groups), numbered in first-occurrence order;
+  /// nullptr puts every row in one group (an empty BY).
+  const uint32_t* gids = nullptr;
+  size_t groups = 0;
+  std::vector<SlabView> slabs;  ///< one per aggregate
+};
+
+/// The radix group-by after columnarize: partition and aggregate, fanned
+/// out only when there is more than one worker and enough rows per worker.
+/// Returns `slabs.size()` states per group, group-major. Each group folds
+/// its rows in ascending row order, so every state is bit-identical to the
+/// serial GroupByStates' at any thread count.
+Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
+                                            const ExecOptions& options = {});
+
+/// Emit: inserts the groups into a GroupedStates in ascending group id
+/// order (first-occurrence order, so the map grows and iterates as the
+/// serial GroupByStates' does), group g under the key `key_of(g, &key)`
+/// writes.
+GroupedStates EmitGroupedStates(
+    size_t groups, size_t naggs, const std::vector<AggState>& states,
+    const std::function<void(size_t, Row*)>& key_of);
+
 /// Accumulator states per group over the radix pipeline of vec_kernels.h:
 /// bit-identical to the serial GroupByStates, including the map's insertion
 /// order. OutOfRange past 2^31 - 1 distinct tuples.
@@ -78,6 +118,15 @@ Result<Table> ParallelCubeBy(const Table& input,
                              const std::vector<std::string>& dims,
                              const std::vector<AggSpec>& aggs,
                              const ExecOptions& options = {});
+
+/// ParallelCubeBy's lattice over its finest grouping, however computed:
+/// `finest` must be bit-identical to GroupByStates(input, dims, aggs),
+/// insertion order included; the table is named `name` + "_cube".
+/// Refuses more than 20 dimensions, as CubeBy does.
+Result<Table> CubeLattice(const std::string& name, GroupedStates finest,
+                          const std::vector<std::string>& dims,
+                          const std::vector<AggSpec>& aggs,
+                          const ExecOptions& options = {});
 
 /// Parallel DenseArray::SumRange: contiguous innermost segments are the
 /// morsel units; per-morsel sums combine in ascending morsel order. Block

@@ -76,8 +76,8 @@ size_t NumMorsels(size_t n, size_t morsel) {
   return n == 0 ? 0 : (n + morsel - 1) / morsel;
 }
 
-// Morsels are capped at kMaxGroups rows, so a morsel's dictionary, codes and
-// counts always fit 32 bits (the result does not depend on the morsel size).
+// Morsels are capped at kMaxGroups rows, so a morsel's dictionary and local
+// codes always fit 32 bits (the result does not depend on the morsel size).
 ParallelForOptions LoopOptions(const char* label, const ExecOptions& options) {
   ParallelForOptions loop;
   loop.label = label;
@@ -93,11 +93,6 @@ ParallelForOptions LoopOptions(const char* label, const ExecOptions& options) {
 StopReason StopAfter(const ExecOptions& options) {
   return options.stop == nullptr ? StopReason::kNone : options.stop->Check();
 }
-
-// Measure flags: bit0 = non-null, bit1 = numeric. Together they replicate
-// AggState::Add's branch structure over the slab without touching Values.
-constexpr uint8_t kFlagNonNull = 1;
-constexpr uint8_t kFlagNumeric = 2;
 
 // Open-addressing dictionary over group-column tuples. The tuple itself is
 // never copied: an entry remembers the global row index of its first
@@ -162,7 +157,6 @@ struct TupleDict {
   std::vector<int32_t> slots;    // entry index, -1 = empty; power-of-two
   std::vector<uint64_t> hashes;  // per entry: cached tuple hash
   std::vector<size_t> rows;      // per entry: first-occurrence row
-  std::vector<uint32_t> counts;  // per entry: occurrences seen
   std::vector<uint8_t> recs;     // per entry: inline key record
   std::vector<uint8_t> rec_ok;   // per entry: record decides equality
   size_t mask = 0;
@@ -311,7 +305,6 @@ uint32_t DictCode(TupleDict& d, const Table& input,
       d.slots[idx] = int32_t(code);
       d.hashes.push_back(h);
       d.rows.push_back(r);
-      d.counts.push_back(1);
       d.recs.insert(d.recs.end(), rec, rec + stride);
       d.rec_ok.push_back(rec_ok ? 1 : 0);
       return code;
@@ -325,44 +318,211 @@ uint32_t DictCode(TupleDict& d, const Table& input,
                     std::memcmp(d.recs.data() + size_t(s) * stride, rec,
                                 stride) == 0
               : TupleEq(input.row(d.rows[size_t(s)]), row, gidx);
-      if (equal) {
-        ++d.counts[size_t(s)];
-        return uint32_t(s);
-      }
+      if (equal) return uint32_t(s);
     }
     idx = (idx + 1) & d.mask;
   }
 }
 
-// --- Phase 4: emit ---------------------------------------------------------
-// Gid order IS global first-occurrence order (the dictionary merge), so
-// inserting by ascending gid reproduces the serial scan's emplace sequence —
-// and with it the output map's growth history and iteration order, which
-// downstream lattice rollups fold in. Key Rows are rebuilt from each group's
-// first row, replicating the serial representative choice (int64 2 and
-// double 2.0 compare equal; the serial map keeps whichever arrived first).
-// `states` holds `naggs` states per gid.
-GroupedStates EmitGroups(const Table& input, const std::vector<size_t>& gidx,
-                         const std::vector<size_t>& first_row, size_t naggs,
-                         const std::vector<AggState>& states) {
-  obs::Span span("vec.emit");
-  const size_t ngroups = first_row.size();
-  GroupedStates out;
-  Row key(gidx.size());
-  for (size_t g = 0; g < ngroups; ++g) {
-    const Row& first = input.row(first_row[g]);
-    for (size_t k = 0; k < gidx.size(); ++k) key[k] = first[gidx[k]];
-    out.emplace(key, std::vector<AggState>(states.begin() + g * naggs,
-                                           states.begin() + (g + 1) * naggs));
+// AggState::AddSlab of slab positions [begin, end), in order, into
+// states[gid[e] * stride]. A null `values` is count() without a column
+// (rows only); a null `flags` says every entry is a non-NaN number.
+void FoldSlab(const uint32_t* gid, const double* values, const uint8_t* flags,
+              size_t begin, size_t end, AggState* states, size_t stride) {
+  if (values == nullptr) {
+    for (size_t e = begin; e < end; ++e) ++states[gid[e] * stride].rows;
+  } else if (flags == nullptr) {
+    for (size_t e = begin; e < end; ++e)
+      states[gid[e] * stride].AddSlab(values[e], kSlabNonNull | kSlabNumeric);
+  } else {
+    for (size_t e = begin; e < end; ++e)
+      states[gid[e] * stride].AddSlab(values[e], flags[e]);
   }
-  if (obs::Enabled())
-    obs::MetricsRegistry::Global()
-        .GetCounter("statcube.exec.vec.groups")
-        .Add(ngroups);
-  return out;
 }
 
 }  // namespace
+
+Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
+                                            const ExecOptions& options) {
+  const size_t n = in.rows;
+  const size_t naggs = in.slabs.size();
+  const size_t ngroups = n == 0 ? 0 : (in.gids == nullptr ? 1 : in.groups);
+  std::vector<AggState> states(ngroups * naggs);
+  if (n == 0) return states;
+  if (obs::Enabled()) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
+    reg.GetCounter("statcube.exec.vec.rows").Add(n);
+    reg.GetCounter("statcube.exec.vec.groups").Add(ngroups);
+  }
+
+  // Empty BY: one global group over fully contiguous slabs — the pure
+  // block-kernel case. Sum/sum_sq run reassociated only under the exactness
+  // gate (gap rows hold 0.0, which is bit-transparent to a sum whose running
+  // value starts at +0.0); count reduces over the flag bytes; min/max fall
+  // back to a flag-checked loop when any row lacks a numeric value.
+  if (in.gids == nullptr) {
+    obs::Span agg_span("vec.aggregate");
+    for (size_t i = 0; i < naggs; ++i) {
+      AggState& st = states[i];
+      st.rows = int64_t(n);
+      const SlabView& slab = in.slabs[i];
+      if (slab.values == nullptr) continue;  // kCountAll without a column
+      const SlabEvidence& ev = slab.evidence;
+      const double* v = slab.values;
+      st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+      st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
+                      ? vec::SumSqBlockFast(v, n)
+                      : vec::SumSqBlockOrdered(v, n);
+      if (!ev.gap) {
+        st.count = int64_t(n);
+        st.min = vec::MinBlock(v, n);
+        st.max = vec::MaxBlock(v, n);
+      } else {
+        const uint8_t* f = slab.flags;
+        st.count = int64_t(vec::CountFlagBits(f, n, kSlabNonNull));
+        for (size_t r = 0; r < n; ++r) {
+          if ((f[r] & kSlabNumeric) == 0) continue;
+          if (v[r] < st.min) st.min = v[r];
+          if (v[r] > st.max) st.max = v[r];
+        }
+      }
+    }
+    return states;
+  }
+
+  // Folds slab positions [begin, end) into their groups' states, one
+  // aggregate at a time, each in position order (vp[i]/fp[i] are aggregate
+  // i's slab, gid[e] position e's group). gids index the flat state array
+  // directly: no hash table, no Row allocation, no Value access.
+  std::vector<const double*> vp(naggs, nullptr);
+  std::vector<const uint8_t*> fp(naggs, nullptr);
+  auto fold = [&](const uint32_t* gid, size_t begin, size_t end) {
+    for (size_t i = 0; i < naggs; ++i)
+      FoldSlab(gid, vp[i], fp[i], begin, end, states.data() + i, naggs);
+  };
+
+  // One worker, or too few rows per worker to pay for a pool barrier: the
+  // scatter is skipped, and one pass in row order hands every group its
+  // rows in the same ascending order the stable scatter would.
+  const int threads = options.EffectiveThreads();
+  const bool fan_out =
+      threads > 1 && (options.vec_fanout_rows == 0 ||
+                      n >= options.vec_fanout_rows * size_t(threads));
+  if (!fan_out) {
+    {
+      obs::Span span("vec.aggregate");
+      for (size_t i = 0; i < naggs; ++i) {
+        vp[i] = in.slabs[i].values;
+        if (in.slabs[i].evidence.gap) fp[i] = in.slabs[i].flags;
+      }
+      fold(in.gids, 0, n);
+    }
+    if (StopReason r = StopAfter(options); r != StopReason::kNone)
+      return StopStatus(r, "groupby");
+    return states;
+  }
+
+  // --- Phase 2: radix partition -------------------------------------------
+  // Histogram per (morsel, partition), prefix into stable scatter offsets,
+  // and scatter each row's gid and measure values partition-major — the
+  // aggregation pass then touches nothing but sequential partition-ordered
+  // slabs. Stability: partition-major, then morsel-major, then row order —
+  // i.e. ascending global row order within a partition.
+  ParallelForOptions loop = LoopOptions("vec_partition", options);
+  const size_t nmorsels = NumMorsels(n, loop.morsel_size);
+  std::vector<std::vector<size_t>> offsets(
+      nmorsels, std::vector<size_t>(kRadixPartitions, 0));
+  auto part_gids = std::make_unique_for_overwrite<uint32_t[]>(n);
+  std::vector<std::unique_ptr<double[]>> part_vals(naggs);
+  std::vector<std::unique_ptr<uint8_t[]>> part_flags(naggs);
+  for (size_t i = 0; i < naggs; ++i) {
+    if (in.slabs[i].values == nullptr) continue;
+    part_vals[i] = std::make_unique_for_overwrite<double[]>(n);
+    if (in.slabs[i].evidence.gap)
+      part_flags[i] = std::make_unique_for_overwrite<uint8_t[]>(n);
+  }
+  std::vector<size_t> part_begin(kRadixPartitions + 1, 0);
+  {
+    obs::Span span("vec.partition");
+    ParallelFor(
+        n,
+        [&](size_t m, size_t begin, size_t end) {
+          std::vector<size_t>& h = offsets[m];
+          for (size_t r = begin; r < end; ++r) ++h[PartitionOf(in.gids[r])];
+        },
+        loop);
+    size_t pos = 0;
+    for (size_t p = 0; p < kRadixPartitions; ++p) {
+      part_begin[p] = pos;
+      for (size_t m = 0; m < nmorsels; ++m) {
+        const size_t count = offsets[m][p];
+        offsets[m][p] = pos;
+        pos += count;
+      }
+    }
+    part_begin[kRadixPartitions] = pos;
+
+    ParallelFor(
+        n,
+        [&](size_t m, size_t begin, size_t end) {
+          std::vector<size_t>& off = offsets[m];
+          for (size_t r = begin; r < end; ++r) {
+            const uint32_t g = in.gids[r];
+            const size_t idx = off[PartitionOf(g)]++;
+            part_gids[idx] = g;
+            for (size_t i = 0; i < naggs; ++i) {
+              if (part_vals[i] == nullptr) continue;
+              part_vals[i][idx] = in.slabs[i].values[r];
+              if (part_flags[i] != nullptr)
+                part_flags[i][idx] = in.slabs[i].flags[r];
+            }
+          }
+        },
+        loop);
+  }
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
+
+  // --- Phase 3: per-partition aggregation ---------------------------------
+  // One task per partition. Partitions own disjoint gid sets, so the writes
+  // never race and there is no cross-thread merge of thread-local partials.
+  // Rows arrive in ascending global row order (stable scatter), so every
+  // group's AggState replays the serial accumulation sequence bit for bit.
+  {
+    obs::Span span("vec.aggregate");
+    for (size_t i = 0; i < naggs; ++i) {
+      vp[i] = part_vals[i].get();
+      fp[i] = part_flags[i].get();
+    }
+    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
+    aloop.morsel_size = 1;
+    ParallelFor(
+        kRadixPartitions,
+        [&](size_t, size_t pbegin, size_t pend) {
+          for (size_t p = pbegin; p < pend; ++p)
+            fold(part_gids.get(), part_begin[p], part_begin[p + 1]);
+        },
+        aloop);
+  }
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
+  return states;
+}
+
+GroupedStates EmitGroupedStates(
+    size_t groups, size_t naggs, const std::vector<AggState>& states,
+    const std::function<void(size_t, Row*)>& key_of) {
+  obs::Span span("vec.emit");
+  GroupedStates out;
+  Row key;
+  for (size_t g = 0; g < groups; ++g) {
+    key_of(g, &key);
+    out.emplace(key, std::vector<AggState>(states.begin() + g * naggs,
+                                           states.begin() + (g + 1) * naggs));
+  }
+  return out;
+}
 
 Result<GroupedStates> ParallelGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
@@ -383,29 +543,17 @@ Result<GroupedStates> ParallelGroupByStates(
   const size_t ncols = gidx.size();
   const size_t naggs = aggs.size();
   if (n == 0) return GroupedStates{};
-
-  if (obs::Enabled()) {
-    obs::RecordBytesTouched(input.ByteSize());
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
-    reg.GetCounter("statcube.exec.vec.rows").Add(n);
-  }
+  if (obs::Enabled()) obs::RecordBytesTouched(input.ByteSize());
 
   ParallelForOptions loop = LoopOptions("vec_columnarize", options);
   const size_t morsel = loop.morsel_size;
   const size_t nmorsels = NumMorsels(n, morsel);
-  // Columnarize always fans out (it dominates); the cheap phases dispatch
-  // to the pool only when the rows per worker pay for the barrier.
-  const bool fan_out =
-      options.vec_fanout_rows == 0 ||
-      n >= options.vec_fanout_rows * size_t(options.EffectiveThreads());
 
   // --- Phase 1: columnarize -----------------------------------------------
   // Each morsel dictionary-encodes its group-column tuples to dense local
   // codes (one open-addressing probe per row, values borrowed from the
-  // table); measures copy into double slabs with a flag byte per row.
-  // Per-measure integral/max_abs evidence feeds the exactness gate for
-  // reassociated summation.
+  // table); measures copy into double slabs with a flag byte per row, and
+  // each morsel gathers the slabs' evidence.
   // Slabs are allocated uninitialized (for_overwrite): phase 1 writes every
   // row of every slab before anything reads it, and the default-zeroing
   // constructor would memset megabytes per call for nothing.
@@ -422,14 +570,8 @@ Result<GroupedStates> ParallelGroupByStates(
     mslots.push_back(uint32_t(i));
   }
   std::vector<TupleDict> dicts(nmorsels);
-  // [morsel][agg]: integral-so-far flag, max |value|, any row not
-  // (non-null and numeric).
-  std::vector<std::vector<uint8_t>> m_integral(
-      nmorsels, std::vector<uint8_t>(naggs, 1));
-  std::vector<std::vector<double>> m_max_abs(
-      nmorsels, std::vector<double>(naggs, 0.0));
-  std::vector<std::vector<uint8_t>> m_gap(nmorsels,
-                                          std::vector<uint8_t>(naggs, 0));
+  std::vector<std::vector<SlabEvidence>> evidence(
+      nmorsels, std::vector<SlabEvidence>(naggs));
 
   {
     obs::Span span("vec.columnarize");
@@ -438,9 +580,7 @@ Result<GroupedStates> ParallelGroupByStates(
         [&](size_t m, size_t begin, size_t end) {
           TupleDict& d = dicts[m];
           d.Init(end - begin);
-          uint8_t* integral = m_integral[m].data();
-          double* max_abs = m_max_abs[m].data();
-          uint8_t* gap = m_gap[m].data();
+          SlabEvidence* ev = evidence[m].data();
           const size_t stride = kKeyCell * ncols;
           std::vector<uint8_t> rec(stride);
           for (size_t r = begin; r < end; ++r) {
@@ -449,42 +589,9 @@ Result<GroupedStates> ParallelGroupByStates(
             uint64_t h = EncodeAndHash(row, gidx, rec.data(), &rec_ok);
             codes[r] = DictCode(d, input, gidx, row, r, h, rec.data(),
                                 rec_ok, stride);
-            for (uint32_t i : mslots) {
-              const Value& v = row[size_t(aidx[i])];
-              uint8_t f = 0;
-              double x = 0.0;
-              switch (v.type()) {
-                case ValueType::kInt64: {
-                  f = kFlagNonNull | kFlagNumeric;
-                  x = double(v.AsInt64());  // always integral, never NaN
-                  double a = x < 0 ? -x : x;
-                  if (a > max_abs[i]) max_abs[i] = a;
-                  break;
-                }
-                case ValueType::kDouble: {
-                  f = kFlagNonNull | kFlagNumeric;
-                  x = v.AsDouble();
-                  double a = x < 0 ? -x : x;
-                  if (a > max_abs[i]) max_abs[i] = a;
-                  if (integral[i] != 0 && std::trunc(x) != x)
-                    integral[i] = 0;
-                  // NaN breaks the block min/max precondition (serial's
-                  // ordered `<` comparisons skip it; a block seed would
-                  // keep it), so NaN rows count as gaps too.
-                  if (x != x) gap[i] = 1;
-                  break;
-                }
-                case ValueType::kNull:
-                  gap[i] = 1;
-                  break;
-                default:  // string / ALL: counts, never aggregates
-                  f = kFlagNonNull;
-                  gap[i] = 1;
-                  break;
-              }
-              vals[i][r] = x;
-              flags[i][r] = f;
-            }
+            for (uint32_t i : mslots)
+              flags[i][r] = EncodeSlabEntry(row[size_t(aidx[i])],
+                                            &vals[i][r], &ev[i]);
           }
         },
         loop);
@@ -492,51 +599,20 @@ Result<GroupedStates> ParallelGroupByStates(
   if (StopReason r = StopAfter(options); r != StopReason::kNone)
     return StopStatus(r, "groupby");
 
-  // Empty BY: one global group over fully contiguous slabs — the pure
-  // block-kernel case. Sum/sum_sq run reassociated only under the exactness
-  // gate (null rows are padded with 0.0, which is bit-transparent to a sum
-  // whose running value starts at +0.0); count reduces over the flag bytes;
-  // min/max fall back to a flag-checked loop when any row lacks a numeric
-  // value.
+  GroupIdRows in;
+  in.rows = n;
+  in.slabs.resize(naggs);
+  for (uint32_t i : mslots) {
+    in.slabs[i].values = vals[i].get();
+    in.slabs[i].flags = flags[i].get();
+    for (size_t m = 0; m < nmorsels; ++m)
+      in.slabs[i].evidence.Merge(evidence[m][i]);
+  }
   if (ncols == 0) {
-    obs::Span agg_span("vec.aggregate");
-    std::vector<AggState> st(naggs);
-    for (size_t i = 0; i < naggs; ++i) {
-      st[i].rows = int64_t(n);
-      if (aidx[i] < 0) continue;  // kCountAll without a column
-      bool integral = true, gap = false;
-      double max_abs = 0.0;
-      for (size_t m = 0; m < nmorsels; ++m) {
-        integral = integral && m_integral[m][i] != 0;
-        gap = gap || m_gap[m][i] != 0;
-        if (m_max_abs[m][i] > max_abs) max_abs = m_max_abs[m][i];
-      }
-      const double* v = vals[i].get();
-      st[i].sum = SumBlockAuto(v, n, integral, max_abs);
-      st[i].sum_sq =
-          vec::ReorderIsExact(integral, max_abs * max_abs, n)
-              ? vec::SumSqBlockFast(v, n)
-              : vec::SumSqBlockOrdered(v, n);
-      if (!gap) {
-        st[i].count = int64_t(n);
-        st[i].min = vec::MinBlock(v, n);
-        st[i].max = vec::MaxBlock(v, n);
-      } else {
-        const uint8_t* f = flags[i].get();
-        st[i].count = int64_t(vec::CountFlagBits(f, n, kFlagNonNull));
-        for (size_t r = 0; r < n; ++r) {
-          if ((f[r] & kFlagNumeric) == 0) continue;
-          if (v[r] < st[i].min) st[i].min = v[r];
-          if (v[r] > st[i].max) st[i].max = v[r];
-        }
-      }
-    }
+    STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> st,
+                              GroupIdStates(in, options));
     GroupedStates out;
     out.emplace(Row(), std::move(st));
-    if (obs::Enabled())
-      obs::MetricsRegistry::Global()
-          .GetCounter("statcube.exec.vec.groups")
-          .Add(1);
     return out;
   }
 
@@ -566,156 +642,28 @@ Result<GroupedStates> ParallelGroupByStates(
                                   " distinct tuples");
     }
   }
-  const size_t ngroups = global.rows.size();
-  const std::vector<size_t>& first_row = global.rows;  // per gid
-
-  // A measure with no gap anywhere (every row non-null numeric — the
-  // morsel evidence already knows) needs no flag bytes downstream: the
-  // per-row fold is unconditional.
-  std::vector<uint8_t> no_gap(naggs, 0);
-  for (uint32_t i : mslots) {
-    bool gap = false;
-    for (size_t m = 0; m < nmorsels; ++m) gap = gap || m_gap[m][i] != 0;
-    no_gap[i] = gap ? 0 : 1;
-  }
-
-  // Folds slab position `e` (values vp[i][e], flags fp[i][e]) into one
-  // group's states: AggState::Add's branch structure over the flag bytes,
-  // with gids indexing the flat state array directly (no hash table, no Row
-  // allocation, no Value access).
-  std::vector<AggState> states(ngroups * naggs);
-  std::vector<const double*> vp(naggs, nullptr);
-  std::vector<const uint8_t*> fp(naggs, nullptr);
-  auto fold = [&](uint32_t gid, size_t e) {
-    AggState* st = &states[size_t(gid) * naggs];
-    for (size_t i = 0; i < naggs; ++i) {
-      ++st[i].rows;
-      if (aidx[i] < 0) continue;  // kCountAll without a column
-      if (no_gap[i] == 0) {
-        uint8_t f = fp[i][e];
-        if ((f & kFlagNonNull) == 0) continue;
-        ++st[i].count;
-        if ((f & kFlagNumeric) == 0) continue;
-      } else {
-        ++st[i].count;
-      }
-      double d = vp[i][e];
-      st[i].sum += d;
-      st[i].sum_sq += d * d;
-      if (d < st[i].min) st[i].min = d;
-      if (d > st[i].max) st[i].max = d;
-    }
-  };
-
-  if (!fan_out) {
-    // Below the fan-out threshold the partitions would be aggregated on the
-    // caller anyway, so the scatter is skipped: one pass in global row
-    // order over the phase-1 slabs hands every group its rows in the same
-    // ascending order the stable scatter would.
-    {
-      obs::Span span("vec.aggregate");
-      for (uint32_t i : mslots) {
-        vp[i] = vals[i].get();
-        fp[i] = flags[i].get();
-      }
-      for (size_t m = 0; m < nmorsels; ++m) {
+  // Local codes become global group ids in place.
+  ParallelFor(
+      n,
+      [&](size_t m, size_t begin, size_t end) {
         const std::vector<uint32_t>& rm = remap[m];
-        const size_t end = std::min(n, (m + 1) * morsel);
-        for (size_t r = m * morsel; r < end; ++r) fold(rm[codes[r]], r);
-      }
-    }
-    if (StopReason r = StopAfter(options); r != StopReason::kNone)
-      return StopStatus(r, "groupby");
-    return EmitGroups(input, gidx, first_row, naggs, states);
-  }
+        for (size_t r = begin; r < end; ++r) codes[r] = rm[codes[r]];
+      },
+      LoopOptions("vec_remap", options));
+  in.gids = codes.get();
+  in.groups = global.rows.size();
+  STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> states,
+                            GroupIdStates(in, options));
 
-  // --- Phase 2: radix partition -------------------------------------------
-  // Histogram per (morsel, partition), prefix into stable scatter offsets,
-  // and scatter each row's gid and measure values partition-major — the
-  // aggregation pass then touches nothing but sequential partition-ordered
-  // slabs. Stability: partition-major, then morsel-major, then row order —
-  // i.e. ascending global row order within a partition. The histogram needs
-  // no per-row pass at all: the morsel dictionaries counted each local code
-  // during phase 1, so it folds per *entry* (groups-per-morsel, a few
-  // hundred — not rows).
-  std::vector<std::vector<uint32_t>> hist(
-      nmorsels, std::vector<uint32_t>(kRadixPartitions, 0));
-  auto part_gids = std::make_unique_for_overwrite<uint32_t[]>(n);
-  std::vector<std::unique_ptr<double[]>> part_vals(naggs);
-  std::vector<std::unique_ptr<uint8_t[]>> part_flags(naggs);
-  for (uint32_t i : mslots) {
-    part_vals[i] = std::make_unique_for_overwrite<double[]>(n);
-    if (no_gap[i] == 0)
-      part_flags[i] = std::make_unique_for_overwrite<uint8_t[]>(n);
-  }
-  std::vector<size_t> part_begin(kRadixPartitions + 1, 0);
-  {
-    obs::Span span("vec.partition");
-    for (size_t m = 0; m < nmorsels; ++m) {
-      const std::vector<uint32_t>& rm = remap[m];
-      const std::vector<uint32_t>& cnt = dicts[m].counts;
-      std::vector<uint32_t>& h = hist[m];
-      for (size_t e = 0; e < rm.size(); ++e)
-        h[PartitionOf(rm[e])] += cnt[e];
-    }
-
-    std::vector<std::vector<size_t>> offsets(
-        nmorsels, std::vector<size_t>(kRadixPartitions, 0));
-    size_t pos = 0;
-    for (size_t p = 0; p < kRadixPartitions; ++p) {
-      part_begin[p] = pos;
-      for (size_t m = 0; m < nmorsels; ++m) {
-        offsets[m][p] = pos;
-        pos += hist[m][p];
-      }
-    }
-    part_begin[kRadixPartitions] = pos;
-
-    ParallelFor(
-        n,
-        [&](size_t m, size_t begin, size_t end) {
-          const std::vector<uint32_t>& rm = remap[m];
-          std::vector<size_t>& off = offsets[m];
-          for (size_t r = begin; r < end; ++r) {
-            uint32_t g = rm[codes[r]];
-            size_t idx = off[PartitionOf(g)]++;
-            part_gids[idx] = g;
-            for (uint32_t i : mslots) {
-              part_vals[i][idx] = vals[i][r];
-              if (no_gap[i] == 0) part_flags[i][idx] = flags[i][r];
-            }
-          }
-        },
-        LoopOptions("vec_partition", options));
-  }
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-
-  // --- Phase 3: per-partition aggregation ---------------------------------
-  // One task per partition. Partitions own disjoint gid sets, so the writes
-  // never race and there is no cross-thread merge of thread-local partials.
-  // Rows arrive in ascending global row order (stable scatter), so every
-  // group's AggState replays the serial accumulation sequence bit for bit.
-  {
-    obs::Span span("vec.aggregate");
-    for (uint32_t i : mslots) {
-      vp[i] = part_vals[i].get();
-      fp[i] = part_flags[i].get();
-    }
-    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
-    aloop.morsel_size = 1;
-    ParallelFor(
-        kRadixPartitions,
-        [&](size_t, size_t pbegin, size_t pend) {
-          for (size_t p = pbegin; p < pend; ++p)
-            for (size_t e = part_begin[p]; e < part_begin[p + 1]; ++e)
-              fold(part_gids[e], e);
-        },
-        aloop);
-  }
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-  return EmitGroups(input, gidx, first_row, naggs, states);
+  // Gid order IS global first-occurrence order, and each key is rebuilt
+  // from its group's first row — the representative the serial map keeps
+  // (int64 2 and double 2.0 compare equal; it keeps whichever came first).
+  const std::vector<size_t>& first_row = global.rows;
+  return EmitGroupedStates(in.groups, naggs, states, [&](size_t g, Row* key) {
+    const Row& first = input.row(first_row[g]);
+    key->resize(ncols);
+    for (size_t k = 0; k < ncols; ++k) (*key)[k] = first[gidx[k]];
+  });
 }
 
 }  // namespace statcube::exec

@@ -1,20 +1,24 @@
-// Query execution: the relational executor (one plan, one pass over the base
-// rows, then the serial or parallel group-by), the cube-backend route and
-// QueryProfiled. Not in parser.cc: there, GCC 12 inlines less into ParseQuery
-// and BM_ParseOnly slows by a fifth (best of 18 runs on a 4-vCPU Xeon:
-// 1150-1185 ns, against 913-984 ns with this file apart).
+// Query execution: the relational executor, which plans once and then runs
+// on the object's code columns (or, for the shapes codes cannot group
+// exactly, on its rows), the row-at-a-time reference behind Query(), the
+// cube-backend route and QueryProfiled. Not in parser.cc: there, GCC 12
+// inlines less into ParseQuery and BM_ParseOnly slows by a fifth (best of
+// 18 runs on a 4-vCPU Xeon: 1150-1185 ns, against 913-984 ns with this file
+// apart).
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "statcube/cache/derive.h"
 #include "statcube/cache/result_cache.h"
 #include "statcube/common/cancellation.h"
+#include "statcube/common/str_util.h"
 #include "statcube/exec/parallel_kernels.h"
 #include "statcube/obs/flight_recorder.h"
 #include "statcube/obs/query_registry.h"
@@ -25,44 +29,61 @@
 namespace statcube {
 namespace {
 
-// Memo keys compare by representation (type, then value; doubles by bits):
-// finer than Value::Compare, under which 1 == 1.0 and NaN equals any number.
-struct SameRepr {
-  bool operator()(const Value& a, const Value& b) const {
-    if (a.type() != b.type()) return false;
-    if (a.type() == ValueType::kInt64) return a.AsInt64() == b.AsInt64();
-    if (a.type() == ValueType::kString) return a.AsString() == b.AsString();
-    if (a.type() != ValueType::kDouble) return true;  // NULL, ALL
-    return std::bit_cast<uint64_t>(a.AsDouble()) ==
-           std::bit_cast<uint64_t>(b.AsDouble());
-  }
-};
+using ReprIndex =
+    std::unordered_map<Value, uint32_t, std::hash<Value>, SameRepr>;
 
 // A referenced hierarchy level: its cell is the ancestor at `level` of the
-// row's leaf, found once per distinct leaf, the first time the scan meets it.
+// row's leaf. The row pass finds it once per distinct leaf, the first time
+// it meets it (`memo`). For the coded pass the plan fills `level_of` once
+// per entry of the leaf's dictionary, and `dictionary` holds the distinct
+// ancestors by representation.
 struct LevelRollup {
   size_t leaf_col;
   const ClassificationHierarchy* hier;
   size_t level;
   std::unordered_map<Value, Value, std::hash<Value>, SameRepr> memo;
+  std::vector<Value> dictionary;
+  std::vector<uint32_t> level_of;  // leaf code -> dictionary index
 };
 
 // Column i < base width is a base column; base width + j is rollups[j].
 struct ScanPlan {
   std::vector<LevelRollup> rollups;
   std::vector<std::pair<size_t, Value>> where;  // column = literal
-  std::vector<size_t> project;                  // columns the scan emits
+  std::vector<size_t> project;                  // columns the row pass emits
+  Schema schema;                                // base, then derived columns
   Schema out_schema;
+
+  bool Scans() const { return !rollups.empty() || !where.empty(); }
 };
+
+// Fills `lr`'s code map: Ancestors once per leaf dictionary entry.
+Status CodeLevel(const StatisticalObject& obj, LevelRollup* lr) {
+  const std::vector<Value>& leaves =
+      obj.code_columns()[lr->leaf_col].dictionary;
+  ReprIndex index;
+  lr->level_of.reserve(leaves.size());
+  for (const Value& leaf : leaves) {
+    STATCUBE_ASSIGN_OR_RETURN(std::vector<Value> anc,
+                              lr->hier->Ancestors(0, leaf, lr->level));
+    Value v = anc.empty() ? Value::Null() : std::move(anc.front());
+    auto [it, added] = index.try_emplace(v, uint32_t(lr->dictionary.size()));
+    if (added) lr->dictionary.push_back(std::move(v));
+    lr->level_of.push_back(it->second);
+  }
+  return Status::OK();
+}
 
 // Each referenced attribute that is a hierarchy level, not a dimension or a
 // measure, becomes a derived column (leaf -> its ancestor at that level):
 // Figure 13's implied roll-up, with the leaf dimension still addressable.
+// `coded` also builds each level's code map, under its rollup span.
 Result<ScanPlan> PlanQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query) {
+                           const ParsedQuery& query, bool coded) {
   obs::Span plan_span("plan");
-  Schema schema = obj.data().schema();
   ScanPlan plan;
+  Schema& schema = plan.schema;
+  schema = obj.data().schema();
   std::set<std::string> referenced(query.by.begin(), query.by.end());
   for (const auto& [attr, v] : query.where) referenced.insert(attr);
   for (const auto& attr : referenced) {
@@ -85,7 +106,8 @@ Result<ScanPlan> PlanQuery(const StatisticalObject& obj,
       }
       STATCUBE_ASSIGN_OR_RETURN(size_t leaf_col, schema.IndexOf(d.name()));
       schema.AddColumn(attr, ValueType::kString);
-      plan.rollups.push_back({leaf_col, hier, level, {}});
+      plan.rollups.push_back({leaf_col, hier, level, {}, {}, {}});
+      if (coded) STATCUBE_RETURN_NOT_OK(CodeLevel(obj, &plan.rollups.back()));
       obs::RecordOperator("rollup", obj.data().num_rows(),
                           obj.data().num_rows());
       resolved = true;
@@ -111,22 +133,24 @@ Result<ScanPlan> PlanQuery(const StatisticalObject& obj,
   return plan;
 }
 
-}  // namespace
+std::vector<AggSpec> NamedAggs(const ParsedQuery& query) {
+  std::vector<AggSpec> aggs = query.aggs;
+  for (auto& a : aggs)
+    if (a.output_name.empty()) a.output_name = a.EffectiveName();
+  return aggs;
+}
 
-// Plans, then passes once over the base rows in place: derived cells come
-// from the memos, WHERE uses Value::Compare as expr::ColumnEq does, passing
-// rows are kept projected, and the stop context is checked every 1024 rows.
-// The kept rows — or, with nothing to derive or filter, the base rows
-// themselves — are grouped by the serial operators at one thread, else on
-// the parallel kernels.
-Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query, int threads,
-                           const CancelContext* stop) {
-  // The serial operators read only the thread's context, so an explicit
-  // `stop` is installed there for the whole call.
-  CancelScope stop_scope(stop);
-  stop = CurrentCancelContext();
-  STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan, PlanQuery(obj, query));
+// ------------------------------------------------------------- row route
+
+// The row route's group-by input: one pass over the base rows in place —
+// derived cells come from the memos, WHERE uses Value::Compare as
+// expr::ColumnEq does, passing rows are kept projected, and the stop
+// context is checked every 1024 rows — or, with nothing to derive or
+// filter, no pass (nullopt): the base table itself is the input.
+Result<std::optional<Table>> RowPass(const StatisticalObject& obj,
+                                     ScanPlan& plan,
+                                     const CancelContext* stop) {
+  if (!plan.Scans()) return std::optional<Table>();
   const Table& base = obj.data();
   const size_t nbase = base.num_columns();
   std::vector<const Value*> derived(plan.rollups.size());
@@ -150,13 +174,12 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
     return slot = &it->second;
   };
 
-  const bool scan = !plan.rollups.empty() || !plan.where.empty();
   std::optional<obs::Span> filter_span;
   if (!plan.where.empty()) filter_span.emplace("filter");
   Table rows(base.name() + (plan.where.empty() ? "" : "_sel"),
              plan.out_schema);
-  if (scan && plan.where.empty()) rows.mutable_rows().reserve(base.num_rows());
-  for (size_t r = 0; scan && r < base.num_rows(); ++r) {
+  if (plan.where.empty()) rows.mutable_rows().reserve(base.num_rows());
+  for (size_t r = 0; r < base.num_rows(); ++r) {
     if (stop != nullptr && (r & 1023) == 0)
       if (StopReason sr = stop->Check(); sr != StopReason::kNone)
         return StopStatus(sr, "scan");
@@ -180,19 +203,356 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
   }
   if (!plan.where.empty())
     obs::RecordOperator("select", base.num_rows(), rows.num_rows());
-  filter_span.reset();
+  return std::optional<Table>(std::move(rows));
+}
 
-  std::vector<AggSpec> aggs = query.aggs;
-  for (auto& a : aggs)
-    if (a.output_name.empty()) a.output_name = a.EffectiveName();
+// ----------------------------------------------------------- coded route
+
+// A BY or WHERE attribute on the code columns: the leaf dimension's codes,
+// read through a level's code map when the attribute is a level.
+struct CodedAttr {
+  size_t dim;                       // the leaf dimension
+  const uint32_t* level_of;         // leaf code -> attribute code, or null
+  const std::vector<Value>* values;  // the attribute's value per code
+};
+
+// Plan column `col` as a coded attribute; nullopt for a measure.
+std::optional<CodedAttr> AttrOf(const StatisticalObject& obj,
+                                const ScanPlan& plan, size_t col) {
+  const size_t ndims = obj.dimensions().size();
+  const size_t nbase = obj.data().num_columns();
+  if (col < ndims)
+    return CodedAttr{col, nullptr, &obj.code_columns()[col].dictionary};
+  if (col < nbase) return std::nullopt;
+  const LevelRollup& lr = plan.rollups[col - nbase];
+  return CodedAttr{lr.leaf_col, lr.level_of.data(), &lr.dictionary};
+}
+
+// True when grouping by code is grouping by Value::Compare: the entries
+// hold no NaN and no two that Compare calls equal. Entries are distinct by
+// representation, so strings, NULL and ALL are never equal to another
+// entry; numbers are checked through their double images (1 and 1.0,
+// -0.0 and 0.0, the int64 2^53 + 1 and the double 2^53).
+bool GroupsExactly(const std::vector<Value>& values) {
+  std::unordered_set<double> doubles;  // 0.0 and -0.0 collide here
+  for (const Value& v : values) {
+    if (v.type() != ValueType::kDouble) continue;
+    const double d = v.AsDouble();
+    if (d != d || !doubles.insert(d).second) return false;
+  }
+  if (doubles.empty()) return true;
+  for (const Value& v : values)
+    if (v.type() == ValueType::kInt64 && doubles.count(v.AsDouble()) != 0)
+      return false;
+  return true;
+}
+
+// Splitmix64 finalizer for the packed-key table.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Packed BY code tuple -> dense group id in first-occurrence order. Direct
+// addressing while the key space is small, else open addressing sized for
+// one group per row.
+class GroupIds {
+ public:
+  GroupIds(uint64_t key_space, size_t rows) {
+    direct_ = key_space <= std::max<uint64_t>(uint64_t(1) << 16, 2 * rows);
+    size_t slots = size_t(key_space);
+    if (!direct_) {
+      slots = 16;
+      while (slots < 2 * rows) slots <<= 1;
+      slot_keys_.resize(slots);
+    }
+    ids_.assign(slots, kEmpty);
+    mask_ = slots - 1;
+  }
+
+  uint32_t Find(uint64_t key) {
+    size_t i = direct_ ? size_t(key) : size_t(Mix64(key)) & mask_;
+    for (;;) {
+      uint32_t& id = ids_[i];
+      if (id == kEmpty) {
+        id = uint32_t(keys_.size());
+        if (!direct_) slot_keys_[i] = key;
+        keys_.push_back(key);
+        return id;
+      }
+      if (direct_ || slot_keys_[i] == key) return id;
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// Per group id: its packed key.
+  const std::vector<uint64_t>& keys() const { return keys_; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  bool direct_;
+  size_t mask_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint64_t> keys_;
+};
+
+// The executor on the code columns (DESIGN.md §14): a WHERE is a keep
+// array per leaf code, a level is its code map, each kept row's packed BY
+// codes become a dense group id, and the ids with the measure slabs enter
+// the radix kernel after its columnarize phase. No row gets a Value hash,
+// a Value compare or a Row. Returns nullopt, before touching a row, for the
+// shapes codes cannot group exactly: a BY or WHERE on a measure, an
+// aggregate over anything but a measure, a BY attribute whose values
+// GroupsExactly refuses — and for BY codes that do not pack into 64 bits
+// and CUBEs over more than 20 attributes, which the row route handles
+// (and refuses) as it always has.
+std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
+                                          const ParsedQuery& query,
+                                          const ScanPlan& plan,
+                                          const exec::ExecOptions& options) {
+  const size_t ndims = obj.dimensions().size();
+  const std::vector<AggSpec> aggs = NamedAggs(query);
+  std::vector<int64_t> measure(aggs.size(), -1);  // -1: count()
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].fn == AggFn::kCountAll && aggs[i].column.empty()) continue;
+    Result<size_t> col = plan.schema.IndexOf(aggs[i].column);
+    if (!col.ok() || *col < ndims || *col >= obj.data().num_columns())
+      return std::nullopt;
+    measure[i] = int64_t(*col - ndims);
+  }
+  if (query.cube && query.by.size() > 20) return std::nullopt;
+  const size_t nby = query.by.size();
+  std::vector<CodedAttr> by;
+  uint64_t key_space = 1;
+  for (const std::string& name : query.by) {
+    std::optional<CodedAttr> a = AttrOf(obj, plan, *plan.schema.IndexOf(name));
+    if (!a || !GroupsExactly(*a->values) ||
+        __builtin_mul_overflow(key_space, uint64_t(a->values->size()),
+                               &key_space))
+      return std::nullopt;
+    by.push_back(*a);
+  }
+  // WHERE: per leaf dimension, the codes every predicate on it (on the
+  // dimension or on one of its levels) keeps.
+  std::vector<std::pair<size_t, std::vector<uint8_t>>> keep;
+  for (const auto& [col, literal] : plan.where) {
+    std::optional<CodedAttr> a = AttrOf(obj, plan, col);
+    if (!a) return std::nullopt;
+    const size_t nleaves = obj.code_columns()[a->dim].dictionary.size();
+    auto it = std::find_if(keep.begin(), keep.end(),
+                           [&](const auto& k) { return k.first == a->dim; });
+    if (it == keep.end())
+      it = keep.insert(keep.end(),
+                       {a->dim, std::vector<uint8_t>(nleaves, 1)});
+    std::vector<uint8_t> match(a->values->size());
+    for (size_t c = 0; c < match.size(); ++c)
+      match[c] = Value::Compare((*a->values)[c], literal) == 0;
+    for (size_t leaf = 0; leaf < nleaves; ++leaf)
+      it->second[leaf] &= match[a->level_of ? a->level_of[leaf] : leaf];
+  }
+
+  // The pass, in two steps. Morsels, in parallel when there are workers:
+  // each row's packed BY codes, or kDropped when a WHERE drops it. Then in
+  // row order: each kept row's dense group id, numbered on first
+  // occurrence. With a WHERE it is the "filter" span, as the row pass is.
+  constexpr uint64_t kDropped = UINT64_MAX;
+  if (key_space == kDropped) return std::nullopt;
+  const CancelContext* stop = options.stop;
+  const size_t n = obj.data().num_rows();
+  std::vector<uint32_t> gids;
+  std::vector<uint32_t> kept;  // row indexes, when a WHERE drops rows
+  GroupIds groups(key_space, n);
+  {
+    std::optional<obs::Span> filter_span;
+    if (!plan.where.empty()) filter_span.emplace("filter");
+    std::vector<std::pair<const uint32_t*, const uint8_t*>> filters;
+    for (const auto& [dim, k] : keep)
+      filters.emplace_back(obj.code_columns()[dim].codes.data(), k.data());
+    std::vector<const uint32_t*> by_codes;
+    std::vector<uint64_t> by_card;
+    for (const CodedAttr& a : by) {
+      by_codes.push_back(obj.code_columns()[a.dim].codes.data());
+      by_card.push_back(a.values->size());
+    }
+    if (obs::Enabled())
+      obs::RecordBytesTouched(n * sizeof(uint32_t) *
+                              (filters.size() + by_codes.size()));
+    auto keys = std::make_unique_for_overwrite<uint64_t[]>(n);
+    exec::ParallelForOptions loop;
+    loop.label = "coded_pass";
+    loop.max_workers = options.EffectiveThreads();
+    loop.scheduler = options.scheduler;
+    loop.stop = stop;
+    // One worker takes large morsels: the stop context is still checked
+    // between them, and fewer morsels cost less bookkeeping.
+    loop.morsel_size = loop.max_workers == 1 ? size_t(1) << 16
+                                             : options.morsel_rows;
+    exec::ParallelFor(
+        n,
+        [&](size_t, size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) {
+            bool pass = true;
+            for (const auto& [codes, k] : filters)
+              pass = pass && k[codes[r]] != 0;
+            uint64_t key = 0;
+            for (size_t k = 0; pass && k < nby; ++k) {
+              uint32_t c = by_codes[k][r];
+              if (by[k].level_of != nullptr) c = by[k].level_of[c];
+              key = key * by_card[k] + c;
+            }
+            keys[r] = pass ? key : kDropped;
+          }
+        },
+        loop);
+    if (stop != nullptr)
+      if (StopReason sr = stop->Check(); sr != StopReason::kNone)
+        return StopStatus(sr, plan.Scans() ? "scan" : "groupby");
+    if (nby > 0) gids.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (keys[r] == kDropped) continue;
+      if (!keep.empty()) kept.push_back(uint32_t(r));
+      if (nby > 0) gids.push_back(groups.Find(keys[r]));
+    }
+    if (!plan.where.empty()) obs::RecordOperator("select", n, kept.size());
+  }
+  const size_t nkept = keep.empty() ? n : kept.size();
+
+  // Measure slabs: the object's own, or gathered over the kept rows once
+  // per measure. The object's evidence covers a superset of the kept rows,
+  // so it holds.
+  const std::vector<StatisticalObject::MeasureSlab>& slabs =
+      obj.measure_slabs();
+  std::vector<std::vector<double>> values(slabs.size());
+  std::vector<std::vector<uint8_t>> flags(slabs.size());
+  exec::GroupIdRows in;
+  in.rows = nkept;
+  in.gids = nby == 0 ? nullptr : gids.data();
+  in.groups = nby == 0 ? 1 : groups.keys().size();
+  for (int64_t mi : measure) {
+    exec::SlabView view;
+    if (mi >= 0) {
+      const size_t m = size_t(mi);
+      view = {slabs[m].values.data(), slabs[m].flags.data(),
+              slabs[m].evidence};
+      if (!keep.empty()) {
+        if (values[m].size() != nkept) {
+          values[m].resize(nkept);
+          flags[m].resize(nkept);
+          for (size_t e = 0; e < nkept; ++e) {
+            values[m][e] = slabs[m].values[kept[e]];
+            flags[m][e] = slabs[m].flags[kept[e]];
+          }
+        }
+        view.values = values[m].data();
+        view.flags = flags[m].data();
+      }
+    }
+    in.slabs.push_back(view);
+  }
+
   obs::Span agg_span("aggregate");
-  const Table& input = scan ? rows : base;
-  if (threads == 1)
-    return query.cube ? CubeBy(input, query.by, aggs)
-                      : GroupBy(input, query.by, aggs);
-  exec::ExecOptions options{.threads = threads, .stop = stop};
+  obs::Span op_span(query.cube ? "op.cube" : "op.groupby");
+  STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> states,
+                            exec::GroupIdStates(in, options));
+  const size_t naggs = aggs.size();
+  const size_t ngroups = nkept == 0 ? 0 : in.groups;
+  // Group g's code of BY attribute k, unpacked from its key.
+  std::vector<std::vector<uint32_t>> codes(nby,
+                                           std::vector<uint32_t>(ngroups));
+  for (size_t g = 0; nby > 0 && g < ngroups; ++g) {
+    uint64_t key = groups.keys()[g];
+    for (size_t k = nby; k-- > 0;) {
+      codes[k][g] = uint32_t(key % by[k].values->size());
+      key /= by[k].values->size();
+    }
+  }
+  auto value = [&](size_t k, size_t g) -> const Value& {
+    return (*by[k].values)[codes[k][g]];
+  };
+  const std::string name =
+      obj.data().name() + (plan.where.empty() ? "" : "_sel");
+  if (query.cube) {
+    GroupedStates finest = exec::EmitGroupedStates(
+        ngroups, naggs, states, [&](size_t g, Row* key) {
+          key->resize(nby);
+          for (size_t k = 0; k < nby; ++k) (*key)[k] = value(k, g);
+        });
+    return exec::CubeLattice(name, std::move(finest), query.by, aggs,
+                             options);
+  }
+
+  // GROUP BY: one row per group, in the order StatesToTable sorts to —
+  // Value::Compare on the BY columns, which on exact values is the order
+  // of the codes' ranks, so the groups sort by integers.
+  std::vector<uint64_t> rank_key(ngroups, 0);
+  for (size_t k = 0; k < nby; ++k) {
+    const std::vector<Value>& vals = *by[k].values;
+    std::vector<uint32_t> sorted(vals.size());
+    for (size_t c = 0; c < vals.size(); ++c) sorted[c] = uint32_t(c);
+    std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
+      return Value::Compare(vals[a], vals[b]) < 0;
+    });
+    std::vector<uint64_t> rank(vals.size());
+    for (size_t p = 0; p < sorted.size(); ++p) rank[sorted[p]] = p;
+    for (size_t g = 0; g < ngroups; ++g)
+      rank_key[g] = rank_key[g] * vals.size() + rank[codes[k][g]];
+  }
+  std::vector<uint32_t> order(ngroups);
+  for (size_t g = 0; g < ngroups; ++g) order[g] = uint32_t(g);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return rank_key[a] < rank_key[b];
+  });
+  Table out(name + "_by_" + Join(query.by, "_"),
+            CubeOutputSchema(query.by, aggs));  // StatesToTable's schema
+  out.mutable_rows().reserve(ngroups);
+  for (uint32_t g : order) {
+    Row row(nby + naggs);
+    for (size_t k = 0; k < nby; ++k) row[k] = value(k, g);
+    for (size_t i = 0; i < naggs; ++i)
+      row[nby + i] = states[size_t(g) * naggs + i].Finalize(aggs[i].fn);
+    out.AppendRowUnchecked(std::move(row));
+  }
+  obs::RecordOperator("groupby", nkept, out.num_rows());
+  return out;
+}
+
+}  // namespace
+
+// Plans, then runs on the code columns; the shapes they cannot group
+// exactly take the row pass and the kernel's columnarize front end. Either
+// way the radix kernel groups, at every thread count.
+Result<Table> ExecuteQuery(const StatisticalObject& obj,
+                           const ParsedQuery& query, int threads,
+                           const CancelContext* stop) {
+  if (stop == nullptr) stop = CurrentCancelContext();
+  STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan,
+                            PlanQuery(obj, query, /*coded=*/true));
+  const exec::ExecOptions options{.threads = threads, .stop = stop};
+  if (std::optional<Result<Table>> coded =
+          ExecuteCoded(obj, query, plan, options))
+    return *std::move(coded);
+  STATCUBE_ASSIGN_OR_RETURN(std::optional<Table> rows,
+                            RowPass(obj, plan, stop));
+  const Table& input = rows ? *rows : obj.data();
+  const std::vector<AggSpec> aggs = NamedAggs(query);
+  obs::Span agg_span("aggregate");
   return query.cube ? exec::ParallelCubeBy(input, query.by, aggs, options)
                     : exec::ParallelGroupBy(input, query.by, aggs, options);
+}
+
+// The reference: the row pass, then the serial operators.
+Result<Table> Query(const StatisticalObject& obj, const std::string& text) {
+  STATCUBE_ASSIGN_OR_RETURN(ParsedQuery q, ParseQuery(text));
+  STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan, PlanQuery(obj, q, /*coded=*/false));
+  STATCUBE_ASSIGN_OR_RETURN(std::optional<Table> rows,
+                            RowPass(obj, plan, CurrentCancelContext()));
+  const Table& input = rows ? *rows : obj.data();
+  const std::vector<AggSpec> aggs = NamedAggs(q);
+  obs::Span agg_span("aggregate");
+  return q.cube ? CubeBy(input, q.by, aggs) : GroupBy(input, q.by, aggs);
 }
 
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
@@ -250,8 +610,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   STATCUBE_ASSIGN_OR_RETURN(q, ParseQuery(text));
 
   // Stop configuration: a token copy shared with the caller (if any) plus
-  // the absolute deadline. The CancelScope hands it to the executor's row
-  // pass and group-by, serial or parallel, thread-locally.
+  // the absolute deadline. The CancelScope hands it to the executor's pass
+  // and group-by thread-locally.
   CancellationToken token =
       options.cancel != nullptr ? *options.cancel : CancellationToken();
   CancelContext cctx;

@@ -210,9 +210,4 @@ Result<ParsedQuery> ParseQuery(const std::string& text) {
   return q;
 }
 
-Result<Table> Query(const StatisticalObject& obj, const std::string& text) {
-  STATCUBE_ASSIGN_OR_RETURN(ParsedQuery q, ParseQuery(text));
-  return ExecuteQuery(obj, q);
-}
-
 }  // namespace statcube

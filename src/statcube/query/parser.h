@@ -53,18 +53,27 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 /// Executes a parsed query against a statistical object: resolves
 /// identifiers (dimension, hierarchy level, or measure), rolls each row up to
 /// referenced levels, applies WHERE equalities, groups and aggregates into
-/// (group columns, aggregates). `threads` == 1 groups with the serial
-/// relational operators; any other value runs the grouping/CUBE on the
-/// parallel kernels (statcube/exec) with that many workers (0 =
-/// exec::DefaultThreads()) — the same table, bit for bit. `stop` (default:
-/// the thread's CurrentCancelContext()) is checked by the row pass and the
-/// group-by; once it fires the call returns kCancelled / kDeadlineExceeded
-/// instead of a partial table.
+/// (group columns, aggregates). It runs on the object's code columns
+/// (StatisticalObject::code_columns): a level is a code -> code map, a
+/// WHERE a keep byte per code, and each kept row's group id goes straight
+/// into the radix kernel (statcube/exec). The shapes codes cannot group
+/// exactly (DESIGN.md §14) take a row pass and the kernel's columnarize
+/// front end instead. Either way the kernel groups with `threads` workers
+/// (0 = exec::DefaultThreads(); 1 folds on the caller) and the table is
+/// bit-identical to Query()'s. `stop` (default: the thread's
+/// CurrentCancelContext()) is checked by the pass and the group-by; once it
+/// fires the call returns kCancelled / kDeadlineExceeded instead of a
+/// partial table.
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const ParsedQuery& query, int threads = 1,
                            const CancelContext* stop = nullptr);
 
-/// Parse + execute.
+/// Parse + execute on the reference path: a serial pass over the rows
+/// (memoized roll-ups, Value::Compare for WHERE, one projected Row per kept
+/// row), then the serial GroupBy / CubeBy. Slower than ExecuteQuery and
+/// independent of its code columns and kernel: the oracle the tests and
+/// the end-to-end benchmark hold ExecuteQuery to. Honours the thread's
+/// CurrentCancelContext().
 Result<Table> Query(const StatisticalObject& obj, const std::string& text);
 
 /// Executes a parsed query through a CubeBackend (§6.6: the same textual
@@ -89,10 +98,11 @@ Result<QueryEngine> EngineFromName(const std::string& name);
 
 struct QueryOptions {
   QueryEngine engine = QueryEngine::kRelational;
-  /// Execution parallelism: 1 (default) keeps the serial operators; N > 1
-  /// routes groupings (and the backends' scans) through the parallel
-  /// kernels with N workers; 0 means exec::DefaultThreads()
-  /// (STATCUBE_THREADS or the hardware concurrency).
+  /// Execution parallelism: the workers ExecuteQuery's pass and group-by
+  /// use, 1 (default) running them on the caller; 0 means
+  /// exec::DefaultThreads() (STATCUBE_THREADS or the hardware concurrency).
+  /// N > 1 also routes the backends' scans and cache derivations through
+  /// the parallel kernels. Any value gives the same table, bit for bit.
   int threads = 1;
   /// Retain the completed profile in obs::FlightRecorder::Global() (and
   /// emit a slow_query log line past its threshold). Off for callers that

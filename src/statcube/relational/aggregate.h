@@ -18,6 +18,7 @@
 #ifndef STATCUBE_RELATIONAL_AGGREGATE_H_
 #define STATCUBE_RELATIONAL_AGGREGATE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -54,6 +55,58 @@ struct AggSpec {
   std::string EffectiveName() const;
 };
 
+/// Flag bits of a measure slab entry: the value is not NULL, and it is a
+/// number. Together they replay AggState::Add's two branches without a
+/// Value (the slab holds the number as a double, 0.0 otherwise).
+inline constexpr uint8_t kSlabNonNull = 1;
+inline constexpr uint8_t kSlabNumeric = 2;
+
+/// What is known about a whole measure slab, the licence for the block
+/// kernels' shortcuts (common/vec_block.h). Evidence about a superset of
+/// the rows holds for any subset of them.
+struct SlabEvidence {
+  bool integral = true;  ///< every number is integral (NaN is not)
+  double max_abs = 0.0;  ///< largest |number|, NaN ignored
+  bool gap = false;      ///< some entry is not a number, or is NaN
+
+  void Merge(const SlabEvidence& o) {
+    integral = integral && o.integral;
+    if (o.max_abs > max_abs) max_abs = o.max_abs;
+    gap = gap || o.gap;
+  }
+};
+
+/// Encodes `v` as a slab entry: returns its flag byte, stores the number
+/// (0.0 for NULL, strings and ALL) in `*x`, and folds it into `*ev`.
+inline uint8_t EncodeSlabEntry(const Value& v, double* x, SlabEvidence* ev) {
+  switch (v.type()) {
+    case ValueType::kInt64: {
+      *x = double(v.AsInt64());  // always integral, never NaN
+      const double a = *x < 0 ? -*x : *x;
+      if (a > ev->max_abs) ev->max_abs = a;
+      return kSlabNonNull | kSlabNumeric;
+    }
+    case ValueType::kDouble: {
+      *x = v.AsDouble();
+      const double a = *x < 0 ? -*x : *x;
+      if (a > ev->max_abs) ev->max_abs = a;
+      if (ev->integral && std::trunc(*x) != *x) ev->integral = false;
+      // NaN breaks the block min/max precondition (the ordered `<`
+      // comparisons skip it; a block seed would keep it): a gap too.
+      if (*x != *x) ev->gap = true;
+      return kSlabNonNull | kSlabNumeric;
+    }
+    case ValueType::kNull:
+      *x = 0.0;
+      ev->gap = true;
+      return 0;
+    default:  // string / ALL: counts, never aggregates
+      *x = 0.0;
+      ev->gap = true;
+      return kSlabNonNull;
+  }
+}
+
 /// Mergeable accumulator covering every AggFn. Constant size; merging two
 /// states gives the state of the concatenated input.
 struct AggState {
@@ -76,6 +129,19 @@ struct AggState {
       if (d < min) min = d;
       if (d > max) max = d;
     }
+  }
+
+  /// Add over a slab entry (EncodeSlabEntry's number and flag byte): the
+  /// same branches and the same bits, without a Value.
+  void AddSlab(double d, uint8_t flags) {
+    ++rows;
+    if ((flags & kSlabNonNull) == 0) return;
+    ++count;
+    if ((flags & kSlabNumeric) == 0) return;
+    sum += d;
+    sum_sq += d * d;
+    if (d < min) min = d;
+    if (d > max) max = d;
   }
 
   /// Merges another state (set union of the underlying multisets).

@@ -221,16 +221,17 @@ TEST(KernelEquivalence, SingleKeySkew) {
 }
 
 // ---------------------------------------------------------------------------
-// Query path: ExecuteQuery at one thread (the serial operators) vs 2/4/8
-// workers on the §5.1 language, across all four workloads.
+// Query path: ExecuteQuery at 1/2/4/8 workers vs the Query() reference (the
+// row pass and the serial operators) on the §5.1 language, across all four
+// workloads.
 
 void ExpectQueryEquivalent(const StatisticalObject& obj,
                            const std::string& text) {
   auto parsed = ParseQuery(text);
   ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
-  auto serial = ExecuteQuery(obj, *parsed);
+  auto serial = Query(obj, text);
   ASSERT_TRUE(serial.ok()) << text << ": " << serial.status().ToString();
-  for (int t : {2, 4, 8}) {
+  for (int t : {1, 2, 4, 8}) {
     auto parallel = ExecuteQuery(obj, *parsed, t);
     ASSERT_TRUE(parallel.ok()) << text << ": " << parallel.status().ToString();
     ExpectTablesIdentical(*serial, *parallel,

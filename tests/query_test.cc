@@ -1,12 +1,15 @@
 // Tests for the concise query language (§5.1): parsing, execution,
 // hierarchy-level inference, error reporting — and a seeded differential
-// battery holding the executor to the plain per-row pipeline it replaced.
+// battery holding the executor, at several thread counts, and the Query()
+// reference to the plain per-row pipeline they replaced.
 
 #include "statcube/query/parser.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -135,6 +138,48 @@ TEST(ExecuteTest, ByCubeProducesAllRows) {
   EXPECT_FALSE(ParseQuery("SELECT sum(a) BY CUBE x").ok());
   EXPECT_FALSE(ParseQuery("SELECT sum(a) BY CUBE(x").ok());
   EXPECT_FALSE(ParseQuery("SELECT sum(a) BY CUBE()").ok());
+}
+
+// Which route ExecuteQuery took, read from the profile's spans: the coded
+// pass runs as `coded_pass` morsels, the row route through the kernel's
+// `vec.columnarize` front end.
+std::string RouteOf(const StatisticalObject& obj, const std::string& text) {
+  QueryOptions opt;
+  opt.record = false;
+  Result<ProfiledQuery> r = QueryProfiled(obj, text, opt);
+  EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+  if (!r.ok()) return "error";
+  bool coded = false, rows = false;
+  for (const obs::SpanRecord& span : r->profile.trace.spans()) {
+    coded = coded || span.name.rfind("coded_pass", 0) == 0;
+    rows = rows || span.name == "vec.columnarize";
+  }
+  return coded == rows ? "unclear" : coded ? "coded" : "rows";
+}
+
+TEST(ExecuteTest, CodedRouteUnlessCodesCannotGroupExactly) {
+  for (const char* text : {"SELECT sum(amount) BY city WHERE category = 'cat1'",
+                           "SELECT avg(qty), count() BY CUBE(city, month)",
+                           "SELECT sum(qty) WHERE store = 'city0/s#0'",
+                           "SELECT max(amount) BY product, day"})
+    EXPECT_EQ(RouteOf(Sales(), text), "coded") << text;
+  // A BY or WHERE on a measure, and an aggregate over a dimension.
+  for (const char* text : {"SELECT count() BY qty",
+                           "SELECT sum(qty) WHERE amount = 81.0",
+                           "SELECT min(store) BY city"})
+    EXPECT_EQ(RouteOf(Sales(), text), "rows") << text;
+  // Two codes that Value::Compare calls equal (1 and 1.0).
+  StatisticalObject twins("twins");
+  ASSERT_TRUE(twins.AddDimension(Dimension("code")).ok());
+  ASSERT_TRUE(
+      twins.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
+  for (const Value& code : {Value(int64_t(1)), Value(1.0), Value(int64_t(2))})
+    ASSERT_TRUE(twins.AddCell({code}, {Value(1.0)}).ok());
+  EXPECT_EQ(RouteOf(twins, "SELECT sum(m) BY code"), "rows");
+  EXPECT_EQ(RouteOf(twins, "SELECT sum(m) WHERE code = 1"), "coded");
+  auto grouped = Query(twins, "SELECT sum(m) BY code");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(grouped->num_rows(), 2u);  // 1 and 1.0 are one group
 }
 
 // ------------------------------------------------- reference pipeline
@@ -285,7 +330,9 @@ class QueryGenerator {
     return from[rng_.Uniform(from.size())];
   }
   // A literal as the lexer reads it: 'string', integer, or a double with a
-  // decimal point (the lexer has no exponents).
+  // decimal point. The lexer has no exponents, so a double is written in
+  // the shortest fixed notation that reads back to the same bits; a value
+  // the language cannot spell (NULL, NaN, an infinity) becomes 0.
   std::string Literal(const std::string& attr) {
     const std::vector<Value>& pool = literals_[attr];
     Value v = !pool.empty() && rng_.Uniform(5) != 0
@@ -293,10 +340,15 @@ class QueryGenerator {
                   : std::vector<Value>{"nowhere", 1, 1.0, -2}[rng_.Uniform(4)];
     if (v.type() == ValueType::kString) return "'" + v.AsString() + "'";
     if (v.type() == ValueType::kInt64) return std::to_string(v.AsInt64());
-    if (v.type() != ValueType::kDouble) return "0";
-    char buf[64];
-    snprintf(buf, sizeof buf, "%.6f", v.AsDouble());
-    return buf;
+    if (v.type() != ValueType::kDouble || !std::isfinite(v.AsDouble()))
+      return "0";
+    char buf[400];  // DBL_MAX in fixed notation is 309 digits
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v.AsDouble(),
+                                         std::chars_format::fixed);
+    EXPECT_EQ(ec, std::errc());
+    std::string text(buf, end);
+    if (text.find('.') == std::string::npos) text += ".0";
+    return text;
   }
 
   Rng rng_;
@@ -304,8 +356,9 @@ class QueryGenerator {
   std::map<std::string, std::vector<Value>> literals_;
 };
 
-// Runs `n` generated queries through ExecuteQuery (threads 1 and 2) and
-// through the reference, and requires identical answers — errors included.
+// Runs `n` generated queries through ExecuteQuery (threads 1, 2 and 4),
+// through Query() and through the test pipeline, and requires identical
+// answers — errors included.
 void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
                             int n) {
   QueryGenerator gen(obj, seed);
@@ -316,9 +369,10 @@ void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
     ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
     const Result<Table> want = ReferenceGroup(ReferenceRows(obj, *q), *q);
     errors += want.ok() ? 0 : 1;
-    for (int threads : {1, 2})
+    for (int threads : {1, 2, 4})
       ExpectSameResult(want, ExecuteQuery(obj, *q, threads),
                        text + " [threads " + std::to_string(threads) + "]");
+    ExpectSameResult(want, Query(obj, text), text + " [Query]");
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The battery must exercise both answers and refusals.
@@ -327,12 +381,14 @@ void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
 }
 
 // The corners a roll-up must get right: a non-strict step (greens belong to
-// food and feed), leaves the hierarchy does not know (durian, 2.5, 4 roll up
-// to NULL), int and double leaves that compare equal (1 and 1.0, 2 and 2.0),
-// leaves past 2^53 where Value::Compare stops being transitive (2^53 + 1 and
-// the double 2^53 are equal, 2^53 + 1 and 2^53 are not), a level name two
+// food and feed), leaves the hierarchy does not know (durian, a NULL
+// product, 2.5, 4 roll up to NULL), int and double leaves that compare
+// equal (1 and 1.0, 2 and 2.0), leaves past 2^53 where Value::Compare stops
+// being transitive (2^53 + 1 and the double 2^53 are equal, 2^53 + 1 and
+// 2^53 are not), a NaN code, which Compare calls equal to every number, a
+// product name too long for the kernel's inline key cell, a level name two
 // hierarchies share (tier), a level 0 named apart from its dimension (sku),
-// and NULL measures.
+// NULL measures and a string among the amounts.
 StatisticalObject EdgeCaseObject() {
   ClassificationHierarchy kind("kind", {"product", "family", "division"});
   EXPECT_TRUE(kind.Link(0, "apple", "fruit").ok());
@@ -371,14 +427,17 @@ StatisticalObject EdgeCaseObject() {
           .ok());
   EXPECT_TRUE(
       obj.AddMeasure({"qty", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
-  const std::vector<Value> products = {"apple", "pear", "kale", "durian"};
+  const std::vector<Value> products = {"apple", "pear", "kale", "durian",
+                                       Value::Null(),
+                                       "dragon fruit, extra large"};
   const std::vector<Value> codes = {
       int64_t(1), 1.0, int64_t(2), 2.0, int64_t(3), 3.0, 2.5, int64_t(4),
-      two53 + 1,  double(two53)};
+      two53 + 1,  double(two53), std::nan("")};
   Rng rng(11);
   for (int i = 0; i < 300; ++i) {
-    Value amount = rng.Uniform(6) == 0 ? Value::Null()
-                                       : Value(double(rng.Uniform(1000)) / 8);
+    Value amount = Value(double(rng.Uniform(1000)) / 8);
+    if (rng.Uniform(6) == 0) amount = Value::Null();
+    if (rng.Uniform(25) == 0) amount = Value("n/a");
     Value qty = rng.Uniform(7) == 0 ? Value::Null()
                                     : Value(int64_t(rng.Uniform(20)));
     EXPECT_TRUE(obj.AddCell({products[rng.Uniform(products.size())],
@@ -413,12 +472,16 @@ TEST(ReferencePipelineTest, Census) {
 TEST(ReferencePipelineTest, EdgeCases) {
   const StatisticalObject obj = EdgeCaseObject();
   // The corners are really there: 1.0 and 2 roll up through 1 and 2.0,
-  // durian and 2.5 roll up to NULL, and division is refused.
+  // durian, the NULL product and 2.5 roll up to NULL, and division is
+  // refused. (NaN is equal to every code, so it proves nothing here.)
   auto bands = Query(obj, "SELECT count() BY code, band");
   ASSERT_TRUE(bands.ok()) << bands.status().ToString();
   int checked = 0;
+  bool nan_code = false;
   for (const Row& r : bands->rows()) {
-    if (r[0] == Value(1) || r[0] == Value(2)) {
+    if (r[0].type() == ValueType::kDouble && std::isnan(r[0].AsDouble())) {
+      nan_code = true;
+    } else if (r[0] == Value(1) || r[0] == Value(2)) {
       EXPECT_EQ(r[1], Value("low")) << r[0].ToString();
       ++checked;
     } else if (r[0] == Value(2.5)) {
@@ -427,10 +490,24 @@ TEST(ReferencePipelineTest, EdgeCases) {
     }
   }
   EXPECT_EQ(checked, 3);
+  EXPECT_TRUE(nan_code);
   auto family = Query(obj, "SELECT count() BY product, family");
   ASSERT_TRUE(family.ok()) << family.status().ToString();
-  for (const Row& r : family->rows())
-    EXPECT_EQ(r[1].is_null(), r[0].AsString() == "durian");
+  int unknown = 0;
+  for (const Row& r : family->rows()) {
+    const bool known = !r[0].is_null() && r[0].AsString() != "durian" &&
+                       r[0].AsString().size() <= 16;
+    EXPECT_EQ(r[1].is_null(), !known) << r[0].ToString();
+    unknown += known ? 0 : 1;
+  }
+  EXPECT_EQ(unknown, 3);
+  // A string amount counts but adds nothing.
+  auto amounts =
+      Query(obj, "SELECT count(amount), sum(amount) WHERE amount = 'n/a'");
+  ASSERT_TRUE(amounts.ok()) << amounts.status().ToString();
+  ASSERT_EQ(amounts->num_rows(), 1u);
+  EXPECT_GT(amounts->at(0, 0).AsInt64(), 0);
+  EXPECT_EQ(amounts->at(0, 1), Value(0.0));
   EXPECT_EQ(Query(obj, "SELECT count() BY division").status().code(),
             StatusCode::kNotSummarizable);
   ExpectMatchesReference(obj, 3, 400);

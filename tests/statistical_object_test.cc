@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
+#include "statcube/common/rng.h"
+
 namespace statcube {
 namespace {
 
@@ -119,6 +125,148 @@ TEST(StatisticalObjectTest, FromTable) {
                    t, {"product"},
                    {{"ghost", "", MeasureType::kFlow, AggFn::kSum}})
                    .ok());
+}
+
+// The values AddCell sees in the tests below: the corners of
+// representation versus Value::Compare equality.
+std::vector<Value> CornerValues() {
+  const int64_t two53 = int64_t(1) << 53;
+  return {Value::Null(),
+          Value(std::nan("")),
+          Value(int64_t(1)),
+          Value(1.0),
+          Value(two53),
+          Value(two53 + 1),
+          Value(double(two53)),
+          Value(double(two53) + 2.0),
+          Value(-0.0),
+          Value(0.0),
+          Value("a category name longer than sixteen bytes"),
+          Value("a category name longer than sixteen bytes"),
+          Value("x")};
+}
+
+// Same type and the same bits (doubles) or the same value: finer than ==.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == ValueType::kDouble)
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  return a == b;
+}
+
+void ExpectSameValues(const std::vector<Value>& want,
+                      const std::vector<Value>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(SameBits(want[i], got[i]))
+        << what << " entry " << i << ": " << want[i].ToString() << " vs "
+        << got[i].ToString();
+}
+
+// AddCell registers a leaf only when its representation is new. The
+// registry must still read exactly as if every call had made the linear,
+// ==-based AddValue, in every order — NaN, which == calls equal to every
+// number, and the 2^53 neighbours included — and again after a mutable
+// handle cleared it.
+TEST(StatisticalObjectTest, RegistersEachLeafOncePerRepresentation) {
+  const std::vector<Value> corners = CornerValues();
+  Rng rng(5);
+  for (int order = 0; order < 40; ++order) {
+    std::vector<Value> seq = corners;
+    for (size_t k = seq.size(); k > 1; --k)
+      std::swap(seq[k - 1], seq[rng.Uniform(k)]);
+    for (int i = 0; i < 10; ++i)
+      seq.push_back(corners[rng.Uniform(corners.size())]);
+    StatisticalObject obj("registry");
+    ASSERT_TRUE(obj.AddDimension(Dimension("d")).ok());
+    ASSERT_TRUE(
+        obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
+    std::vector<Value> linear;  // the registry as every call once kept it
+    auto add_value = [&](const Value& v) {
+      for (const Value& e : linear)
+        if (e == v) return;
+      linear.push_back(v);
+    };
+    for (size_t i = 0; i < seq.size(); ++i) {
+      if (i == seq.size() / 2) {
+        // A mutable handle may clear the registry behind the object's back.
+        Dimension* d = *obj.MutableDimensionNamed("d");
+        d->ClearValues();
+        linear.clear();
+      }
+      ASSERT_TRUE(obj.AddCell({seq[i]}, {Value(1.0)}).ok());
+      add_value(seq[i]);
+      ExpectSameValues(linear, obj.dimensions()[0].values(),
+                       "order " + std::to_string(order) + " after cell " +
+                           std::to_string(i));
+    }
+  }
+}
+
+// The code columns decode to data() cell by cell, by representation, and
+// each slab entry folds exactly as AggState::Add folds its Value.
+TEST(StatisticalObjectTest, CodeColumnsAndSlabsMirrorTheCells) {
+  const std::vector<Value> corners = CornerValues();
+  StatisticalObject obj("coded");
+  ASSERT_TRUE(obj.AddDimension(Dimension("a")).ok());
+  ASSERT_TRUE(obj.AddDimension(Dimension("b")).ok());
+  ASSERT_TRUE(obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
+  ASSERT_TRUE(obj.AddMeasure({"n", "", MeasureType::kFlow, AggFn::kSum}).ok());
+  std::vector<Value> measures = corners;
+  measures.push_back(Value::All());
+  measures.push_back(Value(std::numeric_limits<double>::infinity()));
+  measures.push_back(Value(int64_t(-7)));
+  measures.push_back(Value(2.5));
+  Rng rng(9);
+  for (int i = 0; i < 500; ++i)
+    ASSERT_TRUE(obj.AddCell({corners[rng.Uniform(corners.size())],
+                             corners[rng.Uniform(corners.size())]},
+                            {measures[rng.Uniform(measures.size())],
+                             measures[rng.Uniform(measures.size())]})
+                    .ok());
+
+  const Table& data = obj.data();
+  const auto& cols = obj.code_columns();
+  ASSERT_EQ(cols.size(), 2u);
+  for (size_t d = 0; d < cols.size(); ++d) {
+    ASSERT_EQ(cols[d].codes.size(), data.num_rows());
+    for (size_t r = 0; r < data.num_rows(); ++r)
+      ASSERT_TRUE(SameBits(cols[d].dictionary.at(cols[d].codes[r]),
+                           data.at(r, d)))
+          << "dimension " << d << " row " << r;
+    // One entry per representation, in first-occurrence order.
+    for (size_t i = 0; i < cols[d].dictionary.size(); ++i)
+      for (size_t j = 0; j < i; ++j)
+        EXPECT_FALSE(SameBits(cols[d].dictionary[i], cols[d].dictionary[j]));
+  }
+
+  const auto& slabs = obj.measure_slabs();
+  ASSERT_EQ(slabs.size(), 2u);
+  for (size_t m = 0; m < slabs.size(); ++m) {
+    ASSERT_EQ(slabs[m].values.size(), data.num_rows());
+    ASSERT_EQ(slabs[m].flags.size(), data.num_rows());
+    SlabEvidence evidence;
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      const Value& v = data.at(r, 2 + m);
+      AggState want, got;
+      want.Add(v);
+      got.AddSlab(slabs[m].values[r], slabs[m].flags[r]);
+      ASSERT_EQ(want.rows, got.rows) << "row " << r;
+      ASSERT_EQ(want.count, got.count) << "row " << r;
+      for (auto [x, y] : {std::pair{want.sum, got.sum},
+                          {want.sum_sq, got.sum_sq},
+                          {want.min, got.min},
+                          {want.max, got.max}})
+        ASSERT_EQ(std::bit_cast<uint64_t>(x), std::bit_cast<uint64_t>(y))
+            << "row " << r << ": " << v.ToString();
+      double x = 0.0;
+      EncodeSlabEntry(v, &x, &evidence);
+    }
+    EXPECT_EQ(evidence.integral, slabs[m].evidence.integral);
+    EXPECT_EQ(evidence.max_abs, slabs[m].evidence.max_abs);
+    EXPECT_EQ(evidence.gap, slabs[m].evidence.gap);
+  }
 }
 
 }  // namespace
