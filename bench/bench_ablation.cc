@@ -1,6 +1,9 @@
 // Ablation bench for DESIGN.md's design choices:
 //  * backend: MOLAP array vs plain ROLAP scan vs ROLAP with bitmap indexes
-//    (the ROLAP proponents' "encoding and compression" rebuttal, §6.6);
+//    (the ROLAP proponents' "encoding and compression" rebuttal, §6.6) —
+//    what a query pays per call once built, and what a cube-engine request
+//    pays end to end: the build from the object's code columns and one
+//    GroupBySum, on the census object of the sdb_census workload;
 //  * summarizability enforcement: what the §3.3.2 safety checks cost per
 //    roll-up;
 //  * weighted-average maintenance: the §5.1 sum/count bookkeeping vs naive
@@ -13,6 +16,7 @@
 #include "statcube/olap/backend.h"
 #include "statcube/olap/operators.h"
 #include "statcube/olap/sparse_cube.h"
+#include "statcube/workload/census.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -62,6 +66,68 @@ void BM_BackendRolapBitmap(benchmark::State& state) {
   RunBackend(state, b.get());
 }
 BENCHMARK(BM_BackendRolapBitmap);
+
+// The census object of e2e_bench's sdb_census: 20 states x 10 counties in
+// 4 regions, 43,200 dense cells.
+const StatisticalObject& Census() {
+  static StatisticalObject obj = [] {
+    CensusOptions opt;
+    opt.num_states = 20;
+    opt.counties_per_state = 10;
+    opt.states_per_region = 5;
+    return *MakeCensusWorkload(opt);
+  }();
+  return obj;
+}
+
+enum class Engine { kMolap, kRolap, kRolapBitmap };
+
+Result<std::unique_ptr<CubeBackend>> Build(Engine engine) {
+  switch (engine) {
+    case Engine::kMolap:
+      return MakeMolapBackend(Census(), "population");
+    case Engine::kRolap:
+      return MakeRolapBackend(Census(), "population");
+    case Engine::kRolapBitmap:
+      return MakeRolapBackend(Census(), "population",
+                              {.build_bitmap_indexes = true});
+  }
+  return Status::Internal("unknown engine");
+}
+
+// What QueryProfiled pays per cube-engine request before it can answer.
+void BM_BackendBuild(benchmark::State& state, Engine engine) {
+  (void)Census();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    auto b = Build(engine).ValueOrDie();
+    bytes = b->ByteSize();
+    benchmark::DoNotOptimize(b.get());
+  }
+  state.counters["store_bytes"] = double(bytes);
+}
+BENCHMARK_CAPTURE(BM_BackendBuild, molap, Engine::kMolap);
+BENCHMARK_CAPTURE(BM_BackendBuild, rolap, Engine::kRolap);
+BENCHMARK_CAPTURE(BM_BackendBuild, rolap_bitmap, Engine::kRolapBitmap);
+
+// An sdb_census shape on a built backend: population by race and sex in
+// one year, at one worker.
+void BM_BackendGroupBySum(benchmark::State& state, Engine engine) {
+  auto b = Build(engine).ValueOrDie();
+  CubeQuery q;
+  q.group_dims = {"race", "sex"};
+  q.filters = {{"year", Value(int64_t(1991))}};
+  size_t rows = 0;
+  for (auto _ : state) {
+    Table t = b->GroupBySum(q).ValueOrDie();
+    rows = t.num_rows();
+    benchmark::DoNotOptimize(t);
+  }
+  state.counters["rows"] = double(rows);
+}
+BENCHMARK_CAPTURE(BM_BackendGroupBySum, molap, Engine::kMolap);
+BENCHMARK_CAPTURE(BM_BackendGroupBySum, rolap, Engine::kRolap);
+BENCHMARK_CAPTURE(BM_BackendGroupBySum, rolap_bitmap, Engine::kRolapBitmap);
 
 void BM_BackendSparseMolap(benchmark::State& state) {
   // The header-compressed MOLAP flavor: pays a log factor per slab segment,

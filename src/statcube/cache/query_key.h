@@ -56,9 +56,12 @@ struct QueryKey {
   /// All aggregates are distributive (sum/count/min/max): the result can be
   /// rolled up from a cached superset, and the entry can serve as a source.
   bool derivable = false;
-  /// Predicted answer shape: true when ExecuteQueryOnBackend would accept
-  /// the query for this engine (single SUM of a real measure, plain
-  /// dimensions only). Derivation never crosses shapes.
+  /// Predicted answer shape: true when the engine is a cube backend and
+  /// the query is BackendExpressible (single SUM of a real measure, plain
+  /// dimensions only). A backend may still decline it (olap/backend.h);
+  /// the entry then records the relational shape that answered, so it
+  /// never serves as a source for this key. Derivation never crosses
+  /// shapes.
   bool backend_shaped = false;
 };
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "statcube/common/mutex.h"
@@ -40,7 +43,236 @@ StopReason StopAfter(const ExecOptions& options) {
   return options.stop == nullptr ? StopReason::kNone : options.stop->Check();
 }
 
+// True when grouping by code is grouping by Value::Compare: the entries
+// hold no NaN and no two that Compare calls equal. Entries are distinct by
+// representation, so strings, NULL and ALL are never equal to another
+// entry; numbers are checked through their double images (1 and 1.0,
+// -0.0 and 0.0, the int64 2^53 + 1 and the double 2^53).
+bool GroupsExactly(const std::vector<Value>& values) {
+  std::unordered_set<double> doubles;  // 0.0 and -0.0 collide here
+  for (const Value& v : values) {
+    if (v.type() != ValueType::kDouble) continue;
+    const double d = v.AsDouble();
+    if (d != d || !doubles.insert(d).second) return false;
+  }
+  if (doubles.empty()) return true;
+  for (const Value& v : values)
+    if (v.type() == ValueType::kInt64 && doubles.count(v.AsDouble()) != 0)
+      return false;
+  return true;
+}
+
+// Splitmix64 finalizer for the packed-key table.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Packed BY code tuple -> dense group id in first-occurrence order. Direct
+// addressing while the key space is small, else open addressing sized for
+// one group per row.
+class GroupIds {
+ public:
+  GroupIds(uint64_t key_space, size_t rows) {
+    direct_ = key_space <= std::max<uint64_t>(uint64_t(1) << 16, 2 * rows);
+    size_t slots = size_t(key_space);
+    if (!direct_) {
+      slots = 16;
+      while (slots < 2 * rows) slots <<= 1;
+      slot_keys_.resize(slots);
+    }
+    ids_.assign(slots, kEmpty);
+    mask_ = slots - 1;
+  }
+
+  uint32_t Find(uint64_t key) {
+    size_t i = direct_ ? size_t(key) : size_t(Mix64(key)) & mask_;
+    for (;;) {
+      uint32_t& id = ids_[i];
+      if (id == kEmpty) {
+        id = uint32_t(keys_.size());
+        if (!direct_) slot_keys_[i] = key;
+        keys_.push_back(key);
+        return id;
+      }
+      if (direct_ || slot_keys_[i] == key) return id;
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// Per group id: its packed key.
+  const std::vector<uint64_t>& keys() const { return keys_; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  bool direct_;
+  size_t mask_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint64_t> keys_;
+};
+
 }  // namespace
+
+std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
+                                          const ExecOptions& options) {
+  const size_t nby = in.by.size();
+  if (in.cube && nby > 20) return std::nullopt;
+  uint64_t key_space = 1;
+  bool levels = false;
+  for (const CodedKey& a : in.by) {
+    if (!GroupsExactly(*a.values) ||
+        __builtin_mul_overflow(key_space, uint64_t(a.values->size()),
+                               &key_space))
+      return std::nullopt;
+    levels = levels || a.level_of != nullptr;
+  }
+
+  // The pass, in two steps. Morsels, in parallel when there are workers:
+  // each row's packed BY codes, or kDropped when a filter drops it. Then in
+  // row order: each kept row's dense group id, numbered on first
+  // occurrence.
+  constexpr uint64_t kDropped = UINT64_MAX;
+  if (key_space == kDropped) return std::nullopt;
+  const size_t n = in.rows;
+  const bool filtered = !in.filters.empty();
+  std::vector<uint32_t> gids;
+  std::vector<uint32_t> kept;  // row indexes, when a filter drops rows
+  GroupIds groups(key_space, n);
+  {
+    std::optional<obs::Span> pass_span;
+    if (in.pass_span != nullptr) pass_span.emplace(in.pass_span);
+    if (obs::Enabled())
+      obs::RecordBytesTouched(n * sizeof(uint32_t) *
+                              (in.filters.size() + nby));
+    auto keys = std::make_unique_for_overwrite<uint64_t[]>(n);
+    ParallelForOptions loop = LoopOptions("coded_pass", options);
+    // One worker takes large morsels: the stop context is still checked
+    // between them, and fewer morsels cost less bookkeeping.
+    if (loop.max_workers == 1) loop.morsel_size = size_t(1) << 16;
+    ParallelFor(
+        n,
+        [&](size_t, size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) {
+            bool pass = true;
+            for (const CodedFilter& f : in.filters)
+              pass = pass && f.keep[f.codes[r]] != 0;
+            uint64_t key = 0;
+            for (size_t k = 0; pass && k < nby; ++k) {
+              uint32_t c = in.by[k].codes[r];
+              if (in.by[k].level_of != nullptr) c = in.by[k].level_of[c];
+              key = key * in.by[k].values->size() + c;
+            }
+            keys[r] = pass ? key : kDropped;
+          }
+        },
+        loop);
+    if (StopReason sr = StopAfter(options); sr != StopReason::kNone)
+      return StopStatus(sr, filtered || levels ? "scan" : "groupby");
+    if (nby > 0) gids.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (keys[r] == kDropped) continue;
+      if (filtered) kept.push_back(uint32_t(r));
+      if (nby > 0) gids.push_back(groups.Find(keys[r]));
+    }
+    if (filtered) obs::RecordOperator("select", n, kept.size());
+  }
+  const size_t nkept = filtered ? kept.size() : n;
+
+  // Slabs: the caller's, or gathered over the kept rows once per slab. The
+  // evidence covers a superset of the kept rows, so it holds.
+  GroupIdRows ids;
+  ids.rows = nkept;
+  ids.gids = nby == 0 ? nullptr : gids.data();
+  ids.groups = nby == 0 ? 1 : groups.keys().size();
+  ids.slabs = in.slabs;
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<uint8_t>> flags;
+  for (size_t i = 0; filtered && i < ids.slabs.size(); ++i) {
+    SlabView& view = ids.slabs[i];
+    if (view.values == nullptr) continue;
+    size_t j = 0;
+    while (in.slabs[j].values != view.values) ++j;
+    if (j < i) {
+      view = ids.slabs[j];
+      continue;
+    }
+    std::vector<double>& v = values.emplace_back(nkept);
+    for (size_t e = 0; e < nkept; ++e) v[e] = view.values[kept[e]];
+    view.values = v.data();
+    if (view.flags != nullptr) {
+      std::vector<uint8_t>& f = flags.emplace_back(nkept);
+      for (size_t e = 0; e < nkept; ++e) f[e] = view.flags[kept[e]];
+      view.flags = f.data();
+    }
+  }
+
+  std::optional<obs::Span> fold_span;
+  if (in.fold_span != nullptr) fold_span.emplace(in.fold_span);
+  obs::Span op_span(in.cube ? "op.cube" : "op.groupby");
+  STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> states,
+                            GroupIdStates(ids, options));
+  const size_t naggs = in.aggs.size();
+  const size_t ngroups = nkept == 0 ? 0 : ids.groups;
+  // Group g's code of BY attribute k, unpacked from its key.
+  std::vector<std::vector<uint32_t>> codes(nby,
+                                           std::vector<uint32_t>(ngroups));
+  for (size_t g = 0; nby > 0 && g < ngroups; ++g) {
+    uint64_t key = groups.keys()[g];
+    for (size_t k = nby; k-- > 0;) {
+      codes[k][g] = uint32_t(key % in.by[k].values->size());
+      key /= in.by[k].values->size();
+    }
+  }
+  auto value = [&](size_t k, size_t g) -> const Value& {
+    return (*in.by[k].values)[codes[k][g]];
+  };
+  if (in.cube) {
+    GroupedStates finest = EmitGroupedStates(
+        ngroups, naggs, states, [&](size_t g, Row* key) {
+          key->resize(nby);
+          for (size_t k = 0; k < nby; ++k) (*key)[k] = value(k, g);
+        });
+    return CubeLattice(in.name, std::move(finest), in.by_names, in.aggs,
+                       options);
+  }
+
+  // GROUP BY: one row per group, in the order StatesToTable sorts to —
+  // Value::Compare on the BY columns, which on exact values is the order
+  // of the codes' ranks, so the groups sort by integers.
+  std::vector<uint64_t> rank_key(ngroups, 0);
+  for (size_t k = 0; k < nby; ++k) {
+    const std::vector<Value>& vals = *in.by[k].values;
+    std::vector<uint32_t> sorted(vals.size());
+    for (size_t c = 0; c < vals.size(); ++c) sorted[c] = uint32_t(c);
+    std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
+      return Value::Compare(vals[a], vals[b]) < 0;
+    });
+    std::vector<uint64_t> rank(vals.size());
+    for (size_t p = 0; p < sorted.size(); ++p) rank[sorted[p]] = p;
+    for (size_t g = 0; g < ngroups; ++g)
+      rank_key[g] = rank_key[g] * vals.size() + rank[codes[k][g]];
+  }
+  std::vector<uint32_t> order(ngroups);
+  for (size_t g = 0; g < ngroups; ++g) order[g] = uint32_t(g);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return rank_key[a] < rank_key[b];
+  });
+  Table out(in.name + "_by_" + Join(in.by_names, "_"),
+            CubeOutputSchema(in.by_names, in.aggs));  // StatesToTable's
+  out.mutable_rows().reserve(ngroups);
+  for (uint32_t g : order) {
+    Row row(nby + naggs);
+    for (size_t k = 0; k < nby; ++k) row[k] = value(k, g);
+    for (size_t i = 0; i < naggs; ++i)
+      row[nby + i] = states[size_t(g) * naggs + i].Finalize(in.aggs[i].fn);
+    out.AppendRowUnchecked(std::move(row));
+  }
+  obs::RecordOperator("groupby", nkept, out.num_rows());
+  return out;
+}
 
 Result<Table> ParallelGroupBy(const Table& input,
                               const std::vector<std::string>& group_cols,

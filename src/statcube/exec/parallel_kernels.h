@@ -1,7 +1,9 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
-// the radix-partitioned group-by (vec_kernels.h) — from a Table, or from
-// rows already reduced to group ids and measure slabs (GroupIdRows) — the
-// CUBE grouping-set lattice built on it, and MOLAP dense-array reductions.
+// the radix-partitioned group-by (vec_kernels.h) — from a Table, from
+// dictionary-coded columns (CodedGroupBy, the route of the query executor
+// and the ROLAP backends), or from rows already reduced to group ids and
+// measure slabs (GroupIdRows) — the CUBE grouping-set lattice built on it,
+// and MOLAP dense-array reductions.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
 // documented in DESIGN.md §6): every kernel's output is **bit-identical for
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +98,52 @@ Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
 GroupedStates EmitGroupedStates(
     size_t groups, size_t naggs, const std::vector<AggState>& states,
     const std::function<void(size_t, Row*)>& key_of);
+
+/// A BY attribute of CodedGroupBy: row r's code is `codes[r]`, read
+/// through `level_of` (code -> attribute code) when the attribute is a
+/// hierarchy level; `values` holds the attribute's value per code.
+struct CodedKey {
+  const uint32_t* codes = nullptr;
+  const uint32_t* level_of = nullptr;
+  const std::vector<Value>* values = nullptr;
+};
+
+/// A WHERE of CodedGroupBy: row r passes when `keep[codes[r]]` is nonzero.
+struct CodedFilter {
+  const uint32_t* codes = nullptr;
+  const uint8_t* keep = nullptr;
+};
+
+/// A group-by over dictionary-coded columns (DESIGN.md §14).
+struct CodedGroupByInput {
+  /// The table is named `name` + "_by_" + the BY names, or `name` + "_cube".
+  std::string name;
+  size_t rows = 0;
+  std::vector<std::string> by_names;  ///< the BY columns' names
+  std::vector<CodedKey> by;           ///< one per BY name
+  std::vector<CodedFilter> filters;   ///< ANDed
+  std::vector<AggSpec> aggs;          ///< output names set
+  std::vector<SlabView> slabs;        ///< one per aggregate, over all rows
+  bool cube = false;
+  /// Spans for the caller's profile, around the pass over the rows and
+  /// around the fold and emit; none when null.
+  const char* pass_span = nullptr;
+  const char* fold_span = nullptr;
+};
+
+/// GROUP BY or CUBE over code columns, bit-identical to GroupBy / CubeBy
+/// over the decoded rows at any thread count. A morsel pass packs each
+/// kept row's BY codes into one key, keys are numbered into dense group
+/// ids in first-occurrence order, GroupIdStates folds the slabs of the kept
+/// rows, and a GROUP BY emits its groups sorted by the ranks of their codes
+/// (the order of Value::Compare on exact values). Returns nullopt, before
+/// touching a row, when codes cannot group exactly — a BY attribute whose
+/// values hold NaN or two entries Value::Compare calls equal — and for BY
+/// codes that do not pack into 64 bits and CUBEs over more than 20
+/// attributes. `options.stop` is checked by the pass and the fold; a pass
+/// that filters or reads a level stops as "scan", any other as "groupby".
+std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
+                                          const ExecOptions& options = {});
 
 /// Accumulator states per group over the radix pipeline of vec_kernels.h:
 /// bit-identical to the serial GroupByStates, including the map's insertion

@@ -23,6 +23,12 @@ struct DimRange {
   size_t lo = 0;
   size_t hi = 0;  ///< exclusive
   size_t width() const { return hi - lo; }
+  /// Narrows to the intersection with [i, i + 1): i alone, or empty.
+  void Keep(size_t i) {
+    lo = lo > i ? lo : i;
+    hi = hi < i + 1 ? hi : i + 1;
+    if (hi < lo) hi = lo;
+  }
 };
 
 /// Row-major dense array of doubles.

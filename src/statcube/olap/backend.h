@@ -3,15 +3,33 @@
 /// object — the §6.6 ROLAP vs MOLAP debate expressed as an API.
 ///
 /// Both backends answer the same aggregate queries over the same
-/// StatisticalObject; which physical organization serves them differs:
+/// StatisticalObject; which physical organization serves them differs.
+/// Both are built from the object's dictionary-coded image (§6.1, Figs
+/// 18-19: a code column per dimension, a slab per measure), never from its
+/// rows:
 ///
 ///  * MolapBackend — dense linearized array (molap_cube.h): arithmetic
-///    addressing, stores the whole cross product.
-///  * RolapBackend — the object's cell table scanned relationally; with
-///    `BuildIndexes`, dictionary-encoded bitmap indexes per dimension
-///    accelerate the scans (the ROLAP proponents' claim (iv): "efficiency
-///    of ROLAP can be achieved by using techniques such as encoding and
-///    compression").
+///    addressing, stores the whole cross product. Its slab is scattered
+///    from the codes with one dictionary lookup per code, not per row. A
+///    GROUP BY reports every cell of the WHERE's sub-cube projected on the
+///    BY dimensions, empty or not; an empty sub-cube (a WHERE value that
+///    never occurs, or two that disagree on one dimension) has none.
+///  * RolapBackend — a flat copy of the code columns and the one measure
+///    slab, scanned relationally; with `BuildIndexes`, one bitmap per
+///    dictionary code accelerates the scans (the ROLAP proponents' claim
+///    (iv): "efficiency of ROLAP can be achieved by using techniques such
+///    as encoding and compression"). GroupBySum runs the query executor's
+///    coded group-by (exec::CodedGroupBy), so its rows equal Query()'s bit
+///    for bit. Where that group-by declines — a BY dimension holding NaN or
+///    values Value::Compare calls equal — GroupBySum returns Unimplemented,
+///    and QueryProfiled answers with the relational executor instead.
+///
+/// ByteSize is the store a query reads: the array and its dictionaries
+/// (MOLAP), or the codes, the slab, the dictionaries and the bitmaps
+/// (ROLAP). The block counters charge the bytes of array segments, codes,
+/// slab entries and bitmaps read. A name that is not a dimension is
+/// NotFound. GroupBySum checks the thread's CurrentCancelContext() between
+/// morsels and returns kCancelled / kDeadlineExceeded once it fires.
 ///
 /// Equivalence across backends is a test invariant; bench_rolap_molap and
 /// bench_ablation measure the trade-offs.
@@ -39,9 +57,9 @@ struct CubeQuery {
   std::vector<std::string> group_dims;
   /// Equality filters ANDed together; empty = no filtering.
   std::vector<EqFilter> filters;
-  /// 1 (default) = the serial answer path; N != 1 routes the backend's
-  /// scans/groupings through the morsel-parallel kernels (statcube/exec)
-  /// with N workers (0 = exec::DefaultThreads()). Results are identical.
+  /// Worker cap of the backend's morsel loops (statcube/exec): 1 (default)
+  /// runs them on the caller, 0 = exec::DefaultThreads(). Results are
+  /// identical at any value.
   int threads = 1;
 };
 
@@ -67,18 +85,19 @@ class CubeBackend {
   virtual BlockCounter& counter() = 0;
 };
 
-/// Builds a MOLAP backend (dense array).
+/// Builds a MOLAP backend (dense array) of `measure`.
 Result<std::unique_ptr<CubeBackend>> MakeMolapBackend(
     const StatisticalObject& obj, const std::string& measure);
 
 /// Options for the ROLAP backend.
 struct RolapBackendOptions {
-  /// Build per-dimension bitmap indexes (one bitmap per category value) so
+  /// Build per-dimension bitmap indexes (one bitmap per dictionary code) so
   /// equality filters intersect bitmaps instead of scanning.
   bool build_bitmap_indexes = false;
 };
 
-/// Builds a ROLAP backend over the object's cell table.
+/// Builds a ROLAP backend over the object's code columns and the slab of
+/// `measure`.
 Result<std::unique_ptr<CubeBackend>> MakeRolapBackend(
     const StatisticalObject& obj, const std::string& measure,
     const RolapBackendOptions& options = {});

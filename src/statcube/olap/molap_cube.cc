@@ -4,8 +4,10 @@ namespace statcube {
 
 Result<MolapCube> MolapCube::Build(const StatisticalObject& obj,
                                    const std::string& measure) {
-  STATCUBE_ASSIGN_OR_RETURN(size_t midx,
-                            obj.data().schema().IndexOf(measure));
+  STATCUBE_ASSIGN_OR_RETURN(const SummaryMeasure* m,
+                            obj.MeasureNamed(measure));
+  const StatisticalObject::MeasureSlab& slab =
+      obj.measure_slabs()[size_t(m - obj.measures().data())];
   size_t ndims = obj.dimensions().size();
   std::vector<std::string> names;
   std::vector<Dictionary> dicts(ndims);
@@ -19,15 +21,27 @@ Result<MolapCube> MolapCube::Build(const StatisticalObject& obj,
                                      "' has no values");
   }
   DenseArray array(shape);
-  std::vector<size_t> coord(ndims);
-  for (const Row& r : obj.data().rows()) {
-    for (size_t i = 0; i < ndims; ++i) {
-      STATCUBE_ASSIGN_OR_RETURN(uint32_t code, dicts[i].Lookup(r[i]));
-      coord[i] = code;
+  // Each row's cell, one code column at a time: per dimension, each
+  // code-dictionary entry's offset in the row-major array (one Lookup per
+  // entry, not per row), added to the rows' positions.
+  const size_t n = slab.values.size();
+  std::vector<size_t> pos(n, 0);
+  size_t stride = array.num_cells();
+  for (size_t i = 0; i < ndims; ++i) {
+    stride /= shape[i];
+    std::vector<size_t> offset;
+    for (const Value& v : obj.code_columns()[i].dictionary) {
+      STATCUBE_ASSIGN_OR_RETURN(uint32_t code, dicts[i].Lookup(v));
+      offset.push_back(code * stride);
     }
-    STATCUBE_ASSIGN_OR_RETURN(size_t pos, array.Linearize(coord));
-    double v = r[midx].is_numeric() ? r[midx].AsDouble() : 0.0;
-    array.SetLinear(pos, array.GetLinear(pos) + v);
+    const uint32_t* codes = obj.code_columns()[i].codes.data();
+    for (size_t r = 0; r < n; ++r) pos[r] += offset[codes[r]];
+  }
+  // Scatter the slab in row order: the same adds in the same order as the
+  // cells' own values, so the same bits.
+  for (size_t r = 0; r < n; ++r) {
+    double v = (slab.flags[r] & kSlabNumeric) != 0 ? slab.values[r] : 0.0;
+    array.SetLinear(pos[r], array.GetLinear(pos[r]) + v);
   }
   return MolapCube(std::move(names), std::move(dicts), std::move(array));
 }
@@ -52,16 +66,27 @@ Result<double> MolapCube::GetCell(const std::vector<Value>& coord_values) {
   return v;
 }
 
-Result<double> MolapCube::SumWhere(const std::vector<EqFilter>& filters) {
+Result<std::vector<DimRange>> MolapCube::FilterRanges(
+    const std::vector<EqFilter>& filters) const {
   std::vector<DimRange> ranges(dicts_.size());
   for (size_t i = 0; i < dicts_.size(); ++i)
     ranges[i] = {0, dicts_[i].cardinality()};
   for (const auto& f : filters) {
     STATCUBE_ASSIGN_OR_RETURN(size_t d, DimIndex(f.column));
+    DimRange& r = ranges[d];
     auto code = dicts_[d].Lookup(f.value);
-    if (!code.ok()) return 0.0;  // value never occurs
-    ranges[d] = {*code, *code + 1};
+    if (!code.ok()) {
+      r.hi = r.lo;  // value never occurs
+      continue;
+    }
+    r.Keep(*code);
   }
+  return ranges;
+}
+
+Result<double> MolapCube::SumWhere(const std::vector<EqFilter>& filters) {
+  STATCUBE_ASSIGN_OR_RETURN(std::vector<DimRange> ranges,
+                            FilterRanges(filters));
   return array_.SumRange(ranges);
 }
 

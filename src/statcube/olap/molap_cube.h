@@ -23,8 +23,9 @@ namespace statcube {
 class MolapCube {
  public:
   /// Materializes `measure` over the full cross product of the object's
-  /// dimension values. Cells that collide (duplicate coordinates) are
-  /// summed; absent cells are zero.
+  /// dimension values, scattered from its code columns and measure slab.
+  /// Cells that collide (duplicate coordinates) are summed in row order;
+  /// absent cells are zero.
   static Result<MolapCube> Build(const StatisticalObject& obj,
                                  const std::string& measure);
 
@@ -35,9 +36,21 @@ class MolapCube {
   /// Value of one cell addressed by dimension values.
   Result<double> GetCell(const std::vector<Value>& coord_values);
 
-  /// SUM over the slab fixed by `filters` (dimension name = value); other
-  /// dimensions range over everything. Unknown filter values yield 0.
+  /// The slab `filters` (dimension name = value, ANDed) fix: per
+  /// dimension, the codes every filter on it keeps — all when none does,
+  /// one when all agree, none (an empty range) when two disagree or a value
+  /// never occurs. NotFound for a name that is not a dimension.
+  Result<std::vector<DimRange>> FilterRanges(
+      const std::vector<EqFilter>& filters) const;
+
+  /// SUM over the slab FilterRanges fixes; 0 when it is empty.
   Result<double> SumWhere(const std::vector<EqFilter>& filters);
+
+  /// The dictionary of dimension `d`: its values in code order.
+  const Dictionary& dictionary(size_t d) const { return dicts_[d]; }
+
+  /// Index of the dimension named `name`; NotFound if there is none.
+  Result<size_t> DimIndex(const std::string& name) const;
 
   /// SUM over arbitrary value subsets per dimension (a dice). Dimensions
   /// not mentioned range over everything.
@@ -63,8 +76,6 @@ class MolapCube {
       : dim_names_(std::move(dim_names)),
         dicts_(std::move(dicts)),
         array_(std::move(array)) {}
-
-  Result<size_t> DimIndex(const std::string& name) const;
 
   std::vector<std::string> dim_names_;
   std::vector<Dictionary> dicts_;

@@ -71,24 +71,6 @@ bool Distributive(AggFn fn) {
   return false;
 }
 
-// Mirrors the acceptance conditions of ExecuteQueryOnBackend plus the
-// backend constructors: these all depend only on the object and the query,
-// so the prediction matches the executed path whenever the backend build
-// succeeds — and when it cannot succeed, no backend-shaped entry exists in
-// the family either, so a wrong prediction can only miss, never mis-derive.
-bool PredictBackendShape(const StatisticalObject& obj, const ParsedQuery& q,
-                         QueryEngine engine) {
-  if (engine == QueryEngine::kRelational) return false;
-  if (q.cube) return false;
-  if (q.aggs.size() != 1 || q.aggs[0].fn != AggFn::kSum) return false;
-  if (!obj.MeasureNamed(q.aggs[0].column).ok()) return false;
-  for (const auto& b : q.by)
-    if (!obj.DimensionNamed(b).ok()) return false;
-  for (const auto& [attr, v] : q.where)
-    if (!obj.DimensionNamed(attr).ok()) return false;
-  return true;
-}
-
 }  // namespace
 
 Result<cache::QueryKey> BuildQueryKey(const StatisticalObject& obj,
@@ -105,7 +87,11 @@ Result<cache::QueryKey> BuildQueryKey(const StatisticalObject& obj,
     key.agg_names.push_back(a.EffectiveName());
     if (!Distributive(a.fn)) key.derivable = false;
   }
-  key.backend_shaped = PredictBackendShape(obj, query, engine);
+  // The backend route's own test, made before any build: a wrong
+  // prediction (a build that fails) can only miss, never mis-derive, since
+  // no backend-shaped entry then exists in the family either.
+  key.backend_shaped = engine != QueryEngine::kRelational &&
+                       BackendExpressible(obj, query).ok();
 
   char fp[32];
   snprintf(fp, sizeof(fp), "%016llx",

@@ -13,7 +13,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "statcube/cache/derive.h"
 #include "statcube/cache/result_cache.h"
@@ -228,112 +227,46 @@ std::optional<CodedAttr> AttrOf(const StatisticalObject& obj,
   return CodedAttr{lr.leaf_col, lr.level_of.data(), &lr.dictionary};
 }
 
-// True when grouping by code is grouping by Value::Compare: the entries
-// hold no NaN and no two that Compare calls equal. Entries are distinct by
-// representation, so strings, NULL and ALL are never equal to another
-// entry; numbers are checked through their double images (1 and 1.0,
-// -0.0 and 0.0, the int64 2^53 + 1 and the double 2^53).
-bool GroupsExactly(const std::vector<Value>& values) {
-  std::unordered_set<double> doubles;  // 0.0 and -0.0 collide here
-  for (const Value& v : values) {
-    if (v.type() != ValueType::kDouble) continue;
-    const double d = v.AsDouble();
-    if (d != d || !doubles.insert(d).second) return false;
-  }
-  if (doubles.empty()) return true;
-  for (const Value& v : values)
-    if (v.type() == ValueType::kInt64 && doubles.count(v.AsDouble()) != 0)
-      return false;
-  return true;
-}
-
-// Splitmix64 finalizer for the packed-key table.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Packed BY code tuple -> dense group id in first-occurrence order. Direct
-// addressing while the key space is small, else open addressing sized for
-// one group per row.
-class GroupIds {
- public:
-  GroupIds(uint64_t key_space, size_t rows) {
-    direct_ = key_space <= std::max<uint64_t>(uint64_t(1) << 16, 2 * rows);
-    size_t slots = size_t(key_space);
-    if (!direct_) {
-      slots = 16;
-      while (slots < 2 * rows) slots <<= 1;
-      slot_keys_.resize(slots);
-    }
-    ids_.assign(slots, kEmpty);
-    mask_ = slots - 1;
-  }
-
-  uint32_t Find(uint64_t key) {
-    size_t i = direct_ ? size_t(key) : size_t(Mix64(key)) & mask_;
-    for (;;) {
-      uint32_t& id = ids_[i];
-      if (id == kEmpty) {
-        id = uint32_t(keys_.size());
-        if (!direct_) slot_keys_[i] = key;
-        keys_.push_back(key);
-        return id;
-      }
-      if (direct_ || slot_keys_[i] == key) return id;
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Per group id: its packed key.
-  const std::vector<uint64_t>& keys() const { return keys_; }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  bool direct_;
-  size_t mask_;
-  std::vector<uint32_t> ids_;
-  std::vector<uint64_t> slot_keys_;
-  std::vector<uint64_t> keys_;
-};
-
 // The executor on the code columns (DESIGN.md §14): a WHERE is a keep
-// array per leaf code, a level is its code map, each kept row's packed BY
-// codes become a dense group id, and the ids with the measure slabs enter
-// the radix kernel after its columnarize phase. No row gets a Value hash,
-// a Value compare or a Row. Returns nullopt, before touching a row, for the
-// shapes codes cannot group exactly: a BY or WHERE on a measure, an
-// aggregate over anything but a measure, a BY attribute whose values
-// GroupsExactly refuses — and for BY codes that do not pack into 64 bits
-// and CUBEs over more than 20 attributes, which the row route handles
-// (and refuses) as it always has.
+// array per leaf code, a level is its code map, and exec::CodedGroupBy
+// groups the kept rows' codes and folds the object's measure slabs. No row
+// gets a Value hash, a Value compare or a Row. Returns nullopt, before
+// touching a row, for the shapes codes cannot group exactly: a BY or WHERE
+// on a measure, an aggregate over anything but a measure, and whatever
+// CodedGroupBy declines — which the row route handles (and refuses) as it
+// always has.
 std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
                                           const ParsedQuery& query,
                                           const ScanPlan& plan,
                                           const exec::ExecOptions& options) {
   const size_t ndims = obj.dimensions().size();
-  const std::vector<AggSpec> aggs = NamedAggs(query);
-  std::vector<int64_t> measure(aggs.size(), -1);  // -1: count()
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].fn == AggFn::kCountAll && aggs[i].column.empty()) continue;
-    Result<size_t> col = plan.schema.IndexOf(aggs[i].column);
+  exec::CodedGroupByInput in;
+  in.name = obj.data().name() + (plan.where.empty() ? "" : "_sel");
+  in.rows = obj.data().num_rows();
+  in.by_names = query.by;
+  in.aggs = NamedAggs(query);
+  in.cube = query.cube;
+  // With a WHERE the pass is the "filter" span, as the row pass is.
+  in.pass_span = plan.where.empty() ? nullptr : "filter";
+  in.fold_span = "aggregate";
+  for (const AggSpec& a : in.aggs) {
+    if (a.fn == AggFn::kCountAll && a.column.empty()) {
+      in.slabs.emplace_back();  // count()
+      continue;
+    }
+    Result<size_t> col = plan.schema.IndexOf(a.column);
     if (!col.ok() || *col < ndims || *col >= obj.data().num_columns())
       return std::nullopt;
-    measure[i] = int64_t(*col - ndims);
+    const StatisticalObject::MeasureSlab& slab =
+        obj.measure_slabs()[*col - ndims];
+    in.slabs.push_back(
+        {slab.values.data(), slab.flags.data(), slab.evidence});
   }
-  if (query.cube && query.by.size() > 20) return std::nullopt;
-  const size_t nby = query.by.size();
-  std::vector<CodedAttr> by;
-  uint64_t key_space = 1;
   for (const std::string& name : query.by) {
     std::optional<CodedAttr> a = AttrOf(obj, plan, *plan.schema.IndexOf(name));
-    if (!a || !GroupsExactly(*a->values) ||
-        __builtin_mul_overflow(key_space, uint64_t(a->values->size()),
-                               &key_space))
-      return std::nullopt;
-    by.push_back(*a);
+    if (!a) return std::nullopt;
+    in.by.push_back(
+        {obj.code_columns()[a->dim].codes.data(), a->level_of, a->values});
   }
   // WHERE: per leaf dimension, the codes every predicate on it (on the
   // dimension or on one of its levels) keeps.
@@ -353,170 +286,9 @@ std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
     for (size_t leaf = 0; leaf < nleaves; ++leaf)
       it->second[leaf] &= match[a->level_of ? a->level_of[leaf] : leaf];
   }
-
-  // The pass, in two steps. Morsels, in parallel when there are workers:
-  // each row's packed BY codes, or kDropped when a WHERE drops it. Then in
-  // row order: each kept row's dense group id, numbered on first
-  // occurrence. With a WHERE it is the "filter" span, as the row pass is.
-  constexpr uint64_t kDropped = UINT64_MAX;
-  if (key_space == kDropped) return std::nullopt;
-  const CancelContext* stop = options.stop;
-  const size_t n = obj.data().num_rows();
-  std::vector<uint32_t> gids;
-  std::vector<uint32_t> kept;  // row indexes, when a WHERE drops rows
-  GroupIds groups(key_space, n);
-  {
-    std::optional<obs::Span> filter_span;
-    if (!plan.where.empty()) filter_span.emplace("filter");
-    std::vector<std::pair<const uint32_t*, const uint8_t*>> filters;
-    for (const auto& [dim, k] : keep)
-      filters.emplace_back(obj.code_columns()[dim].codes.data(), k.data());
-    std::vector<const uint32_t*> by_codes;
-    std::vector<uint64_t> by_card;
-    for (const CodedAttr& a : by) {
-      by_codes.push_back(obj.code_columns()[a.dim].codes.data());
-      by_card.push_back(a.values->size());
-    }
-    if (obs::Enabled())
-      obs::RecordBytesTouched(n * sizeof(uint32_t) *
-                              (filters.size() + by_codes.size()));
-    auto keys = std::make_unique_for_overwrite<uint64_t[]>(n);
-    exec::ParallelForOptions loop;
-    loop.label = "coded_pass";
-    loop.max_workers = options.EffectiveThreads();
-    loop.scheduler = options.scheduler;
-    loop.stop = stop;
-    // One worker takes large morsels: the stop context is still checked
-    // between them, and fewer morsels cost less bookkeeping.
-    loop.morsel_size = loop.max_workers == 1 ? size_t(1) << 16
-                                             : options.morsel_rows;
-    exec::ParallelFor(
-        n,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t r = begin; r < end; ++r) {
-            bool pass = true;
-            for (const auto& [codes, k] : filters)
-              pass = pass && k[codes[r]] != 0;
-            uint64_t key = 0;
-            for (size_t k = 0; pass && k < nby; ++k) {
-              uint32_t c = by_codes[k][r];
-              if (by[k].level_of != nullptr) c = by[k].level_of[c];
-              key = key * by_card[k] + c;
-            }
-            keys[r] = pass ? key : kDropped;
-          }
-        },
-        loop);
-    if (stop != nullptr)
-      if (StopReason sr = stop->Check(); sr != StopReason::kNone)
-        return StopStatus(sr, plan.Scans() ? "scan" : "groupby");
-    if (nby > 0) gids.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (keys[r] == kDropped) continue;
-      if (!keep.empty()) kept.push_back(uint32_t(r));
-      if (nby > 0) gids.push_back(groups.Find(keys[r]));
-    }
-    if (!plan.where.empty()) obs::RecordOperator("select", n, kept.size());
-  }
-  const size_t nkept = keep.empty() ? n : kept.size();
-
-  // Measure slabs: the object's own, or gathered over the kept rows once
-  // per measure. The object's evidence covers a superset of the kept rows,
-  // so it holds.
-  const std::vector<StatisticalObject::MeasureSlab>& slabs =
-      obj.measure_slabs();
-  std::vector<std::vector<double>> values(slabs.size());
-  std::vector<std::vector<uint8_t>> flags(slabs.size());
-  exec::GroupIdRows in;
-  in.rows = nkept;
-  in.gids = nby == 0 ? nullptr : gids.data();
-  in.groups = nby == 0 ? 1 : groups.keys().size();
-  for (int64_t mi : measure) {
-    exec::SlabView view;
-    if (mi >= 0) {
-      const size_t m = size_t(mi);
-      view = {slabs[m].values.data(), slabs[m].flags.data(),
-              slabs[m].evidence};
-      if (!keep.empty()) {
-        if (values[m].size() != nkept) {
-          values[m].resize(nkept);
-          flags[m].resize(nkept);
-          for (size_t e = 0; e < nkept; ++e) {
-            values[m][e] = slabs[m].values[kept[e]];
-            flags[m][e] = slabs[m].flags[kept[e]];
-          }
-        }
-        view.values = values[m].data();
-        view.flags = flags[m].data();
-      }
-    }
-    in.slabs.push_back(view);
-  }
-
-  obs::Span agg_span("aggregate");
-  obs::Span op_span(query.cube ? "op.cube" : "op.groupby");
-  STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> states,
-                            exec::GroupIdStates(in, options));
-  const size_t naggs = aggs.size();
-  const size_t ngroups = nkept == 0 ? 0 : in.groups;
-  // Group g's code of BY attribute k, unpacked from its key.
-  std::vector<std::vector<uint32_t>> codes(nby,
-                                           std::vector<uint32_t>(ngroups));
-  for (size_t g = 0; nby > 0 && g < ngroups; ++g) {
-    uint64_t key = groups.keys()[g];
-    for (size_t k = nby; k-- > 0;) {
-      codes[k][g] = uint32_t(key % by[k].values->size());
-      key /= by[k].values->size();
-    }
-  }
-  auto value = [&](size_t k, size_t g) -> const Value& {
-    return (*by[k].values)[codes[k][g]];
-  };
-  const std::string name =
-      obj.data().name() + (plan.where.empty() ? "" : "_sel");
-  if (query.cube) {
-    GroupedStates finest = exec::EmitGroupedStates(
-        ngroups, naggs, states, [&](size_t g, Row* key) {
-          key->resize(nby);
-          for (size_t k = 0; k < nby; ++k) (*key)[k] = value(k, g);
-        });
-    return exec::CubeLattice(name, std::move(finest), query.by, aggs,
-                             options);
-  }
-
-  // GROUP BY: one row per group, in the order StatesToTable sorts to —
-  // Value::Compare on the BY columns, which on exact values is the order
-  // of the codes' ranks, so the groups sort by integers.
-  std::vector<uint64_t> rank_key(ngroups, 0);
-  for (size_t k = 0; k < nby; ++k) {
-    const std::vector<Value>& vals = *by[k].values;
-    std::vector<uint32_t> sorted(vals.size());
-    for (size_t c = 0; c < vals.size(); ++c) sorted[c] = uint32_t(c);
-    std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
-      return Value::Compare(vals[a], vals[b]) < 0;
-    });
-    std::vector<uint64_t> rank(vals.size());
-    for (size_t p = 0; p < sorted.size(); ++p) rank[sorted[p]] = p;
-    for (size_t g = 0; g < ngroups; ++g)
-      rank_key[g] = rank_key[g] * vals.size() + rank[codes[k][g]];
-  }
-  std::vector<uint32_t> order(ngroups);
-  for (size_t g = 0; g < ngroups; ++g) order[g] = uint32_t(g);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return rank_key[a] < rank_key[b];
-  });
-  Table out(name + "_by_" + Join(query.by, "_"),
-            CubeOutputSchema(query.by, aggs));  // StatesToTable's schema
-  out.mutable_rows().reserve(ngroups);
-  for (uint32_t g : order) {
-    Row row(nby + naggs);
-    for (size_t k = 0; k < nby; ++k) row[k] = value(k, g);
-    for (size_t i = 0; i < naggs; ++i)
-      row[nby + i] = states[size_t(g) * naggs + i].Finalize(aggs[i].fn);
-    out.AppendRowUnchecked(std::move(row));
-  }
-  obs::RecordOperator("groupby", nkept, out.num_rows());
-  return out;
+  for (const auto& [dim, k] : keep)
+    in.filters.push_back({obj.code_columns()[dim].codes.data(), k.data()});
+  return exec::CodedGroupBy(in, options);
 }
 
 }  // namespace
@@ -555,26 +327,34 @@ Result<Table> Query(const StatisticalObject& obj, const std::string& text) {
   return q.cube ? CubeBy(input, q.by, aggs) : GroupBy(input, q.by, aggs);
 }
 
-Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
-                                    const ParsedQuery& query,
-                                    CubeBackend& backend, int threads) {
+Status BackendExpressible(const StatisticalObject& obj,
+                          const ParsedQuery& query) {
   if (query.cube)
     return Status::Unimplemented("BY CUBE is not backend-expressible");
   if (query.aggs.size() != 1 || query.aggs[0].fn != AggFn::kSum)
     return Status::Unimplemented(
         "cube backends answer exactly one SUM aggregate");
+  if (!obj.MeasureNamed(query.aggs[0].column).ok())
+    return Status::Unimplemented("SUM over '" + query.aggs[0].column +
+                                 "', which is not a measure");
   for (const auto& b : query.by)
     if (!obj.DimensionNamed(b).ok())
       return Status::Unimplemented("BY '" + b + "' is not a plain dimension");
-  CubeQuery cq;
-  cq.threads = threads;
-  cq.group_dims = query.by;
-  for (const auto& [attr, v] : query.where) {
+  for (const auto& [attr, v] : query.where)
     if (!obj.DimensionNamed(attr).ok())
       return Status::Unimplemented("WHERE '" + attr +
                                    "' is not a plain dimension");
-    cq.filters.push_back({attr, v});
-  }
+  return Status::OK();
+}
+
+Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
+                                    const ParsedQuery& query,
+                                    CubeBackend& backend, int threads) {
+  STATCUBE_RETURN_NOT_OK(BackendExpressible(obj, query));
+  CubeQuery cq;
+  cq.threads = threads;
+  cq.group_dims = query.by;
+  for (const auto& [attr, v] : query.where) cq.filters.push_back({attr, v});
   obs::Span span("execute");
   return backend.GroupBySum(cq);
 }
@@ -706,18 +486,20 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   if (from_cache) scope.profile().backend = "cache";
   const auto exec_start = std::chrono::steady_clock::now();
 
-  // Cube-engine route: build the backend for the query's measure (its cost
-  // is part of the profile, under its own span) and execute there when the
-  // query is backend-expressible; otherwise fall back to the relational
-  // executor — the profile's backend field says which path answered.
+  // Cube-engine route: when the query is backend-expressible, build the
+  // backend for its measure (its cost is part of the profile, under its own
+  // span) and execute there; otherwise, without a build, fall back to the
+  // relational executor — the profile's backend field says which path
+  // answered. A backend that declines a query it cannot group exactly
+  // (Unimplemented, olap/backend.h) falls back the same way.
   bool backend_answered = false;
-  if (!executed && options.engine != QueryEngine::kRelational) {
+  if (!executed && options.engine != QueryEngine::kRelational &&
+      BackendExpressible(obj, q).ok()) {
     Result<std::unique_ptr<CubeBackend>> backend =
         Status::Internal("unreachable");
     {
       obs::Span build_span("backend.build");
-      const std::string& measure =
-          q.aggs.empty() ? std::string() : q.aggs[0].column;
+      const std::string& measure = q.aggs[0].column;
       switch (options.engine) {
         case QueryEngine::kMolap:
           backend = MakeMolapBackend(obj, measure);
@@ -746,9 +528,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
         return res.status();
       }
     }
-    // Backend build failures (e.g. the aggregate column is not a measure)
-    // also fall through to the relational executor, which reports the
-    // precise error if the query is genuinely wrong.
+    // A failed build (MOLAP refuses a dimension without values) also falls
+    // through to the relational executor.
   }
   if (!executed) {
     Result<Table> res = Status::Internal("unreachable");
@@ -763,9 +544,9 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     out = std::move(res).value();
   }
 
-  // Post-execution stop check, before the cache is offered anything: an
-  // engine that cannot stop mid-flight (the cube backends check nothing
-  // between blocks) still reports the stop here, so a cancelled or expired
+  // Post-execution stop check, before the cache is offered anything: every
+  // engine checks the stop context between morsels, but one that fires
+  // after the last morsel is still reported here, so a cancelled or expired
   // query is *never* admitted to the result cache — and the /queryz cancel
   // smoke behaves identically across engines.
   if (StopReason r = cctx.Check(); r != StopReason::kNone)

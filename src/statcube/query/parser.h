@@ -76,13 +76,21 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
 /// CurrentCancelContext().
 Result<Table> Query(const StatisticalObject& obj, const std::string& text);
 
+/// OK when a cube backend can answer `query` over `obj`: exactly one SUM
+/// aggregate over a measure, BY plain dimensions (no CUBE), WHERE
+/// equalities on dimensions; Unimplemented saying why otherwise. It reads
+/// only the object's schema and the query, so QueryProfiled asks it before
+/// building a backend and BuildQueryKey predicts the answer's shape by it.
+Status BackendExpressible(const StatisticalObject& obj,
+                          const ParsedQuery& query);
+
 /// Executes a parsed query through a CubeBackend (§6.6: the same textual
-/// query served by either physical organization). Only backend-expressible
-/// queries are accepted — exactly one SUM aggregate over the backend's
-/// measure, BY plain dimensions (no CUBE), WHERE equalities on dimensions;
-/// anything else returns Unimplemented so callers can fall back to
-/// ExecuteQuery. `threads` != 1 routes the backend's scan/grouping through
-/// the parallel kernels (CubeQuery::threads).
+/// query served by either physical organization). A query that is not
+/// BackendExpressible returns Unimplemented so callers can fall back to
+/// ExecuteQuery; so does one the backend declines (olap/backend.h). The
+/// SUM is over the backend's measure. `threads` is the backend's worker
+/// cap (CubeQuery::threads); the answer is the same at any value. The
+/// backend checks the thread's CurrentCancelContext() between morsels.
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
                                     CubeBackend& backend, int threads = 1);
@@ -142,9 +150,10 @@ struct ProfiledQuery {
 /// Parse + execute with full observability: enables obs for the call,
 /// collects the span tree (parse → plan → rollup → execute),
 /// per-operator row counts, and block I/O. Cube-engine options build the
-/// backend per call (visible as a backend.build span) and fall back to the
-/// relational path — noted in profile.backend — when the query is not
-/// backend-expressible.
+/// backend per call from the object's code columns (visible as a
+/// backend.build span) when the query is BackendExpressible, and otherwise
+/// answer on the relational path without a build — noted in
+/// profile.backend — as they do when the backend declines the query.
 Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                                     const std::string& text,
                                     const QueryOptions& options = {});

@@ -43,6 +43,10 @@ class BitVector {
       words_[i / 64] &= ~mask;
   }
 
+  /// ORs `bits` into word `w` (bits i with i / 64 == w, bit i % 64); bits
+  /// past `size()` must be zero.
+  void OrWord(size_t w, uint64_t bits) { words_[w] |= bits; }
+
   size_t size() const { return size_; }
 
   /// Number of set bits.

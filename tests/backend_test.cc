@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 
+#include "statcube/query/parser.h"
+#include "statcube/workload/census.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -142,6 +145,62 @@ TEST_F(BackendTest, UnknownDimensionErrors) {
   q.group_dims = {"ghost"};
   EXPECT_FALSE(molap_->GroupBySum(q).ok());
   EXPECT_FALSE(rolap_->GroupBySum(q).ok());
+}
+
+// Same group columns and, row by row, the same group values and the same
+// sum to the bit: a backend's answer against the relational one (both sort
+// by the group values; the backend calls its aggregate "sum").
+void ExpectSameGroups(const Table& want, const Table& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.num_columns(), got.num_columns()) << what;
+  const size_t nby = want.num_columns() - 1;
+  for (size_t c = 0; c < nby; ++c)
+    EXPECT_EQ(want.schema().column(c).name, got.schema().column(c).name)
+        << what;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << what;
+  for (size_t i = 0; i < want.num_rows(); ++i) {
+    for (size_t c = 0; c < nby; ++c)
+      EXPECT_TRUE(want.at(i, c) == got.at(i, c)) << what << " row " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.at(i, nby).AsDouble()),
+              std::bit_cast<uint64_t>(got.at(i, nby).AsDouble()))
+        << what << " row " << i;
+  }
+}
+
+// A WHERE on a BY dimension keeps only its value's groups, and two filters
+// on one dimension intersect — on MOLAP as on the ROLAP backends and the
+// relational executor.
+TEST(BackendFilterTest, FiltersOnOneDimensionIntersectOnEveryBackend) {
+  CensusOptions opt;
+  opt.num_states = 2;
+  opt.counties_per_state = 3;
+  opt.seed = 7;
+  const StatisticalObject obj = MakeCensusWorkload(opt).ValueOrDie();
+  const std::string text =
+      "SELECT sum(population) BY county, year WHERE county = 'st0_co1'";
+  const Table want = Query(obj, text).ValueOrDie();
+  ASSERT_EQ(want.num_rows(), 3u);  // one county, three years
+  const ParsedQuery q = ParseQuery(text).ValueOrDie();
+  const std::vector<EqFilter> disjoint = {{"county", Value("st0_co0")},
+                                          {"county", Value("st0_co1")}};
+  for (auto& backend :
+       {MakeMolapBackend(obj, "population").ValueOrDie(),
+        MakeRolapBackend(obj, "population").ValueOrDie(),
+        MakeRolapBackend(obj, "population", {.build_bitmap_indexes = true})
+            .ValueOrDie()}) {
+    Result<Table> got = ExecuteQueryOnBackend(obj, q, *backend);
+    ASSERT_TRUE(got.ok()) << backend->name() << ": "
+                          << got.status().ToString();
+    ExpectSameGroups(want, *got, backend->name());
+    Result<double> none = backend->Sum(disjoint);
+    ASSERT_TRUE(none.ok()) << backend->name();
+    EXPECT_EQ(*none, 0.0) << backend->name();
+  }
+  EXPECT_EQ(Query(obj,
+                  "SELECT sum(population) WHERE county = 'st0_co0' AND "
+                  "county = 'st0_co1'")
+                ->num_rows(),
+            0u);
 }
 
 }  // namespace

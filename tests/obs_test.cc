@@ -343,6 +343,9 @@ TEST_F(ProfiledQueryTest, UnexpressibleQueryFallsBackToRelational) {
   auto r = QueryProfiled(data_->object, "SELECT avg(amount) BY city", opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->profile.backend, "relational");
+  // Expressibility is decided before any backend is built.
+  const std::string tree = r->profile.trace.TreeString();
+  EXPECT_EQ(tree.find("backend.build"), std::string::npos) << tree;
 }
 
 // The §6.6 equivalence, observed: MOLAP and ROLAP report identical result

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "statcube/obs/flight_recorder.h"
 #include "statcube/obs/log.h"
 #include "statcube/obs/metrics.h"
+#include "statcube/olap/backend.h"
 #include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
 
@@ -438,6 +440,45 @@ TEST(QueryLifecycleTest, FiredScopeStopsTheScan) {
         ExecuteQuery(Retail(), *derived, threads, &expired).status().ToString(),
         "DeadlineExceeded: deadline exceeded during scan")
         << threads;
+  }
+}
+
+// The cube backends check the stop context too: under a fired scope each
+// returns a stop status naming its stage — MOLAP's group loop, the ROLAP
+// pass ("scan" with a WHERE to apply, else "groupby") — at any thread count.
+TEST(QueryLifecycleTest, FiredScopeStopsTheBackends) {
+  std::vector<std::unique_ptr<CubeBackend>> backends;
+  backends.push_back(MakeMolapBackend(Retail(), "amount").ValueOrDie());
+  backends.push_back(MakeRolapBackend(Retail(), "amount").ValueOrDie());
+  backends.push_back(MakeRolapBackend(Retail(), "amount",
+                                      {.build_bitmap_indexes = true})
+                         .ValueOrDie());
+  const ParsedQuery plain =
+      ParseQuery("SELECT sum(amount) BY store").ValueOrDie();
+  const ParsedQuery where =
+      ParseQuery("SELECT sum(amount) BY store WHERE product = 'prod1'")
+          .ValueOrDie();
+  CancellationToken token;
+  token.Cancel();
+  CancelContext ctx;
+  ctx.token = &token;
+  CancelScope scope(&ctx);
+  for (const auto& backend : backends) {
+    const bool molap = backend->name() == "molap";
+    for (int threads : {1, 2}) {
+      const std::string at = backend->name() + " @" + std::to_string(threads);
+      EXPECT_EQ(ExecuteQueryOnBackend(Retail(), plain, *backend, threads)
+                    .status()
+                    .ToString(),
+                "Cancelled: query cancelled during groupby")
+          << at;
+      EXPECT_EQ(ExecuteQueryOnBackend(Retail(), where, *backend, threads)
+                    .status()
+                    .ToString(),
+                molap ? "Cancelled: query cancelled during groupby"
+                      : "Cancelled: query cancelled during scan")
+          << at;
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 // Tests for the concise query language (§5.1): parsing, execution,
 // hierarchy-level inference, error reporting — and a seeded differential
 // battery holding the executor, at several thread counts, and the Query()
-// reference to the plain per-row pipeline they replaced.
+// reference to the plain per-row pipeline they replaced, and the cube
+// backends to Query() over backend-expressible queries.
 
 #include "statcube/query/parser.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -282,6 +284,7 @@ class QueryGenerator {
   QueryGenerator(const StatisticalObject& obj, uint64_t seed) : rng_(seed) {
     for (const auto& d : obj.dimensions()) {
       names_.push_back(d.name());
+      dims_.push_back(d.name());
       literals_[d.name()] = d.values();
       for (const auto& h : d.hierarchies()) {
         for (size_t l = 0; l < h.num_levels(); ++l) {
@@ -325,6 +328,29 @@ class QueryGenerator {
     return q;
   }
 
+  // A query a cube backend can answer: one sum over a measure, BY 0-3
+  // distinct dimensions, 0-2 WHERE equalities on dimensions — about half of
+  // them on a BY dimension or on the dimension the first WHERE fixed.
+  std::string NextBackend() {
+    std::string q = "SELECT sum(" + Pick(measures_) + ")";
+    std::vector<std::string> by;
+    for (uint64_t i = 0, n = rng_.Uniform(4); i < n; ++i) {
+      const std::string& d = Pick(dims_);
+      if (std::find(by.begin(), by.end(), d) == by.end()) by.push_back(d);
+    }
+    for (size_t i = 0; i < by.size(); ++i)
+      q += (i ? ", " : " BY ") + by[i];
+    std::vector<std::string> fixed = by;
+    for (uint64_t i = 0, n = rng_.Uniform(3); i < n; ++i) {
+      const std::string attr = !fixed.empty() && rng_.Uniform(2) == 0
+                                   ? Pick(fixed)
+                                   : Pick(dims_);
+      fixed.push_back(attr);
+      q += (i ? " AND " : " WHERE ") + attr + " = " + Literal(attr);
+    }
+    return q;
+  }
+
  private:
   const std::string& Pick(const std::vector<std::string>& from) {
     return from[rng_.Uniform(from.size())];
@@ -352,7 +378,7 @@ class QueryGenerator {
   }
 
   Rng rng_;
-  std::vector<std::string> names_, measures_;
+  std::vector<std::string> names_, dims_, measures_;
   std::map<std::string, std::vector<Value>> literals_;
 };
 
@@ -378,6 +404,68 @@ void ExpectMatchesReference(const StatisticalObject& obj, uint64_t seed,
   // The battery must exercise both answers and refusals.
   EXPECT_GT(errors, n / 10);
   EXPECT_GT(n - errors, n / 3);
+}
+
+// A table's group column names, then its rows as a sorted list of images
+// that hold each cell's type and value (doubles by their bits): how a cube
+// backend's answer compares with Query()'s, which names its table and its
+// aggregate otherwise (olap/backend.h).
+std::vector<std::string> Canonical(const Table& t) {
+  std::string names;
+  for (size_t c = 0; c + 1 < t.num_columns(); ++c)
+    names += t.schema().column(c).name + ",";
+  std::vector<std::string> rows;
+  for (const Row& row : t.rows()) {
+    std::string image;
+    for (const Value& v : row)
+      image += std::string(ValueTypeName(v.type())) + ":" +
+               (v.type() == ValueType::kDouble
+                    ? std::to_string(std::bit_cast<uint64_t>(v.AsDouble()))
+                    : v.ToString()) +
+               "|";
+    rows.push_back(std::move(image));
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.insert(rows.begin(), names);
+  return rows;
+}
+
+// Runs `n` generated backend-expressible queries through QueryProfiled on
+// each engine (cache off, threads 1 and 4). An answer from the backend must
+// equal Query()'s in group column names and the multiset of rows, by bits;
+// one that fell back to the relational executor must equal it exactly.
+void ExpectBackendsMatchReference(const StatisticalObject& obj,
+                                  uint64_t seed, int n,
+                                  const std::vector<QueryEngine>& engines) {
+  QueryGenerator gen(obj, seed);
+  int answered = 0, asked = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::string text = gen.NextBackend();
+    const Result<Table> want = Query(obj, text);
+    ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+    for (QueryEngine engine : engines) {
+      for (int threads : {1, 4}) {
+        const std::string what = text + " [" + QueryEngineName(engine) +
+                                 " threads " + std::to_string(threads) + "]";
+        QueryOptions opt;
+        opt.engine = engine;
+        opt.threads = threads;
+        opt.record = false;
+        Result<ProfiledQuery> got = QueryProfiled(obj, text, opt);
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        ++asked;
+        if (got->profile.backend == QueryEngineName(engine)) {
+          ++answered;
+          ASSERT_EQ(Canonical(*want), Canonical(got->table)) << what;
+        } else {
+          ExpectSameResult(want, got->table, what);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // Most answers come from the backends themselves.
+  EXPECT_GT(answered, asked / 2);
 }
 
 // The corners a roll-up must get right: a non-strict step (greens belong to
@@ -511,6 +599,38 @@ TEST(ReferencePipelineTest, EdgeCases) {
   EXPECT_EQ(Query(obj, "SELECT count() BY division").status().code(),
             StatusCode::kNotSummarizable);
   ExpectMatchesReference(obj, 3, 400);
+}
+
+TEST(ReferencePipelineTest, CubeBackendsRetail) {
+  RetailOptions opt;
+  opt.num_products = 12;
+  opt.num_stores = 6;
+  opt.num_cities = 3;
+  opt.num_days = 40;
+  opt.num_rows = 600;
+  ExpectBackendsMatchReference(MakeRetailWorkload(opt)->object, 4, 150,
+                               {QueryEngine::kRolap,
+                                QueryEngine::kRolapBitmap});
+}
+
+// MOLAP reports every cell of the cross product (§6.6), so it answers like
+// the relational executor only where every cell is occupied: on census.
+TEST(ReferencePipelineTest, CubeBackendsCensus) {
+  CensusOptions opt;
+  opt.num_states = 3;
+  opt.counties_per_state = 3;
+  opt.num_races = 2;
+  opt.num_age_groups = 3;
+  opt.num_years = 2;
+  ExpectBackendsMatchReference(
+      MakeCensusWorkload(opt).ValueOrDie(), 5, 150,
+      {QueryEngine::kMolap, QueryEngine::kRolap, QueryEngine::kRolapBitmap});
+}
+
+TEST(ReferencePipelineTest, CubeBackendsEdgeCases) {
+  ExpectBackendsMatchReference(EdgeCaseObject(), 6, 150,
+                               {QueryEngine::kRolap,
+                                QueryEngine::kRolapBitmap});
 }
 
 }  // namespace

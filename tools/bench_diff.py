@@ -8,7 +8,8 @@ recorded with --update from a bench_json/ directory:
     tools/bench_to_json.sh                      # writes bench_json/BENCH_*.json
     tools/bench_diff.py --update                # (re)writes the baseline
 
-Compare mode prints a table for every binary in the baseline and exits
+Compare mode prints a table for every binary in the baseline (cases the
+baseline lacks are listed as new, not compared) and exits
 nonzero only when a regression exceeds the tolerance AND hard mode is on
 (--hard or BENCH_DIFF_HARD=1) — so CI can run it report-only by default.
 Inside GitHub Actions, regressions additionally emit ::warning:: annotations.
@@ -96,7 +97,7 @@ def compare(args):
             print("  (no current run — binary missing from "
                   f"{args.dir}/; skipped)")
             continue
-        width = max(len(n) for n in baseline[binary]) + 2
+        width = max(len(n) for n in [*baseline[binary], *cur_benches]) + 2
         print(f"  {'benchmark':<{width}} {'baseline':>12} {'current':>12} "
               f"{'delta':>8}")
         for name, base in sorted(baseline[binary].items()):
@@ -121,6 +122,12 @@ def compare(args):
                   f"{fmt_time(base['real_time'], base['time_unit']):>12} "
                   f"{fmt_time(cur['real_time'], cur['time_unit']):>12} "
                   f"{delta:>+7.1%}{flag}")
+        # Cases the baseline does not know yet: shown, never compared.
+        for name in sorted(set(cur_benches) - set(baseline[binary])):
+            cur = cur_benches[name]
+            print(f"  {name:<{width}} {'-':>12} "
+                  f"{fmt_time(cur['real_time'], cur['time_unit']):>12} "
+                  f"{'new':>8}")
 
     print(f"\n{compared} benchmarks compared, {len(regressions)} regressed "
           f"beyond {args.tolerance:.0%}, {improvements} improved")
