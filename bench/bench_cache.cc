@@ -52,7 +52,7 @@ void BM_ColdExecute(benchmark::State& state) {
   const auto& obj = BigRetail();
   for (auto _ : state) {
     auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kOff));
-    benchmark::DoNotOptimize(r->table.num_rows());
+    benchmark::DoNotOptimize(r->table->num_rows());
   }
   state.counters["rows"] = double(obj.data().num_rows());
 }
@@ -80,7 +80,7 @@ void BM_WarmHit(benchmark::State& state) {
   (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kOn));  // seed
   for (auto _ : state) {
     auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kOn));
-    benchmark::DoNotOptimize(r->table.num_rows());
+    benchmark::DoNotOptimize(r->table->num_rows());
   }
 }
 BENCHMARK(BM_WarmHit)->Unit(benchmark::kMicrosecond);
@@ -100,7 +100,7 @@ void BM_DerivedHit(benchmark::State& state) {
   const int threads = int(state.range(0));
   for (auto _ : state) {
     auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive, threads));
-    benchmark::DoNotOptimize(r->table.num_rows());
+    benchmark::DoNotOptimize(r->table->num_rows());
   }
   rc.set_admit_min_us(0);
   state.counters["threads"] = double(threads);
@@ -134,7 +134,7 @@ void BM_WorkloadReplayWarm(benchmark::State& state) {
       QueryOptions o = Opts(mode);
       o.engine = q.engine;
       auto r = QueryProfiled(obj, q.text, o);
-      benchmark::DoNotOptimize(r->table.num_rows());
+      benchmark::DoNotOptimize(r->table->num_rows());
     }
   };
   replay(cache::Mode::kDerive);  // prime
@@ -176,7 +176,7 @@ void BM_WorkloadReplayCold(benchmark::State& state) {
       QueryOptions o = Opts(cache::Mode::kOff);
       o.engine = q.engine;
       auto r = QueryProfiled(obj, q.text, o);
-      benchmark::DoNotOptimize(r->table.num_rows());
+      benchmark::DoNotOptimize(r->table->num_rows());
     }
   }
   state.counters["queries"] = double(std::size(mix));

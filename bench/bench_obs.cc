@@ -55,7 +55,7 @@ void BM_QueryObsEnabled(benchmark::State& state) {
     QueryOptions opt;
     opt.record = false;  // price the instrumentation, not the recorder copy
     auto r = QueryProfiled(Sales(), "SELECT sum(amount) BY store", opt);
-    benchmark::DoNotOptimize(r->table.num_rows());
+    benchmark::DoNotOptimize(r->table->num_rows());
   }
 }
 BENCHMARK(BM_QueryObsEnabled);

@@ -127,7 +127,7 @@ void TextQueryAtFourThreads(benchmark::State& state, const char* text) {
   o.record = false;
   for (auto _ : state) {
     auto r = QueryProfiled(*obj, text, o);
-    benchmark::DoNotOptimize(r->table.num_rows());
+    benchmark::DoNotOptimize(r->table->num_rows());
   }
 }
 BENCHMARK_CAPTURE(TextQueryAtFourThreads, by_store,

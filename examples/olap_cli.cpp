@@ -10,7 +10,9 @@
 // result; `EXPLAIN PROFILE <query>` does the same for a single query.
 // `--engine=molap|rolap|rolap+bitmap` routes backend-expressible queries
 // (single SUM over dimensions) through that physical organization instead of
-// the relational executor — the §6.6 comparison, one flag apart.
+// the relational executor — the §6.6 comparison, one flag apart. Like
+// --cache, it sends every query through QueryProfiled, which owns that
+// route, even without --profile.
 //
 // Parallelism: `--threads=N` groups on N workers through the radix-partitioned
 // group-by (statcube/exec); results are bit-identical to serial execution at
@@ -94,11 +96,12 @@ bool Execute(const StatisticalObject& obj, const std::string& text,
     fprintf(stderr, "error: %s\n", parsed.status().ToString().c_str());
     return false;
   }
-  // Caching and deadlines need the profiled path: QueryProfiled owns the
-  // cache lookup/insert, the execution timing that drives admission, and
-  // the deadline/cancellation plumbing. Without --profile the profile
-  // itself is simply not printed.
+  // Cube engines, caching and deadlines need the profiled path:
+  // QueryProfiled owns the backend route, the cache lookup/insert, the
+  // execution timing that drives admission, and the deadline/cancellation
+  // plumbing. Without --profile the profile itself is simply not printed.
   if (cli.profile || parsed->explain_profile ||
+      cli.engine != QueryEngine::kRelational ||
       cli.cache != cache::Mode::kOff || cli.deadline_ms > 0) {
     QueryOptions opt;
     opt.engine = cli.engine;
@@ -110,7 +113,7 @@ bool Execute(const StatisticalObject& obj, const std::string& text,
       fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
       return false;
     }
-    printf("%s\n", result->table.ToString(25).c_str());
+    printf("%s\n", result->table->ToString(25).c_str());
     if (cli.profile || parsed->explain_profile)
       printf("%s", result->profile.ToString().c_str());
     return true;

@@ -65,10 +65,10 @@ Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
     exec::ExecOptions xo;
     xo.threads = threads;
     STATCUBE_ASSIGN_OR_RETURN(
-        states, exec::ParallelGroupByStates(src.result, key.by, respecs, xo));
+        states, exec::ParallelGroupByStates(*src.result, key.by, respecs, xo));
   } else {
     STATCUBE_ASSIGN_OR_RETURN(
-        states, GroupByStates(src.result, key.by, respecs));
+        states, GroupByStates(*src.result, key.by, respecs));
   }
 
   // StatesToTable with one twist: counts re-finalize to int64 (Finalize of
@@ -78,7 +78,7 @@ Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
   for (const auto& g : key.by) schema.AddColumn(g, ValueType::kString);
   for (const auto& r : respecs)
     schema.AddColumn(r.output_name, ValueType::kDouble);
-  Table out(DerivedName(src.result.name(), src.by, key.by), schema);
+  Table out(DerivedName(src.result->name(), src.by, key.by), schema);
   for (const auto& [group, st] : states) {
     Row row = group;
     for (size_t i = 0; i < respecs.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 
 #include "statcube/materialize/lattice.h"
 #include "statcube/obs/metrics.h"
@@ -75,23 +76,28 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& exact) {
   return *shards_[std::hash<std::string>()(exact) % shards_.size()];
 }
 
-std::optional<Table> ResultCache::Lookup(const QueryKey& key) {
-  Shard& shard = ShardFor(key.exact);
+CachedResult ResultCache::Lookup(const QueryKey& key) {
+  CachedResult hit;
   {
+    Shard& shard = ShardFor(key.exact);
     MutexLock lock(shard.mu);
     auto it = shard.map.find(key.exact);
     if (it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      Count("hits");
-      obs::RecordCacheProbe(obs::CacheProbe::kHit);
-      return it->second->result;
+      hit.table = it->second->result;
+      hit.json = it->second->json;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  Count("misses");
-  obs::RecordCacheProbe(obs::CacheProbe::kMiss);
-  return std::nullopt;
+  if (hit.table != nullptr) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    Count("hits");
+    obs::RecordCacheProbe(obs::CacheProbe::kHit);
+  } else {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    Count("misses");
+    obs::RecordCacheProbe(obs::CacheProbe::kMiss);
+  }
+  return hit;
 }
 
 std::optional<DerivedSource> ResultCache::FindDerivationSource(
@@ -153,24 +159,28 @@ void ResultCache::NoteDerivedHit() {
   obs::RecordCacheProbe(obs::CacheProbe::kDerived);
 }
 
-bool ResultCache::Insert(const QueryKey& key, const Table& result,
-                         bool backend_answered, uint64_t exec_us) {
-  if (exec_us < admit_min_us_.load(std::memory_order_relaxed)) {
+std::shared_ptr<const std::string> ResultCache::Insert(
+    const QueryKey& key, std::shared_ptr<const Table> result,
+    bool backend_answered, uint64_t exec_us) {
+  auto refuse = [this]() -> std::shared_ptr<const std::string> {
     admission_rejects_.fetch_add(1, std::memory_order_relaxed);
     Count("admission_rejects");
-    return false;
-  }
-  size_t entry_bytes = result.ByteSize() + key.exact.size() + sizeof(Entry);
-  if (entry_bytes > max_entry_bytes_) {
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    Count("admission_rejects");
-    return false;
-  }
+    return nullptr;
+  };
+  if (exec_us < admit_min_us_.load(std::memory_order_relaxed)) return refuse();
+  // A table too large on its own is refused before it is encoded.
+  size_t entry_bytes = result->ByteSize() + key.exact.size() + sizeof(Entry);
+  if (entry_bytes > max_entry_bytes_) return refuse();
+  auto json = std::make_shared<const std::string>(result->ToJson());
+  entry_bytes += json->size();
+  if (entry_bytes > max_entry_bytes_) return refuse();
+  const size_t rows = result->num_rows();
 
   Entry e;
   e.exact = key.exact;
   e.family = key.family;
-  e.result = result;
+  e.result = std::move(result);
+  e.json = json;
   e.by = key.by;
   e.agg_fns = key.agg_fns;
   // Actual shape, not predicted: a backend answer always has the single
@@ -182,8 +192,9 @@ bool ResultCache::Insert(const QueryKey& key, const Table& result,
   e.backend_shaped = backend_answered;
   e.bytes = entry_bytes;
 
-  std::vector<std::pair<std::string, std::string>> evicted;  // family, exact
-  bool inserted = false;
+  // Victims leave the shard under its lock but are destroyed after it is
+  // released: the last reference to a large table frees it there.
+  std::list<Entry> evicted;
   {
     Shard& shard = ShardFor(key.exact);
     MutexLock lock(shard.mu);
@@ -192,28 +203,26 @@ bool ResultCache::Insert(const QueryKey& key, const Table& result,
       // Deterministic execution means an existing entry is already this
       // result; just refresh recency.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return true;
+      return it->second->json;
     }
     shard.lru.push_front(std::move(e));
     shard.map[key.exact] = shard.lru.begin();
     shard.bytes += entry_bytes;
     bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
     entries_.fetch_add(1, std::memory_order_relaxed);
-    inserted = true;
     while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
       Entry& victim = shard.lru.back();
-      evicted.emplace_back(victim.family, victim.exact);
       shard.bytes -= victim.bytes;
       bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
       entries_.fetch_sub(1, std::memory_order_relaxed);
       shard.map.erase(victim.exact);
-      shard.lru.pop_back();
+      evicted.splice(evicted.end(), shard.lru, std::prev(shard.lru.end()));
     }
   }
 
-  if (inserted) {
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    Count("inserts");
+  inserts_.fetch_add(1, std::memory_order_relaxed);
+  Count("inserts");
+  {
     MutexLock lock(index_mu_);
     if (key.derivable && !key.cube) {
       Family& fam = families_[key.family];
@@ -229,16 +238,15 @@ bool ResultCache::Insert(const QueryKey& key, const Table& result,
         mask |= 1u << bit->second;
       }
       if (indexable)
-        fam.members.push_back(
-            {key.exact, mask, result.num_rows(), backend_answered});
+        fam.members.push_back({key.exact, mask, rows, backend_answered});
     }
-    for (const auto& [family, exact] : evicted) {
-      auto fam_it = families_.find(family);
+    for (const Entry& victim : evicted) {
+      auto fam_it = families_.find(victim.family);
       if (fam_it == families_.end()) continue;
       auto& members = fam_it->second.members;
       members.erase(std::remove_if(members.begin(), members.end(),
-                                   [&exact = exact](const FamilyMember& m) {
-                                     return m.exact == exact;
+                                   [&victim](const FamilyMember& m) {
+                                     return m.exact == victim.exact;
                                    }),
                     members.end());
       if (members.empty()) families_.erase(fam_it);
@@ -249,7 +257,7 @@ bool ResultCache::Insert(const QueryKey& key, const Table& result,
     Count("evictions", evicted.size());
   }
   UpdateSizeMetrics();
-  return true;
+  return json;
 }
 
 void ResultCache::Clear() {

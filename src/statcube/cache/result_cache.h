@@ -7,7 +7,8 @@
 /// an actual fast path. Three ways a request can be satisfied:
 ///
 ///  1. **Exact hit**: the canonical key (cache/query_key.h) matches a live
-///     entry; the stored table is returned byte-for-byte.
+///     entry; the stored table and its stored JSON encoding are returned
+///     by reference, nothing copied.
 ///  2. **Derived hit** (Mode::kDerive): no exact entry, but some cached
 ///     entry in the same family groups by a *superset* of the requested
 ///     dimensions (`Lattice::DerivableFrom` on interned dimension masks) and
@@ -19,12 +20,17 @@
 ///     recompute than `admit_min_us` (measured by the QueryProfile span
 ///     timings) or larger than `max_entry_bytes` are not worth keeping.
 ///
+/// An entry is an immutable answer shared with every reader: the table
+/// (`shared_ptr<const Table>`, the very object the executor built) plus
+/// its wire encoding (Table::ToJson), made once at admission. Readers keep
+/// what they were handed after the entry is evicted.
+///
 /// Storage is a sharded LRU keyed by the exact key string, bounded by a byte
-/// budget (`Table::ByteSize` of each entry); eviction is per shard. A
-/// side index per family maps group-by sets to bitmasks for the derivation
-/// search. Invalidation is by construction: keys embed the dataset epoch
-/// (common/epoch.h), so entries for mutated objects stop matching and age
-/// out via LRU.
+/// budget (per entry: `Table::ByteSize` plus the encoding's bytes plus the
+/// key); eviction is per shard. A side index per family maps group-by sets
+/// to bitmasks for the derivation search. Invalidation is by construction:
+/// keys embed the dataset epoch (common/epoch.h), so entries for mutated
+/// objects stop matching and age out via LRU.
 ///
 /// Observability: statcube.cache.{hits,misses,derived_hits,inserts,
 /// admission_rejects,evictions} counters and statcube.cache.{bytes,entries}
@@ -51,13 +57,20 @@
 
 namespace statcube::cache {
 
+/// An exact hit: the entry's table and its JSON encoding (Table::ToJson),
+/// shared with the cache. Both are null on a miss.
+struct CachedResult {
+  std::shared_ptr<const Table> table;       ///< the cached result
+  std::shared_ptr<const std::string> json;  ///< `table->ToJson()`
+};
+
 /// A cached superset entry usable to answer a finer query by roll-up; handed
 /// to RollupDerived (cache/derive.h).
 struct DerivedSource {
-  Table result;                     ///< the cached superset result
-  std::vector<std::string> by;      ///< its group-by columns (insert order)
-  std::vector<AggFn> agg_fns;       ///< original aggregate functions
-  std::vector<std::string> agg_cols;  ///< aggregate column names in `result`
+  std::shared_ptr<const Table> result;  ///< the cached superset result
+  std::vector<std::string> by;          ///< its group-by columns (insert order)
+  std::vector<AggFn> agg_fns;           ///< original aggregate functions
+  std::vector<std::string> agg_cols;    ///< aggregate column names in `result`
 };
 
 /// The sharded, byte-bounded, lattice-aware result cache.
@@ -98,8 +111,9 @@ class ResultCache {
   /// STATCUBE_CACHE_BYTES environment variable for its byte budget.
   static ResultCache& Global();
 
-  /// Exact lookup; counts a hit (and refreshes LRU) or a miss.
-  std::optional<Table> Lookup(const QueryKey& key);
+  /// Exact lookup; counts a hit (and refreshes LRU) or a miss. A hit shares
+  /// the entry's table and encoding; a miss returns two nulls.
+  CachedResult Lookup(const QueryKey& key);
 
   /// Best derivation source for `key`: a live entry of the same family and
   /// shape whose group-by set is a superset of `key.by`, with distributive
@@ -113,9 +127,14 @@ class ResultCache {
 
   /// Offers a computed result. `backend_answered` says whether a cube
   /// backend produced it (shape tag for derivation), `exec_us` is the
-  /// measured execution cost driving admission. Returns true if admitted.
-  bool Insert(const QueryKey& key, const Table& result, bool backend_answered,
-              uint64_t exec_us);
+  /// measured execution cost driving admission. An admitted result is kept
+  /// by reference, not copied, and encoded once (outside the shard lock);
+  /// the encoding counts toward the entry's bytes. Returns the stored
+  /// encoding (the live entry's, when the key is already cached), or null
+  /// when admission refuses the result.
+  std::shared_ptr<const std::string> Insert(
+      const QueryKey& key, std::shared_ptr<const Table> result,
+      bool backend_answered, uint64_t exec_us);
 
   /// Empties the cache and the derivation index (counters are kept:
   /// they are lifetime totals).
@@ -143,7 +162,8 @@ class ResultCache {
   struct Entry {
     std::string exact;
     std::string family;
-    Table result;
+    std::shared_ptr<const Table> result;
+    std::shared_ptr<const std::string> json;
     std::vector<std::string> by;
     std::vector<AggFn> agg_fns;
     std::vector<std::string> agg_cols;

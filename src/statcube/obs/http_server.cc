@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "statcube/common/str_util.h"
 #include "statcube/obs/exporter.h"
@@ -56,17 +58,29 @@ void SetSocketTimeouts(int fd, int read_ms, int write_ms) {
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &wtv, sizeof(wtv));
 }
 
-// Writes the whole buffer; returns false on error/timeout. MSG_NOSIGNAL so
-// a client that hung up yields EPIPE instead of killing the process.
-bool WriteAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+// Writes `head` then `body` with one gathered sendmsg per attempt: the body
+// is not copied behind the head, and no second small write is left for
+// Nagle's algorithm to hold back. Partial writes resume where the kernel
+// stopped. Returns false on error/timeout. MSG_NOSIGNAL so a client that
+// hung up yields EPIPE instead of killing the process.
+bool WriteAll(int fd, std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (iov[0].iov_len + iov[1].iov_len > 0) {
+    ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    off += size_t(n);
+    for (iovec& v : iov) {
+      const size_t done = std::min(size_t(n), v.iov_len);
+      v.iov_base = static_cast<char*>(v.iov_base) + done;
+      v.iov_len -= done;
+      n -= ssize_t(done);
+    }
   }
   return true;
 }
@@ -79,9 +93,7 @@ void WriteResponse(int fd, const HttpResponse& resp, bool head_only) {
   for (const auto& [name, value] : resp.headers)
     os << "\r\n" << name << ": " << value;
   os << "\r\nConnection: close\r\n\r\n";
-  std::string out = os.str();
-  if (!head_only) out += resp.body;
-  WriteAll(fd, out);
+  WriteAll(fd, os.str(), head_only ? std::string_view() : resp.body);
 }
 
 HttpResponse SimpleResponse(int status, const std::string& body) {

@@ -436,10 +436,14 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   if (StopReason r = cctx.Check(); r != StopReason::kNone)
     return fail(StopStatus(r, "admission"));
 
-  Table out;
+  // The answer is built once and from here on only referenced: a cache hit
+  // shares the cached table and its stored encoding, and a computed table
+  // is moved in and then shared with the cache.
+  std::shared_ptr<const Table> out;
+  std::shared_ptr<const std::string> json;
   bool executed = false;
 
-  // Result-cache route: an exact entry is returned byte-for-byte; under
+  // Result-cache route: an exact entry is returned as stored; under
   // Mode::kDerive a cached superset grouping is rolled up instead of
   // touching base data. Either way the backends below are skipped entirely
   // (profile backend "cache"). Key building failures — e.g. a query with no
@@ -450,8 +454,9 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     obs::Span lookup_span("cache.lookup");
     key = query::BuildQueryKey(obj, q, options.engine);
     if (key.ok()) {
-      if (std::optional<Table> hit = rc.Lookup(*key)) {
-        out = *std::move(hit);
+      if (cache::CachedResult hit = rc.Lookup(*key); hit.table != nullptr) {
+        out = std::move(hit.table);
+        json = std::move(hit.json);
         executed = true;
         scope.profile().cache = "hit";
       } else if (options.cache == cache::Mode::kDerive && key->derivable) {
@@ -462,7 +467,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
           Result<Table> derived =
               cache::RollupDerived(*src, *key, options.threads);
           if (derived.ok()) {
-            out = *std::move(derived);
+            out = std::make_shared<const Table>(std::move(derived).value());
             executed = true;
             scope.profile().cache = "derived";
             rc.NoteDerivedHit();
@@ -475,7 +480,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                              .count());
             // The source was shape-matched, so the derived table has the
             // request's predicted shape.
-            rc.Insert(*key, out, key->backend_shaped, derive_us);
+            json = rc.Insert(*key, out, key->backend_shaped, derive_us);
           }
         }
       }
@@ -519,7 +524,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
       Result<Table> res =
           ExecuteQueryOnBackend(obj, q, **backend, options.threads);
       if (res.ok()) {
-        out = std::move(res).value();
+        out = std::make_shared<const Table>(std::move(res).value());
         executed = true;
         backend_answered = true;
       } else if (is_stop(res.status())) {
@@ -541,7 +546,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
       if (is_stop(res.status())) return fail(res.status());
       return res.status();
     }
-    out = std::move(res).value();
+    out = std::make_shared<const Table>(std::move(res).value());
   }
 
   // Post-execution stop check, before the cache is offered anything: every
@@ -562,13 +567,14 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                                     std::chrono::steady_clock::now() -
                                     exec_start)
                                     .count());
-    rc.Insert(*key, out, backend_answered, exec_us);
+    json = rc.Insert(*key, out, backend_answered, exec_us);
   }
 
   ProfiledQuery pq;
   pq.table = std::move(out);
+  pq.json = std::move(json);
   pq.profile = scope.Take();
-  pq.profile.result_rows = pq.table.num_rows();
+  pq.profile.result_rows = pq.table->num_rows();
   pq.profile.outcome = "ok";
   pq.profile.tenant = options.tenant;
   if (pq.profile.backend.empty()) pq.profile.backend = "relational";

@@ -21,6 +21,7 @@
 #ifndef STATCUBE_QUERY_PARSER_H_
 #define STATCUBE_QUERY_PARSER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,9 +140,14 @@ struct QueryOptions {
   std::string tenant;
 };
 
-/// A query result with its profile.
+/// A query result with its profile. The table is immutable and may be
+/// shared with the result cache: a cache hit hands out the cached object
+/// itself.
 struct ProfiledQuery {
-  Table table;
+  std::shared_ptr<const Table> table;
+  /// `table->ToJson()` when the result cache holds this answer (a hit, or a
+  /// result it admitted); null otherwise.
+  std::shared_ptr<const std::string> json;
   obs::QueryProfile profile;
   /// Flight-recorder id of the retained profile (0 if recording was off).
   uint64_t profile_id = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "statcube/common/str_util.h"
+#include "statcube/obs/json.h"
 
 namespace statcube {
 
@@ -66,6 +67,20 @@ std::string Table::ToString(size_t max_rows) const {
     out += "... (" + std::to_string(rows_.size() - shown) + " more rows)\n";
   }
   return out;
+}
+
+std::string Table::ToJson() const {
+  obs::JsonWriter w;
+  w.BeginObject().Key("name").String(name_).Key("columns").BeginArray();
+  for (const auto& column : schema_.columns()) w.String(column.name);
+  w.EndArray().Key("rows").Uint(rows_.size()).Key("data").BeginArray();
+  for (const Row& row : rows_) {
+    w.BeginArray();
+    for (const Value& v : row) w.Cell(v);
+    w.EndArray();
+  }
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 size_t Table::ByteSize() const {

@@ -51,6 +51,13 @@ class Table {
   /// Renders up to `max_rows` rows as an aligned ASCII table.
   std::string ToString(size_t max_rows = 20) const;
 
+  /// Encodes every row as the JSON object
+  /// `{"name":...,"columns":[...],"rows":N,"data":[[...],...]}`, each cell
+  /// as obs::JsonWriter::Cell writes it (exact doubles; NaN and ±∞ as
+  /// strings; NULL as null). The one table encoder: the /query envelope
+  /// and the result cache's stored encodings both come from it.
+  std::string ToJson() const;
+
   /// Estimated in-memory size in bytes of the row data (used by the storage
   /// benchmarks for the "cross product is wasteful" observation of §4.3).
   size_t ByteSize() const;

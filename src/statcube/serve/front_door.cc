@@ -60,25 +60,9 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
-void AppendTable(obs::JsonWriter& w, const Table& table) {
-  w.BeginObject().Key("name").String(table.name()).Key("columns").BeginArray();
-  for (const auto& column : table.schema().columns()) w.String(column.name);
-  w.EndArray().Key("rows").Uint(table.num_rows()).Key("data").BeginArray();
-  for (const Row& row : table.rows()) {
-    w.BeginArray();
-    for (const Value& v : row) w.Cell(v);
-    w.EndArray();
-  }
-  w.EndArray().EndObject();
-}
-
 }  // namespace
 
-std::string TableToJson(const Table& table) {
-  obs::JsonWriter w;
-  AppendTable(w, table);
-  return w.Take();
-}
+std::string TableToJson(const Table& table) { return table.ToJson(); }
 
 QueryFrontDoor::QueryFrontDoor(const StatisticalObject& obj,
                                FrontDoorOptions options)
@@ -227,8 +211,10 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
     return release(JsonResponse(StatusToHttp(st), w), /*ok=*/false);
   }
 
-  // One buffer for the whole response, result table included. "result"
-  // stays the last member unless a rendering was asked for.
+  // One buffer for the whole response. "result" is the table's encoding,
+  // spliced from the result cache's stored bytes when it holds them and
+  // encoded here otherwise; it stays the last member unless a rendering was
+  // asked for.
   const ProfiledQuery& pq = *result;
   obs::JsonWriter w;
   w.BeginObject()
@@ -239,8 +225,11 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
       .Key("outcome").String(pq.profile.outcome)
       .Key("profile_id").Uint(pq.profile_id)
       .Key("result");
-  AppendTable(w, pq.table);
-  if (render) w.Key("rendered").String(pq.table.ToString(kRenderRows));
+  if (pq.json != nullptr)
+    w.Raw(*pq.json);
+  else
+    w.Raw(pq.table->ToJson());
+  if (render) w.Key("rendered").String(pq.table->ToString(kRenderRows));
   if (obs::Enabled())
     obs::MetricsRegistry::Global().GetCounter("statcube.serve.ok").Add();
   return release(JsonResponse(200, w), /*ok=*/true);

@@ -80,9 +80,10 @@ struct FrontDoorOptions {
 /// JSON number that `strtod` reads back as the same bits ("2658072",
 /// "0.1", "1e+21", "-0"); NaN, +∞ and −∞ → the strings "NaN", "Infinity"
 /// and "-Infinity" (the proto3 JSON mapping, since null is taken); string →
-/// JSON string; NULL → null; ALL → the string "ALL". Exposed so tests and
-/// the benchmark's answer check can compare served bytes with an
-/// independent encoding of the same table.
+/// JSON string; NULL → null; ALL → the string "ALL". It is Table::ToJson,
+/// the one encoder, which also makes the result cache's stored encodings
+/// that responses splice in. Exposed so tests and the benchmark's answer
+/// check can compare served bytes with an encoding of the same table.
 std::string TableToJson(const Table& table);
 
 /// The /query serving subsystem: owns the tenant table and the admission

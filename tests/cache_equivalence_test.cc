@@ -107,12 +107,12 @@ void ExpectOffColdWarmIdentical(const StatisticalObject& obj,
   ResetCache();
   ProfiledQuery cold = RunQ(obj, text, Opts(Mode::kOn, engine, threads), what);
   EXPECT_EQ(cold.profile.cache, "miss") << what;
-  ExpectTablesIdentical(off.table, cold.table, what + " [cold]");
+  ExpectTablesIdentical(*off.table, *cold.table, what + " [cold]");
 
   ProfiledQuery warm = RunQ(obj, text, Opts(Mode::kOn, engine, threads), what);
   EXPECT_EQ(warm.profile.cache, "hit") << what;
   EXPECT_EQ(warm.profile.backend, "cache") << what;
-  ExpectTablesIdentical(off.table, warm.table, what + " [warm]");
+  ExpectTablesIdentical(*off.table, *warm.table, what + " [warm]");
 }
 
 // Seeds the cache with `seed` and expects `text` to be answered by
@@ -131,7 +131,7 @@ void ExpectDerivedIdentical(const StatisticalObject& obj,
       RunQ(obj, text, Opts(Mode::kDerive, engine, threads), what);
   EXPECT_EQ(derived.profile.cache, "derived") << what;
   EXPECT_EQ(derived.profile.backend, "cache") << what;
-  ExpectTablesIdentical(off.table, derived.table, what + " [derived]");
+  ExpectTablesIdentical(*off.table, *derived.table, what + " [derived]");
 }
 
 // --------------------------------------------------------------------------
@@ -269,7 +269,7 @@ TEST(CacheEquivalence, NonDistributiveNeverDerives) {
   EXPECT_EQ(pq.profile.cache, "miss");
   ProfiledQuery off = RunQ(obj, "SELECT avg(close) BY stock",
                           Opts(Mode::kOff), "avg direct");
-  ExpectTablesIdentical(off.table, pq.table, "avg never derived");
+  ExpectTablesIdentical(*off.table, *pq.table, "avg never derived");
 }
 
 // --------------------------------------------------------------------------
@@ -298,9 +298,9 @@ TEST(CacheEquivalence, AppendInvalidates) {
   ProfiledQuery after = RunQ(obj, q, Opts(Mode::kOn), "after append");
   EXPECT_EQ(after.profile.cache, "miss") << "stale entry served after append";
   ProfiledQuery direct = RunQ(obj, q, Opts(Mode::kOff), "direct after append");
-  ExpectTablesIdentical(direct.table, after.table, "post-append");
+  ExpectTablesIdentical(*direct.table, *after.table, "post-append");
   // And the totals actually moved.
-  EXPECT_FALSE(cold.table.rows() == after.table.rows());
+  EXPECT_FALSE(cold.table->rows() == after.table->rows());
 }
 
 // --------------------------------------------------------------------------
@@ -316,8 +316,8 @@ void ExpectOwnAnswers(const StatisticalObject& obj,
     ProfiledQuery off = RunQ(obj, texts[i], Opts(Mode::kOff), texts[i]);
     ProfiledQuery on = RunQ(obj, texts[i], Opts(Mode::kOn), texts[i]);
     EXPECT_EQ(on.profile.cache, "miss") << texts[i];
-    EXPECT_EQ(off.table.num_rows(), rows[i]) << texts[i];
-    ExpectTablesIdentical(off.table, on.table, texts[i]);
+    EXPECT_EQ(off.table->num_rows(), rows[i]) << texts[i];
+    ExpectTablesIdentical(*off.table, *on.table, texts[i]);
   }
 }
 
@@ -339,14 +339,14 @@ TEST(CacheEquivalence, StringLiteralCannotSpellASecondPredicate) {
                             "SELECT sum(qty) BY day WHERE product = '" +
                                 product + "' AND store = '" + store + "'",
                             Opts(Mode::kOff), "conjunction");
-  ASSERT_GT(both.table.num_rows(), 0u);
+  ASSERT_GT(both.table->num_rows(), 0u);
   ExpectOwnAnswers(
       obj,
       {"SELECT sum(qty) BY day WHERE product = '" + product +
            "&store=string:" + store + "'",
        "SELECT sum(qty) BY day WHERE product = '" + product +
            "' AND store = '" + store + "'"},
-      {0, both.table.num_rows()});
+      {0, both.table->num_rows()});
 }
 
 // --------------------------------------------------------------------------
@@ -378,7 +378,7 @@ TEST(CacheEquivalence, ConcurrentQueriersBitIdentical) {
   std::vector<Table> baseline;
   for (const Case& c : cases)
     baseline.push_back(
-        RunQ(*c.obj, c.text, Opts(Mode::kOff, c.engine), c.text).table);
+        *RunQ(*c.obj, c.text, Opts(Mode::kOff, c.engine), c.text).table);
 
   ResetCache();
   std::vector<std::thread> workers;
@@ -394,7 +394,7 @@ TEST(CacheEquivalence, ConcurrentQueriersBitIdentical) {
           mismatches.fetch_add(1);
           continue;
         }
-        ExpectTablesIdentical(baseline[n], r->table, c.text);
+        ExpectTablesIdentical(baseline[n], *r->table, c.text);
       }
     });
   }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "statcube/query/cache_key.h"
 #include "statcube/obs/metrics.h"
 #include "statcube/query/parser.h"
+#include "statcube/serve/front_door.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -53,15 +56,19 @@ QueryKey KeyFor(const std::string& text,
 }
 
 // A small result table shaped like a group-by output, `rows` rows.
-Table FakeResult(const std::string& name, size_t rows) {
+std::shared_ptr<const Table> FakeResult(const std::string& name, size_t rows) {
   Schema schema;
   schema.AddColumn("store", ValueType::kString);
   schema.AddColumn("sum_amount", ValueType::kDouble);
-  Table t(name, schema);
+  auto t = std::make_shared<Table>(name, schema);
   for (size_t i = 0; i < rows; ++i)
-    t.AppendRowUnchecked({Value("store" + std::to_string(i)),
-                          Value(double(i))});
+    t->AppendRowUnchecked({Value("store" + std::to_string(i)),
+                           Value(double(i))});
   return t;
+}
+
+bool Cached(ResultCache& rc, const QueryKey& key) {
+  return rc.Lookup(key).table != nullptr;
 }
 
 // --------------------------------------------------------------------------
@@ -202,11 +209,12 @@ ResultCache::Options Tiny(size_t budget, size_t shards = 1) {
 TEST(ResultCacheTest, InsertThenExactHit) {
   ResultCache rc(Tiny(1 << 20));
   QueryKey key = KeyFor("SELECT sum(amount) BY store");
-  Table result = FakeResult("r_by_store", 4);
-  EXPECT_TRUE(rc.Insert(key, result, /*backend_answered=*/false, 1000));
+  auto result = FakeResult("r_by_store", 4);
+  EXPECT_NE(rc.Insert(key, result, /*backend_answered=*/false, 1000),
+            nullptr);
   auto hit = rc.Lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->ToString(100), result.ToString(100));
+  ASSERT_NE(hit.table, nullptr);
+  EXPECT_EQ(hit.table->ToString(100), result->ToString(100));
   auto s = rc.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 0u);
@@ -219,7 +227,7 @@ TEST(ResultCacheTest, MissOnDifferentKey) {
   ResultCache rc(Tiny(1 << 20));
   rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 2), false,
             1000);
-  EXPECT_FALSE(rc.Lookup(KeyFor("SELECT sum(amount) BY city")).has_value());
+  EXPECT_FALSE(Cached(rc, KeyFor("SELECT sum(amount) BY city")));
   EXPECT_EQ(rc.stats().misses, 1u);
 }
 
@@ -227,43 +235,86 @@ TEST(ResultCacheTest, AdmissionRejectsCheapResults) {
   ResultCache rc(Tiny(1 << 20));
   rc.set_admit_min_us(500);
   QueryKey key = KeyFor("SELECT sum(amount) BY store");
-  EXPECT_FALSE(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/10));
-  EXPECT_FALSE(rc.Lookup(key).has_value());
+  EXPECT_EQ(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/10),
+            nullptr);
+  EXPECT_FALSE(Cached(rc, key));
   EXPECT_EQ(rc.stats().admission_rejects, 1u);
   // Expensive enough: admitted.
-  EXPECT_TRUE(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/5000));
-  EXPECT_TRUE(rc.Lookup(key).has_value());
+  EXPECT_NE(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/5000),
+            nullptr);
+  EXPECT_TRUE(Cached(rc, key));
 }
 
 TEST(ResultCacheTest, AdmissionRejectsOversizeResults) {
   ResultCache::Options o = Tiny(1 << 20);
   o.max_entry_bytes = 64;  // smaller than any real table
   ResultCache rc(o);
-  EXPECT_FALSE(rc.Insert(KeyFor("SELECT sum(amount) BY store"),
-                         FakeResult("a", 100), false, 1000));
+  EXPECT_EQ(rc.Insert(KeyFor("SELECT sum(amount) BY store"),
+                      FakeResult("a", 100), false, 1000),
+            nullptr);
   EXPECT_EQ(rc.stats().admission_rejects, 1u);
   EXPECT_EQ(rc.entries(), 0u);
+}
+
+// An entry is the inserted object itself, shared: a hit and a derivation
+// source hand out the very table Insert received, with the encoding Insert
+// made once, and that encoding is part of the entry's bytes.
+TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
+  ResultCache rc(Tiny(4 << 20));
+  QueryKey key = KeyFor("SELECT sum(amount) BY store, city");
+  auto result = FakeResult("r_by_store_city", 200);
+  std::shared_ptr<const std::string> json =
+      rc.Insert(key, result, /*backend_answered=*/false, 1000);
+  ASSERT_NE(json, nullptr);
+  EXPECT_EQ(*json, serve::TableToJson(*result));
+
+  cache::CachedResult hit = rc.Lookup(key);
+  EXPECT_EQ(hit.table.get(), result.get());
+  EXPECT_EQ(hit.json.get(), json.get());
+  auto src = rc.FindDerivationSource(KeyFor("SELECT sum(amount) BY store"));
+  ASSERT_TRUE(src.has_value());
+  EXPECT_EQ(src->result.get(), result.get());
+  // Re-offering a live key keeps the entry and returns its encoding.
+  EXPECT_EQ(rc.Insert(key, FakeResult("r_by_store_city", 200), false, 1000),
+            json);
+  EXPECT_EQ(rc.Lookup(key).table.get(), result.get());
+
+  // The encoding counts toward the entry's size: in the resident bytes...
+  const size_t entry_bytes = rc.stats().bytes;
+  EXPECT_GE(entry_bytes, result->ByteSize() + key.exact.size() + json->size());
+  // ...and in the max_entry_bytes check: the same entry is admitted at
+  // exactly its size and refused one byte below it.
+  for (size_t cap : {entry_bytes, entry_bytes - 1}) {
+    ResultCache::Options o = Tiny(4 << 20);
+    o.max_entry_bytes = cap;
+    ResultCache capped(o);
+    EXPECT_EQ(capped.Insert(key, result, false, 1000) != nullptr,
+              cap == entry_bytes)
+        << cap;
+    EXPECT_EQ(capped.stats().bytes, cap == entry_bytes ? entry_bytes : 0u);
+  }
 }
 
 TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
   // Budget that holds roughly two of the three entries (one shard so LRU
   // order is global).
-  // Per-entry overhead beyond the table bytes: the exact-key string plus
-  // the Entry struct — comfortably under 1 KiB.
-  Table sample = FakeResult("x", 50);
-  const size_t budget = 2 * (sample.ByteSize() + 1024);
+  // Per-entry overhead beyond the table and its encoding: the exact-key
+  // string plus the Entry struct — comfortably under 1 KiB.
+  auto sample = FakeResult("x", 50);
+  const size_t budget =
+      2 * (sample->ByteSize() + serve::TableToJson(*sample).size() + 1024);
   ResultCache rc(Tiny(budget, /*shards=*/1));
   QueryKey a = KeyFor("SELECT sum(amount) BY store");
   QueryKey b = KeyFor("SELECT sum(amount) BY city");
   QueryKey c = KeyFor("SELECT sum(amount) BY product");
   rc.Insert(a, FakeResult("a", 50), false, 1000);
   rc.Insert(b, FakeResult("b", 50), false, 1000);
-  ASSERT_TRUE(rc.Lookup(a).has_value());  // refresh a; b is now LRU
+  ASSERT_TRUE(Cached(rc, a));  // refresh a; b is now LRU
   rc.Insert(c, FakeResult("c", 50), false, 1000);
   EXPECT_GT(rc.stats().evictions, 0u);
-  EXPECT_FALSE(rc.Lookup(b).has_value()) << "LRU victim should be b";
-  EXPECT_TRUE(rc.Lookup(a).has_value());
-  EXPECT_TRUE(rc.Lookup(c).has_value());
+  EXPECT_FALSE(Cached(rc, b)) << "LRU victim should be b";
+  EXPECT_TRUE(Cached(rc, a));
+  EXPECT_TRUE(Cached(rc, c));
   EXPECT_LE(rc.bytes(), budget);
 }
 
@@ -274,7 +325,7 @@ TEST(ResultCacheTest, ClearEmptiesEverything) {
   rc.Clear();
   EXPECT_EQ(rc.entries(), 0u);
   EXPECT_EQ(rc.bytes(), 0u);
-  EXPECT_FALSE(rc.Lookup(KeyFor("SELECT sum(amount) BY store")).has_value());
+  EXPECT_FALSE(Cached(rc, KeyFor("SELECT sum(amount) BY store")));
 }
 
 // --------------------------------------------------------------------------
@@ -290,7 +341,7 @@ TEST(ResultCacheTest, FindsSmallestSupersetOfSameShape) {
   auto src = rc.FindDerivationSource(want);
   ASSERT_TRUE(src.has_value());
   // The cheaper (fewer-rows) ancestor wins, like CheapestAncestor.
-  EXPECT_EQ(src->result.name(), "r_by_store_city");
+  EXPECT_EQ(src->result->name(), "r_by_store_city");
   EXPECT_EQ(src->by, mid.by);
   ASSERT_EQ(src->agg_fns.size(), 1u);
   EXPECT_EQ(src->agg_fns[0], AggFn::kSum);
@@ -319,8 +370,10 @@ TEST(ResultCacheTest, NoDerivationForNonDistributive) {
 }
 
 TEST(ResultCacheTest, EvictedEntriesLeaveTheIndex) {
-  Table sample = FakeResult("x", 50);
-  ResultCache rc(Tiny(sample.ByteSize() + 512, /*shards=*/1));
+  auto sample = FakeResult("x", 50);
+  ResultCache rc(Tiny(
+      sample->ByteSize() + serve::TableToJson(*sample).size() + 512,
+      /*shards=*/1));
   QueryKey superset = KeyFor("SELECT sum(amount) BY store, city");
   rc.Insert(superset, FakeResult("r_by_store_city", 50), false, 1000);
   // A second insert evicts the first (budget holds one entry).
@@ -343,8 +396,8 @@ TEST(ResultCacheTest, MetricsRegistered) {
   uint64_t hits0 = reg.GetCounter("statcube.cache.hits").Value();
   uint64_t misses0 = reg.GetCounter("statcube.cache.misses").Value();
   rc.Insert(key, FakeResult("a", 3), false, 1000);
-  rc.Lookup(key);
-  rc.Lookup(KeyFor("SELECT sum(amount) BY city"));
+  (void)rc.Lookup(key);
+  (void)rc.Lookup(KeyFor("SELECT sum(amount) BY city"));
   EXPECT_EQ(reg.GetCounter("statcube.cache.hits").Value(), hits0 + 1);
   EXPECT_EQ(reg.GetCounter("statcube.cache.misses").Value(), misses0 + 1);
   EXPECT_GT(reg.GetGauge("statcube.cache.bytes").Value(), 0.0);
@@ -372,7 +425,7 @@ TEST(ResultCacheTest, ConcurrentMixedOperations) {
         if (i % 3 == 0)
           rc.Insert(key, FakeResult("t_by_x", 10 + i % 7), false, 1000);
         else if (i % 3 == 1)
-          rc.Lookup(key);
+          (void)rc.Lookup(key);
         else
           rc.FindDerivationSource(keys[w % 2]);
       }
@@ -381,6 +434,64 @@ TEST(ResultCacheTest, ConcurrentMixedOperations) {
   for (auto& t : workers) t.join();
   auto s = rc.stats();
   EXPECT_GT(s.inserts + s.hits + s.misses, 0u);
+}
+
+// Readers keep the tables and encodings they were handed while writers
+// evict their entries (a budget of about two entries, four keys, one
+// shard): every held table and its bytes must stay intact. Under ASan a
+// freed table would be a use after free; under TSan, a race.
+TEST(ResultCacheTest, HeldHitsSurviveEviction) {
+  constexpr int kKeys = 4;
+  const QueryKey keys[kKeys] = {
+      KeyFor("SELECT sum(amount) BY store"),
+      KeyFor("SELECT sum(amount) BY city"),
+      KeyFor("SELECT sum(amount) BY product"),
+      KeyFor("SELECT sum(amount) BY day"),
+  };
+  std::string want[kKeys];
+  for (int k = 0; k < kKeys; ++k)
+    want[k] = serve::TableToJson(*FakeResult("t" + std::to_string(k), 40 + k));
+  auto sample = FakeResult("t0", 43);
+  ResultCache rc(Tiny(
+      2 * (sample->ByteSize() + serve::TableToJson(*sample).size() + 1024),
+      /*shards=*/1));
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < 400; ++i) {
+        const int k = (w + i) % kKeys;
+        rc.Insert(keys[k], FakeResult("t" + std::to_string(k), 40 + k), false,
+                  1000);
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  std::atomic<int> held_total{0}, torn{0};
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<std::pair<int, cache::CachedResult>> held;
+      for (int i = 0; !done.load() || i < 200; ++i) {
+        const int k = (r + i) % kKeys;
+        cache::CachedResult hit = rc.Lookup(keys[k]);
+        if (hit.table != nullptr && held.size() < 1000)
+          held.emplace_back(k, std::move(hit));
+      }
+      // Every entry held has long been evicted or replaced by now.
+      for (const auto& [k, hit] : held) {
+        if (*hit.json != want[k] || serve::TableToJson(*hit.table) != want[k])
+          torn.fetch_add(1);
+      }
+      held_total.fetch_add(int(held.size()));
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_GT(rc.stats().evictions, 0u);
+  EXPECT_GT(held_total.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
 }
 
 }  // namespace

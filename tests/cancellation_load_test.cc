@@ -101,10 +101,10 @@ bool AttemptCancel(int threads) {
   // so a leaked partial table would have been admitted)...
   EXPECT_EQ(rc.entries(), 0u) << "partial result cached at threads="
                               << threads;
-  EXPECT_FALSE(rc.Lookup(*query::BuildQueryKey(
-                   Retail(), *ParseQuery(kQuery),
-                   QueryEngine::kRelational))
-                   .has_value());
+  EXPECT_EQ(rc.Lookup(*query::BuildQueryKey(Retail(), *ParseQuery(kQuery),
+                                            QueryEngine::kRelational))
+                .table,
+            nullptr);
   // ...and still be accounted for: profile retained, outcome "cancelled".
   std::vector<obs::RecordedProfile> recent =
       obs::FlightRecorder::Global().Snapshot(1);

@@ -305,7 +305,7 @@ TEST_F(ProfiledQueryTest, RelationalProfileHasPhasesAndOperators) {
     EXPECT_NE(tree.find(phase), std::string::npos) << tree;
   EXPECT_EQ(tree.find("render"), std::string::npos) << tree;
   EXPECT_FALSE(p.operators.empty());
-  EXPECT_EQ(p.result_rows, r->table.num_rows());
+  EXPECT_EQ(p.result_rows, r->table->num_rows());
 }
 
 TEST_F(ProfiledQueryTest, ExplainProfilePrefixParses) {

@@ -370,7 +370,7 @@ TEST(QueryLifecycleTest, ZeroDeadlineMeansNoDeadline) {
                          opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->profile.outcome, "ok");
-  EXPECT_GT(r->table.num_rows(), 0u);
+  EXPECT_GT(r->table->num_rows(), 0u);
 }
 
 TEST(QueryLifecycleTest, StoppedQueryProfileRecordsOutcome) {

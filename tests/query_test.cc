@@ -456,9 +456,9 @@ void ExpectBackendsMatchReference(const StatisticalObject& obj,
         ++asked;
         if (got->profile.backend == QueryEngineName(engine)) {
           ++answered;
-          ASSERT_EQ(Canonical(*want), Canonical(got->table)) << what;
+          ASSERT_EQ(Canonical(*want), Canonical(*got->table)) << what;
         } else {
-          ExpectSameResult(want, got->table, what);
+          ExpectSameResult(want, *got->table, what);
         }
         if (::testing::Test::HasFatalFailure()) return;
       }

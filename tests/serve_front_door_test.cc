@@ -15,8 +15,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "json_checker.h"
+#include "statcube/cache/result_cache.h"
 #include "statcube/obs/http_server.h"
 #include "statcube/obs/json.h"
 #include "statcube/query/parser.h"
@@ -159,13 +161,117 @@ TEST(FrontDoorServeTest, ResultBitIdenticalToQueryProfiledPath) {
       R"({"query":)" + obs::JsonStr(query) + R"(,"render":true})"));
   ASSERT_EQ(resp.status, 200) << resp.body;
 
-  const std::string expect_result = "\"result\":" + TableToJson(direct->table);
+  const std::string expect_result = "\"result\":" + TableToJson(*direct->table);
   EXPECT_NE(resp.body.find(expect_result), std::string::npos)
       << "served result differs from the QueryProfiled table";
   const std::string expect_rendered =
-      "\"rendered\":" + obs::JsonStr(direct->table.ToString(25));
+      "\"rendered\":" + obs::JsonStr(direct->table->ToString(25));
   EXPECT_NE(resp.body.find(expect_rendered), std::string::npos)
       << "served rendering differs from the QueryProfiled rendering";
+}
+
+// The result cache serves stored encodings: for every dashboard panel
+// (finest to coarsest), the "result" of a miss, an exact hit and a derived
+// hit is byte for byte the encoding of the reference answer, and once an
+// append has moved the data no response serves the bytes stored before it.
+const char* const kDashboardPanels[] = {
+    "SELECT sum(amount), sum(qty) BY product, store",
+    "SELECT sum(amount), sum(qty) BY product, city",
+    "SELECT sum(amount), sum(qty) BY product",
+    "SELECT sum(amount), sum(qty) BY store",
+    "SELECT sum(qty) BY store",
+    "SELECT sum(amount), sum(qty) BY city",
+    "SELECT sum(qty)",
+    "SELECT sum(amount)",
+};
+
+// The "result" member of `text` answered through `door` with the cache in
+// derive mode. The answer must come by `cache_path` (hit, derived or miss)
+// unless that is empty.
+std::string ServeCached(QueryFrontDoor& door, const std::string& text,
+                        const std::string& cache_path) {
+  obs::HttpResponse resp = door.ServeRequest(
+      Post(R"({"query":)" + obs::JsonStr(text) + R"(,"cache":"derive"})"));
+  EXPECT_EQ(resp.status, 200) << text << ": " << resp.body;
+  if (!cache_path.empty())
+    EXPECT_NE(resp.body.find("\"cache\":\"" + cache_path + "\""),
+              std::string::npos)
+        << text << ": " << resp.body;
+  const std::string member = "\"result\":";
+  const size_t at = resp.body.find(member);
+  if (at == std::string::npos || resp.body.size() < at + member.size() + 2)
+    return "";
+  // The envelope closes with "}\n" right after the result.
+  return resp.body.substr(at + member.size(),
+                          resp.body.size() - 2 - (at + member.size()));
+}
+
+std::string Reference(const StatisticalObject& obj, const std::string& text) {
+  Result<Table> t = Query(obj, text);
+  EXPECT_TRUE(t.ok()) << text << ": " << t.status().ToString();
+  return t.ok() ? TableToJson(*t) : "";
+}
+
+class FrontDoorCachedTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cache::ResultCache::Global().set_admit_min_us(0);  // admit everything
+    cache::ResultCache::Global().Clear();
+  }
+  void TearDown() override {
+    cache::ResultCache::Global().Clear();
+    cache::ResultCache::Global().set_admit_min_us(
+        cache::ResultCache::Options().admit_min_us);
+  }
+};
+
+TEST_F(FrontDoorCachedTest, MissHitAndDerivedServeTheReferenceBytes) {
+  QueryFrontDoor door(Retail());
+  for (const std::string panel : kDashboardPanels) {
+    const std::string want = Reference(Retail(), panel);
+    cache::ResultCache::Global().Clear();
+    EXPECT_EQ(ServeCached(door, panel, "miss"), want) << panel << " [miss]";
+    EXPECT_EQ(ServeCached(door, panel, "hit"), want) << panel << " [hit]";
+
+    // A superset grouping of the same aggregates, one attribute finer.
+    const std::string finer =
+        panel + (panel.find(" BY ") == std::string::npos ? " BY day" : ", day");
+    cache::ResultCache::Global().Clear();
+    ServeCached(door, finer, "miss");
+    EXPECT_EQ(ServeCached(door, panel, "derived"), want)
+        << panel << " [derived from " << finer << "]";
+  }
+}
+
+TEST_F(FrontDoorCachedTest, AppendRetiresStoredBytes) {
+  RetailOptions opt;
+  opt.num_products = 6;
+  opt.num_stores = 4;
+  opt.num_cities = 2;
+  opt.num_days = 5;
+  opt.num_rows = 2000;
+  StatisticalObject obj = MakeRetailWorkload(opt).ValueOrDie().object;
+  QueryFrontDoor door(obj);
+  std::vector<std::string> before;
+  for (const char* panel : kDashboardPanels) {
+    ServeCached(door, panel, "");
+    before.push_back(ServeCached(door, panel, "hit"));
+    EXPECT_EQ(before.back(), Reference(obj, panel)) << panel;
+  }
+
+  // One more sale on an existing cell: every panel's sums move.
+  Row dims(obj.data().row(0).begin(), obj.data().row(0).begin() + 3);
+  ASSERT_TRUE(
+      obj.AddCell(dims, {Value(int64_t(1000000)), Value(int64_t(9))}).ok());
+
+  for (size_t i = 0; i < before.size(); ++i) {
+    const std::string panel = kDashboardPanels[i];
+    for (int round = 0; round < 2; ++round) {
+      const std::string served = ServeCached(door, panel, "");
+      EXPECT_NE(served, before[i]) << panel << " served pre-append bytes";
+      EXPECT_EQ(served, Reference(obj, panel)) << panel;
+    }
+  }
 }
 
 TEST(FrontDoorServeTest, QueryErrorsMapToStatusAndCarryCode) {

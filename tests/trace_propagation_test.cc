@@ -215,9 +215,9 @@ TEST_F(TraceQueryTest, ResultsBitIdenticalAcrossThreadCountsWhileProfiled) {
       auto r = QueryProfiled(data_->object, text, opt);
       ASSERT_TRUE(r.ok()) << text << ": " << r.status().ToString();
       if (t == 1) {
-        baseline = WriteCsv(r->table);
+        baseline = WriteCsv(*r->table);
       } else {
-        EXPECT_EQ(WriteCsv(r->table), baseline) << text << " @" << t
+        EXPECT_EQ(WriteCsv(*r->table), baseline) << text << " @" << t
                                                 << " threads";
       }
     }
