@@ -1,7 +1,9 @@
 // Experiments P1 and P4 (DESIGN.md §6, §12): thread-sweep scaling of the
 // parallel kernels (statcube/exec) over the three §6 aggregation shapes —
 // the radix-partitioned group-by, the CUBE lattice built on it, and the
-// MOLAP marginals.
+// MOLAP marginals. The group-by and CUBE run as queries through
+// ExecuteQuery, whose coded pass (exec::CodedGroupBy) feeds the radix
+// kernel its group ids.
 // Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial
 // baseline cost, so speedup(N) = real_time(1) / real_time(N). On a machine
 // with fewer cores than N the pool oversubscribes (EnsureThreads), which
@@ -19,52 +21,48 @@
 
 #include "statcube/exec/parallel_kernels.h"
 #include "statcube/molap/dense_array.h"
+#include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
 namespace {
 
-// One big retail table shared by every group-by/CUBE case: ~200k fact rows
+// One big retail object shared by every group-by/CUBE case: ~200k fact rows
 // over 50 products x 12 stores x 60 days, Zipf-skewed. The seed is pinned
 // so baseline and candidate commits measure identical work (see the file
 // comment).
-const Table& BigRetailFlat() {
-  static const Table* table = [] {
+const StatisticalObject& BigRetail() {
+  static const StatisticalObject* obj = [] {
     RetailOptions opt;
     opt.num_rows = 200000;
     opt.seed = 17;  // pinned: never change without regenerating baselines
-    return new Table(MakeRetailWorkload(opt)->flat);
+    return new StatisticalObject(MakeRetailWorkload(opt)->object);
   }();
-  return *table;
+  return *obj;
 }
 
-void BM_ParallelGroupBy(benchmark::State& state) {
-  const Table& t = BigRetailFlat();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
+// Times `text` through ExecuteQuery with state.range(0) workers.
+void RunQuery(benchmark::State& state, const char* text) {
+  const StatisticalObject& obj = BigRetail();
+  const ParsedQuery q = ParseQuery(text).ValueOrDie();
   for (auto _ : state) {
-    auto g = exec::ParallelGroupBy(t, {"product", "store"}, aggs,
-                                   {.threads = int(state.range(0))});
-    benchmark::DoNotOptimize(g->num_rows());
+    auto t = ExecuteQuery(obj, q, int(state.range(0)));
+    benchmark::DoNotOptimize(t->num_rows());
   }
   state.counters["threads"] = double(state.range(0));
-  state.counters["rows"] = double(t.num_rows());
+  state.counters["rows"] = double(obj.data().num_rows());
 }
-BENCHMARK(BM_ParallelGroupBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+
+void BM_ExecuteGroupBy(benchmark::State& state) {
+  RunQuery(state, "SELECT sum(amount), count(qty) BY product, store");
+}
+BENCHMARK(BM_ExecuteGroupBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ParallelCubeBy(benchmark::State& state) {
-  const Table& t = BigRetailFlat();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""}};
-  for (auto _ : state) {
-    auto c = exec::ParallelCubeBy(t, {"category", "city", "month"}, aggs,
-                                  {.threads = int(state.range(0))});
-    benchmark::DoNotOptimize(c->num_rows());
-  }
-  state.counters["threads"] = double(state.range(0));
-  state.counters["rows"] = double(t.num_rows());
+void BM_ExecuteCubeBy(benchmark::State& state) {
+  RunQuery(state, "SELECT sum(amount) BY CUBE(category, city, month)");
 }
-BENCHMARK(BM_ParallelCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_ExecuteCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelMarginals(benchmark::State& state) {

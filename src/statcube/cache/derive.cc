@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "statcube/common/str_util.h"
-#include "statcube/exec/parallel_kernels.h"
 #include "statcube/relational/aggregate.h"
 
 namespace statcube::cache {
@@ -52,24 +51,15 @@ std::string DerivedName(const std::string& cached_name,
 
 }  // namespace
 
-Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
-                            int threads) {
+Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key) {
   std::vector<AggSpec> respecs;
   respecs.reserve(src.agg_fns.size());
   for (size_t i = 0; i < src.agg_fns.size(); ++i)
     respecs.push_back(
         {ReaggFn(src.agg_fns[i]), src.agg_cols[i], src.agg_cols[i]});
 
-  GroupedStates states;
-  if (threads != 1) {
-    exec::ExecOptions xo;
-    xo.threads = threads;
-    STATCUBE_ASSIGN_OR_RETURN(
-        states, exec::ParallelGroupByStates(*src.result, key.by, respecs, xo));
-  } else {
-    STATCUBE_ASSIGN_OR_RETURN(
-        states, GroupByStates(*src.result, key.by, respecs));
-  }
+  STATCUBE_ASSIGN_OR_RETURN(GroupedStates states,
+                            GroupByStates(*src.result, key.by, respecs));
 
   // StatesToTable with one twist: counts re-finalize to int64 (Finalize of
   // the kSum re-aggregate would say double, and a derived COUNT must render

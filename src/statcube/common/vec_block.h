@@ -76,7 +76,7 @@ size_t CountFlagBits(const uint8_t* flags, size_t n, uint8_t bit);
 /// absolute value at most `max_abs`, is provably bit-identical to the
 /// ordered sum: every partial sum is an integer of magnitude <= n * max_abs
 /// <= 2^53, hence exactly representable. `all_integral` is the caller's
-/// evidence (tracked incrementally by columnarization and DenseArray).
+/// evidence (tracked incrementally by the measure slabs and DenseArray).
 bool ReorderIsExact(bool all_integral, double max_abs, size_t n);
 
 /// The instruction set the reassociating kernels dispatched to at startup:

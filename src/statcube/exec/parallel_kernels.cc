@@ -10,8 +10,11 @@
 #include "statcube/common/mutex.h"
 #include "statcube/common/str_util.h"
 #include "statcube/common/vec_block.h"
+#include "statcube/exec/vec_kernels.h"
+#include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
+#include "statcube/obs/trace.h"
 #include "statcube/relational/cube_operator.h"
 
 namespace statcube::exec {
@@ -20,8 +23,9 @@ namespace vec = ::statcube::vec;
 
 namespace {
 
+// Rounds up without overflow, even at a size_t-max morsel.
 size_t NumMorsels(size_t n, size_t morsel) {
-  return n == 0 ? 0 : (n + morsel - 1) / morsel;
+  return n == 0 ? 0 : (n - 1) / morsel + 1;
 }
 
 ParallelForOptions LoopOptions(const char* label, const ExecOptions& options) {
@@ -113,6 +117,272 @@ class GroupIds {
   std::vector<uint64_t> slot_keys_;
   std::vector<uint64_t> keys_;
 };
+
+constexpr int kRadixBits = 6;
+static_assert((size_t(1) << kRadixBits) == kRadixPartitions,
+              "kRadixPartitions must be 2^kRadixBits");
+
+// Group ids are dense (0..ngroups-1), so the low bits alone deal groups
+// round-robin — perfectly balanced by construction, no mixing needed.
+inline size_t PartitionOf(uint32_t gid) {
+  return size_t(gid) & (kRadixPartitions - 1);
+}
+
+// AggState::AddSlab of slab positions [begin, end), in order, into
+// states[gid[e] * stride]. A null `values` is count() without a column
+// (rows only); a null `flags` says every entry is a non-NaN number.
+void FoldSlab(const uint32_t* gid, const double* values, const uint8_t* flags,
+              size_t begin, size_t end, AggState* states, size_t stride) {
+  if (values == nullptr) {
+    for (size_t e = begin; e < end; ++e) ++states[gid[e] * stride].rows;
+  } else if (flags == nullptr) {
+    for (size_t e = begin; e < end; ++e)
+      states[gid[e] * stride].AddSlab(values[e], kSlabNonNull | kSlabNumeric);
+  } else {
+    for (size_t e = begin; e < end; ++e)
+      states[gid[e] * stride].AddSlab(values[e], flags[e]);
+  }
+}
+
+// Rows already reduced to dense group ids and their measure slabs.
+struct GroupIdRows {
+  size_t rows = 0;
+  // Row r's group in [0, groups), numbered in first-occurrence order;
+  // nullptr puts every row in one group (an empty BY).
+  const uint32_t* gids = nullptr;
+  size_t groups = 0;
+  std::vector<SlabView> slabs;  // one per aggregate
+};
+
+// The radix group-by (DESIGN.md §12): a stable scatter of each row's gid
+// and measure values into kRadixPartitions buckets by the gid's low bits,
+// then one task per partition folding its slabs into flat per-gid states —
+// fanned out only past `vec_fanout_rows` rows per worker, else one pass on
+// the caller in row order. Each group folds its rows in ascending row
+// order, so every state is the serial GroupByStates' bit for bit. Returns
+// `slabs.size()` states per group, group-major.
+Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
+                                            const ExecOptions& options) {
+  const size_t n = in.rows;
+  const size_t naggs = in.slabs.size();
+  const size_t ngroups = n == 0 ? 0 : (in.gids == nullptr ? 1 : in.groups);
+  std::vector<AggState> states(ngroups * naggs);
+  if (n == 0) return states;
+  if (obs::Enabled()) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
+    reg.GetCounter("statcube.exec.vec.rows").Add(n);
+    reg.GetCounter("statcube.exec.vec.groups").Add(ngroups);
+  }
+
+  // Empty BY: one global group over fully contiguous slabs — the pure
+  // block-kernel case. Sum/sum_sq run reassociated only under the exactness
+  // gate (gap rows hold 0.0, which is bit-transparent to a sum whose running
+  // value starts at +0.0); count reduces over the flag bytes; min/max fall
+  // back to a flag-checked loop when any row lacks a numeric value.
+  if (in.gids == nullptr) {
+    obs::Span agg_span("vec.aggregate");
+    for (size_t i = 0; i < naggs; ++i) {
+      AggState& st = states[i];
+      st.rows = int64_t(n);
+      const SlabView& slab = in.slabs[i];
+      if (slab.values == nullptr) continue;  // kCountAll without a column
+      const SlabEvidence& ev = slab.evidence;
+      const double* v = slab.values;
+      st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+      st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
+                      ? vec::SumSqBlockFast(v, n)
+                      : vec::SumSqBlockOrdered(v, n);
+      if (!ev.gap) {
+        st.count = int64_t(n);
+        st.min = vec::MinBlock(v, n);
+        st.max = vec::MaxBlock(v, n);
+      } else {
+        const uint8_t* f = slab.flags;
+        st.count = int64_t(vec::CountFlagBits(f, n, kSlabNonNull));
+        for (size_t r = 0; r < n; ++r) {
+          if ((f[r] & kSlabNumeric) == 0) continue;
+          if (v[r] < st.min) st.min = v[r];
+          if (v[r] > st.max) st.max = v[r];
+        }
+      }
+    }
+    return states;
+  }
+
+  // Folds slab positions [begin, end) into their groups' states, one
+  // aggregate at a time, each in position order (vp[i]/fp[i] are aggregate
+  // i's slab, gid[e] position e's group). gids index the flat state array
+  // directly: no hash table, no Row allocation, no Value access.
+  std::vector<const double*> vp(naggs, nullptr);
+  std::vector<const uint8_t*> fp(naggs, nullptr);
+  auto fold = [&](const uint32_t* gid, size_t begin, size_t end) {
+    for (size_t i = 0; i < naggs; ++i)
+      FoldSlab(gid, vp[i], fp[i], begin, end, states.data() + i, naggs);
+  };
+
+  // One worker, or too few rows per worker to pay for a pool barrier: the
+  // scatter is skipped, and one pass in row order hands every group its
+  // rows in the same ascending order the stable scatter would.
+  const int threads = options.EffectiveThreads();
+  const bool fan_out =
+      threads > 1 && (options.vec_fanout_rows == 0 ||
+                      n >= options.vec_fanout_rows * size_t(threads));
+  if (!fan_out) {
+    {
+      obs::Span span("vec.aggregate");
+      for (size_t i = 0; i < naggs; ++i) {
+        vp[i] = in.slabs[i].values;
+        if (in.slabs[i].evidence.gap) fp[i] = in.slabs[i].flags;
+      }
+      fold(in.gids, 0, n);
+    }
+    if (StopReason r = StopAfter(options); r != StopReason::kNone)
+      return StopStatus(r, "groupby");
+    return states;
+  }
+
+  // --- Radix partition ----------------------------------------------------
+  // Histogram per (morsel, partition), prefix into stable scatter offsets,
+  // and scatter each row's gid and measure values partition-major — the
+  // aggregation pass then touches nothing but sequential partition-ordered
+  // slabs. Stability: partition-major, then morsel-major, then row order —
+  // i.e. ascending global row order within a partition.
+  ParallelForOptions loop = LoopOptions("vec_partition", options);
+  const size_t nmorsels = NumMorsels(n, loop.morsel_size);
+  std::vector<std::vector<size_t>> offsets(
+      nmorsels, std::vector<size_t>(kRadixPartitions, 0));
+  auto part_gids = std::make_unique_for_overwrite<uint32_t[]>(n);
+  std::vector<std::unique_ptr<double[]>> part_vals(naggs);
+  std::vector<std::unique_ptr<uint8_t[]>> part_flags(naggs);
+  for (size_t i = 0; i < naggs; ++i) {
+    if (in.slabs[i].values == nullptr) continue;
+    part_vals[i] = std::make_unique_for_overwrite<double[]>(n);
+    if (in.slabs[i].evidence.gap)
+      part_flags[i] = std::make_unique_for_overwrite<uint8_t[]>(n);
+  }
+  std::vector<size_t> part_begin(kRadixPartitions + 1, 0);
+  {
+    obs::Span span("vec.partition");
+    ParallelFor(
+        n,
+        [&](size_t m, size_t begin, size_t end) {
+          std::vector<size_t>& h = offsets[m];
+          for (size_t r = begin; r < end; ++r) ++h[PartitionOf(in.gids[r])];
+        },
+        loop);
+    size_t pos = 0;
+    for (size_t p = 0; p < kRadixPartitions; ++p) {
+      part_begin[p] = pos;
+      for (size_t m = 0; m < nmorsels; ++m) {
+        const size_t count = offsets[m][p];
+        offsets[m][p] = pos;
+        pos += count;
+      }
+    }
+    part_begin[kRadixPartitions] = pos;
+
+    ParallelFor(
+        n,
+        [&](size_t m, size_t begin, size_t end) {
+          std::vector<size_t>& off = offsets[m];
+          for (size_t r = begin; r < end; ++r) {
+            const uint32_t g = in.gids[r];
+            const size_t idx = off[PartitionOf(g)]++;
+            part_gids[idx] = g;
+            for (size_t i = 0; i < naggs; ++i) {
+              if (part_vals[i] == nullptr) continue;
+              part_vals[i][idx] = in.slabs[i].values[r];
+              if (part_flags[i] != nullptr)
+                part_flags[i][idx] = in.slabs[i].flags[r];
+            }
+          }
+        },
+        loop);
+  }
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
+
+  // --- Per-partition aggregation -------------------------------------------
+  // One task per partition. Partitions own disjoint gid sets, so the writes
+  // never race and there is no cross-thread merge of thread-local partials.
+  // Rows arrive in ascending global row order (stable scatter), so every
+  // group's AggState replays the serial accumulation sequence bit for bit.
+  {
+    obs::Span span("vec.aggregate");
+    for (size_t i = 0; i < naggs; ++i) {
+      vp[i] = part_vals[i].get();
+      fp[i] = part_flags[i].get();
+    }
+    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
+    aloop.morsel_size = 1;
+    ParallelFor(
+        kRadixPartitions,
+        [&](size_t, size_t pbegin, size_t pend) {
+          for (size_t p = pbegin; p < pend; ++p)
+            fold(part_gids.get(), part_begin[p], part_begin[p + 1]);
+        },
+        aloop);
+  }
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
+  return states;
+}
+
+// GROUP BY CUBE over its finest grouping (at most 20 dimensions): every
+// coarser grouping rolls up through the lattice level-synchronously, one
+// task per grouping set within a level ([ZDN97]'s simultaneous
+// aggregation, parallelized). `finest` must be GroupByStates(input, dims,
+// aggs) bit for bit, insertion order included; the output is then CubeBy's.
+Result<Table> CubeLattice(const std::string& name, GroupedStates finest,
+                          const std::vector<std::string>& dims,
+                          const std::vector<AggSpec>& aggs,
+                          const ExecOptions& options) {
+  size_t ndims = dims.size();
+  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
+
+  // Every coarser grouping rolls up from the parent with the lowest absent
+  // dimension added — the same parent CubeBy picks, so the merged states are
+  // identical. Groupings within one popcount level depend only on the level
+  // above, so each level is one parallel loop (morsel = one grouping set).
+  std::vector<GroupedStates> computed(size_t(full) + 1);
+  computed[full] = std::move(finest);
+
+  std::vector<std::vector<uint32_t>> levels(ndims);  // by popcount, asc mask
+  for (uint32_t m = 0; m < full; ++m)
+    levels[__builtin_popcount(m)].push_back(m);
+
+  ParallelForOptions loop = LoopOptions("cube_rollup", options);
+  loop.morsel_size = 1;  // one grouping set per task
+  for (size_t level = ndims; level-- > 0;) {
+    const std::vector<uint32_t>& masks = levels[level];
+    ParallelFor(
+        masks.size(),
+        [&](size_t, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            uint32_t m = masks[i];
+            uint32_t missing = full & ~m;
+            uint32_t parent = m | (missing & (~missing + 1));
+            computed[m] =
+                RollupGroupedStates(computed[parent], parent, m, ndims);
+          }
+        },
+        loop);
+    if (StopReason r = StopAfter(options); r != StopReason::kNone)
+      return StopStatus(r, "cube");
+  }
+
+  // Emission order matches CubeBy (popcount desc, mask asc); the canonical
+  // sort would make any emission order equivalent anyway since every
+  // dim/ALL pattern is unique.
+  Table out(name + "_cube", CubeOutputSchema(dims, aggs));
+  EmitCubeGrouping(computed[full], full, ndims, aggs, &out);
+  for (size_t level = ndims; level-- > 0;)
+    for (uint32_t m : levels[level])
+      EmitCubeGrouping(computed[m], m, ndims, aggs, &out);
+  SortCubeRows(&out, ndims);
+  return out;
+}
 
 }  // namespace
 
@@ -230,11 +500,19 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
     return (*in.by[k].values)[codes[k][g]];
   };
   if (in.cube) {
-    GroupedStates finest = EmitGroupedStates(
-        ngroups, naggs, states, [&](size_t g, Row* key) {
-          key->resize(nby);
-          for (size_t k = 0; k < nby; ++k) (*key)[k] = value(k, g);
-        });
+    // The finest grouping, inserted in gid order: first-occurrence order,
+    // so the map grows and iterates as the serial GroupByStates' does.
+    GroupedStates finest;
+    {
+      obs::Span span("vec.emit");
+      Row key(nby);
+      for (size_t g = 0; g < ngroups; ++g) {
+        for (size_t k = 0; k < nby; ++k) key[k] = value(k, g);
+        finest.emplace(key, std::vector<AggState>(
+                                states.begin() + g * naggs,
+                                states.begin() + (g + 1) * naggs));
+      }
+    }
     return CubeLattice(in.name, std::move(finest), in.by_names, in.aggs,
                        options);
   }
@@ -271,85 +549,6 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
     out.AppendRowUnchecked(std::move(row));
   }
   obs::RecordOperator("groupby", nkept, out.num_rows());
-  return out;
-}
-
-Result<Table> ParallelGroupBy(const Table& input,
-                              const std::vector<std::string>& group_cols,
-                              const std::vector<AggSpec>& aggs,
-                              const ExecOptions& options) {
-  obs::Span span("op.groupby");
-  STATCUBE_ASSIGN_OR_RETURN(
-      GroupedStates states,
-      ParallelGroupByStates(input, group_cols, aggs, options));
-  Table out = StatesToTable(input.name() + "_by_" + Join(group_cols, "_"),
-                            group_cols, aggs, states);
-  obs::RecordOperator("groupby", input.num_rows(), out.num_rows());
-  return out;
-}
-
-Result<Table> ParallelCubeBy(const Table& input,
-                             const std::vector<std::string>& dims,
-                             const std::vector<AggSpec>& aggs,
-                             const ExecOptions& options) {
-  if (dims.size() > 20)
-    return Status::InvalidArgument("cube over >20 dimensions refused");
-  obs::Span span("op.cube");
-  // The finest grouping: one parallel scan of the input.
-  STATCUBE_ASSIGN_OR_RETURN(GroupedStates base,
-                            ParallelGroupByStates(input, dims, aggs, options));
-  return CubeLattice(input.name(), std::move(base), dims, aggs, options);
-}
-
-Result<Table> CubeLattice(const std::string& name, GroupedStates finest,
-                          const std::vector<std::string>& dims,
-                          const std::vector<AggSpec>& aggs,
-                          const ExecOptions& options) {
-  if (dims.size() > 20)
-    return Status::InvalidArgument("cube over >20 dimensions refused");
-  size_t ndims = dims.size();
-  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
-
-  // Every coarser grouping rolls up from the parent with the lowest absent
-  // dimension added — the same parent CubeBy picks, so the merged states are
-  // identical. Groupings within one popcount level depend only on the level
-  // above, so each level is one parallel loop (morsel = one grouping set).
-  std::vector<GroupedStates> computed(size_t(full) + 1);
-  computed[full] = std::move(finest);
-
-  std::vector<std::vector<uint32_t>> levels(ndims);  // by popcount, asc mask
-  for (uint32_t m = 0; m < full; ++m)
-    levels[__builtin_popcount(m)].push_back(m);
-
-  ParallelForOptions loop = LoopOptions("cube_rollup", options);
-  loop.morsel_size = 1;  // one grouping set per task
-  for (size_t level = ndims; level-- > 0;) {
-    const std::vector<uint32_t>& masks = levels[level];
-    ParallelFor(
-        masks.size(),
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            uint32_t m = masks[i];
-            uint32_t missing = full & ~m;
-            uint32_t parent = m | (missing & (~missing + 1));
-            computed[m] =
-                RollupGroupedStates(computed[parent], parent, m, ndims);
-          }
-        },
-        loop);
-    if (StopReason r = StopAfter(options); r != StopReason::kNone)
-      return StopStatus(r, "cube");
-  }
-
-  // Emission order matches CubeBy (popcount desc, mask asc); the canonical
-  // sort would make any emission order equivalent anyway since every
-  // dim/ALL pattern is unique.
-  Table out(name + "_cube", CubeOutputSchema(dims, aggs));
-  EmitCubeGrouping(computed[full], full, ndims, aggs, &out);
-  for (size_t level = ndims; level-- > 0;)
-    for (uint32_t m : levels[level])
-      EmitCubeGrouping(computed[m], m, ndims, aggs, &out);
-  SortCubeRows(&out, ndims);
   return out;
 }
 

@@ -368,7 +368,7 @@ void ParallelFor(size_t n,
   if (n == 0) return;
   size_t morsel =
       options.morsel_size == 0 ? kDefaultMorselRows : options.morsel_size;
-  size_t nmorsels = (n + morsel - 1) / morsel;
+  size_t nmorsels = (n - 1) / morsel + 1;  // n > 0; no overflow
   TaskScheduler& sched = options.scheduler != nullptr
                              ? *options.scheduler
                              : TaskScheduler::Global();

@@ -9,6 +9,7 @@
 #ifndef STATCUBE_OBS_JSON_H_
 #define STATCUBE_OBS_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -51,6 +52,12 @@ class JsonWriter {
   /// Appends `json` after a separating comma where one is due: a complete
   /// value written by another JsonWriter, or a token of this one.
   JsonWriter& Raw(std::string_view json);
+  /// Makes room for `more` further bytes, so that much is written without
+  /// reallocating (and moving) what is already there.
+  JsonWriter& Reserve(size_t more) {
+    out_.reserve(out_.size() + more);
+    return *this;
+  }
   /// Moves the text written so far out, leaving the writer empty.
   std::string Take() { return std::move(out_); }
 

@@ -1,10 +1,10 @@
 // Query execution: the relational executor, which plans once and then runs
 // on the object's code columns (or, for the shapes codes cannot group
-// exactly, on its rows), the row-at-a-time reference behind Query(), the
-// cube-backend route and QueryProfiled. Not in parser.cc: there, GCC 12
-// inlines less into ParseQuery and BM_ParseOnly slows by a fifth (best of
-// 18 runs on a 4-vCPU Xeon: 1150-1185 ns, against 913-984 ns with this file
-// apart).
+// exactly, on its rows: the row-at-a-time route that is also the reference
+// behind Query()), the cube-backend route and QueryProfiled. Not in
+// parser.cc: there, GCC 12 inlines less into ParseQuery and BM_ParseOnly
+// slows by a fifth (best of 18 runs on a 4-vCPU Xeon: 1150-1185 ns, against
+// 913-984 ns with this file apart).
 
 #include <algorithm>
 #include <cctype>
@@ -143,13 +143,13 @@ std::vector<AggSpec> NamedAggs(const ParsedQuery& query) {
 
 // The row route's group-by input: one pass over the base rows in place —
 // derived cells come from the memos, WHERE uses Value::Compare as
-// expr::ColumnEq does, passing rows are kept projected, and the stop
-// context is checked every 1024 rows — or, with nothing to derive or
+// expr::ColumnEq does, passing rows are kept projected, and the installed
+// stop context is checked every 1024 rows — or, with nothing to derive or
 // filter, no pass (nullopt): the base table itself is the input.
 Result<std::optional<Table>> RowPass(const StatisticalObject& obj,
-                                     ScanPlan& plan,
-                                     const CancelContext* stop) {
+                                     ScanPlan& plan) {
   if (!plan.Scans()) return std::optional<Table>();
+  const CancelContext* stop = CurrentCancelContext();
   const Table& base = obj.data();
   const size_t nbase = base.num_columns();
   std::vector<const Value*> derived(plan.rollups.size());
@@ -291,40 +291,49 @@ std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
   return exec::CodedGroupBy(in, options);
 }
 
-}  // namespace
-
-// Plans, then runs on the code columns; the shapes they cannot group
-// exactly take the row pass and the kernel's columnarize front end. Either
-// way the radix kernel groups, at every thread count.
-Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query, int threads,
-                           const CancelContext* stop) {
-  if (stop == nullptr) stop = CurrentCancelContext();
-  STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan,
-                            PlanQuery(obj, query, /*coded=*/true));
-  const exec::ExecOptions options{.threads = threads, .stop = stop};
-  if (std::optional<Result<Table>> coded =
-          ExecuteCoded(obj, query, plan, options))
-    return *std::move(coded);
-  STATCUBE_ASSIGN_OR_RETURN(std::optional<Table> rows,
-                            RowPass(obj, plan, stop));
+// The row route: the row pass, then the serial GroupBy / CubeBy, which
+// check the installed stop context every 1024 rows. Query() is this route;
+// ExecuteQuery takes it for the shapes codes cannot group exactly.
+Result<Table> ExecuteRows(const StatisticalObject& obj,
+                          const ParsedQuery& query, ScanPlan& plan) {
+  STATCUBE_ASSIGN_OR_RETURN(std::optional<Table> rows, RowPass(obj, plan));
   const Table& input = rows ? *rows : obj.data();
   const std::vector<AggSpec> aggs = NamedAggs(query);
   obs::Span agg_span("aggregate");
-  return query.cube ? exec::ParallelCubeBy(input, query.by, aggs, options)
-                    : exec::ParallelGroupBy(input, query.by, aggs, options);
+  return query.cube ? CubeBy(input, query.by, aggs)
+                    : GroupBy(input, query.by, aggs);
 }
 
-// The reference: the row pass, then the serial operators.
+}  // namespace
+
+Result<Table> ExecuteQuery(const StatisticalObject& obj,
+                           const ParsedQuery& query, int threads,
+                           const CancelContext* stop) {
+  return ExecuteQuery(obj, query, {.threads = threads, .stop = stop});
+}
+
+// Plans, then runs on the code columns and the radix kernel at every thread
+// count; the shapes codes cannot group exactly take the row route, serially,
+// under the stop context.
+Result<Table> ExecuteQuery(const StatisticalObject& obj,
+                           const ParsedQuery& query,
+                           const exec::ExecOptions& options) {
+  exec::ExecOptions resolved = options;
+  if (resolved.stop == nullptr) resolved.stop = CurrentCancelContext();
+  STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan,
+                            PlanQuery(obj, query, /*coded=*/true));
+  if (std::optional<Result<Table>> coded =
+          ExecuteCoded(obj, query, plan, resolved))
+    return *std::move(coded);
+  CancelScope scope(resolved.stop);
+  return ExecuteRows(obj, query, plan);
+}
+
+// The reference: the row route over a plan without code maps.
 Result<Table> Query(const StatisticalObject& obj, const std::string& text) {
   STATCUBE_ASSIGN_OR_RETURN(ParsedQuery q, ParseQuery(text));
   STATCUBE_ASSIGN_OR_RETURN(ScanPlan plan, PlanQuery(obj, q, /*coded=*/false));
-  STATCUBE_ASSIGN_OR_RETURN(std::optional<Table> rows,
-                            RowPass(obj, plan, CurrentCancelContext()));
-  const Table& input = rows ? *rows : obj.data();
-  const std::vector<AggSpec> aggs = NamedAggs(q);
-  obs::Span agg_span("aggregate");
-  return q.cube ? CubeBy(input, q.by, aggs) : GroupBy(input, q.by, aggs);
+  return ExecuteRows(obj, q, plan);
 }
 
 Status BackendExpressible(const StatisticalObject& obj,
@@ -464,8 +473,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");
           const auto derive_start = std::chrono::steady_clock::now();
-          Result<Table> derived =
-              cache::RollupDerived(*src, *key, options.threads);
+          Result<Table> derived = cache::RollupDerived(*src, *key);
           if (derived.ok()) {
             out = std::make_shared<const Table>(std::move(derived).value());
             executed = true;

@@ -29,6 +29,7 @@
 #include "statcube/common/cancellation.h"
 #include "statcube/common/status.h"
 #include "statcube/core/statistical_object.h"
+#include "statcube/exec/parallel_kernels.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/olap/backend.h"
 #include "statcube/relational/aggregate.h"
@@ -57,10 +58,10 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 /// (group columns, aggregates). It runs on the object's code columns
 /// (StatisticalObject::code_columns): a level is a code -> code map, a
 /// WHERE a keep byte per code, and each kept row's group id goes straight
-/// into the radix kernel (statcube/exec). The shapes codes cannot group
-/// exactly (DESIGN.md §14) take a row pass and the kernel's columnarize
-/// front end instead. Either way the kernel groups with `threads` workers
-/// (0 = exec::DefaultThreads(); 1 folds on the caller) and the table is
+/// into the radix kernel (statcube/exec), which groups with `threads`
+/// workers (0 = exec::DefaultThreads(); 1 folds on the caller). The shapes
+/// codes cannot group exactly (DESIGN.md §14) take Query()'s row route
+/// instead, serially at every `threads`. Either way the table is
 /// bit-identical to Query()'s. `stop` (default: the thread's
 /// CurrentCancelContext()) is checked by the pass and the group-by; once it
 /// fires the call returns kCancelled / kDeadlineExceeded instead of a
@@ -68,6 +69,14 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const ParsedQuery& query, int threads = 1,
                            const CancelContext* stop = nullptr);
+
+/// ExecuteQuery with all of the kernel's knobs: the overload above is this
+/// one with `{.threads = threads, .stop = stop}`, the morsel size and the
+/// fan-out threshold at their defaults. A null `options.stop` is the
+/// thread's CurrentCancelContext().
+Result<Table> ExecuteQuery(const StatisticalObject& obj,
+                           const ParsedQuery& query,
+                           const exec::ExecOptions& options);
 
 /// Parse + execute on the reference path: a serial pass over the rows
 /// (memoized roll-ups, Value::Compare for WHERE, one projected Row per kept
@@ -110,8 +119,9 @@ struct QueryOptions {
   /// Execution parallelism: the workers ExecuteQuery's pass and group-by
   /// use, 1 (default) running them on the caller; 0 means
   /// exec::DefaultThreads() (STATCUBE_THREADS or the hardware concurrency).
-  /// N > 1 also routes the backends' scans and cache derivations through
-  /// the parallel kernels. Any value gives the same table, bit for bit.
+  /// The cube backends take the same cap; cache derivations and the row
+  /// route (ExecuteQuery) are serial at any value. Any value gives the same
+  /// table, bit for bit.
   int threads = 1;
   /// Retain the completed profile in obs::FlightRecorder::Global() (and
   /// emit a slow_query log line past its threshold). Off for callers that

@@ -68,12 +68,6 @@ struct SlabEvidence {
   bool integral = true;  ///< every number is integral (NaN is not)
   double max_abs = 0.0;  ///< largest |number|, NaN ignored
   bool gap = false;      ///< some entry is not a number, or is NaN
-
-  void Merge(const SlabEvidence& o) {
-    integral = integral && o.integral;
-    if (o.max_abs > max_abs) max_abs = o.max_abs;
-    gap = gap || o.gap;
-  }
 };
 
 /// Encodes `v` as a slab entry: returns its flag byte, stores the number

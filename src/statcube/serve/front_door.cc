@@ -214,8 +214,12 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
   // One buffer for the whole response. "result" is the table's encoding,
   // spliced from the result cache's stored bytes when it holds them and
   // encoded here otherwise; it stays the last member unless a rendering was
-  // asked for.
+  // asked for. The buffer is sized for the head, the result and the closing
+  // "}\n" before the splice, so the body is written once and never moved.
   const ProfiledQuery& pq = *result;
+  std::string encoded;
+  if (pq.json == nullptr) encoded = pq.table->ToJson();
+  const std::string& result_json = pq.json != nullptr ? *pq.json : encoded;
   obs::JsonWriter w;
   w.BeginObject()
       .Key("tenant").String(tenant)
@@ -225,10 +229,7 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
       .Key("outcome").String(pq.profile.outcome)
       .Key("profile_id").Uint(pq.profile_id)
       .Key("result");
-  if (pq.json != nullptr)
-    w.Raw(*pq.json);
-  else
-    w.Raw(pq.table->ToJson());
+  w.Reserve(result_json.size() + 2).Raw(result_json);
   if (render) w.Key("rendered").String(pq.table->ToString(kRenderRows));
   if (obs::Enabled())
     obs::MetricsRegistry::Global().GetCounter("statcube.serve.ok").Add();

@@ -1,13 +1,13 @@
 // Serial/parallel equivalence: every parallel kernel must produce output
 // BIT-identical to its serial counterpart at any thread count (1/2/4/8) —
 // the determinism contract of statcube/exec (parallel_kernels.h, DESIGN.md
-// §6). The radix group-by (vec_kernels.h) and the CUBE built on it match
-// the serial operators on EVERY measure, the inexact stock close price
-// included: the stable radix scatter replays each group's serial
-// accumulation order and groups are emitted in serial first-occurrence
-// order. Covered across all four paper workloads (census, hmo, retail,
-// stocks), the query path, the cube backends, the MOLAP reductions, and the
-// materialization layer.
+// §6). The coded group-by (exec::CodedGroupBy feeding the radix kernel) and
+// the CUBE built on it match the Query() reference on EVERY measure, the
+// inexact stock close price included: the stable radix scatter replays each
+// group's serial accumulation order and groups are numbered in serial
+// first-occurrence order. Covered across all four paper workloads (census,
+// hmo, retail, stocks), the query path, the cube backends, the MOLAP
+// reductions, and the materialization layer.
 
 #include "statcube/exec/parallel_kernels.h"
 
@@ -15,15 +15,16 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coded_query.h"
 #include "statcube/materialize/greedy.h"
 #include "statcube/materialize/lattice.h"
 #include "statcube/materialize/view_store.h"
 #include "statcube/molap/dense_array.h"
 #include "statcube/olap/backend.h"
 #include "statcube/query/parser.h"
-#include "statcube/relational/cube_operator.h"
 #include "statcube/workload/census.h"
 #include "statcube/workload/hmo.h"
 #include "statcube/workload/retail.h"
@@ -31,34 +32,6 @@
 
 namespace statcube {
 namespace {
-
-// Bit-exact table equality: same name, schema, row count, and per cell the
-// same Value type with doubles compared by bit pattern (no epsilon).
-void ExpectTablesIdentical(const Table& a, const Table& b,
-                           const std::string& what) {
-  EXPECT_EQ(a.name(), b.name()) << what;
-  ASSERT_TRUE(a.schema() == b.schema()) << what;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    for (size_t c = 0; c < a.schema().num_columns(); ++c) {
-      const Value& x = a.row(i)[c];
-      const Value& y = b.row(i)[c];
-      ASSERT_EQ(x.type(), y.type())
-          << what << " row " << i << " col " << c;
-      if (x.type() == ValueType::kDouble) {
-        double dx = x.AsDouble(), dy = y.AsDouble();
-        uint64_t bx, by;
-        std::memcpy(&bx, &dx, sizeof bx);
-        std::memcpy(&by, &dy, sizeof by);
-        ASSERT_EQ(bx, by) << what << " row " << i << " col " << c
-                          << ": " << dx << " vs " << dy;
-      } else {
-        ASSERT_TRUE(x == y) << what << " row " << i << " col " << c << ": "
-                            << x.ToString() << " vs " << y.ToString();
-      }
-    }
-  }
-}
 
 exec::ExecOptions Threads(int t, size_t morsel_rows = 512) {
   exec::ExecOptions o;
@@ -89,84 +62,51 @@ struct Workloads {
 };
 
 // ---------------------------------------------------------------------------
-// Kernel level: GroupBy / CubeBy vs their parallel counterparts, on every
-// workload's data table.
+// Kernel level: ExecuteQuery on each workload object's code columns and
+// measure slabs with the kernel's options forced — small morsels, fan-out
+// at any size (coded_query.h) — vs the Query() reference: the row pass and
+// the serial GroupBy / CubeBy.
 
 TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
   const auto& w = Workloads::Get();
   struct Case {
-    const Table* table;
-    std::vector<std::string> group_cols;
-    std::vector<AggSpec> aggs;
+    const StatisticalObject* obj;
+    const char* text;
   } cases[] = {
-      {&w.retail.flat,
-       {"category", "city"},
-       {{AggFn::kSum, "amount", ""},
-        {AggFn::kCount, "qty", ""},
-        {AggFn::kMin, "amount", ""},
-        {AggFn::kMax, "amount", ""}}},
-      {&w.census.data(),
-       {"race", "sex"},
-       {{AggFn::kSum, "population", ""}, {AggFn::kAvg, "population", ""}}},
-      {&w.hmo.data(),
-       {"hospital"},
-       {{AggFn::kSum, "cost", ""}, {AggFn::kSum, "visits", ""}}},
+      {&w.retail.object,
+       "SELECT sum(amount), count(qty), min(amount), max(amount) "
+       "BY category, city"},
+      {&w.census, "SELECT sum(population), avg(population) BY race, sex"},
+      {&w.hmo, "SELECT sum(cost), sum(visits) BY hospital"},
       // Inexact measure on purpose: close is a non-integer double.
-      {&w.stocks.data(),
-       {"stock"},
-       {{AggFn::kSum, "volume", ""},
-        {AggFn::kAvg, "close", ""},
-        {AggFn::kCountAll, "", ""}}},
+      {&w.stocks, "SELECT sum(volume), avg(close), count() BY stock"},
   };
-  for (const auto& c : cases) {
-    auto serial = GroupBy(*c.table, c.group_cols, c.aggs);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int t : {1, 2, 4, 8}) {
-      auto parallel =
-          exec::ParallelGroupBy(*c.table, c.group_cols, c.aggs, Threads(t));
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectTablesIdentical(*serial, *parallel,
-                            c.table->name() + "@" + std::to_string(t));
-    }
-  }
+  for (const auto& c : cases)
+    for (int t : {1, 2, 4, 8})
+      ExpectCodedMatchesQuery(*c.obj, c.text, Threads(t));
 }
 
 TEST(KernelEquivalence, CubeByMatchesSerial) {
   const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
-  auto serial = CubeBy(w.retail.flat, {"category", "city", "month"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelCubeBy(
-        w.retail.flat, {"category", "city", "month"}, aggs, Threads(t));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "cube@" + std::to_string(t));
-  }
+  for (int t : {1, 2, 4, 8})
+    ExpectCodedMatchesQuery(
+        w.retail.object,
+        "SELECT sum(amount), count(qty) BY CUBE(category, city, month)",
+        Threads(t));
 }
 
 TEST(KernelEquivalence, InexactMeasureMatchesSerialAtSmallMorsels) {
-  // Small morsels force many partial dictionaries and a multi-morsel
-  // scatter or inline pass; the per-group accumulation order of close — a
-  // non-integer double, so the order shows in the bits — must still be the
-  // serial one.
+  // Small morsels force a many-morsel pass and a multi-morsel scatter or
+  // inline fold; the per-group accumulation order of close — a non-integer
+  // double, so the order shows in the bits — must still be the serial one.
   const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
-                               {AggFn::kSum, "close", ""},
-                               {AggFn::kVariance, "close", ""}};
-  auto serial = GroupBy(w.stocks.data(), {"stock"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int t : {1, 2, 4, 8}) {
     // Fanned-out scatter, and the caller's inline pass below the threshold.
     for (size_t fanout : {size_t(0), size_t(1) << 30}) {
       exec::ExecOptions o = Threads(t, /*morsel_rows=*/64);
       o.vec_fanout_rows = fanout;
-      auto parallel =
-          exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs, o);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectTablesIdentical(*serial, *parallel,
-                            "close@" + std::to_string(t) + "/" +
-                                std::to_string(fanout));
+      ExpectCodedMatchesQuery(
+          w.stocks, "SELECT avg(close), sum(close), var(close) BY stock", o);
     }
   }
 }
@@ -175,25 +115,15 @@ TEST(KernelEquivalence, EmptyByAndEmptyInput) {
   // Empty BY list = one global group over the measure slabs (the block-sum
   // fast path); an empty input yields an empty result in both paths.
   const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kMin, "amount", ""},
-                               {AggFn::kMax, "amount", ""},
-                               {AggFn::kAvg, "amount", ""},
-                               {AggFn::kCountAll, "", ""}};
-  auto serial = GroupBy(w.retail.flat, {}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Table empty("empty", w.retail.flat.schema());
-  auto empty_serial = GroupBy(empty, {"city"}, aggs);
-  ASSERT_TRUE(empty_serial.ok());
+  const StatisticalObject empty = KvObject("empty", {});
   for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelGroupBy(w.retail.flat, {}, aggs, Threads(t));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "empty-by@" + std::to_string(t));
-    auto empty_parallel =
-        exec::ParallelGroupBy(empty, {"city"}, aggs, Threads(t));
-    ASSERT_TRUE(empty_parallel.ok()) << empty_parallel.status().ToString();
-    ExpectTablesIdentical(*empty_serial, *empty_parallel,
-                          "empty-input@" + std::to_string(t));
+    ExpectCodedMatchesQuery(w.retail.object,
+                            "SELECT sum(amount), min(amount), max(amount), "
+                            "avg(amount), count()",
+                            Threads(t));
+    ExpectCodedMatchesQuery(
+        empty, "SELECT sum(v), min(v), max(v), avg(v), count() BY k",
+        Threads(t));
   }
 }
 
@@ -201,23 +131,13 @@ TEST(KernelEquivalence, SingleKeySkew) {
   // Every row carries the same key, so one radix partition receives the
   // whole table while the other 63 stay empty — the degenerate load-balance
   // case. Inexact measure values make accumulation order observable.
-  Schema schema;
-  schema.AddColumn("k", ValueType::kString);
-  schema.AddColumn("v", ValueType::kDouble);
-  Table skew("skew", schema);
+  std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 5000; ++i)
-    skew.AppendRowUnchecked({Value("only"), Value(0.1 * double(i % 997))});
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
-                               {AggFn::kAvg, "v", ""},
-                               {AggFn::kMin, "v", ""},
-                               {AggFn::kMax, "v", ""}};
-  auto serial = GroupBy(skew, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelGroupBy(skew, {"k"}, aggs, Threads(t, 256));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "skew@" + std::to_string(t));
-  }
+    cells.emplace_back(Value("only"), Value(0.1 * double(i % 997)));
+  const StatisticalObject skew = KvObject("skew", cells);
+  for (int t : {1, 2, 4, 8})
+    ExpectCodedMatchesQuery(
+        skew, "SELECT sum(v), avg(v), min(v), max(v) BY k", Threads(t, 256));
 }
 
 // ---------------------------------------------------------------------------

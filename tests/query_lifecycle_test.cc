@@ -443,6 +443,55 @@ TEST(QueryLifecycleTest, FiredScopeStopsTheScan) {
   }
 }
 
+// The row route (the shapes codes cannot group exactly) stops in its row
+// pass or, without one, in the serial group-by's every-1024-rows check —
+// at any thread count, since the route is serial at every thread count.
+// An explicit stop context is installed around it and wins over the
+// thread's scope.
+TEST(QueryLifecycleTest, FiredScopeStopsTheRowRoute) {
+  auto by_measure = ParseQuery("SELECT count() BY qty");  // no pass
+  auto where_measure =
+      ParseQuery("SELECT sum(qty) BY city WHERE amount = 81.0");  // a pass
+  ASSERT_TRUE(by_measure.ok());
+  ASSERT_TRUE(where_measure.ok());
+  {
+    CancellationToken token;
+    token.Cancel();
+    CancelContext fired;
+    fired.token = &token;
+    CancelScope scope(&fired);
+    for (int threads : {1, 2}) {
+      EXPECT_EQ(
+          ExecuteQuery(Retail(), *by_measure, threads).status().ToString(),
+          "Cancelled: query cancelled during groupby")
+          << threads;
+      EXPECT_EQ(
+          ExecuteQuery(Retail(), *where_measure, threads).status().ToString(),
+          "Cancelled: query cancelled during scan")
+          << threads;
+    }
+  }
+  CancellationToken clear_token;
+  CancelContext clear;
+  clear.token = &clear_token;
+  CancelScope scope(&clear);
+  CancelContext expired;
+  expired.deadline_us = 1;
+  for (int threads : {1, 2}) {
+    ASSERT_TRUE(ExecuteQuery(Retail(), *by_measure, threads).ok()) << threads;
+    EXPECT_EQ(ExecuteQuery(Retail(), *by_measure, threads, &expired)
+                  .status()
+                  .ToString(),
+              "DeadlineExceeded: deadline exceeded during groupby")
+        << threads;
+    EXPECT_EQ(ExecuteQuery(Retail(), *where_measure, threads, &expired)
+                  .status()
+                  .ToString(),
+              "DeadlineExceeded: deadline exceeded during scan")
+        << threads;
+  }
+}
+
 // The cube backends check the stop context too: under a fired scope each
 // returns a stop status naming its stage — MOLAP's group loop, the ROLAP
 // pass ("scan" with a WHERE to apply, else "groupby") — at any thread count.

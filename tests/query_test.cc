@@ -121,10 +121,16 @@ TEST(ExecuteTest, GlobalAggregate) {
 }
 
 TEST(ExecuteTest, UnknownIdentifier) {
-  EXPECT_FALSE(Query(Sales(), "SELECT sum(amount) BY ghost").ok());
-  EXPECT_FALSE(Query(Sales(), "SELECT sum(ghost)").ok());
-  EXPECT_FALSE(
-      Query(Sales(), "SELECT sum(amount) WHERE ghost = 'x'").ok());
+  for (const char* text : {"SELECT sum(amount) BY ghost", "SELECT sum(ghost)",
+                           "SELECT sum(amount) WHERE ghost = 'x'"}) {
+    EXPECT_FALSE(Query(Sales(), text).ok()) << text;
+    // The executor refuses them too: the plan a BY or WHERE name, the row
+    // route's GroupBy an aggregate's column.
+    auto parsed = ParseQuery(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    for (int threads : {1, 4})
+      EXPECT_FALSE(ExecuteQuery(Sales(), *parsed, threads).ok()) << text;
+  }
 }
 
 TEST(ExecuteTest, ByCubeProducesAllRows) {
@@ -143,20 +149,16 @@ TEST(ExecuteTest, ByCubeProducesAllRows) {
 }
 
 // Which route ExecuteQuery took, read from the profile's spans: the coded
-// pass runs as `coded_pass` morsels, the row route through the kernel's
-// `vec.columnarize` front end.
+// pass runs as `coded_pass` morsels; the row route has none.
 std::string RouteOf(const StatisticalObject& obj, const std::string& text) {
   QueryOptions opt;
   opt.record = false;
   Result<ProfiledQuery> r = QueryProfiled(obj, text, opt);
   EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
   if (!r.ok()) return "error";
-  bool coded = false, rows = false;
-  for (const obs::SpanRecord& span : r->profile.trace.spans()) {
-    coded = coded || span.name.rfind("coded_pass", 0) == 0;
-    rows = rows || span.name == "vec.columnarize";
-  }
-  return coded == rows ? "unclear" : coded ? "coded" : "rows";
+  for (const obs::SpanRecord& span : r->profile.trace.spans())
+    if (span.name.rfind("coded_pass", 0) == 0) return "coded";
+  return "rows";
 }
 
 TEST(ExecuteTest, CodedRouteUnlessCodesCannotGroupExactly) {
@@ -182,6 +184,32 @@ TEST(ExecuteTest, CodedRouteUnlessCodesCannotGroupExactly) {
   auto grouped = Query(twins, "SELECT sum(m) BY code");
   ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
   EXPECT_EQ(grouped->num_rows(), 2u);  // 1 and 1.0 are one group
+  // BY codes that do not pack into 64 bits: nine dimensions of 256 values.
+  StatisticalObject wide("wide");
+  std::string by = "SELECT sum(m), count() BY ";
+  for (int c = 0; c < 9; ++c) {
+    const std::string name = std::string("c").append(std::to_string(c));
+    ASSERT_TRUE(wide.AddDimension(Dimension(name)).ok());
+    if (c > 0) by += ", ";
+    by += name;
+  }
+  ASSERT_TRUE(
+      wide.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
+  for (int64_t i = 0; i < 512; ++i) {
+    Row dims;
+    for (int64_t c = 0; c < 9; ++c)
+      dims.push_back(Value(i * (2 * c + 3) % 256));
+    ASSERT_TRUE(wide.AddCell(dims, {Value(0.5 * double(i))}).ok());
+  }
+  EXPECT_EQ(RouteOf(wide, by), "rows");
+  auto reference = Query(wide, by);
+  auto parsed = ParseQuery(by);
+  ASSERT_TRUE(reference.ok() && parsed.ok());
+  for (int threads : {1, 4}) {
+    auto executed = ExecuteQuery(wide, *parsed, threads);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_EQ(executed->ToJson(), reference->ToJson()) << threads;
+  }
 }
 
 // ------------------------------------------------- reference pipeline

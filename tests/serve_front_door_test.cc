@@ -243,6 +243,28 @@ TEST_F(FrontDoorCachedTest, MissHitAndDerivedServeTheReferenceBytes) {
   }
 }
 
+// The envelope's buffer is sized for the result before it is spliced in —
+// a fresh encoding with the cache off, the cache's stored bytes on a miss
+// it admits and on a hit — so the closing "}\n" does not reallocate the
+// body to twice its size and move it.
+TEST_F(FrontDoorCachedTest, ResponseBodyIsWrittenOnce) {
+  QueryFrontDoor door(Retail());
+  const char* const kRuns[][2] = {
+      {"off", "off"}, {"on", "miss"}, {"on", "hit"}};
+  for (const auto& [mode, path] : kRuns) {
+    obs::HttpResponse resp = door.ServeRequest(Post(
+        R"({"query":"SELECT sum(amount), sum(qty) BY product, store, day",)"
+        R"("cache":")" + std::string(mode) + "\"}"));
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    EXPECT_NE(resp.body.find(std::string("\"cache\":\"") + path + "\""),
+              std::string::npos)
+        << resp.body;
+    EXPECT_LT(resp.body.capacity() - resp.body.size(), resp.body.size() / 2)
+        << path << ": " << resp.body.size() << " bytes in a buffer of "
+        << resp.body.capacity();
+  }
+}
+
 TEST_F(FrontDoorCachedTest, AppendRetiresStoredBytes) {
   RetailOptions opt;
   opt.num_products = 6;

@@ -1,22 +1,23 @@
 // Unit tests for the block-at-a-time kernels (common/vec_block.h) and the
-// radix-partitioned group-by behind exec::ParallelGroupByStates
-// (exec/vec_kernels.h): block primitive semantics, the exactness gate that
-// licenses reassociation, wide keys, and the null/non-numeric/NaN edges of
-// the flag-encoded measure slabs.
+// radix-partitioned group-by (exec/vec_kernels.h, inside
+// exec::CodedGroupBy, driven through ExecuteQuery): block primitive
+// semantics, the exactness gate that licenses reassociation, every radix
+// partition in use, and the null/non-numeric/NaN edges of the
+// flag-encoded measure slabs.
 
 #include "statcube/exec/vec_kernels.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coded_query.h"
 #include "statcube/common/vec_block.h"
 #include "statcube/exec/parallel_kernels.h"
-#include "statcube/relational/aggregate.h"
 
 namespace statcube {
 namespace {
@@ -108,27 +109,8 @@ TEST(VecBlock, SimdLevelNameIsKnown) {
 }
 
 // ---------------------------------------------------------------------------
-// Radix group-by vs the serial reference, on hand-built edge tables.
-
-// Bit-exact comparison of two GroupedStates maps (same groups, same
-// accumulator bits in every field).
-void ExpectStatesIdentical(const GroupedStates& a, const GroupedStates& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [key, sa] : a) {
-    auto it = b.find(key);
-    ASSERT_TRUE(it != b.end());
-    const auto& sb = it->second;
-    ASSERT_EQ(sa.size(), sb.size());
-    for (size_t i = 0; i < sa.size(); ++i) {
-      EXPECT_EQ(sa[i].rows, sb[i].rows) << i;
-      EXPECT_EQ(sa[i].count, sb[i].count) << i;
-      EXPECT_EQ(Bits(sa[i].sum), Bits(sb[i].sum)) << i;
-      EXPECT_EQ(Bits(sa[i].sum_sq), Bits(sb[i].sum_sq)) << i;
-      EXPECT_EQ(Bits(sa[i].min), Bits(sb[i].min)) << i;
-      EXPECT_EQ(Bits(sa[i].max), Bits(sb[i].max)) << i;
-    }
-  }
-}
+// Radix group-by, through ExecuteQuery over hand-built objects, vs the
+// Query() reference.
 
 // fanout_rows = 0 forces the parallel phases even at test sizes; a huge
 // value keeps them in the caller's single inline pass.
@@ -141,138 +123,54 @@ exec::ExecOptions Vec(int threads, size_t morsel_rows = 128,
   return o;
 }
 
-Schema KvSchema() {
-  Schema s;
-  s.AddColumn("k", ValueType::kString);
-  s.AddColumn("v", ValueType::kDouble);
-  return s;
-}
-
 TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // The flag-encoded slabs must reproduce AggState::Add exactly: NULL rows
   // count toward `rows` only, a non-numeric cell toward `count` too, and a
-  // NaN poisons sum/min/max exactly as the serial `<` comparisons do.
-  Table t("edges", KvSchema());
+  // NaN poisons its group's sum while min/max's `<` comparisons pass it
+  // over. The NaN rows all fall in g0, so in g1..g4 avg and var show
+  // `count` and `sum_sq`; count(v) shows `rows` and min/max their own bits.
+  std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 600; ++i) {
-    std::string key = std::string("g").append(std::to_string(i % 5));
+    Value key(std::string("g").append(std::to_string(i % 5)));
     if (i % 11 == 0) {
-      t.AppendRowUnchecked({Value(key), Value::Null()});
+      cells.emplace_back(key, Value::Null());
     } else if (i % 13 == 0) {
-      t.AppendRowUnchecked({Value(key), Value("not-a-number")});
-    } else if (i % 97 == 0) {
-      t.AppendRowUnchecked(
-          {Value(key), Value(std::numeric_limits<double>::quiet_NaN())});
+      cells.emplace_back(key, Value("not-a-number"));
+    } else if (i % 35 == 0) {
+      cells.emplace_back(key,
+                         Value(std::numeric_limits<double>::quiet_NaN()));
     } else {
-      t.AppendRowUnchecked({Value(key), Value(0.25 * double(i) - 40.0)});
+      cells.emplace_back(key, Value(0.25 * double(i) - 40.0));
     }
   }
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
-                               {AggFn::kCount, "v", ""},
-                               {AggFn::kMin, "v", ""},
-                               {AggFn::kMax, "v", ""},
-                               {AggFn::kVariance, "v", ""}};
-  auto serial = GroupByStates(t, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int threads : {1, 2, 4}) {
+  const StatisticalObject edges = KvObject("edges", cells);
+  for (int threads : {1, 2, 4, 8}) {
     for (size_t fanout : {size_t(0), size_t(1) << 30}) {
-      auto vec = exec::ParallelGroupByStates(t, {"k"}, aggs,
-                                             Vec(threads, 128, fanout));
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ExpectStatesIdentical(*serial, *vec);
+      ExpectCodedMatchesQuery(
+          edges,
+          "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v) BY k",
+          Vec(threads, 128, fanout));
     }
   }
-}
-
-TEST(VecGroupBy, MixedIntAndDoubleKeysPickSerialRepresentative) {
-  // int64 2 and double 2.0 compare equal and hash together, so they land in
-  // the same group; the emitted key must be the value from the group's
-  // FIRST row — exactly the representative the serial map keeps.
-  Schema s;
-  s.AddColumn("k", ValueType::kInt64);
-  s.AddColumn("v", ValueType::kDouble);
-  Table t("mixed", s);
-  t.AppendRowUnchecked({Value(2.0), Value(1.0)});      // double first
-  t.AppendRowUnchecked({Value(int64_t(2)), Value(2.0)});
-  t.AppendRowUnchecked({Value(int64_t(3)), Value(3.0)});
-  t.AppendRowUnchecked({Value(3.0), Value(4.0)});      // int64 first
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
-  auto serial = GroupByStates(t, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok());
-  auto vec = exec::ParallelGroupByStates(t, {"k"}, aggs, Vec(2, 1));
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-  ASSERT_EQ(serial->size(), vec->size());
-  // Same representative TYPE, not just equal value.
-  for (const auto& [key, st] : *serial) {
-    bool found = false;
-    for (const auto& [vkey, vst] : *vec) {
-      if (vkey[0].type() == key[0].type() && vkey[0] == key[0]) found = true;
-    }
-    EXPECT_TRUE(found) << key[0].ToString();
-  }
-  ExpectStatesIdentical(*serial, *vec);
-}
-
-TEST(VecGroupBy, WideHighCardinalityKeys) {
-  // Nine group columns with up-to-256 distinct values each: the tuple
-  // dictionary never packs per-column codes, so wide keys are answered
-  // directly, bit-identical to serial.
-  Schema s;
-  for (int c = 0; c < 9; ++c)
-    s.AddColumn(std::string("c").append(std::to_string(c)),
-                ValueType::kInt64);
-  s.AddColumn("v", ValueType::kDouble);
-  Table t("wide", s);
-  const int64_t mult[9] = {3, 5, 7, 9, 11, 13, 15, 17, 19};  // odd: full cycle
-  for (int64_t i = 0; i < 512; ++i) {
-    Row row;
-    for (int c = 0; c < 9; ++c) row.push_back(Value((i * mult[c]) % 256));
-    row.push_back(Value(double(i)));
-    t.AppendRowUnchecked(std::move(row));
-  }
-  std::vector<std::string> by;
-  for (int c = 0; c < 9; ++c)
-    by.push_back(std::string("c").append(std::to_string(c)));
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
-
-  auto serial = GroupByStates(t, by, aggs);
-  ASSERT_TRUE(serial.ok());
-  auto vec = exec::ParallelGroupByStates(t, by, aggs, Vec(2));
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-  ExpectStatesIdentical(*serial, *vec);
-}
-
-TEST(VecGroupBy, BadColumnsAreErrors) {
-  Table t("kv", KvSchema());
-  t.AppendRowUnchecked({Value("a"), Value(1.0)});
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
-  EXPECT_FALSE(
-      exec::ParallelGroupByStates(t, {"missing"}, aggs, Vec(2)).ok());
-  EXPECT_FALSE(exec::ParallelGroupByStates(
-                   t, {"k"}, {{AggFn::kSum, "missing", ""}}, Vec(2))
-                   .ok());
 }
 
 TEST(VecGroupBy, ManyGroupsAcrossPartitions) {
   // Enough distinct keys that every radix partition is populated; group
   // count and per-group bits must match serial exactly.
-  Table t("many", KvSchema());
+  std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 4096; ++i)
-    t.AppendRowUnchecked({Value("key" + std::to_string(i % 701)),
-                          Value(0.5 * double(i % 89))});
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
-                               {AggFn::kCountAll, "", ""}};
-  auto serial = GroupByStates(t, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_EQ(701u, serial->size());
-  // A size_t-max morsel: the kernel caps morsels at 2^31 - 1 rows (its
-  // 32-bit per-morsel codes), so the whole table is one morsel.
+    cells.emplace_back(Value("key" + std::to_string(i % 701)),
+                       Value(0.5 * double(i % 89)));
+  const StatisticalObject many = KvObject("many", cells);
+  const char* text = "SELECT sum(v), count() BY k";
+  auto reference = Query(many, text);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(701u, reference->num_rows());
+  // A size_t-max morsel makes the whole table one morsel: the morsel count
+  // must not overflow to zero.
   for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()}) {
-    for (int threads : {1, 2, 4, 8}) {
-      auto vec =
-          exec::ParallelGroupByStates(t, {"k"}, aggs, Vec(threads, morsel));
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ExpectStatesIdentical(*serial, *vec);
-    }
+    for (int threads : {1, 2, 4, 8})
+      ExpectCodedMatchesQuery(many, text, Vec(threads, morsel));
   }
 }
 

@@ -7,7 +7,7 @@ serializes every worker behind it. Hot regions:
  * lambdas passed to `RunMorsels(` / `ParallelFor(` (the morsel bodies);
  * `*Block*` kernels (SumBlockOrdered & co in common/vec_block.cc);
  * functions transitively called from a hot region within the same file
-   (the vec_* phase helpers: EncodeAndHash, DictCode, ...).
+   (the group-by phase helpers: FoldSlab, ...).
 
 Flagged inside a hot region:
 
