@@ -1,9 +1,8 @@
 // Experiments P1 and P4 (DESIGN.md §6, §12): thread-sweep scaling of the
-// parallel kernels (statcube/exec) over the three §6 aggregation shapes —
-// the radix-partitioned group-by, the CUBE lattice built on it, and the
-// MOLAP marginals. The group-by and CUBE run as queries through
-// ExecuteQuery, whose coded pass (exec::CodedGroupBy) feeds the radix
-// kernel its group ids.
+// parallel kernels (statcube/exec) over two §6 aggregation shapes — the
+// radix-partitioned group-by and the CUBE lattice built on it. Both run as
+// queries through ExecuteQuery, whose coded pass (exec::CodedGroupBy)
+// feeds the radix kernel its group ids.
 // Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial
 // baseline cost, so speedup(N) = real_time(1) / real_time(N). On a machine
 // with fewer cores than N the pool oversubscribes (EnsureThreads), which
@@ -15,12 +14,11 @@
 // comparison — aggregates the exact same rows; a drifting dataset would
 // make cross-commit real_time deltas meaningless.
 //
-// Counters: threads, rows (or cells) processed per iteration.
+// Counters: threads, rows processed per iteration.
 
 #include <benchmark/benchmark.h>
 
 #include "statcube/exec/parallel_kernels.h"
-#include "statcube/molap/dense_array.h"
 #include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
 
@@ -63,26 +61,6 @@ void BM_ExecuteCubeBy(benchmark::State& state) {
   RunQuery(state, "SELECT sum(amount) BY CUBE(category, city, month)");
 }
 BENCHMARK(BM_ExecuteCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelMarginals(benchmark::State& state) {
-  // A dense 64^3 cube (2M cells): the Figure 9 row/column totals, one slab
-  // reduction per marginal entry.
-  static DenseArray* array = [] {
-    auto* a = new DenseArray({64, 64, 64});
-    for (size_t i = 0; i < a->num_cells(); ++i)
-      a->SetLinear(i, double(i % 251));
-    return a;
-  }();
-  for (auto _ : state) {
-    auto m = exec::ParallelMarginalSums(*array, 1,
-                                        {.threads = int(state.range(0))});
-    benchmark::DoNotOptimize(m->size());
-  }
-  state.counters["threads"] = double(state.range(0));
-  state.counters["cells"] = double(array->num_cells());
-}
-BENCHMARK(BM_ParallelMarginals)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

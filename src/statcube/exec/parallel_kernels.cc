@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "statcube/common/mutex.h"
 #include "statcube/common/str_util.h"
 #include "statcube/common/vec_block.h"
 #include "statcube/exec/vec_kernels.h"
@@ -549,142 +548,6 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
     out.AppendRowUnchecked(std::move(row));
   }
   obs::RecordOperator("groupby", nkept, out.num_rows());
-  return out;
-}
-
-Result<double> ParallelSumRange(DenseArray& array,
-                                const std::vector<DimRange>& ranges,
-                                const ExecOptions& options) {
-  // Same validation (and early-outs) as DenseArray::SumRange.
-  if (ranges.size() != array.num_dims())
-    return Status::InvalidArgument("range arity mismatch");
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    if (ranges[i].lo > ranges[i].hi || ranges[i].hi > array.shape()[i])
-      return Status::OutOfRange("range invalid for dimension " +
-                                std::to_string(i));
-    if (ranges[i].lo == ranges[i].hi) return 0.0;  // empty slab
-  }
-  size_t ndims = array.num_dims();
-  if (ndims <= 1) return array.SumRange(ranges);
-
-  // Morsel unit: one contiguous innermost segment, i.e. one assignment of
-  // the leading dims. Segment s decodes to leading coordinates in the same
-  // row-major (last-leading-dim-fastest) order the serial odometer visits.
-  size_t nsegments = 1;
-  for (size_t i = 0; i + 1 < ndims; ++i) nsegments *= ranges[i].width();
-  size_t inner_width = ranges[ndims - 1].width();
-
-  // Strides of the flat array (recomputed; DenseArray keeps them private).
-  std::vector<size_t> strides(ndims, 1);
-  for (size_t i = ndims - 1; i-- > 0;)
-    strides[i] = strides[i + 1] * array.shape()[i + 1];
-
-  ParallelForOptions loop = LoopOptions("sum_range", options);
-  // Scale the morsel so one morsel covers roughly kDefaultMorselRows cells.
-  loop.morsel_size = std::max<size_t>(
-      1, (options.morsel_rows == 0 ? kDefaultMorselRows
-                                   : options.morsel_rows) /
-             std::max<size_t>(1, inner_width));
-  obs::RecordBytesTouched(nsegments * inner_width * sizeof(double));
-  std::vector<double> parts(NumMorsels(nsegments, loop.morsel_size), 0.0);
-  const std::vector<double>& cells = array.cells();
-  BlockCounter& counter = array.counter();
-  // Same exactness gate as DenseArray::SumRange: when the whole region's
-  // sum is provably exact, segments may use the reassociated block kernel
-  // — bit-identical to the ordered walk, and to the serial SumRange.
-  bool fast = vec::ReorderIsExact(array.all_integral(), array.max_abs(),
-                                  nsegments * inner_width);
-
-  ParallelFor(
-      nsegments,
-      [&](size_t m, size_t begin, size_t end) {
-        double sum = 0.0;
-        std::vector<size_t> coord(ndims);
-        coord[ndims - 1] = ranges[ndims - 1].lo;
-        for (size_t s = begin; s < end; ++s) {
-          size_t rem = s;
-          for (size_t d = ndims - 1; d-- > 0;) {
-            coord[d] = ranges[d].lo + rem % ranges[d].width();
-            rem /= ranges[d].width();
-          }
-          size_t base = 0;
-          for (size_t i = 0; i < ndims; ++i) base += coord[i] * strides[i];
-          counter.ChargeBytes(inner_width * sizeof(double));
-          if (fast) {
-            sum += vec::SumBlockFast(&cells[base], inner_width);
-          } else {
-            for (size_t k = 0; k < inner_width; ++k) sum += cells[base + k];
-          }
-        }
-        parts[m] = sum;
-      },
-      loop);
-
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "sum_range");
-  double total = 0.0;
-  for (double p : parts) total += p;
-  return total;
-}
-
-Result<std::vector<double>> MarginalSums(DenseArray& array, size_t dim) {
-  if (dim >= array.num_dims())
-    return Status::OutOfRange("marginal dimension out of range");
-  size_t ndims = array.num_dims();
-  std::vector<double> out(array.shape()[dim], 0.0);
-  std::vector<DimRange> ranges(ndims);
-  for (size_t d = 0; d < ndims; ++d) ranges[d] = {0, array.shape()[d]};
-  for (size_t i = 0; i < out.size(); ++i) {
-    ranges[dim] = {i, i + 1};
-    STATCUBE_ASSIGN_OR_RETURN(out[i], array.SumRange(ranges));
-  }
-  return out;
-}
-
-Result<std::vector<double>> ParallelMarginalSums(DenseArray& array,
-                                                 size_t dim,
-                                                 const ExecOptions& options) {
-  if (dim >= array.num_dims())
-    return Status::OutOfRange("marginal dimension out of range");
-  size_t ndims = array.num_dims();
-  size_t card = array.shape()[dim];
-  std::vector<double> out(card, 0.0);
-  obs::RecordBytesTouched(array.cells().size() * sizeof(double));
-
-  ParallelForOptions loop = LoopOptions("marginal", options);
-  // One marginal entry is a whole slab; a morsel of a few entries balances
-  // well even for small cardinalities.
-  loop.morsel_size = std::max<size_t>(
-      1, std::min<size_t>(loop.morsel_size,
-                          (card + size_t(loop.max_workers) * 4 - 1) /
-                              std::max<size_t>(1, size_t(loop.max_workers) *
-                                                      4)));
-  Mutex err_mu;
-  Status first_error = Status::OK();
-
-  ParallelFor(
-      card,
-      [&](size_t, size_t begin, size_t end) {
-        std::vector<DimRange> ranges(ndims);
-        for (size_t d = 0; d < ndims; ++d) ranges[d] = {0, array.shape()[d]};
-        for (size_t i = begin; i < end; ++i) {
-          ranges[dim] = {i, i + 1};
-          // Each entry walks its slab in the serial index order, so the
-          // value is bit-identical to MarginalSums.
-          Result<double> r = array.SumRange(ranges);
-          if (!r.ok()) {
-            MutexLock lock(err_mu);
-            if (first_error.ok()) first_error = r.status();
-            return;
-          }
-          out[i] = r.value();
-        }
-      },
-      loop);
-
-  if (!first_error.ok()) return first_error;
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "marginal");
   return out;
 }
 

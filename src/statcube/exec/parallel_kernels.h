@@ -2,17 +2,16 @@
 // the group-by over dictionary-coded columns (CodedGroupBy, the route of
 // the query executor and the ROLAP backends), which feeds dense group ids
 // to the radix-partitioned fold and builds CUBE's grouping-set lattice on
-// it (DESIGN.md §12), and MOLAP dense-array reductions. A Table has one
-// group-by, the serial GroupBy / CubeBy of relational/.
+// it (DESIGN.md §12). A Table has one group-by, the serial GroupBy / CubeBy
+// of relational/; a MOLAP array has one reduction, DenseArray::SumRangeBy.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
 // documented in DESIGN.md §6): every kernel's output is **bit-identical for
-// any thread count**, including 1. The coded group-by and CUBE also match
-// GroupBy / CubeBy over the decoded rows bit for bit on every measure: the
-// radix scatter replays each group's serial accumulation order and groups
-// are numbered in serial first-occurrence order. The MOLAP reductions fix
-// their combination order by morsel index, and morsel boundaries are a pure
-// function of the input size and morsel_rows (never the thread count).
+// any thread count and any morsel size**, including 1. The coded group-by
+// and CUBE also match GroupBy / CubeBy over the decoded rows bit for bit on
+// every measure: the radix scatter replays each group's serial
+// accumulation order and groups are numbered in serial first-occurrence
+// order.
 
 #ifndef STATCUBE_EXEC_PARALLEL_KERNELS_H_
 #define STATCUBE_EXEC_PARALLEL_KERNELS_H_
@@ -24,7 +23,6 @@
 
 #include "statcube/common/status.h"
 #include "statcube/exec/task_scheduler.h"
-#include "statcube/molap/dense_array.h"
 #include "statcube/relational/aggregate.h"
 #include "statcube/relational/table.h"
 
@@ -35,10 +33,8 @@ struct ExecOptions {
   /// Worker cap: 0 = DefaultThreads(); 1 = run inline on the caller (same
   /// morsel structure, so the result is identical); N > pool grows the pool.
   int threads = 0;
-  /// Morsel size in rows (or cells / lattice units). The group-by and CUBE
-  /// give the same bits at any size; for the MOLAP reductions it is part of
-  /// the canonical decomposition, so changing it may legitimately change
-  /// last-ulp FP results — it is NOT varied by the engine at run time.
+  /// Morsel size in rows (or lattice units). Every kernel gives the same
+  /// bits at any size.
   size_t morsel_rows = kDefaultMorselRows;
   /// nullptr = TaskScheduler::Global().
   TaskScheduler* scheduler = nullptr;
@@ -118,24 +114,6 @@ struct CodedGroupByInput {
 /// or reads a level stops as "scan", any other as "groupby".
 std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
                                           const ExecOptions& options = {});
-
-/// Parallel DenseArray::SumRange: contiguous innermost segments are the
-/// morsel units; per-morsel sums combine in ascending morsel order. Block
-/// charges are identical to the serial walk (BlockCounter is atomic).
-Result<double> ParallelSumRange(DenseArray& array,
-                                const std::vector<DimRange>& ranges,
-                                const ExecOptions& options = {});
-
-/// The MOLAP marginal along `dim`: entry i is the sum over every cell whose
-/// coordinate on `dim` is i (the paper's Figure 9 row/column totals). Each
-/// entry is one independent slab reduction.
-Result<std::vector<double>> MarginalSums(DenseArray& array, size_t dim);
-
-/// Parallel MarginalSums: entries are computed concurrently; each entry is
-/// produced by exactly one task walking its slab in index order, so the
-/// vector is bit-identical to the serial one at any thread count.
-Result<std::vector<double>> ParallelMarginalSums(
-    DenseArray& array, size_t dim, const ExecOptions& options = {});
 
 }  // namespace statcube::exec
 

@@ -3,9 +3,11 @@
 // values of each dimension once, then only the cells, addressed by the
 // "fairly simple well-known calculation" pos = sum_i coord_i * stride_i.
 //
-// Range aggregation charges the block counter one sequential byte range per
-// contiguous innermost segment, which is what a disk-resident row-major
-// array would read; the chunked array (Figure 23) improves exactly this.
+// Range aggregation is one sequential pass over the selected sub-cube in
+// array order, summing onto any chosen dimensions on the way. It charges
+// the block counter one sequential byte range per contiguous innermost
+// segment, which is what a disk-resident row-major array would read; the
+// chunked array (Figure 23) improves exactly this.
 
 #ifndef STATCUBE_MOLAP_DENSE_ARRAY_H_
 #define STATCUBE_MOLAP_DENSE_ARRAY_H_
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "statcube/common/block_counter.h"
+#include "statcube/common/cancellation.h"
 #include "statcube/common/status.h"
 
 namespace statcube {
@@ -56,8 +59,21 @@ class DenseArray {
     NoteWrite(v);
   }
 
-  /// Sum over the hyper-rectangle `ranges` (one DimRange per dimension).
-  /// Charges one sequential read per contiguous innermost segment.
+  /// The hyper-rectangle `ranges` (one DimRange per dimension) summed onto
+  /// the dimensions `by`: one total per cell of its projection on `by`,
+  /// the last of `by` varying fastest, and none when it is empty. A
+  /// dimension listed twice keeps only its diagonal; the other totals stay
+  /// 0.0. One pass in array order, so each total adds its cells in array
+  /// order (segments are block-summed only where vec::ReorderIsExact makes
+  /// that the same bits). Charges one sequential read per contiguous
+  /// innermost segment, once at the end. Checks `stop` before the first
+  /// cell and every few thousand cells; once it fires, returns
+  /// StopStatus(reason, "groupby").
+  Result<std::vector<double>> SumRangeBy(const std::vector<DimRange>& ranges,
+                                         const std::vector<size_t>& by,
+                                         const CancelContext* stop = nullptr);
+
+  /// Sum over the hyper-rectangle `ranges`: SumRangeBy onto no dimension.
   Result<double> SumRange(const std::vector<DimRange>& ranges);
 
   /// Fraction of cells different from `null_value`.

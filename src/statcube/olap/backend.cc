@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "statcube/common/cancellation.h"
-#include "statcube/common/mutex.h"
 #include "statcube/exec/parallel_kernels.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/olap/molap_cube.h"
@@ -50,9 +49,9 @@ class MolapBackend : public CubeBackend {
     return cube_.SumWhere(filters);
   }
 
-  // One slab sum per cell of the WHERE's sub-cube projected on the BY
-  // dimensions, computed concurrently: group g decodes to one code per BY
-  // dimension (the last fastest) within the codes its WHERE keeps.
+  // The WHERE's sub-cube summed onto the BY dimensions in one pass over
+  // the array: total g decodes to one code per BY dimension (the last
+  // fastest) within the codes its WHERE keeps.
   Result<Table> GroupBySum(const CubeQuery& query) override {
     obs::Span span("backend.groupby:molap");
     BackendObsScope scope(name(), cube_.counter());
@@ -63,63 +62,27 @@ class MolapBackend : public CubeBackend {
       STATCUBE_ASSIGN_OR_RETURN(size_t d, cube_.DimIndex(g));
       gidx.push_back(d);
     }
-    size_t ngroups = 1;
-    for (const DimRange& r : slab)
-      if (r.width() == 0) ngroups = 0;  // an empty sub-cube has no cells
-    for (size_t d : gidx) ngroups *= slab[d].width();
-    std::vector<Row> rows(ngroups);
-
-    exec::ExecOptions xo;
-    xo.threads = query.threads;
-    exec::ParallelForOptions loop;
-    loop.label = "molap_groupby";
-    loop.max_workers = xo.EffectiveThreads();
-    loop.stop = CurrentCancelContext();
-    // One group is a whole slab sum. 32 groups a morsel: enough morsels to
-    // balance uneven slabs across workers, few enough that each morsel's
-    // profile span and stop check stay small beside its 32 slab sums.
-    loop.morsel_size = 32;
-
-    Mutex err_mu;
-    Status first_error = Status::OK();
-    exec::ParallelFor(
-        ngroups,
-        [&](size_t, size_t begin, size_t end) {
-          std::vector<DimRange> ranges;
-          for (size_t g = begin; g < end; ++g) {
-            ranges = slab;
-            Row row(gidx.size() + 1);
-            size_t rem = g;
-            for (size_t i = gidx.size(); i-- > 0;) {
-              const DimRange& r = slab[gidx[i]];
-              const size_t code = r.lo + rem % r.width();
-              rem /= r.width();
-              row[i] = cube_.dictionary(gidx[i]).Decode(uint32_t(code));
-              // A dimension named twice keeps only the code both pick.
-              ranges[gidx[i]].Keep(code);
-            }
-            Result<double> s = cube_.mutable_array().SumRange(ranges);
-            if (!s.ok()) {
-              MutexLock lock(err_mu);
-              if (first_error.ok()) first_error = s.status();
-              return;
-            }
-            row.back() = Value(s.value());
-            rows[g] = std::move(row);
-          }
-        },
-        loop);
-    STATCUBE_RETURN_NOT_OK(first_error);
-    if (loop.stop != nullptr)
-      if (StopReason sr = loop.stop->Check(); sr != StopReason::kNone)
-        return StopStatus(sr, "groupby");
+    STATCUBE_ASSIGN_OR_RETURN(
+        std::vector<double> sums,
+        cube_.mutable_array().SumRangeBy(slab, gidx, CurrentCancelContext()));
 
     Schema out_schema;
     for (const auto& g : query.group_dims)
       out_schema.AddColumn(g, ValueType::kString);
     out_schema.AddColumn("sum", ValueType::kDouble);
     Table out("groupby_molap", out_schema);
-    for (Row& row : rows) out.AppendRowUnchecked(std::move(row));
+    for (size_t g = 0; g < sums.size(); ++g) {
+      Row row(gidx.size() + 1);
+      size_t rem = g;
+      for (size_t i = gidx.size(); i-- > 0;) {
+        const DimRange& r = slab[gidx[i]];
+        row[i] = cube_.dictionary(gidx[i]).Decode(
+            uint32_t(r.lo + rem % r.width()));
+        rem /= r.width();
+      }
+      row.back() = Value(sums[g]);
+      out.AppendRowUnchecked(std::move(row));
+    }
     STATCUBE_RETURN_NOT_OK(out.SortBy(query.group_dims));
     return out;
   }
@@ -133,28 +96,17 @@ class MolapBackend : public CubeBackend {
 
 // ------------------------------------------------------------------ ROLAP
 
-// The object's code columns and one measure slab, copied flat: a DataCube
-// shares its built backend between copies of its handle, so the backend
-// must not point into one handle's object.
+// The object's code columns and one measure slab, read in place; the
+// object must outlive the backend (backend.h). The backend answers over
+// the rows the object held when it was built, the rows its bitmaps cover.
 class RolapBackend : public CubeBackend {
  public:
   RolapBackend(const StatisticalObject& obj, size_t measure,
                RolapBackendOptions options)
-      : object_name_(obj.data().name()),
-        measure_name_(obj.measures()[measure].name),
+      : obj_(obj),
+        measure_(measure),
         rows_(obj.data().num_rows()),
         options_(options) {
-    const auto& cols = obj.code_columns();
-    codes_.reserve(cols.size() * rows_);
-    for (size_t d = 0; d < cols.size(); ++d) {
-      dim_names_.push_back(obj.dimensions()[d].name());
-      dictionaries_.push_back(cols[d].dictionary);
-      codes_.insert(codes_.end(), cols[d].codes.begin(), cols[d].codes.end());
-    }
-    const StatisticalObject::MeasureSlab& slab = obj.measure_slabs()[measure];
-    values_ = slab.values;
-    flags_ = slab.flags;
-    evidence_ = slab.evidence;
     if (options_.build_bitmap_indexes) BuildIndexes();
   }
 
@@ -170,22 +122,23 @@ class RolapBackend : public CubeBackend {
     return SumScan(filters);
   }
 
-  // The executor's coded group-by over the copied codes and slab; a BY
+  // The executor's coded group-by over the object's codes and slab; a BY
   // dimension it cannot group exactly is Unimplemented (backend.h).
   Result<Table> GroupBySum(const CubeQuery& query) override {
     obs::Span span("backend.groupby:rolap");
     BackendObsScope scope(name(), counter_);
     STATCUBE_ASSIGN_OR_RETURN(KeepBytes keep, Keep(query.filters));
+    const StatisticalObject::MeasureSlab& slab = Slab();
     exec::CodedGroupByInput in;
-    in.name = object_name_;
+    in.name = obj_.data().name();
     in.rows = rows_;
     in.by_names = query.group_dims;
-    in.aggs = {{AggFn::kSum, measure_name_, "sum"}};
-    in.slabs = {{values_.data(), flags_.data(), evidence_}};
+    in.aggs = {{AggFn::kSum, obj_.measures()[measure_].name, "sum"}};
+    in.slabs = {{slab.values.data(), slab.flags.data(), slab.evidence}};
     for (const auto& [d, k] : keep) in.filters.push_back({Codes(d), k.data()});
     for (const auto& g : query.group_dims) {
-      STATCUBE_ASSIGN_OR_RETURN(size_t d, DimIndex(g));
-      in.by.push_back({Codes(d), nullptr, &dictionaries_[d]});
+      STATCUBE_ASSIGN_OR_RETURN(size_t d, obj_.DimensionIndex(g));
+      in.by.push_back({Codes(d), nullptr, &Dictionary(d)});
     }
     counter_.ChargeBytes(rows_ * (sizeof(uint32_t) * (keep.size() +
                                                       in.by.size()) +
@@ -200,10 +153,11 @@ class RolapBackend : public CubeBackend {
   }
 
   size_t ByteSize() const override {
-    size_t b = codes_.size() * sizeof(uint32_t) +
-               values_.size() * sizeof(double) + flags_.size();
-    for (const std::vector<Value>& dict : dictionaries_)
-      for (const Value& v : dict)
+    const size_t ndims = obj_.code_columns().size();
+    size_t b = rows_ * (ndims * sizeof(uint32_t) + sizeof(double) +
+                        sizeof(uint8_t));
+    for (size_t d = 0; d < ndims; ++d)
+      for (const Value& v : Dictionary(d))
         b += sizeof(Value) +
              (v.type() == ValueType::kString ? v.AsString().size() : 0);
     for (const auto& dim_index : indexes_)
@@ -217,26 +171,27 @@ class RolapBackend : public CubeBackend {
   // on it (Value::Compare equality, as the executor's WHERE).
   using KeepBytes = std::vector<std::pair<size_t, std::vector<uint8_t>>>;
 
-  const uint32_t* Codes(size_t d) const { return codes_.data() + d * rows_; }
-
-  Result<size_t> DimIndex(const std::string& name) const {
-    auto it = std::find(dim_names_.begin(), dim_names_.end(), name);
-    if (it == dim_names_.end())
-      return Status::NotFound("no dimension '" + name + "'");
-    return size_t(it - dim_names_.begin());
+  const uint32_t* Codes(size_t d) const {
+    return obj_.code_columns()[d].codes.data();
+  }
+  const std::vector<Value>& Dictionary(size_t d) const {
+    return obj_.code_columns()[d].dictionary;
+  }
+  const StatisticalObject::MeasureSlab& Slab() const {
+    return obj_.measure_slabs()[measure_];
   }
 
   Result<KeepBytes> Keep(const std::vector<EqFilter>& filters) const {
     KeepBytes keep;
     for (const auto& f : filters) {
-      STATCUBE_ASSIGN_OR_RETURN(size_t d, DimIndex(f.column));
+      STATCUBE_ASSIGN_OR_RETURN(size_t d, obj_.DimensionIndex(f.column));
       auto it = std::find_if(keep.begin(), keep.end(),
                              [&](const auto& k) { return k.first == d; });
       if (it == keep.end())
         it = keep.insert(keep.end(),
-                         {d, std::vector<uint8_t>(dictionaries_[d].size(), 1)});
+                         {d, std::vector<uint8_t>(Dictionary(d).size(), 1)});
       for (size_t c = 0; c < it->second.size(); ++c)
-        it->second[c] &= Value::Compare(dictionaries_[d][c], f.value) == 0;
+        it->second[c] &= Value::Compare(Dictionary(d)[c], f.value) == 0;
     }
     return keep;
   }
@@ -245,11 +200,13 @@ class RolapBackend : public CubeBackend {
     STATCUBE_ASSIGN_OR_RETURN(KeepBytes keep, Keep(filters));
     counter_.ChargeBytes(rows_ * (sizeof(uint32_t) * keep.size() +
                                   sizeof(double) + sizeof(uint8_t)));
+    const double* values = Slab().values.data();
+    const uint8_t* flags = Slab().flags.data();
     double sum = 0;
     for (size_t r = 0; r < rows_; ++r) {
       bool match = true;
       for (const auto& [d, k] : keep) match = match && k[Codes(d)[r]] != 0;
-      if (match && (flags_[r] & kSlabNumeric) != 0) sum += values_[r];
+      if (match && (flags[r] & kSlabNumeric) != 0) sum += values[r];
     }
     return sum;
   }
@@ -257,13 +214,13 @@ class RolapBackend : public CubeBackend {
   Result<double> SumIndexed(const std::vector<EqFilter>& filters) {
     BitVector match(rows_, true);
     for (const auto& f : filters) {
-      STATCUBE_ASSIGN_OR_RETURN(size_t d, DimIndex(f.column));
+      STATCUBE_ASSIGN_OR_RETURN(size_t d, obj_.DimensionIndex(f.column));
       // The rows of every code Value::Compare calls equal to the literal:
       // one code, except for int/double twins such as 1 and 1.0.
       const BitVector* rows = nullptr;
       BitVector twins;
-      for (size_t c = 0; c < dictionaries_[d].size(); ++c) {
-        if (Value::Compare(dictionaries_[d][c], f.value) != 0) continue;
+      for (size_t c = 0; c < indexes_[d].size(); ++c) {
+        if (Value::Compare(Dictionary(d)[c], f.value) != 0) continue;
         const BitVector& bm = indexes_[d][c];
         counter_.ChargeBytes(bm.ByteSize());
         if (rows == nullptr) {
@@ -278,12 +235,14 @@ class RolapBackend : public CubeBackend {
       match.AndWith(*rows);
     }
     // Read only the matching measure cells.
+    const double* values = Slab().values.data();
+    const uint8_t* flags = Slab().flags.data();
     double sum = 0;
     size_t matched = 0;
     for (size_t i = 0; i < rows_; ++i) {
       if (!match.Get(i)) continue;
       ++matched;
-      if ((flags_[i] & kSlabNumeric) != 0) sum += values_[i];
+      if ((flags[i] & kSlabNumeric) != 0) sum += values[i];
     }
     counter_.ChargeBytes(matched * sizeof(double));
     return sum;
@@ -292,10 +251,10 @@ class RolapBackend : public CubeBackend {
   // One bitmap per dictionary code, one pass over each code column: a run
   // of one code within a 64-row word gathers its bits in a register.
   void BuildIndexes() {
-    indexes_.resize(dim_names_.size());
-    for (size_t d = 0; d < dim_names_.size(); ++d) {
+    indexes_.resize(obj_.code_columns().size());
+    for (size_t d = 0; d < indexes_.size(); ++d) {
       std::vector<BitVector>& bitmaps = indexes_[d];
-      bitmaps.assign(dictionaries_[d].size(), BitVector(rows_));
+      bitmaps.assign(Dictionary(d).size(), BitVector(rows_));
       const uint32_t* codes = Codes(d);
       for (size_t begin = 0; begin < rows_; begin += 64) {
         const size_t end = std::min(rows_, begin + 64);
@@ -314,16 +273,10 @@ class RolapBackend : public CubeBackend {
     }
   }
 
-  std::string object_name_;
-  std::string measure_name_;
+  const StatisticalObject& obj_;
+  size_t measure_;
   size_t rows_;
   RolapBackendOptions options_;
-  std::vector<std::string> dim_names_;
-  std::vector<std::vector<Value>> dictionaries_;  // per dim: code -> value
-  std::vector<uint32_t> codes_;  // dim d's codes at [d * rows_, (d+1) * rows_)
-  std::vector<double> values_;   // the measure slab
-  std::vector<uint8_t> flags_;
-  SlabEvidence evidence_;
   std::vector<std::vector<BitVector>> indexes_;  // per dim: code -> rows
   BlockCounter counter_;
 };

@@ -11,25 +11,34 @@
 ///  * MolapBackend — dense linearized array (molap_cube.h): arithmetic
 ///    addressing, stores the whole cross product. Its slab is scattered
 ///    from the codes with one dictionary lookup per code, not per row. A
-///    GROUP BY reports every cell of the WHERE's sub-cube projected on the
-///    BY dimensions, empty or not; an empty sub-cube (a WHERE value that
-///    never occurs, or two that disagree on one dimension) has none.
-///  * RolapBackend — a flat copy of the code columns and the one measure
-///    slab, scanned relationally; with `BuildIndexes`, one bitmap per
-///    dictionary code accelerates the scans (the ROLAP proponents' claim
-///    (iv): "efficiency of ROLAP can be achieved by using techniques such
-///    as encoding and compression"). GroupBySum runs the query executor's
-///    coded group-by (exec::CodedGroupBy), so its rows equal Query()'s bit
-///    for bit. Where that group-by declines — a BY dimension holding NaN or
-///    values Value::Compare calls equal — GroupBySum returns Unimplemented,
-///    and QueryProfiled answers with the relational executor instead.
+///    GROUP BY is one sequential pass over the WHERE's sub-cube
+///    (DenseArray::SumRangeBy), serial at any CubeQuery::threads, and
+///    reports every cell of the sub-cube projected on the BY dimensions,
+///    empty or not; an empty sub-cube (a WHERE value that never occurs, or
+///    two that disagree on one dimension) has none.
+///  * RolapBackend — the object's code columns and the one measure slab,
+///    read in place and scanned relationally; with `BuildIndexes`, one
+///    bitmap per dictionary code accelerates the scans (the ROLAP
+///    proponents' claim (iv): "efficiency of ROLAP can be achieved by using
+///    techniques such as encoding and compression"). GroupBySum runs the
+///    query executor's coded group-by (exec::CodedGroupBy), so its rows
+///    equal Query()'s bit for bit. Where that group-by declines — a BY
+///    dimension holding NaN or values Value::Compare calls equal —
+///    GroupBySum returns Unimplemented, and QueryProfiled answers with the
+///    relational executor instead.
+///
+/// Lifetime: the object a backend is built from must outlive the backend.
+/// ROLAP reads its columns on every call and answers over the rows the
+/// object held at the build (the rows its bitmaps cover); MOLAP keeps its
+/// own array. DataCube shares its object with its backend for this reason.
 ///
 /// ByteSize is the store a query reads: the array and its dictionaries
 /// (MOLAP), or the codes, the slab, the dictionaries and the bitmaps
 /// (ROLAP). The block counters charge the bytes of array segments, codes,
 /// slab entries and bitmaps read. A name that is not a dimension is
-/// NotFound. GroupBySum checks the thread's CurrentCancelContext() between
-/// morsels and returns kCancelled / kDeadlineExceeded once it fires.
+/// NotFound. GroupBySum checks the thread's CurrentCancelContext() before
+/// it reads and as it goes, and returns kCancelled / kDeadlineExceeded once
+/// it fires.
 ///
 /// Equivalence across backends is a test invariant; bench_rolap_molap and
 /// bench_ablation measure the trade-offs.
@@ -57,9 +66,10 @@ struct CubeQuery {
   std::vector<std::string> group_dims;
   /// Equality filters ANDed together; empty = no filtering.
   std::vector<EqFilter> filters;
-  /// Worker cap of the backend's morsel loops (statcube/exec): 1 (default)
-  /// runs them on the caller, 0 = exec::DefaultThreads(). Results are
-  /// identical at any value.
+  /// Worker cap of ROLAP's coded group-by (statcube/exec): 1 (default)
+  /// runs it on the caller, 0 = exec::DefaultThreads(). MOLAP's one pass
+  /// over its array is serial at any value. Results are identical at any
+  /// value.
   int threads = 1;
 };
 
@@ -97,7 +107,7 @@ struct RolapBackendOptions {
 };
 
 /// Builds a ROLAP backend over the object's code columns and the slab of
-/// `measure`.
+/// `measure`, read in place: `obj` must outlive it.
 Result<std::unique_ptr<CubeBackend>> MakeRolapBackend(
     const StatisticalObject& obj, const std::string& measure,
     const RolapBackendOptions& options = {});

@@ -9,39 +9,39 @@ Result<DataCube> DataCube::Wrap(Result<StatisticalObject> r) const {
 
 Result<DataCube> DataCube::Select(const std::string& dim,
                                   const std::vector<Value>& values) const {
-  return Wrap(SSelect(object_, dim, values));
+  return Wrap(SSelect(*object_, dim, values));
 }
 
 Result<DataCube> DataCube::Dice(const std::vector<DiceSpec>& specs) const {
-  return Wrap(statcube::Dice(object_, specs));
+  return Wrap(statcube::Dice(*object_, specs));
 }
 
 Result<DataCube> DataCube::Slice(const std::string& dim) const {
-  return Wrap(SProject(object_, dim, OpOptions()));
+  return Wrap(SProject(*object_, dim, OpOptions()));
 }
 
 Result<DataCube> DataCube::SliceAt(const std::string& dim,
                                    const Value& value) const {
-  return Wrap(statcube::SliceAt(object_, dim, value));
+  return Wrap(statcube::SliceAt(*object_, dim, value));
 }
 
 Result<DataCube> DataCube::RollUp(const std::string& dim,
                                   const std::string& hierarchy,
                                   size_t to_level) const {
-  return Wrap(SAggregate(object_, dim, hierarchy, to_level, OpOptions()));
+  return Wrap(SAggregate(*object_, dim, hierarchy, to_level, OpOptions()));
 }
 
 Result<DataCube> DataCube::Union(const DataCube& other) const {
-  return Wrap(SUnion(object_, other.object_));
+  return Wrap(SUnion(*object_, *other.object_));
 }
 
 Status DataCube::EnsureBackend(const std::string& measure) {
   if (backend_ && backend_measure_ == measure) return Status::OK();
   Result<std::unique_ptr<CubeBackend>> built =
       options_.backend == BackendKind::kMolap
-          ? MakeMolapBackend(object_, measure)
+          ? MakeMolapBackend(*object_, measure)
           : MakeRolapBackend(
-                object_, measure,
+                *object_, measure,
                 {.build_bitmap_indexes =
                      options_.backend == BackendKind::kRolapBitmap});
   if (!built.ok()) return built.status();
@@ -57,11 +57,11 @@ Result<double> DataCube::Sum(const std::string& measure,
 }
 
 Result<AutoResult> DataCube::Ask(const AutoQuery& query) const {
-  return AutoAggregate(object_, query, OpOptions());
+  return AutoAggregate(*object_, query, OpOptions());
 }
 
 Result<std::string> DataCube::Render(const Render2DOptions& options) const {
-  return Render2D(object_, options);
+  return Render2D(*object_, options);
 }
 
 }  // namespace statcube

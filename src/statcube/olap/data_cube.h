@@ -5,11 +5,13 @@
 // automatic aggregations, advanced statistical operators, and mechanisms to
 // deal with time varying and incompatible classifications."
 //
-// DataCube owns a StatisticalObject, lazily materializes a physical backend
-// (MOLAP array, ROLAP scan, or bitmap-indexed ROLAP) for fast aggregates,
-// and exposes the operator algebra, the text query language, automatic
-// aggregation, and 2-D rendering behind one handle. Operators return new
-// DataCubes, so pipelines chain.
+// DataCube holds an immutable StatisticalObject, lazily materializes a
+// physical backend (MOLAP array, ROLAP scan, or bitmap-indexed ROLAP) for
+// fast aggregates, and exposes the operator algebra, the text query
+// language, automatic aggregation, and 2-D rendering behind one handle.
+// Copies of a handle share the object and the backend, so a backend that
+// reads the object in place (ROLAP) never outlives it. Operators return
+// new DataCubes, so pipelines chain.
 
 #ifndef STATCUBE_OLAP_DATA_CUBE_H_
 #define STATCUBE_OLAP_DATA_CUBE_H_
@@ -42,13 +44,14 @@ struct DataCubeOptions {
 class DataCube {
  public:
   explicit DataCube(StatisticalObject object, DataCubeOptions options = {})
-      : object_(std::move(object)), options_(options) {}
+      : object_(std::make_shared<const StatisticalObject>(std::move(object))),
+        options_(options) {}
 
-  const StatisticalObject& object() const { return object_; }
+  const StatisticalObject& object() const { return *object_; }
   const DataCubeOptions& options() const { return options_; }
 
   /// Structural description (the paper's §2 summaries).
-  std::string Describe() const { return object_.DescribeStructure(); }
+  std::string Describe() const { return object_->DescribeStructure(); }
 
   // --- operators (each returns a new DataCube with the same options) -----
   Result<DataCube> Select(const std::string& dim,
@@ -62,7 +65,7 @@ class DataCube {
 
   // --- aggregates through the physical backend ---------------------------
   /// SUM(measure) under equality filters; the backend is built lazily per
-  /// measure and cached.
+  /// measure and cached, and shared with copies of this handle.
   Result<double> Sum(const std::string& measure,
                      const std::vector<EqFilter>& filters = {});
 
@@ -88,7 +91,8 @@ class DataCube {
   Result<DataCube> Wrap(Result<StatisticalObject> r) const;
   Status EnsureBackend(const std::string& measure);
 
-  StatisticalObject object_;
+  // Shared by copies of the handle, as is backend_, which may read it.
+  std::shared_ptr<const StatisticalObject> object_;
   DataCubeOptions options_;
   std::shared_ptr<CubeBackend> backend_;  // lazily built
   std::string backend_measure_;

@@ -100,7 +100,7 @@ Status BackendExpressible(const StatisticalObject& obj,
 /// ExecuteQuery; so does one the backend declines (olap/backend.h). The
 /// SUM is over the backend's measure. `threads` is the backend's worker
 /// cap (CubeQuery::threads); the answer is the same at any value. The
-/// backend checks the thread's CurrentCancelContext() between morsels.
+/// backend checks the thread's CurrentCancelContext() as it reads.
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
                                     CubeBackend& backend, int threads = 1);

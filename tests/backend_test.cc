@@ -169,18 +169,18 @@ void ExpectSameGroups(const Table& want, const Table& got,
 
 // A WHERE on a BY dimension keeps only its value's groups, and two filters
 // on one dimension intersect — on MOLAP as on the ROLAP backends and the
-// relational executor.
+// relational executor. So do a BY on the innermost dimension (year) and a
+// BY on outer dimensions with the innermost fixed (one-cell segments), at
+// one worker and at four.
 TEST(BackendFilterTest, FiltersOnOneDimensionIntersectOnEveryBackend) {
   CensusOptions opt;
   opt.num_states = 2;
   opt.counties_per_state = 3;
   opt.seed = 7;
   const StatisticalObject obj = MakeCensusWorkload(opt).ValueOrDie();
-  const std::string text =
+  const char* const kWhereOnBy =
       "SELECT sum(population) BY county, year WHERE county = 'st0_co1'";
-  const Table want = Query(obj, text).ValueOrDie();
-  ASSERT_EQ(want.num_rows(), 3u);  // one county, three years
-  const ParsedQuery q = ParseQuery(text).ValueOrDie();
+  ASSERT_EQ(Query(obj, kWhereOnBy)->num_rows(), 3u);  // one county, 3 years
   const std::vector<EqFilter> disjoint = {{"county", Value("st0_co0")},
                                           {"county", Value("st0_co1")}};
   for (auto& backend :
@@ -188,10 +188,19 @@ TEST(BackendFilterTest, FiltersOnOneDimensionIntersectOnEveryBackend) {
         MakeRolapBackend(obj, "population").ValueOrDie(),
         MakeRolapBackend(obj, "population", {.build_bitmap_indexes = true})
             .ValueOrDie()}) {
-    Result<Table> got = ExecuteQueryOnBackend(obj, q, *backend);
-    ASSERT_TRUE(got.ok()) << backend->name() << ": "
-                          << got.status().ToString();
-    ExpectSameGroups(want, *got, backend->name());
+    for (const char* text :
+         {kWhereOnBy, "SELECT sum(population) BY county, year",
+          "SELECT sum(population) BY race, sex WHERE year = 1991"}) {
+      const Table want = Query(obj, text).ValueOrDie();
+      const ParsedQuery q = ParseQuery(text).ValueOrDie();
+      for (int threads : {1, 4}) {
+        const std::string what = backend->name() + " @" +
+                                 std::to_string(threads) + ": " + text;
+        Result<Table> got = ExecuteQueryOnBackend(obj, q, *backend, threads);
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        ExpectSameGroups(want, *got, what);
+      }
+    }
     Result<double> none = backend->Sum(disjoint);
     ASSERT_TRUE(none.ok()) << backend->name();
     EXPECT_EQ(*none, 0.0) << backend->name();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
 
@@ -44,6 +46,22 @@ TEST(DataCubeTest, SumAgreesAcrossBackends) {
   EXPECT_NEAR(*a, *c, 1e-6);
   EXPECT_EQ(rolap.backend_name(), "rolap");
   EXPECT_EQ(bitmap.backend_name(), "rolap+bitmap");
+}
+
+// Copies of a handle share its backend; the ROLAP backends read the
+// object in place, so the object must live as long as any copy does (the
+// ASan build catches a dangling read).
+TEST(DataCubeTest, CopyOutlivesTheOriginalsBackend) {
+  std::vector<EqFilter> f = {{"product", Value("prod1")}};
+  auto original = std::make_unique<DataCube>(MakeCube(BackendKind::kRolapBitmap));
+  auto want = original->Sum("amount", f);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  DataCube copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.backend_name(), "rolap+bitmap");
+  auto got = copy.Sum("amount", f);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want);
 }
 
 TEST(DataCubeTest, ChainedPipeline) {

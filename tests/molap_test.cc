@@ -1,10 +1,13 @@
 // Tests for the MOLAP storage structures of §6.2–6.5: dense linearized
-// arrays, header compression, chunked (subcube) arrays, extendible arrays.
+// arrays and their one-pass range reduction, header compression, chunked
+// (subcube) arrays, extendible arrays.
 // Property sweeps check all structures agree with the dense reference across
 // dimension shapes and densities.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
 #include <tuple>
 
 #include "statcube/common/rng.h"
@@ -56,6 +59,179 @@ TEST(DenseArrayTest, SumRange) {
   ASSERT_TRUE(s.ok());
   EXPECT_DOUBLE_EQ(*s, 0.0);
   EXPECT_FALSE(a.SumRange({{0, 9}, {0, 4}}).ok());
+}
+
+// ------------------------------------------------- SumRangeBy (one pass)
+
+// Cells like the parallel-equivalence arrays': inexact (0.1 * (i % 97) +
+// 0.003, where the order of the adds shows in the bits) or integers (which
+// take the block-sum path).
+DenseArray MakeArray(std::vector<size_t> shape, bool integer_cells) {
+  DenseArray a(std::move(shape));
+  for (size_t i = 0; i < a.num_cells(); ++i)
+    a.SetLinear(i, integer_cells ? double(i % 97)
+                                 : 0.1 * double(i % 97) + 0.003);
+  return a;
+}
+
+// The reference: total g (the last of `by` fastest) adds, in array order,
+// every cell of `ranges` whose coordinate on each by[i] is g's code there.
+std::vector<double> GroupSumsInArrayOrder(const DenseArray& a,
+                                          const std::vector<DimRange>& ranges,
+                                          const std::vector<size_t>& by) {
+  std::vector<size_t> in_ranges;  // array positions, in array order
+  std::vector<std::vector<size_t>> coords;  // and their coordinates
+  for (size_t pos = 0; pos < a.num_cells(); ++pos) {
+    std::vector<size_t> coord = a.Delinearize(pos);
+    bool in = true;
+    for (size_t d = 0; d < coord.size(); ++d)
+      in = in && coord[d] >= ranges[d].lo && coord[d] < ranges[d].hi;
+    if (!in) continue;
+    in_ranges.push_back(pos);
+    coords.push_back(std::move(coord));
+  }
+  size_t ntotals = 1;
+  for (size_t d : by) ntotals *= ranges[d].width();
+  std::vector<double> totals(ntotals, 0.0);
+  for (size_t g = 0; g < ntotals; ++g) {
+    std::vector<size_t> code(by.size());
+    size_t rem = g;
+    for (size_t i = by.size(); i-- > 0;) {
+      code[i] = ranges[by[i]].lo + rem % ranges[by[i]].width();
+      rem /= ranges[by[i]].width();
+    }
+    for (size_t k = 0; k < in_ranges.size(); ++k) {
+      bool in = true;
+      for (size_t i = 0; i < by.size(); ++i)
+        in = in && coords[k][by[i]] == code[i];
+      if (in) totals[g] += a.GetLinear(in_ranges[k]);
+    }
+  }
+  return totals;
+}
+
+// One ChargeBytes per contiguous innermost segment of `ranges`.
+BlockCounter SegmentCharges(const std::vector<DimRange>& ranges) {
+  size_t segments = 1;
+  for (size_t d = 0; d + 1 < ranges.size(); ++d)
+    segments *= ranges[d].width();
+  BlockCounter want;
+  for (size_t s = 0; s < segments; ++s)
+    want.ChargeBytes(ranges.back().width() * sizeof(double));
+  return want;
+}
+
+TEST(DenseArrayTest, SumRangeByAddsEachGroupInArrayOrder) {
+  for (const std::vector<size_t>& shape :
+       {std::vector<size_t>{5, 6, 7, 4}, std::vector<size_t>{7, 5, 9}}) {
+    const size_t n = shape.size();
+    // Whole, interior, thin (one code on each leading dimension) and
+    // empty (dimension 1).
+    std::vector<std::vector<DimRange>> cases(4);
+    for (size_t d = 0; d < n; ++d) {
+      cases[0].push_back({0, shape[d]});
+      cases[1].push_back({1, shape[d] - 1});
+      cases[2].push_back(d + 1 < n ? DimRange{shape[d] / 2, shape[d] / 2 + 1}
+                                   : DimRange{0, shape[d]});
+      cases[3].push_back(d == 1 ? DimRange{2, 2} : DimRange{0, shape[d]});
+    }
+    // None, each single dimension, the innermost with an outer one (both
+    // orders), a dimension listed twice, and all of them.
+    std::vector<std::vector<size_t>> bys = {{}};
+    for (size_t d = 0; d < n; ++d) bys.push_back({d});
+    bys.push_back({0, n - 1});
+    bys.push_back({n - 1, 0});
+    bys.push_back({1, 1});
+    bys.push_back({});
+    for (size_t d = 0; d < n; ++d) bys.back().push_back(d);
+
+    for (bool integer_cells : {false, true}) {
+      DenseArray a = MakeArray(shape, integer_cells);
+      for (size_t c = 0; c < cases.size(); ++c) {
+        const std::vector<DimRange>& ranges = cases[c];
+        const bool empty = c == 3;
+        for (const auto& by : bys) {
+          std::string what = std::to_string(n) + "d, case " +
+                             std::to_string(c) + ", by {";
+          for (size_t d : by) what += " " + std::to_string(d);
+          what += integer_cells ? " }, integer cells" : " }";
+          const uint64_t blocks0 = a.counter().blocks_read();
+          const uint64_t bytes0 = a.counter().bytes_read();
+          auto got = a.SumRangeBy(ranges, by);
+          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+          if (empty) {
+            EXPECT_TRUE(got->empty()) << what;  // no totals, nothing read
+            EXPECT_EQ(a.counter().bytes_read(), bytes0) << what;
+            continue;
+          }
+          const std::vector<double> want =
+              GroupSumsInArrayOrder(a, ranges, by);
+          ASSERT_EQ(got->size(), want.size()) << what;
+          for (size_t g = 0; g < want.size(); ++g)
+            EXPECT_EQ(std::bit_cast<uint64_t>((*got)[g]),
+                      std::bit_cast<uint64_t>(want[g]))
+                << what << ", total " << g;
+          const BlockCounter charged = SegmentCharges(ranges);
+          EXPECT_EQ(a.counter().blocks_read() - blocks0,
+                    charged.blocks_read())
+              << what;
+          EXPECT_EQ(a.counter().bytes_read() - bytes0, charged.bytes_read())
+              << what;
+        }
+        // SumRange is the one total of no BY.
+        auto total = a.SumRange(ranges);
+        ASSERT_TRUE(total.ok());
+        EXPECT_EQ(std::bit_cast<uint64_t>(*total),
+                  std::bit_cast<uint64_t>(
+                      empty ? 0.0
+                          : GroupSumsInArrayOrder(a, ranges, {})[0]));
+      }
+    }
+  }
+}
+
+TEST(DenseArrayTest, SumRangeByValidates) {
+  DenseArray a = MakeArray({5, 6, 7, 4}, /*integer_cells=*/false);
+  const std::vector<DimRange> whole = {{0, 5}, {0, 6}, {0, 7}, {0, 4}};
+  EXPECT_EQ(a.SumRangeBy({{0, 5}}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.SumRangeBy({{0, 5}, {0, 6}, {0, 7}, {0, 9}}, {0})
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(a.SumRangeBy({{3, 2}, {0, 6}, {0, 7}, {0, 4}}, {0})
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(a.SumRangeBy(whole, {4}).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(a.counter().bytes_read(), 0u);
+}
+
+// A stop context that never fires changes nothing, even where one segment
+// outlasts the cells between two checks; a fired one stops before the
+// first cell.
+TEST(DenseArrayTest, SumRangeByStops) {
+  DenseArray a = MakeArray({3, 9000}, /*integer_cells=*/false);
+  const std::vector<DimRange> whole = {{0, 3}, {0, 9000}};
+  CancellationToken token;
+  CancelContext ctx;
+  ctx.token = &token;
+  for (const std::vector<size_t>& by :
+       {std::vector<size_t>{}, std::vector<size_t>{0},
+        std::vector<size_t>{1}}) {
+    auto plain = a.SumRangeBy(whole, by);
+    auto checked = a.SumRangeBy(whole, by, &ctx);
+    ASSERT_TRUE(plain.ok() && checked.ok());
+    ASSERT_EQ(plain->size(), checked->size());
+    for (size_t g = 0; g < plain->size(); ++g)
+      EXPECT_EQ(std::bit_cast<uint64_t>((*plain)[g]),
+                std::bit_cast<uint64_t>((*checked)[g]));
+  }
+  token.Cancel();
+  const uint64_t bytes0 = a.counter().bytes_read();
+  EXPECT_EQ(a.SumRangeBy(whole, {0}, &ctx).status().ToString(),
+            "Cancelled: query cancelled during groupby");
+  EXPECT_EQ(a.counter().bytes_read(), bytes0);
 }
 
 TEST(DenseArrayTest, Density) {

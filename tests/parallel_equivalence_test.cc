@@ -6,14 +6,13 @@
 // inexact stock close price included: the stable radix scatter replays each
 // group's serial accumulation order and groups are numbered in serial
 // first-occurrence order. Covered across all four paper workloads (census,
-// hmo, retail, stocks), the query path, the cube backends, the MOLAP
-// reductions, and the materialization layer.
+// hmo, retail, stocks), the query path, the cube backends and the
+// materialization layer.
 
 #include "statcube/exec/parallel_kernels.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "statcube/materialize/greedy.h"
 #include "statcube/materialize/lattice.h"
 #include "statcube/materialize/view_store.h"
-#include "statcube/molap/dense_array.h"
 #include "statcube/olap/backend.h"
 #include "statcube/query/parser.h"
 #include "statcube/workload/census.h"
@@ -239,79 +237,6 @@ TEST(BackendEquivalence, GroupBySumThreadInvariant) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// MOLAP reductions: SumRange and the Figure 9 marginals.
-
-DenseArray MakeArray(std::vector<size_t> shape, bool integer_cells) {
-  DenseArray a(std::move(shape));
-  for (size_t i = 0; i < a.num_cells(); ++i)
-    a.SetLinear(i, integer_cells ? double(i % 97)
-                                 : 0.1 * double(i % 97) + 0.003);
-  return a;
-}
-
-TEST(MolapEquivalence, SumRangeMatchesSerial) {
-  DenseArray a = MakeArray({5, 6, 7, 4}, /*integer_cells=*/true);
-  std::vector<std::vector<DimRange>> cases = {
-      {{0, 5}, {0, 6}, {0, 7}, {0, 4}},  // whole array
-      {{1, 4}, {2, 5}, {0, 7}, {1, 3}},  // interior box
-      {{2, 3}, {3, 4}, {5, 6}, {0, 4}},  // thin slab
-      {{0, 5}, {0, 0}, {0, 7}, {0, 4}},  // empty range -> 0
-  };
-  for (const auto& ranges : cases) {
-    auto serial = a.SumRange(ranges);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int t : {1, 2, 4, 8}) {
-      auto parallel = exec::ParallelSumRange(a, ranges, Threads(t, 8));
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(*serial, *parallel) << t << " threads";
-    }
-  }
-  // Validation parity: wrong arity and out-of-bounds fail in both.
-  EXPECT_FALSE(exec::ParallelSumRange(a, {{0, 5}}, Threads(4)).ok());
-  EXPECT_FALSE(
-      exec::ParallelSumRange(a, {{0, 5}, {0, 6}, {0, 7}, {0, 9}}, Threads(4))
-          .ok());
-}
-
-TEST(MolapEquivalence, SumRangeThreadInvariantOnInexactCells) {
-  DenseArray a = MakeArray({6, 6, 6}, /*integer_cells=*/false);
-  std::vector<DimRange> ranges = {{0, 6}, {1, 5}, {0, 6}};
-  auto baseline = exec::ParallelSumRange(a, ranges, Threads(1, 4));
-  ASSERT_TRUE(baseline.ok());
-  for (int t : {2, 4, 8}) {
-    auto other = exec::ParallelSumRange(a, ranges, Threads(t, 4));
-    ASSERT_TRUE(other.ok());
-    uint64_t bx, by;
-    double dx = *baseline, dy = *other;
-    std::memcpy(&bx, &dx, sizeof bx);
-    std::memcpy(&by, &dy, sizeof by);
-    EXPECT_EQ(bx, by) << t << " threads";
-  }
-}
-
-TEST(MolapEquivalence, MarginalSumsMatchSerial) {
-  // Each marginal entry is one slab walked in index order by exactly one
-  // task, so even inexact cells reproduce the serial vector bit-for-bit.
-  DenseArray a = MakeArray({7, 5, 9}, /*integer_cells=*/false);
-  for (size_t dim = 0; dim < 3; ++dim) {
-    auto serial = exec::MarginalSums(a, dim);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int t : {1, 2, 4, 8}) {
-      auto parallel = exec::ParallelMarginalSums(a, dim, Threads(t, 2));
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ASSERT_EQ(serial->size(), parallel->size());
-      for (size_t i = 0; i < serial->size(); ++i) {
-        uint64_t bx, by;
-        std::memcpy(&bx, &(*serial)[i], sizeof bx);
-        std::memcpy(&by, &(*parallel)[i], sizeof by);
-        EXPECT_EQ(bx, by) << "dim " << dim << " entry " << i;
-      }
-    }
-  }
-  EXPECT_FALSE(exec::ParallelMarginalSums(a, 3, Threads(4)).ok());
 }
 
 // ---------------------------------------------------------------------------
