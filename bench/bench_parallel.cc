@@ -1,8 +1,9 @@
-// Experiments P1 and P4 (DESIGN.md §6, §12): thread-sweep scaling of the
-// parallel kernels (statcube/exec) over two §6 aggregation shapes — the
-// radix-partitioned group-by and the CUBE lattice built on it. Both run as
-// queries through ExecuteQuery, whose coded pass (exec::CodedGroupBy)
-// feeds the radix kernel its group ids.
+// Experiments P1 and P4 (DESIGN.md §6, §12): thread sweep of the parallel
+// kernels (statcube/exec) over two §6 aggregation shapes — the coded
+// group-by and the CUBE lattice built on it. Both run as queries through
+// ExecuteQuery: the coded pass (exec::CodedGroupBy) numbers rows into
+// group ids over the workers' morsels, the fold adds them on the caller in
+// row order, and a CUBE rolls up one grouping set per task per level.
 // Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial
 // baseline cost, so speedup(N) = real_time(1) / real_time(N). On a machine
 // with fewer cores than N the pool oversubscribes (EnsureThreads), which

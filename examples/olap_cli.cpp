@@ -14,14 +14,15 @@
 // --cache, it sends every query through QueryProfiled, which owns that
 // route, even without --profile.
 //
-// Parallelism: `--threads=N` groups on N workers through the radix-partitioned
-// group-by (statcube/exec); results are bit-identical to serial execution at
-// any thread count, and EXPLAIN PROFILE shows its vec.* phase spans
-// (vec.partition only past the fan-out threshold). The default comes from
-// the STATCUBE_THREADS environment variable, falling back to the hardware
-// concurrency; `--threads=1` runs the same kernel on the caller. The worker
-// pool is built at startup, so /metrics shows statcube.exec.pool_size
-// immediately.
+// Parallelism: `--threads=N` runs the coded group-by's pass (statcube/exec)
+// over N workers' morsels, and CUBE's grouping sets within a lattice level;
+// its fold adds the rows on the caller in row order. Results are
+// bit-identical to serial execution at any thread count, and EXPLAIN
+// PROFILE shows the pass's coded_pass[...] morsel spans and the fold's
+// vec.aggregate. The default comes from the STATCUBE_THREADS environment
+// variable, falling back to the hardware concurrency; `--threads=1` runs
+// the same kernel on the caller. The worker pool is built at startup, so
+// /metrics shows statcube.exec.pool_size immediately.
 //
 // Caching: `--cache=off|on|derive` answers repeated queries from the
 // result cache (`on` = exact reuse, `derive` = also roll up cached

@@ -32,7 +32,8 @@
 /// (molap/dense_array) and exec can both call into them without pulling the
 /// scheduler or the relational engine into their translation units. The
 /// definitions live in common/vec_block.cc; the metrics-instrumented
-/// SumBlockAuto wrapper lives one layer up, in exec/vec_kernels.h.
+/// SumBlockAuto wrapper lives one layer up, beside its one caller, the
+/// empty-BY fold in exec/parallel_kernels.cc.
 
 #ifndef STATCUBE_COMMON_VEC_BLOCK_H_
 #define STATCUBE_COMMON_VEC_BLOCK_H_

@@ -9,7 +9,6 @@
 
 #include "statcube/common/str_util.h"
 #include "statcube/common/vec_block.h"
-#include "statcube/exec/vec_kernels.h"
 #include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
@@ -22,18 +21,12 @@ namespace vec = ::statcube::vec;
 
 namespace {
 
-// Rounds up without overflow, even at a size_t-max morsel.
-size_t NumMorsels(size_t n, size_t morsel) {
-  return n == 0 ? 0 : (n - 1) / morsel + 1;
-}
-
 ParallelForOptions LoopOptions(const char* label, const ExecOptions& options) {
   ParallelForOptions loop;
   loop.label = label;
   loop.morsel_size = options.morsel_rows == 0 ? kDefaultMorselRows
                                               : options.morsel_rows;
   loop.max_workers = options.EffectiveThreads();
-  loop.scheduler = options.scheduler;
   loop.stop = options.stop;
   return loop;
 }
@@ -117,61 +110,67 @@ class GroupIds {
   std::vector<uint64_t> keys_;
 };
 
-constexpr int kRadixBits = 6;
-static_assert((size_t(1) << kRadixBits) == kRadixPartitions,
-              "kRadixPartitions must be 2^kRadixBits");
-
-// Group ids are dense (0..ngroups-1), so the low bits alone deal groups
-// round-robin — perfectly balanced by construction, no mixing needed.
-inline size_t PartitionOf(uint32_t gid) {
-  return size_t(gid) & (kRadixPartitions - 1);
+// Picks the reassociated block sum when
+// `vec::ReorderIsExact(all_integral, max_abs, n)` holds and the ordered loop
+// otherwise; always bit-identical to `vec::SumBlockOrdered`. Counts each
+// choice in `statcube.exec.vec.block_sum_fast` / `_ordered`.
+double SumBlockAuto(const double* v, size_t n, bool all_integral,
+                    double max_abs) {
+  // Resolved once: GetCounter is a by-name map lookup under the registry
+  // mutex. Registry entries are never erased (Reset() only zeroes values),
+  // so the references stay valid for the process lifetime.
+  static obs::Counter& fast_counter = obs::MetricsRegistry::Global()
+      .GetCounter("statcube.exec.vec.block_sum_fast");
+  static obs::Counter& ordered_counter = obs::MetricsRegistry::Global()
+      .GetCounter("statcube.exec.vec.block_sum_ordered");
+  if (vec::ReorderIsExact(all_integral, max_abs, n)) {
+    if (obs::Enabled()) fast_counter.Add(1);
+    return vec::SumBlockFast(v, n);
+  }
+  if (obs::Enabled()) ordered_counter.Add(1);
+  return vec::SumBlockOrdered(v, n);
 }
 
-// AggState::AddSlab of slab positions [begin, end), in order, into
+// AggState::AddSlab of slab positions [0, n), in order, into
 // states[gid[e] * stride]. A null `values` is count() without a column
 // (rows only); a null `flags` says every entry is a non-NaN number.
 void FoldSlab(const uint32_t* gid, const double* values, const uint8_t* flags,
-              size_t begin, size_t end, AggState* states, size_t stride) {
+              size_t n, AggState* states, size_t stride) {
   if (values == nullptr) {
-    for (size_t e = begin; e < end; ++e) ++states[gid[e] * stride].rows;
+    for (size_t e = 0; e < n; ++e) ++states[gid[e] * stride].rows;
   } else if (flags == nullptr) {
-    for (size_t e = begin; e < end; ++e)
+    for (size_t e = 0; e < n; ++e)
       states[gid[e] * stride].AddSlab(values[e], kSlabNonNull | kSlabNumeric);
   } else {
-    for (size_t e = begin; e < end; ++e)
+    for (size_t e = 0; e < n; ++e)
       states[gid[e] * stride].AddSlab(values[e], flags[e]);
   }
 }
 
-// Rows already reduced to dense group ids and their measure slabs.
-struct GroupIdRows {
-  size_t rows = 0;
-  // Row r's group in [0, groups), numbered in first-occurrence order;
-  // nullptr puts every row in one group (an empty BY).
-  const uint32_t* gids = nullptr;
-  size_t groups = 0;
-  std::vector<SlabView> slabs;  // one per aggregate
-};
-
-// The radix group-by (DESIGN.md §12): a stable scatter of each row's gid
-// and measure values into kRadixPartitions buckets by the gid's low bits,
-// then one task per partition folding its slabs into flat per-gid states —
-// fanned out only past `vec_fanout_rows` rows per worker, else one pass on
-// the caller in row order. Each group folds its rows in ascending row
-// order, so every state is the serial GroupByStates' bit for bit. Returns
-// `slabs.size()` states per group, group-major.
-Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
-                                            const ExecOptions& options) {
-  const size_t n = in.rows;
-  const size_t naggs = in.slabs.size();
-  const size_t ngroups = n == 0 ? 0 : (in.gids == nullptr ? 1 : in.groups);
+// The fold of n > 0 kept rows (DESIGN.md §12): one pass on the caller in row
+// order, one aggregate at a time, into flat per-group states indexed by
+// group id — no hash table, no Row, no Value. Each group folds its rows in
+// ascending row order, so every state is the serial GroupByStates' bit for
+// bit. gids[e] is row e's group in [0, ngroups); null puts every row in one
+// group (an empty BY). Returns `slabs.size()` states per group, group-major.
+std::vector<AggState> FoldStates(size_t n, const uint32_t* gids,
+                                 size_t ngroups,
+                                 const std::vector<SlabView>& slabs) {
+  const size_t naggs = slabs.size();
   std::vector<AggState> states(ngroups * naggs);
-  if (n == 0) return states;
   if (obs::Enabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
     reg.GetCounter("statcube.exec.vec.rows").Add(n);
     reg.GetCounter("statcube.exec.vec.groups").Add(ngroups);
+  }
+  obs::Span span("vec.aggregate");
+  if (gids != nullptr) {
+    for (size_t i = 0; i < naggs; ++i)
+      FoldSlab(gids, slabs[i].values,
+               slabs[i].evidence.gap ? slabs[i].flags : nullptr, n,
+               states.data() + i, naggs);
+    return states;
   }
 
   // Empty BY: one global group over fully contiguous slabs — the pure
@@ -179,152 +178,31 @@ Result<std::vector<AggState>> GroupIdStates(const GroupIdRows& in,
   // gate (gap rows hold 0.0, which is bit-transparent to a sum whose running
   // value starts at +0.0); count reduces over the flag bytes; min/max fall
   // back to a flag-checked loop when any row lacks a numeric value.
-  if (in.gids == nullptr) {
-    obs::Span agg_span("vec.aggregate");
-    for (size_t i = 0; i < naggs; ++i) {
-      AggState& st = states[i];
-      st.rows = int64_t(n);
-      const SlabView& slab = in.slabs[i];
-      if (slab.values == nullptr) continue;  // kCountAll without a column
-      const SlabEvidence& ev = slab.evidence;
-      const double* v = slab.values;
-      st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
-      st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
-                      ? vec::SumSqBlockFast(v, n)
-                      : vec::SumSqBlockOrdered(v, n);
-      if (!ev.gap) {
-        st.count = int64_t(n);
-        st.min = vec::MinBlock(v, n);
-        st.max = vec::MaxBlock(v, n);
-      } else {
-        const uint8_t* f = slab.flags;
-        st.count = int64_t(vec::CountFlagBits(f, n, kSlabNonNull));
-        for (size_t r = 0; r < n; ++r) {
-          if ((f[r] & kSlabNumeric) == 0) continue;
-          if (v[r] < st.min) st.min = v[r];
-          if (v[r] > st.max) st.max = v[r];
-        }
-      }
-    }
-    return states;
-  }
-
-  // Folds slab positions [begin, end) into their groups' states, one
-  // aggregate at a time, each in position order (vp[i]/fp[i] are aggregate
-  // i's slab, gid[e] position e's group). gids index the flat state array
-  // directly: no hash table, no Row allocation, no Value access.
-  std::vector<const double*> vp(naggs, nullptr);
-  std::vector<const uint8_t*> fp(naggs, nullptr);
-  auto fold = [&](const uint32_t* gid, size_t begin, size_t end) {
-    for (size_t i = 0; i < naggs; ++i)
-      FoldSlab(gid, vp[i], fp[i], begin, end, states.data() + i, naggs);
-  };
-
-  // One worker, or too few rows per worker to pay for a pool barrier: the
-  // scatter is skipped, and one pass in row order hands every group its
-  // rows in the same ascending order the stable scatter would.
-  const int threads = options.EffectiveThreads();
-  const bool fan_out =
-      threads > 1 && (options.vec_fanout_rows == 0 ||
-                      n >= options.vec_fanout_rows * size_t(threads));
-  if (!fan_out) {
-    {
-      obs::Span span("vec.aggregate");
-      for (size_t i = 0; i < naggs; ++i) {
-        vp[i] = in.slabs[i].values;
-        if (in.slabs[i].evidence.gap) fp[i] = in.slabs[i].flags;
-      }
-      fold(in.gids, 0, n);
-    }
-    if (StopReason r = StopAfter(options); r != StopReason::kNone)
-      return StopStatus(r, "groupby");
-    return states;
-  }
-
-  // --- Radix partition ----------------------------------------------------
-  // Histogram per (morsel, partition), prefix into stable scatter offsets,
-  // and scatter each row's gid and measure values partition-major — the
-  // aggregation pass then touches nothing but sequential partition-ordered
-  // slabs. Stability: partition-major, then morsel-major, then row order —
-  // i.e. ascending global row order within a partition.
-  ParallelForOptions loop = LoopOptions("vec_partition", options);
-  const size_t nmorsels = NumMorsels(n, loop.morsel_size);
-  std::vector<std::vector<size_t>> offsets(
-      nmorsels, std::vector<size_t>(kRadixPartitions, 0));
-  auto part_gids = std::make_unique_for_overwrite<uint32_t[]>(n);
-  std::vector<std::unique_ptr<double[]>> part_vals(naggs);
-  std::vector<std::unique_ptr<uint8_t[]>> part_flags(naggs);
   for (size_t i = 0; i < naggs; ++i) {
-    if (in.slabs[i].values == nullptr) continue;
-    part_vals[i] = std::make_unique_for_overwrite<double[]>(n);
-    if (in.slabs[i].evidence.gap)
-      part_flags[i] = std::make_unique_for_overwrite<uint8_t[]>(n);
-  }
-  std::vector<size_t> part_begin(kRadixPartitions + 1, 0);
-  {
-    obs::Span span("vec.partition");
-    ParallelFor(
-        n,
-        [&](size_t m, size_t begin, size_t end) {
-          std::vector<size_t>& h = offsets[m];
-          for (size_t r = begin; r < end; ++r) ++h[PartitionOf(in.gids[r])];
-        },
-        loop);
-    size_t pos = 0;
-    for (size_t p = 0; p < kRadixPartitions; ++p) {
-      part_begin[p] = pos;
-      for (size_t m = 0; m < nmorsels; ++m) {
-        const size_t count = offsets[m][p];
-        offsets[m][p] = pos;
-        pos += count;
+    AggState& st = states[i];
+    st.rows = int64_t(n);
+    const SlabView& slab = slabs[i];
+    if (slab.values == nullptr) continue;  // kCountAll without a column
+    const SlabEvidence& ev = slab.evidence;
+    const double* v = slab.values;
+    st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+    st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
+                    ? vec::SumSqBlockFast(v, n)
+                    : vec::SumSqBlockOrdered(v, n);
+    if (!ev.gap) {
+      st.count = int64_t(n);
+      st.min = vec::MinBlock(v, n);
+      st.max = vec::MaxBlock(v, n);
+    } else {
+      const uint8_t* f = slab.flags;
+      st.count = int64_t(vec::CountFlagBits(f, n, kSlabNonNull));
+      for (size_t r = 0; r < n; ++r) {
+        if ((f[r] & kSlabNumeric) == 0) continue;
+        if (v[r] < st.min) st.min = v[r];
+        if (v[r] > st.max) st.max = v[r];
       }
     }
-    part_begin[kRadixPartitions] = pos;
-
-    ParallelFor(
-        n,
-        [&](size_t m, size_t begin, size_t end) {
-          std::vector<size_t>& off = offsets[m];
-          for (size_t r = begin; r < end; ++r) {
-            const uint32_t g = in.gids[r];
-            const size_t idx = off[PartitionOf(g)]++;
-            part_gids[idx] = g;
-            for (size_t i = 0; i < naggs; ++i) {
-              if (part_vals[i] == nullptr) continue;
-              part_vals[i][idx] = in.slabs[i].values[r];
-              if (part_flags[i] != nullptr)
-                part_flags[i][idx] = in.slabs[i].flags[r];
-            }
-          }
-        },
-        loop);
   }
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-
-  // --- Per-partition aggregation -------------------------------------------
-  // One task per partition. Partitions own disjoint gid sets, so the writes
-  // never race and there is no cross-thread merge of thread-local partials.
-  // Rows arrive in ascending global row order (stable scatter), so every
-  // group's AggState replays the serial accumulation sequence bit for bit.
-  {
-    obs::Span span("vec.aggregate");
-    for (size_t i = 0; i < naggs; ++i) {
-      vp[i] = part_vals[i].get();
-      fp[i] = part_flags[i].get();
-    }
-    ParallelForOptions aloop = LoopOptions("vec_aggregate", options);
-    aloop.morsel_size = 1;
-    ParallelFor(
-        kRadixPartitions,
-        [&](size_t, size_t pbegin, size_t pend) {
-          for (size_t p = pbegin; p < pend; ++p)
-            fold(part_gids.get(), part_begin[p], part_begin[p + 1]);
-        },
-        aloop);
-  }
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
   return states;
 }
 
@@ -452,20 +330,16 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
 
   // Slabs: the caller's, or gathered over the kept rows once per slab. The
   // evidence covers a superset of the kept rows, so it holds.
-  GroupIdRows ids;
-  ids.rows = nkept;
-  ids.gids = nby == 0 ? nullptr : gids.data();
-  ids.groups = nby == 0 ? 1 : groups.keys().size();
-  ids.slabs = in.slabs;
+  std::vector<SlabView> slabs = in.slabs;
   std::vector<std::vector<double>> values;
   std::vector<std::vector<uint8_t>> flags;
-  for (size_t i = 0; filtered && i < ids.slabs.size(); ++i) {
-    SlabView& view = ids.slabs[i];
+  for (size_t i = 0; filtered && i < slabs.size(); ++i) {
+    SlabView& view = slabs[i];
     if (view.values == nullptr) continue;
     size_t j = 0;
     while (in.slabs[j].values != view.values) ++j;
     if (j < i) {
-      view = ids.slabs[j];
+      view = slabs[j];
       continue;
     }
     std::vector<double>& v = values.emplace_back(nkept);
@@ -481,10 +355,16 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
   std::optional<obs::Span> fold_span;
   if (in.fold_span != nullptr) fold_span.emplace(in.fold_span);
   obs::Span op_span(in.cube ? "op.cube" : "op.groupby");
-  STATCUBE_ASSIGN_OR_RETURN(std::vector<AggState> states,
-                            GroupIdStates(ids, options));
   const size_t naggs = in.aggs.size();
-  const size_t ngroups = nkept == 0 ? 0 : ids.groups;
+  const size_t ngroups =
+      nkept == 0 ? 0 : (nby == 0 ? 1 : groups.keys().size());
+  std::vector<AggState> states;
+  if (nkept > 0) {
+    states = FoldStates(nkept, nby == 0 ? nullptr : gids.data(), ngroups,
+                        slabs);
+    if (StopReason r = StopAfter(options); r != StopReason::kNone)
+      return StopStatus(r, "groupby");
+  }
   // Group g's code of BY attribute k, unpacked from its key.
   std::vector<std::vector<uint32_t>> codes(nby,
                                            std::vector<uint32_t>(ngroups));

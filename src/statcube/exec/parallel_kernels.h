@@ -1,17 +1,17 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
 // the group-by over dictionary-coded columns (CodedGroupBy, the route of
-// the query executor and the ROLAP backends), which feeds dense group ids
-// to the radix-partitioned fold and builds CUBE's grouping-set lattice on
-// it (DESIGN.md §12). A Table has one group-by, the serial GroupBy / CubeBy
-// of relational/; a MOLAP array has one reduction, DenseArray::SumRangeBy.
+// the query executor and the ROLAP backends), whose morsel pass feeds dense
+// group ids to one fold in row order and builds CUBE's grouping-set lattice
+// on it (DESIGN.md §12). A Table has one group-by, the serial GroupBy /
+// CubeBy of relational/; a MOLAP array has one reduction,
+// DenseArray::SumRangeBy.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
 // documented in DESIGN.md §6): every kernel's output is **bit-identical for
 // any thread count and any morsel size**, including 1. The coded group-by
 // and CUBE also match GroupBy / CubeBy over the decoded rows bit for bit on
-// every measure: the radix scatter replays each group's serial
-// accumulation order and groups are numbered in serial first-occurrence
-// order.
+// every measure: the fold hands each group its rows in serial row order
+// and groups are numbered in serial first-occurrence order.
 
 #ifndef STATCUBE_EXEC_PARALLEL_KERNELS_H_
 #define STATCUBE_EXEC_PARALLEL_KERNELS_H_
@@ -30,26 +30,17 @@ namespace statcube::exec {
 
 /// Knobs shared by every parallel kernel.
 struct ExecOptions {
-  /// Worker cap: 0 = DefaultThreads(); 1 = run inline on the caller (same
-  /// morsel structure, so the result is identical); N > pool grows the pool.
+  /// Worker cap for the coded pass's morsels and CUBE's grouping sets
+  /// within a lattice level: 0 = DefaultThreads(); 1 = run inline on the
+  /// caller (same result); N > pool grows the pool.
   int threads = 0;
-  /// Morsel size in rows (or lattice units). Every kernel gives the same
-  /// bits at any size.
+  /// Morsel size in rows of the coded pass when it has more than one
+  /// worker. Every kernel gives the same bits at any size.
   size_t morsel_rows = kDefaultMorselRows;
-  /// nullptr = TaskScheduler::Global().
-  TaskScheduler* scheduler = nullptr;
   /// Optional query-level stop context (token + deadline). Morsel loops stop
   /// claiming work once it fires and the kernel returns kCancelled /
   /// kDeadlineExceeded instead of a partial result. nullptr = never stops.
   const CancelContext* stop = nullptr;
-  /// The radix fold's phases (scatter, per-partition aggregation — a
-  /// few ns per row) fan out to the pool only when the rows per worker
-  /// amortize a dispatch+barrier: n >= this * EffectiveThreads(). Below
-  /// that the scatter is skipped and one pass on the caller folds the rows
-  /// in row order. 0 = always fan out (tests use this to exercise the
-  /// parallel phases at small row counts). Either way the result is
-  /// bit-identical: every group folds its rows in ascending row order.
-  size_t vec_fanout_rows = 65536;
 
   /// The thread cap with defaults resolved.
   int EffectiveThreads() const {
@@ -102,14 +93,15 @@ struct CodedGroupByInput {
 /// GROUP BY or CUBE over code columns, bit-identical to GroupBy / CubeBy
 /// over the decoded rows at any thread count. A morsel pass packs each
 /// kept row's BY codes into one key, keys are numbered into dense group
-/// ids in first-occurrence order, the radix fold (DESIGN.md §12) folds the
-/// slabs of the kept rows, and a GROUP BY emits its groups sorted by the
-/// ranks of their codes (the order of Value::Compare on exact values); a
-/// CUBE rolls its finest grouping up through the lattice, one task per
-/// grouping set within a level. Returns nullopt, before touching a row,
-/// when codes cannot group exactly — a BY attribute whose values hold NaN
-/// or two entries Value::Compare calls equal — and for BY codes that do
-/// not pack into 64 bits and CUBEs over more than 20 attributes.
+/// ids in first-occurrence order, one pass on the caller folds the slabs
+/// of the kept rows in row order (DESIGN.md §12), and a GROUP BY emits its
+/// groups sorted by the ranks of their codes (the order of Value::Compare
+/// on exact values); a CUBE rolls its finest grouping up through the
+/// lattice, one task per grouping set within a level. Returns nullopt,
+/// before touching a row, when codes cannot group exactly — a BY attribute
+/// whose values hold NaN or two entries Value::Compare calls equal — and
+/// for BY codes that do not pack into 64 bits and CUBEs over more than 20
+/// attributes.
 /// `options.stop` is checked by the pass and the fold; a pass that filters
 /// or reads a level stops as "scan", any other as "groupby".
 std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,

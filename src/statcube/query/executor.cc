@@ -312,9 +312,9 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
   return ExecuteQuery(obj, query, {.threads = threads, .stop = stop});
 }
 
-// Plans, then runs on the code columns and the radix kernel at every thread
-// count; the shapes codes cannot group exactly take the row route, serially,
-// under the stop context.
+// Plans, then runs on the code columns and the coded group-by at every
+// thread count; the shapes codes cannot group exactly take the row route,
+// serially, under the stop context.
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const ParsedQuery& query,
                            const exec::ExecOptions& options) {

@@ -58,10 +58,11 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 /// (group columns, aggregates). It runs on the object's code columns
 /// (StatisticalObject::code_columns): a level is a code -> code map, a
 /// WHERE a keep byte per code, and each kept row's group id goes straight
-/// into the radix kernel (statcube/exec), which groups with `threads`
-/// workers (0 = exec::DefaultThreads(); 1 folds on the caller). The shapes
-/// codes cannot group exactly (DESIGN.md §14) take Query()'s row route
-/// instead, serially at every `threads`. Either way the table is
+/// into the coded group-by (statcube/exec), whose pass runs on `threads`
+/// workers (0 = exec::DefaultThreads(); 1 runs on the caller) and whose
+/// fold runs on the caller in row order. The shapes codes cannot group
+/// exactly (DESIGN.md §14) take Query()'s row route instead, serially at
+/// every `threads`. Either way the table is
 /// bit-identical to Query()'s. `stop` (default: the thread's
 /// CurrentCancelContext()) is checked by the pass and the group-by; once it
 /// fires the call returns kCancelled / kDeadlineExceeded instead of a
@@ -71,9 +72,8 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const CancelContext* stop = nullptr);
 
 /// ExecuteQuery with all of the kernel's knobs: the overload above is this
-/// one with `{.threads = threads, .stop = stop}`, the morsel size and the
-/// fan-out threshold at their defaults. A null `options.stop` is the
-/// thread's CurrentCancelContext().
+/// one with `{.threads = threads, .stop = stop}` and the morsel size at its
+/// default. A null `options.stop` is the thread's CurrentCancelContext().
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
                            const ParsedQuery& query,
                            const exec::ExecOptions& options);

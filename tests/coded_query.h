@@ -1,6 +1,6 @@
-// ExecuteQuery with chosen kernel options — thread count, morsel size,
-// fan-out threshold — held to the Query() reference bit for bit, for the
-// kernel tests (parallel_equivalence_test, vec_kernels_test). The helper
+// ExecuteQuery with chosen kernel options — thread count and morsel size —
+// held to the Query() reference bit for bit, for the kernel tests
+// (parallel_equivalence_test and the vectorized group-by tests). The helper
 // also checks the query ran on the code columns, so a silent fall-back to
 // the row route (which is Query() itself) cannot pass for the kernel.
 
@@ -70,8 +70,7 @@ inline void ExpectCodedMatchesQuery(const StatisticalObject& obj,
                                     const exec::ExecOptions& options) {
   SCOPED_TRACE(::testing::Message()
                << text << " at " << options.threads << " threads, morsel "
-               << options.morsel_rows << ", fan-out "
-               << options.vec_fanout_rows);
+               << options.morsel_rows);
   Result<Table> reference = Query(obj, text);
   ASSERT_TRUE(reference.ok()) << reference.status();
   Result<ParsedQuery> parsed = ParseQuery(text);

@@ -1,13 +1,12 @@
 // Serial/parallel equivalence: every parallel kernel must produce output
 // BIT-identical to its serial counterpart at any thread count (1/2/4/8) —
 // the determinism contract of statcube/exec (parallel_kernels.h, DESIGN.md
-// §6). The coded group-by (exec::CodedGroupBy feeding the radix kernel) and
-// the CUBE built on it match the Query() reference on EVERY measure, the
-// inexact stock close price included: the stable radix scatter replays each
-// group's serial accumulation order and groups are numbered in serial
-// first-occurrence order. Covered across all four paper workloads (census,
-// hmo, retail, stocks), the query path, the cube backends and the
-// materialization layer.
+// §6). The coded group-by (exec::CodedGroupBy) and the CUBE built on it
+// match the Query() reference on EVERY measure, the inexact stock close
+// price included: the fold hands each group its rows in serial row order
+// and groups are numbered in serial first-occurrence order. Covered across
+// all four paper workloads (census, hmo, retail, stocks), the query path,
+// the cube backends and the materialization layer.
 
 #include "statcube/exec/parallel_kernels.h"
 
@@ -35,7 +34,6 @@ exec::ExecOptions Threads(int t, size_t morsel_rows = 512) {
   exec::ExecOptions o;
   o.threads = t;
   o.morsel_rows = morsel_rows;  // small: several morsels even on small data
-  o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
   return o;
 }
 
@@ -61,8 +59,8 @@ struct Workloads {
 
 // ---------------------------------------------------------------------------
 // Kernel level: ExecuteQuery on each workload object's code columns and
-// measure slabs with the kernel's options forced — small morsels, fan-out
-// at any size (coded_query.h) — vs the Query() reference: the row pass and
+// measure slabs with the kernel's options forced — small morsels at every
+// thread count (coded_query.h) — vs the Query() reference: the row pass and
 // the serial GroupBy / CubeBy.
 
 TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
@@ -94,30 +92,31 @@ TEST(KernelEquivalence, CubeByMatchesSerial) {
 }
 
 TEST(KernelEquivalence, InexactMeasureMatchesSerialAtSmallMorsels) {
-  // Small morsels force a many-morsel pass and a multi-morsel scatter or
-  // inline fold; the per-group accumulation order of close — a non-integer
+  // Small morsels force a many-morsel pass, its morsels spread over the
+  // workers; the per-group accumulation order of close — a non-integer
   // double, so the order shows in the bits — must still be the serial one.
   const auto& w = Workloads::Get();
-  for (int t : {1, 2, 4, 8}) {
-    // Fanned-out scatter, and the caller's inline pass below the threshold.
-    for (size_t fanout : {size_t(0), size_t(1) << 30}) {
-      exec::ExecOptions o = Threads(t, /*morsel_rows=*/64);
-      o.vec_fanout_rows = fanout;
-      ExpectCodedMatchesQuery(
-          w.stocks, "SELECT avg(close), sum(close), var(close) BY stock", o);
-    }
-  }
+  for (int t : {1, 2, 4, 8})
+    ExpectCodedMatchesQuery(
+        w.stocks, "SELECT avg(close), sum(close), var(close) BY stock",
+        Threads(t, /*morsel_rows=*/64));
 }
 
 TEST(KernelEquivalence, EmptyByAndEmptyInput) {
-  // Empty BY list = one global group over the measure slabs (the block-sum
-  // fast path); an empty input yields an empty result in both paths.
+  // Empty BY list = one global group over the measure slabs (the block
+  // kernels): retail's amount is exact, so its sums may reassociate; stocks'
+  // close is not, so its sums must take the ordered loop. An empty input
+  // yields an empty result in both paths.
   const auto& w = Workloads::Get();
   const StatisticalObject empty = KvObject("empty", {});
   for (int t : {1, 2, 4, 8}) {
     ExpectCodedMatchesQuery(w.retail.object,
                             "SELECT sum(amount), min(amount), max(amount), "
                             "avg(amount), count()",
+                            Threads(t));
+    ExpectCodedMatchesQuery(w.stocks,
+                            "SELECT sum(close), min(close), max(close), "
+                            "avg(close), var(close), count()",
                             Threads(t));
     ExpectCodedMatchesQuery(
         empty, "SELECT sum(v), min(v), max(v), avg(v), count() BY k",
@@ -126,9 +125,9 @@ TEST(KernelEquivalence, EmptyByAndEmptyInput) {
 }
 
 TEST(KernelEquivalence, SingleKeySkew) {
-  // Every row carries the same key, so one radix partition receives the
-  // whole table while the other 63 stay empty — the degenerate load-balance
-  // case. Inexact measure values make accumulation order observable.
+  // Every row carries the same key, so one group folds the whole table,
+  // its rows spread over every morsel of the pass. Inexact measure values
+  // make accumulation order observable.
   std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 5000; ++i)
     cells.emplace_back(Value("only"), Value(0.1 * double(i % 997)));

@@ -1,11 +1,10 @@
 // Unit tests for the block-at-a-time kernels (common/vec_block.h) and the
-// radix-partitioned group-by (exec/vec_kernels.h, inside
-// exec::CodedGroupBy, driven through ExecuteQuery): block primitive
-// semantics, the exactness gate that licenses reassociation, every radix
-// partition in use, and the null/non-numeric/NaN edges of the
-// flag-encoded measure slabs.
+// fold of the coded group-by (exec::CodedGroupBy, driven through
+// ExecuteQuery): block primitive semantics, the exactness gate that
+// licenses reassociation, many groups at every morsel size, and the
+// null/non-numeric/NaN edges of the flag-encoded measure slabs.
 
-#include "statcube/exec/vec_kernels.h"
+#include "statcube/common/vec_block.h"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "coded_query.h"
-#include "statcube/common/vec_block.h"
 #include "statcube/exec/parallel_kernels.h"
 
 namespace statcube {
@@ -88,38 +86,19 @@ TEST(VecBlock, ReorderIsExactGate) {
   EXPECT_TRUE(vec::ReorderIsExact(true, 0.0, 0));
 }
 
-TEST(VecBlock, SumBlockAutoRoutesByExactness) {
-  // Inexact inputs must take the ordered path: sum in an order the fast
-  // kernel would not use and check SumBlockAuto reproduces the ordered bits.
-  std::vector<double> v;
-  for (int i = 0; i < 100; ++i) v.push_back(0.1 * double(i));
-  EXPECT_EQ(Bits(vec::SumBlockOrdered(v.data(), v.size())),
-            Bits(exec::SumBlockAuto(v.data(), v.size(), false, 10.0)));
-  // Exact inputs may reassociate — and the result is still the ordered sum
-  // (the whole point of the gate).
-  std::vector<double> w;
-  for (int i = 0; i < 100; ++i) w.push_back(double(i * 13));
-  EXPECT_EQ(Bits(vec::SumBlockOrdered(w.data(), w.size())),
-            Bits(exec::SumBlockAuto(w.data(), w.size(), true, 99. * 13)));
-}
-
 TEST(VecBlock, SimdLevelNameIsKnown) {
   std::string level = vec::SimdLevelName();
   EXPECT_TRUE(level == "avx2" || level == "generic") << level;
 }
 
 // ---------------------------------------------------------------------------
-// Radix group-by, through ExecuteQuery over hand-built objects, vs the
+// The coded group-by, through ExecuteQuery over hand-built objects, vs the
 // Query() reference.
 
-// fanout_rows = 0 forces the parallel phases even at test sizes; a huge
-// value keeps them in the caller's single inline pass.
-exec::ExecOptions Vec(int threads, size_t morsel_rows = 128,
-                      size_t fanout_rows = 0) {
+exec::ExecOptions Vec(int threads, size_t morsel_rows = 128) {
   exec::ExecOptions o;
   o.threads = threads;
   o.morsel_rows = morsel_rows;
-  o.vec_fanout_rows = fanout_rows;
   return o;
 }
 
@@ -129,6 +108,8 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // NaN poisons its group's sum while min/max's `<` comparisons pass it
   // over. The NaN rows all fall in g0, so in g1..g4 avg and var show
   // `count` and `sum_sq`; count(v) shows `rows` and min/max their own bits.
+  // The numbers are not integers, so a fold of these flagged slabs out of
+  // row order shows in the sums' bits.
   std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 600; ++i) {
     Value key(std::string("g").append(std::to_string(i % 5)));
@@ -140,22 +121,18 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
       cells.emplace_back(key,
                          Value(std::numeric_limits<double>::quiet_NaN()));
     } else {
-      cells.emplace_back(key, Value(0.25 * double(i) - 40.0));
+      cells.emplace_back(key, Value(0.1 * double(i) - 40.0));
     }
   }
   const StatisticalObject edges = KvObject("edges", cells);
-  for (int threads : {1, 2, 4, 8}) {
-    for (size_t fanout : {size_t(0), size_t(1) << 30}) {
-      ExpectCodedMatchesQuery(
-          edges,
-          "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v) BY k",
-          Vec(threads, 128, fanout));
-    }
-  }
+  for (int threads : {1, 2, 4, 8})
+    ExpectCodedMatchesQuery(
+        edges, "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v) BY k",
+        Vec(threads));
 }
 
-TEST(VecGroupBy, ManyGroupsAcrossPartitions) {
-  // Enough distinct keys that every radix partition is populated; group
+TEST(VecGroupBy, ManyGroupsAtEveryMorselSize) {
+  // 701 groups, each folding rows from many morsels of the pass; group
   // count and per-group bits must match serial exactly.
   std::vector<std::pair<Value, Value>> cells;
   for (int i = 0; i < 4096; ++i)
@@ -166,8 +143,8 @@ TEST(VecGroupBy, ManyGroupsAcrossPartitions) {
   auto reference = Query(many, text);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_EQ(701u, reference->num_rows());
-  // A size_t-max morsel makes the whole table one morsel: the morsel count
-  // must not overflow to zero.
+  // A size_t-max morsel makes the whole table one morsel: ParallelFor's
+  // morsel count must not overflow to zero.
   for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()}) {
     for (int threads : {1, 2, 4, 8})
       ExpectCodedMatchesQuery(many, text, Vec(threads, morsel));

@@ -81,7 +81,6 @@ CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp")
 DOXYGEN_GATED = [
     "src/statcube/exec/task_scheduler.h",
     "src/statcube/common/vec_block.h",
-    "src/statcube/exec/vec_kernels.h",
     "src/statcube/materialize/view_store.h",
     "src/statcube/olap/backend.h",
     "src/statcube/cache/",
