@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 #include <string>
 
 #include "statcube/obs/metrics.h"
@@ -13,29 +15,9 @@ namespace statcube::exec {
 
 namespace {
 
-// Which scheduler (if any) owns the current thread, and as which worker.
-// Keyed by scheduler pointer so tests can run local pools next to Global().
-struct ThreadWorker {
-  TaskScheduler* scheduler = nullptr;
-  int id = -1;
-};
-thread_local ThreadWorker tl_worker;
-
-// Whether the task most recently popped on this thread came from another
-// worker's deque (set by PopOrSteal, read by TaskGroup's wrapper before it
-// runs the body — i.e. before any nested pop can overwrite it). Lets the
-// per-query ResourceVector attribute work-stealing migrations without the
-// scheduler knowing anything about queries.
-thread_local bool tl_last_pop_was_steal = false;
-
 obs::Counter& TasksCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("statcube.exec.tasks");
-  return c;
-}
-obs::Counter& StealsCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("statcube.exec.steals");
   return c;
 }
 obs::Counter& MorselsCounter() {
@@ -101,43 +83,29 @@ int DefaultThreads() {
 }
 
 TaskScheduler::TaskScheduler(int num_threads) {
-  queues_.reserve(kMaxThreads);
-  for (int i = 0; i < kMaxThreads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   int n = num_threads <= 0 ? DefaultThreads() : num_threads;
-  EnsureThreads(std::max(1, std::min(n, kMaxThreads)));
+  EnsureThreads(std::max(1, n));
 }
 
 TaskScheduler::~TaskScheduler() {
-  stop_.store(true, std::memory_order_release);
-  // Empty critical section: a worker that observed stop_ == false while
-  // holding idle_mu_ is guaranteed to reach its wait (releasing the mutex)
-  // before we can pass this section, so the notify below cannot be lost.
-  { MutexLock sync(idle_mu_); }
-  idle_cv_.NotifyAll();
-  // grow_mu_ is free by now (no EnsureThreads can race a destructor), but
-  // holding it keeps the threads_ access discipline uniform.
-  MutexLock lock(grow_mu_);
-  for (auto& t : threads_) t.join();
-}
-
-void TaskScheduler::SpawnLocked(int id) {
-  threads_.emplace_back([this, id] { WorkerLoop(id); });
+  std::vector<std::thread> threads;
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+    threads.swap(threads_);
+  }
+  work_cv_.NotifyAll();
+  for (auto& t : threads) t.join();
 }
 
 void TaskScheduler::EnsureThreads(int n) {
   n = std::min(n, kMaxThreads);
-  if (n <= num_threads()) return;
-  MutexLock lock(grow_mu_);
-  int have = active_workers_.load(std::memory_order_acquire);
-  if (n <= have) return;
-  // Publish the size before spawning: a new worker's first PopOrSteal
-  // modulo-indexes by num_threads(), which must never observe a stale zero.
-  // Submitters may round-robin to a queue whose worker has not started yet;
-  // the queue is preallocated and the task waits there.
-  active_workers_.store(n, std::memory_order_release);
+  MutexLock lock(mu_);
+  if (n <= int(threads_.size())) return;
+  while (int(threads_.size()) < n)
+    threads_.emplace_back([this] { WorkerLoop(); });
+  num_threads_.store(n, std::memory_order_release);
   PoolSizeGauge().Set(double(n));  // /metrics shows the pool size
-  for (int id = have; id < n; ++id) SpawnLocked(id);
 }
 
 TaskScheduler& TaskScheduler::Global() {
@@ -145,208 +113,79 @@ TaskScheduler& TaskScheduler::Global() {
   return *pool;
 }
 
-void TaskScheduler::Submit(Task task) {
-  int target;
-  if (tl_worker.scheduler == this && tl_worker.id >= 0) {
-    target = tl_worker.id;  // nested submission stays cache-local
-  } else {
-    target = int(rr_next_.fetch_add(1, std::memory_order_relaxed) %
-                 uint64_t(num_threads()));
-  }
+void TaskScheduler::Submit(const Task& task, int copies) {
+  size_t depth;
   {
-    MutexLock lock(queues_[size_t(target)]->mu);
-    queues_[size_t(target)]->tasks.push_back(std::move(task));
+    MutexLock lock(mu_);
+    for (int i = 0; i < copies; ++i) queue_.push_back(task);
+    depth = queue_.size();
   }
-  uint64_t depth = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (obs::Enabled()) {
-    TasksCounter().Add(1);
+    TasksCounter().Add(uint64_t(copies));
     QueueDepthGauge().Set(double(depth));
   }
-  // The wait conditions (stop_, pending_) are atomics, not data guarded by
-  // idle_mu_, so a bare notify could land between an idle worker's condition
-  // check and its block — a lost wakeup that stalls this task for the full
-  // 1 ms wait timeout. The empty critical section forces ordering: any
-  // worker that missed the pending_ increment is provably inside its wait
-  // (it holds idle_mu_ from check through block) by the time we get past
-  // the lock, so the notify always lands.
-  { MutexLock sync(idle_mu_); }
-  idle_cv_.NotifyOne();
+  work_cv_.NotifyOne();
 }
 
-bool TaskScheduler::PopOrSteal(int self_id, Task* out) {
-  int n = num_threads();
-  // Own deque first, LIFO end: the most recently pushed (cache-warm) task.
-  if (self_id >= 0) {
-    WorkerQueue& own = *queues_[size_t(self_id)];
-    MutexLock lock(own.mu);
-    if (!own.tasks.empty()) {
-      *out = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      tl_last_pop_was_steal = false;
-      return true;
-    }
-  }
-  // Steal FIFO from the other workers, round robin from our right neighbor.
-  int start = self_id >= 0 ? (self_id + 1) % n : 0;
-  for (int k = 0; k < n; ++k) {
-    int victim = (start + k) % n;
-    if (victim == self_id) continue;
-    WorkerQueue& q = *queues_[size_t(victim)];
-    MutexLock lock(q.mu);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      tl_last_pop_was_steal = true;
-      if (obs::Enabled()) StealsCounter().Add(1);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool TaskScheduler::RunOneTask() {
-  Task task;
-  int self_id = tl_worker.scheduler == this ? tl_worker.id : -1;
-  if (!PopOrSteal(self_id, &task)) return false;
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  bool obs_on = obs::Enabled();
-  uint64_t t0 = obs_on ? NowUs() : 0;
-  task();
-  if (obs_on) BusyUsCounter().Add(NowUs() - t0);
-  return true;
-}
-
-void TaskScheduler::WorkerLoop(int id) {
-  tl_worker = {this, id};
+void TaskScheduler::WorkerLoop() {
   while (true) {
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (RunOneTask()) continue;
-    // Timed wait; the outer loop re-checks stop_/work after every wakeup
-    // (spurious or not), so no predicate is needed inside the wait.
-    MutexLock lock(idle_mu_);
-    if (!stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_relaxed) == 0) {
-      idle_cv_.WaitFor(idle_mu_, std::chrono::milliseconds(1));
-    }
-  }
-  tl_worker = {nullptr, -1};
-}
-
-// ----------------------------------------------------------------- TaskGroup
-
-struct TaskGroup::State {
-  Mutex mu;
-  CondVar cv;
-  size_t outstanding STATCUBE_GUARDED_BY(mu) = 0;
-  std::exception_ptr error STATCUBE_GUARDED_BY(mu);
-};
-
-TaskGroup::TaskGroup(TaskScheduler* scheduler)
-    : scheduler_(scheduler != nullptr ? scheduler
-                                      : &TaskScheduler::Global()),
-      state_(std::make_shared<State>()) {}
-
-TaskGroup::~TaskGroup() {
-  // Unwind-safe join: cancel unstarted bodies, then drain without throwing.
-  token_.Cancel();
-  while (true) {
+    Task task;
+    bool more;
     {
-      MutexLock lock(state_->mu);
-      if (state_->outstanding == 0) break;
+      MutexLock lock(mu_);
+      while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
+      if (stop_) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      more = !queue_.empty();
     }
-    if (!scheduler_->RunOneTask()) {
-      // Timed wait; the outer loop re-checks outstanding on every wakeup.
-      MutexLock lock(state_->mu);
-      if (state_->outstanding != 0)
-        state_->cv.WaitFor(state_->mu, std::chrono::microseconds(200));
-    }
+    // Pass the wakeup on: Submit wakes one worker however many tasks it
+    // queued, since each wakeup costs the thread that sends it.
+    if (more) work_cv_.NotifyOne();
+    bool obs_on = obs::Enabled();
+    uint64_t t0 = obs_on ? NowUs() : 0;
+    task();
+    if (obs_on) BusyUsCounter().Add(NowUs() - t0);
   }
-}
-
-void TaskGroup::Run(std::function<void()> fn) {
-  {
-    MutexLock lock(state_->mu);
-    ++state_->outstanding;
-  }
-  // Carry the submitting thread's observability context (trace + open span +
-  // resource accumulator) with the task, so whatever thread runs it charges
-  // the submitting query. Empty when obs is disabled.
-  obs::TaskContext ctx = obs::TaskContext::Capture();
-  if (ctx.resources != nullptr) ctx.resources->CountTasks();
-  scheduler_->Submit(
-      [state = state_, token = token_, ctx, fn = std::move(fn)]() mutable {
-        if (!token.cancelled()) {
-          if (ctx.resources != nullptr && tl_last_pop_was_steal)
-            ctx.resources->CountSteal();
-          obs::TaskContextScope obs_scope(ctx);
-          try {
-            fn();
-          } catch (...) {
-            MutexLock lock(state->mu);
-            if (!state->error) state->error = std::current_exception();
-            token.Cancel();
-          }
-        } else if (obs::Enabled()) {
-          CancelledCounter().Add(1);
-        }
-        MutexLock lock(state->mu);
-        if (--state->outstanding == 0) state->cv.NotifyAll();
-      });
-}
-
-void TaskGroup::Wait() {
-  while (true) {
-    {
-      MutexLock lock(state_->mu);
-      if (state_->outstanding == 0) break;
-    }
-    // Help: run queued tasks (any group's) instead of blocking the core.
-    if (!scheduler_->RunOneTask()) {
-      // Timed wait; the outer loop re-checks outstanding on every wakeup.
-      MutexLock lock(state_->mu);
-      if (state_->outstanding != 0)
-        state_->cv.WaitFor(state_->mu, std::chrono::microseconds(200));
-    }
-  }
-  std::exception_ptr error;
-  {
-    MutexLock lock(state_->mu);
-    std::swap(error, state_->error);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 // --------------------------------------------------------------- ParallelFor
 
 namespace {
 
-// Claims morsels from `next` and runs the body on each. Returns normally on
-// exhaustion or cancellation; lets exceptions propagate to the caller
-// (TaskGroup captures them for runner tasks).
-void RunMorsels(size_t n, size_t morsel, size_t nmorsels,
-                std::atomic<size_t>& next,
-                const std::function<void(size_t, size_t, size_t)>& body,
-                const CancellationToken* external_cancel,
-                const CancelContext* stop, const CancellationToken& group_token,
-                const char* label) {
+// One loop's morsels and the counter its runners claim them from.
+struct Morsels {
+  size_t n;
+  size_t size;
+  size_t count;
+  const std::function<void(size_t, size_t, size_t)>& body;
+  const CancelContext* stop;
+  const char* label;
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};  // a runner threw: claim no more
+};
+
+// Claims morsels and runs the body on each until none is left, the stop
+// context reports a stop or another runner threw. Lets the body's exception
+// propagate.
+void RunMorsels(Morsels& m) {
   while (true) {
-    if (external_cancel != nullptr && external_cancel->cancelled()) return;
-    if (stop != nullptr && stop->Check() != StopReason::kNone) return;
-    if (group_token.cancelled()) return;
-    size_t m = next.fetch_add(1, std::memory_order_relaxed);
-    if (m >= nmorsels) return;
-    size_t begin = m * morsel;
-    size_t end = std::min(n, begin + morsel);
+    if (m.stop != nullptr && m.stop->Check() != StopReason::kNone) return;
+    if (m.failed.load(std::memory_order_relaxed)) return;
+    size_t i = m.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= m.count) return;
+    size_t begin = i * m.size;
+    size_t end = std::min(m.n, begin + m.size);
     bool obs_on = obs::Enabled();
     uint64_t t0 = obs_on ? NowUs() : 0;
     {
-      // Attaches under the submitting query's span tree on every runner —
-      // pool workers included, via the TaskContext the group propagated.
+      // Attaches under the calling query's span tree on every runner —
+      // pool workers included, via the TaskContext the helper installed.
       obs::Span span(obs_on && obs::CurrentTrace() != nullptr
-                         ? std::string(label) + "[" + std::to_string(begin) +
+                         ? std::string(m.label) + "[" + std::to_string(begin) +
                                ".." + std::to_string(end) + ")"
                          : std::string());
-      body(m, begin, end);
+      m.body(i, begin, end);
     }
     if (obs_on) {
       uint64_t dt = NowUs() - t0;
@@ -360,15 +199,93 @@ void RunMorsels(size_t n, size_t morsel, size_t nmorsels,
   }
 }
 
+// A loop run on the pool. The caller shares it by reference count with its
+// helper tasks, so a helper the pool starts after the caller returned still
+// holds valid state: it finds the loop closed and touches nothing else (the
+// body, stop context and label belong to the caller's frame).
+class PooledLoop {
+ public:
+  PooledLoop(size_t n, size_t size, size_t count,
+             const std::function<void(size_t, size_t, size_t)>& body,
+             const ParallelForOptions& options, const obs::TaskContext& ctx)
+      : morsels_{n, size, count, body, options.stop, options.label},
+        ctx_(ctx) {}
+
+  // A helper task's body: runs morsels under the caller's observability
+  // context, or nothing once the caller closed the loop.
+  void Help() {
+    if (!Enter()) {
+      if (obs::Enabled()) CancelledCounter().Add(1);
+      return;
+    }
+    {
+      obs::TaskContextScope scope(ctx_);
+      try {
+        RunMorsels(morsels_);
+      } catch (...) {
+        Fail(std::current_exception());
+      }
+    }
+    Leave();
+  }
+
+  // The caller's part: runs morsels until none is left, then closes the
+  // loop, waits for the helpers inside it and rethrows the first exception
+  // any runner threw.
+  void Run() {
+    try {
+      RunMorsels(morsels_);
+    } catch (...) {
+      Fail(std::current_exception());
+    }
+    std::exception_ptr error = CloseAndWait();
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  bool Enter() {
+    MutexLock lock(mu_);
+    if (closed_) return false;
+    ++inside_;
+    return true;
+  }
+
+  void Leave() {
+    MutexLock lock(mu_);
+    if (--inside_ == 0) left_cv_.NotifyOne();
+  }
+
+  void Fail(std::exception_ptr error) {
+    morsels_.failed.store(true, std::memory_order_relaxed);
+    MutexLock lock(mu_);
+    if (!error_) error_ = std::move(error);
+  }
+
+  std::exception_ptr CloseAndWait() {
+    MutexLock lock(mu_);
+    closed_ = true;
+    while (inside_ > 0) left_cv_.Wait(mu_);
+    return error_;
+  }
+
+  Morsels morsels_;
+  const obs::TaskContext ctx_;
+  Mutex mu_;
+  CondVar left_cv_;  // the caller waits here for inside_ to reach 0
+  bool closed_ STATCUBE_GUARDED_BY(mu_) = false;
+  int inside_ STATCUBE_GUARDED_BY(mu_) = 0;  // helpers running morsels
+  std::exception_ptr error_ STATCUBE_GUARDED_BY(mu_);
+};
+
 }  // namespace
 
 void ParallelFor(size_t n,
                  const std::function<void(size_t, size_t, size_t)>& body,
                  const ParallelForOptions& options) {
   if (n == 0) return;
-  size_t morsel =
+  size_t size =
       options.morsel_size == 0 ? kDefaultMorselRows : options.morsel_size;
-  size_t nmorsels = (n - 1) / morsel + 1;  // n > 0; no overflow
+  size_t count = (n - 1) / size + 1;  // n > 0; no overflow
   TaskScheduler& sched = options.scheduler != nullptr
                              ? *options.scheduler
                              : TaskScheduler::Global();
@@ -377,27 +294,23 @@ void ParallelFor(size_t n,
   int workers = options.max_workers;
   if (workers <= 0) workers = sched.num_threads();
   if (workers > sched.num_threads()) sched.EnsureThreads(workers);
-  workers = std::min<int>(workers, int(nmorsels));
+  workers = int(std::min(size_t(workers), count));
 
-  std::atomic<size_t> next{0};
-  if (workers <= 1 || nmorsels <= 1) {
-    // Inline path: same morsel boundaries, ascending order — bit-identical
-    // to the pooled path for any kernel that combines by morsel index.
-    CancellationToken never;
-    RunMorsels(n, morsel, nmorsels, next, body, options.cancel, options.stop,
-               never, options.label);
+  if (workers <= 1) {
+    // Inline: the same morsels in ascending order — bit-identical to the
+    // pooled run for any kernel that combines by morsel index.
+    Morsels morsels{n, size, count, body, options.stop, options.label};
+    RunMorsels(morsels);
     return;
   }
 
-  TaskGroup group(&sched);
-  for (int r = 0; r < workers; ++r) {
-    group.Run([&, r] {
-      (void)r;
-      RunMorsels(n, morsel, nmorsels, next, body, options.cancel, options.stop,
-                 group.token(), options.label);
-    });
-  }
-  group.Wait();  // helps run the morsel tasks; rethrows the first exception
+  obs::TaskContext ctx = obs::TaskContext::Capture();
+  if (ctx.resources != nullptr)
+    ctx.resources->CountTasks(uint64_t(workers - 1));
+  auto loop =
+      std::make_shared<PooledLoop>(n, size, count, body, options, ctx);
+  sched.Submit([loop] { loop->Help(); }, workers - 1);
+  loop->Run();
 }
 
 }  // namespace statcube::exec

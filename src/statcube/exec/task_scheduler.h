@@ -1,42 +1,43 @@
 /// \file
-/// \brief Morsel-driven parallel execution: a dependency-free task
-/// scheduler in the style of [LBKN14]'s morsel-driven parallelism (see
-/// PAPERS.md).
+/// \brief Morsel-driven parallel execution: a dependency-free worker pool and
+/// the `ParallelFor` morsel loop, after the morsel-driven parallelism of
+/// Leis, Boncz, Kemper and Neumann, "Morsel-Driven Parallelism: A
+/// NUMA-Aware Query Evaluation Framework for the Many-Core Age", SIGMOD 2014.
 ///
 /// The paper's §6.6 ROLAP-vs-MOLAP debate and [GB+96]'s CUBE cost model
 /// are throughput arguments; this module is what lets the engine use more
 /// than one core to make them measurable.
 ///
 /// Architecture:
-///  * A fixed pool of worker threads (`TaskScheduler`), each owning a
-///    deque. Workers pop their own deque LIFO (cache-warm) and steal FIFO
-///    from other workers when idle (the classic work-stealing discipline).
-///  * `TaskGroup` — a fork/join scope: `Run` submits tasks, `Wait` blocks
-///    until all complete while *helping* (the waiting thread executes
-///    queued tasks instead of idling), which is what makes nested
-///    parallelism and a 1-thread pool deadlock-free.
+///  * `TaskScheduler` — a fixed pool of worker threads over one
+///    mutex-guarded FIFO. Idle workers block on a condition variable until
+///    work or stop arrives, so an idle pool costs no CPU.
 ///  * `ParallelFor` — the morsel loop: [0, n) is cut into fixed-size
 ///    morsels (boundaries depend only on `morsel_size`, never on the
-///    thread count), runner tasks claim morsel indexes from a shared
+///    thread count), every runner claims morsel indexes from one shared
 ///    counter, and the body runs once per morsel. Results keyed by morsel
 ///    index can therefore be combined in a canonical order — the
 ///    determinism hook the parallel kernels (parallel_kernels.h) build on.
-///  * Cooperative cancellation: a `CancellationToken` checked between
-///    morsels/tasks; the first exception thrown by any task cancels the
-///    rest of its group and is rethrown from `Wait`/`ParallelFor` on the
-///    caller.
+///    The caller is a runner itself, beside up to `max_workers - 1` helper
+///    tasks on the pool. When the morsels run out it closes the loop and
+///    waits only for the helpers already inside it; a helper the pool
+///    starts later runs nothing. So nesting and a 1-thread pool cannot
+///    deadlock, and a caller never runs another loop's morsels.
+///  * Cooperative stop: the loop's `CancelContext` is checked between
+///    morsels; the first exception thrown by any morsel stops the claiming
+///    and is rethrown from `ParallelFor` on the caller.
 ///
 /// Observability: the scheduler registers counters/gauges in
-/// obs::MetricsRegistry (statcube.exec.*: tasks, steals, morsels, queue
-/// depth, worker busy time, pool size). In addition, `TaskGroup::Run`
-/// captures an obs::TaskContext (resource.h) on the submitting thread —
-/// the current trace, innermost open span, and resource accumulator — and
-/// installs it on whichever thread executes the task. Worker-side morsel
-/// spans therefore attach under the submitting query's span tree (with
-/// each span recording its worker's thread id), and per-morsel CPU time,
-/// morsel counts, and steal migrations are charged to the submitting
-/// query's ResourceVector. All of it is gated on obs::Enabled(): disabled,
-/// the capture is one relaxed load and the context is empty.
+/// obs::MetricsRegistry (statcube.exec.*: tasks, morsels, queue depth,
+/// worker busy time, pool size). In addition, `ParallelFor` captures an
+/// obs::TaskContext (resource.h) on the calling thread — the current trace,
+/// innermost open span, and resource accumulator — and installs it around
+/// each helper's morsels. Worker-side morsel spans therefore attach under
+/// the calling query's span tree (with each span recording its worker's
+/// thread id), and per-morsel CPU time, morsel counts and helper tasks are
+/// charged to the calling query's ResourceVector. All of it is gated on
+/// obs::Enabled(): disabled, the capture is one relaxed load and the
+/// context is empty.
 
 #ifndef STATCUBE_EXEC_TASK_SCHEDULER_H_
 #define STATCUBE_EXEC_TASK_SCHEDULER_H_
@@ -45,7 +46,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -62,7 +62,7 @@ int HardwareThreads();
 /// a positive integer (clamped to kMaxThreads), otherwise HardwareThreads().
 int DefaultThreads();
 
-/// Hard cap on pool size (deque slots are preallocated up to this).
+/// Hard cap on pool size.
 inline constexpr int kMaxThreads = 64;
 
 /// Default morsel size for row-oriented ParallelFor loops. Chosen so a
@@ -71,20 +71,13 @@ inline constexpr int kMaxThreads = 64;
 /// benchmark workloads; see DESIGN.md §6.
 inline constexpr size_t kDefaultMorselRows = 2048;
 
-/// Shared cooperative-cancellation flag. The type moved to
-/// common/cancellation.h (the query-lifecycle registry in obs/ holds one
-/// per in-flight query, and obs must not include exec headers); this alias
-/// keeps the historical exec::CancellationToken spelling working.
-using CancellationToken = ::statcube::CancellationToken;
-
-/// Fixed thread pool with per-worker deques and work stealing.
+/// Fixed thread pool over one FIFO task queue.
 ///
 /// Thread-safety: all public methods are safe to call from any thread,
-/// including from inside tasks (nested submission goes to the submitting
-/// worker's own deque).
+/// including from inside tasks.
 class TaskScheduler {
  public:
-  /// A unit of work; runs exactly once on some thread.
+  /// A unit of work; runs at most once on some worker.
   using Task = std::function<void()>;
 
   /// `num_threads` <= 0 means DefaultThreads(). The pool can later grow up
@@ -98,7 +91,7 @@ class TaskScheduler {
 
   /// Current number of worker threads (>= 1).
   int num_threads() const {
-    return active_workers_.load(std::memory_order_acquire);
+    return num_threads_.load(std::memory_order_acquire);
   }
 
   /// Grows the pool to at least `n` workers (clamped to kMaxThreads).
@@ -109,100 +102,41 @@ class TaskScheduler {
   /// The process-wide pool, lazily built with DefaultThreads() workers.
   static TaskScheduler& Global();
 
-  /// Runs one queued task on the calling thread if any is available
-  /// (own deque first for workers, then stealing). Returns false when every
-  /// deque is empty. This is the "help" primitive TaskGroup::Wait uses.
-  bool RunOneTask();
+  /// Appends `copies` copies of `task` to the queue and wakes one idle
+  /// worker. Tasks start in submission order; a worker that takes one while
+  /// more are queued wakes the next, so the submitter pays for one wakeup.
+  void Submit(const Task& task, int copies);
 
  private:
-  friend class TaskGroup;
+  void WorkerLoop();
 
-  // One worker's state. Deques are preallocated for kMaxThreads so growing
-  // the pool never reallocates under readers.
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<Task> tasks STATCUBE_GUARDED_BY(mu);
-  };
-
-  /// Enqueues a task: a pool worker pushes to its own deque (LIFO end);
-  /// other threads round-robin across workers.
-  void Submit(Task task);
-
-  void WorkerLoop(int id);
-  bool PopOrSteal(int self_id, Task* out);  // self deque back, others front
-  void SpawnLocked(int id) STATCUBE_REQUIRES(grow_mu_);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;  // kMaxThreads slots
-  Mutex grow_mu_;  // guards threads_ growth
-  std::vector<std::thread> threads_ STATCUBE_GUARDED_BY(grow_mu_);
-  std::atomic<int> active_workers_{0};
-  std::atomic<uint64_t> rr_next_{0};   // round-robin submit cursor
-  std::atomic<uint64_t> pending_{0};   // queued, not yet started
-  std::atomic<bool> stop_{false};
-  Mutex idle_mu_;      // companion of idle_cv_; guards no fields (the wait
-                       // conditions are the atomics above)
-  CondVar idle_cv_;
-};
-
-/// Fork/join scope over one scheduler. `Wait` helps run queued tasks (from
-/// any group — helping is global, which keeps nesting deadlock-free),
-/// rethrows the first exception any task threw, and cancels the group's
-/// token as soon as that first exception is captured so remaining tasks
-/// fall through without running their bodies.
-class TaskGroup {
- public:
-  /// `scheduler` == nullptr means TaskScheduler::Global().
-  explicit TaskGroup(TaskScheduler* scheduler = nullptr);
-  /// Blocks until outstanding tasks finish (never throws).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;             ///< Not copyable.
-  TaskGroup& operator=(const TaskGroup&) = delete;  ///< Not copyable.
-
-  /// Submits `fn`. If the group is already cancelled the task is still
-  /// accounted for but its body will not run.
-  void Run(std::function<void()> fn);
-
-  /// Blocks until every submitted task completed, executing queued tasks on
-  /// the calling thread while it waits. Rethrows the first captured
-  /// exception (after all tasks have drained).
-  void Wait();
-
-  /// Cooperatively cancels tasks that have not started yet.
-  void Cancel() { token_.Cancel(); }
-  /// The group's cancellation token (copy it into task bodies).
-  CancellationToken& token() { return token_; }
-
-  /// The scheduler this group submits to.
-  TaskScheduler& scheduler() { return *scheduler_; }
-
- private:
-  struct State;
-  TaskScheduler* scheduler_;
-  std::shared_ptr<State> state_;
-  CancellationToken token_;
+  Mutex mu_;
+  CondVar work_cv_;  // signalled by Submit, by a worker passing it on, on stop
+  std::deque<Task> queue_ STATCUBE_GUARDED_BY(mu_);
+  bool stop_ STATCUBE_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_ STATCUBE_GUARDED_BY(mu_);
+  std::atomic<int> num_threads_{0};
 };
 
 /// Options for ParallelFor.
 struct ParallelForOptions {
-  /// Span label for morsel batches executed on the calling thread (visible
-  /// in query profiles when a trace is installed).
+  /// Span label for each morsel (visible in query profiles when a trace is
+  /// installed): `<label>[begin..end)`.
   const char* label = "parallel_for";
   /// Morsel size in loop iterations. Fixed morsel boundaries — never derived
   /// from the thread count — are what make reductions keyed by morsel index
   /// thread-count invariant.
   size_t morsel_size = kDefaultMorselRows;
-  /// Cap on concurrent runners; <= 0 means the scheduler's pool size.
-  /// Values above the pool size grow the pool (EnsureThreads).
+  /// Cap on concurrent runners, the caller included; <= 0 means the
+  /// scheduler's pool size. Values above the pool size grow the pool
+  /// (EnsureThreads).
   int max_workers = 0;
-  /// Optional external cancellation (checked between morsels).
-  CancellationToken* cancel = nullptr;
   /// Optional query-level stop configuration (external token + absolute
-  /// deadline; common/cancellation.h), checked between morsels exactly like
-  /// `cancel`. The loop stops claiming morsels once the context reports a
-  /// stop; callers turn the (monotonic) stop state into a Status by
-  /// re-checking the context after ParallelFor returns. nullptr or an
-  /// inactive context costs one pointer test per morsel.
+  /// deadline; common/cancellation.h), checked between morsels. The loop
+  /// stops claiming morsels once the context reports a stop; callers turn
+  /// the (monotonic) stop state into a Status by re-checking the context
+  /// after ParallelFor returns. nullptr or an inactive context costs one
+  /// pointer test per morsel.
   const CancelContext* stop = nullptr;
   /// nullptr means TaskScheduler::Global().
   TaskScheduler* scheduler = nullptr;
@@ -210,11 +144,12 @@ struct ParallelForOptions {
 
 /// Runs `body(morsel_index, begin, end)` for every morsel of [0, n), where
 /// morsel `m` covers [m * morsel_size, min(n, (m+1) * morsel_size)).
-/// Blocks until every morsel ran (or was cancelled); rethrows the first
-/// exception. The calling thread participates as a runner, so this works on
-/// a 1-thread pool and nests arbitrarily.
+/// Blocks until every morsel ran (or the loop stopped); rethrows the first
+/// exception. The calling thread runs morsels too, so this works on a
+/// 1-thread pool and nests arbitrarily; with one worker it runs inline, with
+/// no allocation and no lock.
 ///
-/// Morsels are claimed dynamically (work keeps flowing to idle workers) but
+/// Morsels are claimed dynamically (work keeps flowing to idle runners) but
 /// the (index, range) pairs are a pure function of n and morsel_size —
 /// combine per-morsel results in ascending index order for bit-identical
 /// output at any thread count.

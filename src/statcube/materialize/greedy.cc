@@ -1,7 +1,5 @@
 #include "statcube/materialize/greedy.h"
 
-#include "statcube/exec/task_scheduler.h"
-
 namespace statcube {
 
 namespace {
@@ -34,56 +32,6 @@ ViewSelection GreedySelect(const Lattice& lattice, size_t k) {
       if (cost < best_cost) {
         best_cost = cost;
         best_view = static_cast<int>(v);
-      }
-    }
-    if (best_view < 0) break;  // no view helps any more
-    chosen.push_back(static_cast<uint32_t>(best_view));
-    current = best_cost;
-  }
-  return Finish(lattice, std::move(chosen));
-}
-
-ViewSelection GreedySelectParallel(const Lattice& lattice, size_t k,
-                                   int threads) {
-  std::vector<uint32_t> chosen;
-  uint64_t current = lattice.TotalCost({});
-  exec::ParallelForOptions loop;
-  loop.label = "greedy_candidates";
-  loop.max_workers = threads <= 0 ? exec::DefaultThreads() : threads;
-  loop.morsel_size = 4;  // TotalCost is O(num_views * |set|): tiny morsels
-
-  for (size_t pick = 0; pick < k; ++pick) {
-    size_t ncand = lattice.num_views();
-    // Per-morsel argmin over candidate costs (TotalCost is a pure read of
-    // the lattice), combined in ascending morsel order with a strict `<`
-    // both times — the same lowest-index tie-break the serial loop has.
-    size_t nmorsels = (ncand + loop.morsel_size - 1) / loop.morsel_size;
-    std::vector<int> best_views(nmorsels, -1);
-    std::vector<uint64_t> best_costs(nmorsels, current);
-    exec::ParallelFor(
-        ncand,
-        [&](size_t m, size_t begin, size_t end) {
-          for (size_t v = begin; v < end; ++v) {
-            if (uint32_t(v) == lattice.top()) continue;
-            bool already = false;
-            for (uint32_t c : chosen) already |= (c == uint32_t(v));
-            if (already) continue;
-            std::vector<uint32_t> trial = chosen;
-            trial.push_back(uint32_t(v));
-            uint64_t cost = lattice.TotalCost(trial);
-            if (cost < best_costs[m]) {
-              best_costs[m] = cost;
-              best_views[m] = int(v);
-            }
-          }
-        },
-        loop);
-    int best_view = -1;
-    uint64_t best_cost = current;
-    for (size_t m = 0; m < nmorsels; ++m) {
-      if (best_views[m] >= 0 && best_costs[m] < best_cost) {
-        best_cost = best_costs[m];
-        best_view = best_views[m];
       }
     }
     if (best_view < 0) break;  // no view helps any more

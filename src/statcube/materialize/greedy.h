@@ -26,13 +26,6 @@ struct ViewSelection {
 /// Greedily picks `k` views (beyond the always-materialized top view).
 ViewSelection GreedySelect(const Lattice& lattice, size_t k);
 
-/// GreedySelect with each pick round's candidate costs evaluated
-/// concurrently (`threads` workers; 0 = exec::DefaultThreads()). The argmin
-/// keeps the lowest-index candidate on ties, exactly like the serial scan,
-/// so the selection is identical.
-ViewSelection GreedySelectParallel(const Lattice& lattice, size_t k,
-                                   int threads = 0);
-
 /// Exhaustive optimum over all k-subsets (exponential; for tests/benches on
 /// small lattices only).
 Result<ViewSelection> OptimalSelect(const Lattice& lattice, size_t k);

@@ -1,9 +1,5 @@
 #include "statcube/materialize/view_store.h"
 
-#include <algorithm>
-
-#include "statcube/common/mutex.h"
-#include "statcube/exec/task_scheduler.h"
 #include "statcube/materialize/lattice.h"
 #include "statcube/obs/query_profile.h"
 
@@ -79,63 +75,6 @@ Status MaterializedCubeStore::Materialize(uint32_t mask) {
         view, AggregateFrom(views_.at(uint32_t(anc)), uint32_t(anc), mask));
   }
   views_.emplace(mask, std::move(view));
-  return Status::OK();
-}
-
-Status MaterializedCubeStore::MaterializeAll(
-    const std::vector<uint32_t>& masks, int threads) {
-  obs::Span span("viewstore.materialize_all");
-  std::vector<uint32_t> todo;
-  for (uint32_t mask : masks) {
-    if (mask >= (uint32_t(1) << dims_.size()))
-      return Status::OutOfRange("view mask");
-    if (!views_.count(mask)) todo.push_back(mask);
-  }
-  std::sort(todo.begin(), todo.end(), [](uint32_t a, uint32_t b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    return pa != pb ? pa > pb : a < b;
-  });
-  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-
-  exec::ParallelForOptions loop;
-  loop.label = "viewstore_materialize";
-  loop.max_workers = threads <= 0 ? exec::DefaultThreads() : threads;
-  loop.morsel_size = 1;  // one view per task
-
-  // Build one popcount level at a time: within a level no view derives from
-  // another, so CheapestAncestor and the source views are stable reads.
-  for (size_t lo = 0; lo < todo.size();) {
-    size_t hi = lo + 1;
-    while (hi < todo.size() && __builtin_popcount(todo[hi]) ==
-                                   __builtin_popcount(todo[lo]))
-      ++hi;
-    std::vector<Table> built(hi - lo);
-    Mutex err_mu;
-    Status first_error = Status::OK();
-    exec::ParallelFor(
-        hi - lo,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            uint32_t mask = todo[lo + i];
-            int64_t anc = CheapestAncestor(mask);
-            Result<Table> view =
-                anc < 0 ? GroupBy(base_, DimsOf(mask), aggs_)
-                        : AggregateFrom(views_.at(uint32_t(anc)),
-                                        uint32_t(anc), mask);
-            if (!view.ok()) {
-              MutexLock lock(err_mu);
-              if (first_error.ok()) first_error = view.status();
-              return;
-            }
-            built[i] = std::move(view).value();
-          }
-        },
-        loop);
-    if (!first_error.ok()) return first_error;
-    for (size_t i = 0; i < built.size(); ++i)
-      views_.emplace(todo[lo + i], std::move(built[i]));
-    lo = hi;
-  }
   return Status::OK();
 }
 

@@ -34,14 +34,6 @@ class MaterializedCubeStore {
   /// whole lattice this way is itself the simultaneous-cube optimization.
   Status Materialize(uint32_t mask);
 
-  /// Materializes every view in `masks` with `threads` workers (0 =
-  /// exec::DefaultThreads()). Views build level-synchronously by descending
-  /// popcount: views within one level are never ancestors of each other, so
-  /// they build concurrently from the levels already stored — the result is
-  /// the same as serial Materialize calls in (popcount desc, mask asc)
-  /// order.
-  Status MaterializeAll(const std::vector<uint32_t>& masks, int threads = 0);
-
   /// Answers the group-by at `mask` from the smallest materialized ancestor
   /// (or the base table). Sets last_rows_scanned() to the ancestor's size —
   /// the [HUR96] linear cost actually paid.

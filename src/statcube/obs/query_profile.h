@@ -59,7 +59,7 @@ struct QueryProfile {
   std::string tenant;
   Trace trace;          ///< span tree (phases and sub-phases)
   /// Everything the query consumed, attributed across workers: CPU time
-  /// (total and per thread), bytes touched, morsels, steals, tasks, cache
+  /// (total and per thread), bytes touched, morsels, tasks, cache
   /// probe outcomes. Folded from the query's ResourceAccumulator by
   /// ProfileScope::Take().
   ResourceVector resources;

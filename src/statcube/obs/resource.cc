@@ -25,7 +25,6 @@ ResourceVector ResourceAccumulator::Snapshot() const {
   v.cpu_us = cpu_us_.load(std::memory_order_relaxed);
   v.bytes_touched = bytes_.load(std::memory_order_relaxed);
   v.morsels = morsels_.load(std::memory_order_relaxed);
-  v.steals = steals_.load(std::memory_order_relaxed);
   v.tasks_spawned = tasks_.load(std::memory_order_relaxed);
   v.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   v.cache_derived_hits = cache_derived_.load(std::memory_order_relaxed);
@@ -65,9 +64,9 @@ TaskContextScope::~TaskContextScope() {
 std::string ResourceVector::ToString() const {
   std::ostringstream os;
   os << "cpu_us=" << cpu_us << " bytes_touched=" << bytes_touched
-     << " morsels=" << morsels << " steals=" << steals
-     << " tasks_spawned=" << tasks_spawned << " cache=" << cache_hits << "h/"
-     << cache_derived_hits << "d/" << cache_misses << "m";
+     << " morsels=" << morsels << " tasks_spawned=" << tasks_spawned
+     << " cache=" << cache_hits << "h/" << cache_derived_hits << "d/"
+     << cache_misses << "m";
   if (!cpu_us_by_thread.empty()) {
     os << " cpu_by_thread=";
     for (size_t i = 0; i < cpu_us_by_thread.size(); ++i) {
@@ -85,7 +84,6 @@ std::string ResourceVector::ToJson() const {
       .Key("cpu_us").Uint(cpu_us)
       .Key("bytes_touched").Uint(bytes_touched)
       .Key("morsels").Uint(morsels)
-      .Key("steals").Uint(steals)
       .Key("tasks_spawned").Uint(tasks_spawned)
       .Key("cache_hits").Uint(cache_hits)
       .Key("cache_derived_hits").Uint(cache_derived_hits)

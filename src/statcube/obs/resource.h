@@ -1,24 +1,24 @@
 /// \file
 /// \brief Per-query resource attribution: a `ResourceVector` of everything a
-/// query consumed (CPU time per worker, bytes touched, morsels, steals,
-/// cache outcomes, tasks spawned), accumulated through a query-scoped
-/// context that travels with the work — across the task scheduler's thread
-/// boundary — instead of staying pinned to the submitting thread.
+/// query consumed (CPU time per worker, bytes touched, morsels, cache
+/// outcomes, tasks spawned), accumulated through a query-scoped context that
+/// travels with the work — across the task scheduler's thread boundary —
+/// instead of staying pinned to the submitting thread.
 ///
 /// Collection model: `ProfileScope` (query_profile.h) owns a
 /// `ResourceAccumulator` and installs it thread-locally next to the trace.
 /// `TaskContext::Capture()` snapshots the current thread's {trace, innermost
-/// open span, accumulator}; the scheduler captures one per submitted task
-/// and wraps the task body in a `TaskContextScope`, so a worker executing a
-/// morsel charges the *submitting query's* accumulator and attaches its
-/// spans under the submitting span. All charge paths are relaxed atomic
+/// open span, accumulator}; `exec::ParallelFor` captures one per loop and
+/// wraps each helper task's morsels in a `TaskContextScope`, so a worker
+/// executing a morsel charges the *calling query's* accumulator and attaches
+/// its spans under the calling span. All charge paths are relaxed atomic
 /// adds behind the `obs::Enabled()` gate — disabled, every helper is one
 /// relaxed load and a branch.
 ///
 /// Lifetime contract: an accumulator outlives every task charging it
-/// because each query joins its TaskGroups before `ProfileScope::Take()`
-/// folds the totals into the profile — the same quiescence rule the trace
-/// relies on (trace.h).
+/// because `ParallelFor` returns only after every helper inside its loop
+/// left, before `ProfileScope::Take()` folds the totals into the profile —
+/// the same quiescence rule the trace relies on (trace.h).
 
 #ifndef STATCUBE_OBS_RESOURCE_H_
 #define STATCUBE_OBS_RESOURCE_H_
@@ -48,10 +48,7 @@ struct ResourceVector {
   uint64_t bytes_touched = 0;
   /// Morsels executed on behalf of this query.
   uint64_t morsels = 0;
-  /// Tasks of this query that ran on a thread other than the one whose
-  /// deque they were submitted to (work-stealing migrations).
-  uint64_t steals = 0;
-  /// Tasks submitted to the scheduler on behalf of this query.
+  /// Helper tasks submitted to the scheduler on behalf of this query.
   uint64_t tasks_spawned = 0;
   /// Result-cache exact hits observed while this query executed.
   uint64_t cache_hits = 0;
@@ -67,8 +64,8 @@ struct ResourceVector {
   /// True when nothing was charged (e.g. obs was disabled).
   bool Empty() const {
     return cpu_us == 0 && bytes_touched == 0 && morsels == 0 &&
-           steals == 0 && tasks_spawned == 0 && cache_hits == 0 &&
-           cache_derived_hits == 0 && cache_misses == 0;
+           tasks_spawned == 0 && cache_hits == 0 && cache_derived_hits == 0 &&
+           cache_misses == 0;
   }
 
   /// One-line human-readable summary (used by QueryProfile::ToString).
@@ -108,8 +105,6 @@ class ResourceAccumulator {
   void CountMorsels(uint64_t n = 1) {
     morsels_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Counts a task that migrated to another worker before running.
-  void CountSteal() { steals_.fetch_add(1, std::memory_order_relaxed); }
   /// Counts tasks submitted on the query's behalf.
   void CountTasks(uint64_t n = 1) {
     tasks_.fetch_add(n, std::memory_order_relaxed);
@@ -134,7 +129,6 @@ class ResourceAccumulator {
   std::atomic<uint64_t> cpu_us_{0};
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> morsels_{0};
-  std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> tasks_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_derived_{0};

@@ -10,16 +10,17 @@
 //
 // Cross-thread propagation (observability v2): a trace is no longer bound to
 // a single thread. `obs::TaskContext` (resource.h) captures the current
-// trace plus the innermost open span on the submitting thread; the task
-// scheduler (exec/task_scheduler.h) captures one per submitted task and
-// installs it on whichever thread runs the task, so worker-side spans (morsel
-// batches) attach under the submitting query's span tree instead of
-// vanishing. To make that safe:
+// trace plus the innermost open span on the calling thread;
+// `exec::ParallelFor` (exec/task_scheduler.h) captures one per loop and
+// installs it around each helper task's morsels on whichever worker runs
+// it, so worker-side morsel spans attach under the calling query's span tree
+// instead of vanishing. To make that safe:
 //
 //  * `Trace` span storage is guarded by a mutex — `BeginSpan`/`EndSpan` may
 //    race across workers. Reading (`spans()`, `TreeString`, ...) is only
-//    valid once the producing tasks have been joined (every TaskGroup joins
-//    before its query scope ends, so completed profiles are quiescent).
+//    valid once the producing helpers have left their loops (ParallelFor
+//    returns only then, before its query scope ends, so completed profiles
+//    are quiescent).
 //  * Span nesting is tracked per *thread* (a thread-local open-span stack
 //    bound to the installed trace), seeded with the propagated parent span,
 //    so interleaved scopes on each thread still reconstruct the call tree.
@@ -72,7 +73,7 @@ struct SpanRecord {
 /// from any thread the trace was propagated to. The read accessors
 /// (`spans()`, `TreeString()`, `ChromeTraceJson()`, `TotalDurationNs()`)
 /// require quiescence: no concurrent writers (guaranteed once the owning
-/// query's task groups have joined).
+/// query's ParallelFor loops have returned).
 class Trace {
  public:
   /// Spans retained per trace by default; see set_span_budget.

@@ -1,14 +1,16 @@
 // Tests for the morsel-driven task scheduler (statcube/exec): pool sizing
-// and growth, ParallelFor coverage and morsel boundaries, work stealing,
-// nested parallelism on pools of any size, cooperative cancellation,
-// exception propagation through TaskGroup::Wait/ParallelFor, the
-// STATCUBE_THREADS default, and the statcube.exec.* metrics surface.
+// and growth, ParallelFor coverage and morsel boundaries, nested
+// parallelism on pools of any size, a caller finishing its loop while every
+// worker is busy, cooperative cancellation, exception propagation through
+// ParallelFor, the STATCUBE_THREADS default, and the statcube.exec.*
+// metrics surface.
 
 #include "statcube/exec/task_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
@@ -128,7 +130,8 @@ TEST(ParallelForTest, MorselBoundariesDependOnlyOnSizeNotThreads) {
 }
 
 TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
-  // The waiting thread helps, so nesting works even on a 1-thread pool.
+  // Each caller runs morsels itself and waits only for the helpers inside
+  // its own loop, so nesting works even on a 1-thread pool.
   for (int workers : {1, 4}) {
     TaskScheduler pool(workers);
     std::atomic<uint64_t> sum{0};
@@ -162,10 +165,11 @@ TEST(ParallelForTest, CancelledTokenSkipsRemainingMorsels) {
   {
     CancellationToken token;
     token.Cancel();
+    CancelContext stop{.token = &token};
     std::atomic<int> ran{0};
     ParallelForOptions opt;
     opt.scheduler = &pool;
-    opt.cancel = &token;
+    opt.stop = &stop;
     opt.morsel_size = 8;
     ParallelFor(
         100, [&](size_t, size_t, size_t) { ran.fetch_add(1); }, opt);
@@ -175,10 +179,11 @@ TEST(ParallelForTest, CancelledTokenSkipsRemainingMorsels) {
   // counter is shared, so at most the morsels already claimed run.
   {
     CancellationToken token;
+    CancelContext stop{.token = &token};
     std::atomic<int> ran{0};
     ParallelForOptions opt;
     opt.scheduler = &pool;
-    opt.cancel = &token;
+    opt.stop = &stop;
     opt.morsel_size = 1;
     opt.max_workers = 1;  // inline on the caller: deterministic order
     ParallelFor(
@@ -213,65 +218,88 @@ TEST(ParallelForTest, ExceptionPropagatesToCaller) {
         8, [&](size_t, size_t, size_t) { ran.fetch_add(1); }, opt);
     EXPECT_EQ(ran.load(), 8);
   }
-}
-
-TEST(TaskGroupTest, WaitRethrowsFirstException) {
+  // A helper's exception reaches the caller too: a barrier holds both
+  // morsels in flight at once, so one runs on a helper, and that one throws.
   TaskScheduler pool(2);
-  TaskGroup group(&pool);
-  group.Run([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 8; ++i) group.Run([] {});
-  EXPECT_THROW(group.Wait(), std::runtime_error);
+  ParallelForOptions opt;
+  opt.scheduler = &pool;
+  opt.morsel_size = 1;
+  opt.max_workers = 2;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  EXPECT_THROW(ParallelFor(
+                   2,
+                   [&](size_t, size_t, size_t) {
+                     arrived.fetch_add(1);
+                     while (arrived.load() < 2) std::this_thread::yield();
+                     if (std::this_thread::get_id() != caller)
+                       throw std::runtime_error("helper failed");
+                   },
+                   opt),
+               std::runtime_error);
 }
 
-TEST(TaskGroupTest, CancelSkipsQueuedTaskBodies) {
-  TaskScheduler pool(2);
-  Gate gate;
-  std::atomic<int> entered{0};
-  TaskGroup blockers(&pool);
-  // Occupy every worker so the next group's tasks stay queued.
-  for (int i = 0; i < 2; ++i)
-    blockers.Run([&] {
-      entered.fetch_add(1);
-      gate.Block();
-    });
-  while (entered.load() < 2) std::this_thread::yield();
-
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) group.Run([&] { ran.fetch_add(1); });
-  group.Cancel();
-  gate.Release();
-  group.Wait();     // accounted for, but no body ran
-  blockers.Wait();
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskGroupTest, WaitHelpsAndCountsSteals) {
+TEST(ParallelForTest, CallerFinishesAloneWhileWorkersAreBusy) {
   obs::EnabledScope obs_on(true);
-  auto& steals =
-      obs::MetricsRegistry::Global().GetCounter("statcube.exec.steals");
-  uint64_t before = steals.Value();
+  obs::Counter& cancelled = obs::MetricsRegistry::Global().GetCounter(
+      "statcube.exec.tasks_cancelled");
+  const uint64_t before = cancelled.Value();
 
   TaskScheduler pool(2);
   Gate gate;
   std::atomic<int> entered{0};
-  TaskGroup blockers(&pool);
-  for (int i = 0; i < 2; ++i)
-    blockers.Run([&] {
-      entered.fetch_add(1);
-      gate.Block();
+  // Two loops of two blocking morsels each: a caller holds one morsel and
+  // its helper the other, so once all four entered, both workers are taken.
+  std::vector<std::thread> blocked;
+  for (int i = 0; i < 2; ++i) {
+    blocked.emplace_back([&] {
+      ParallelForOptions opt;
+      opt.scheduler = &pool;
+      opt.morsel_size = 1;
+      opt.max_workers = 2;
+      ParallelFor(
+          2,
+          [&](size_t, size_t, size_t) {
+            entered.fetch_add(1);
+            gate.Block();
+          },
+          opt);
     });
-  while (entered.load() < 2) std::this_thread::yield();
-  // With every worker blocked, only the waiting (non-worker) thread can run
-  // these — each pop from a foreign deque counts as a steal.
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) group.Run([&] { ran.fetch_add(1); });
-  group.Wait();
+  }
+  while (entered.load() < 4) std::this_thread::yield();
+
+  // Its helper stays queued behind the busy workers: the caller must run
+  // every morsel itself and return without waiting for it.
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  ParallelForOptions opt;
+  opt.scheduler = &pool;
+  opt.morsel_size = 1;
+  opt.max_workers = 2;
+  ParallelFor(
+      8,
+      [&](size_t, size_t, size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.push_back(std::this_thread::get_id());
+      },
+      opt);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(ran_on.size(), 8u);
+    for (std::thread::id id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+  }
+
   gate.Release();
-  blockers.Wait();
-  EXPECT_EQ(ran.load(), 4);
-  EXPECT_GE(steals.Value(), before + 4);
+  for (std::thread& t : blocked) t.join();
+  // The queued helper starts now, finds its loop closed and runs nothing.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cancelled.Value() < before + 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_EQ(cancelled.Value(), before + 1);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(ran_on.size(), 8u);
 }
 
 TEST(ExecMetricsTest, CountersAndHistogramAppearInSnapshots) {
@@ -296,8 +324,7 @@ TEST(ExecMetricsTest, CountersAndHistogramAppearInSnapshots) {
   // Metrics register on first lookup; counters that have not fired yet
   // (e.g. tasks_cancelled) still appear once touched.
   for (const char* name :
-       {"statcube.exec.steals", "statcube.exec.worker_busy_us",
-        "statcube.exec.tasks_cancelled"})
+       {"statcube.exec.worker_busy_us", "statcube.exec.tasks_cancelled"})
     reg.GetCounter(name);
   reg.GetGauge("statcube.exec.queue_depth");
 
@@ -305,9 +332,9 @@ TEST(ExecMetricsTest, CountersAndHistogramAppearInSnapshots) {
   // expands to cumulative le_ lines ending in le_inf == count.
   std::string text = reg.TextSnapshot();
   for (const char* name :
-       {"statcube.exec.tasks", "statcube.exec.steals",
-        "statcube.exec.morsels", "statcube.exec.parallel_for",
-        "statcube.exec.worker_busy_us", "statcube.exec.tasks_cancelled",
+       {"statcube.exec.tasks", "statcube.exec.morsels",
+        "statcube.exec.parallel_for", "statcube.exec.worker_busy_us",
+        "statcube.exec.tasks_cancelled",
         "statcube.exec.queue_depth", "statcube.exec.pool_size",
         "statcube.exec.morsel_us.count", "statcube.exec.morsel_us.le_inf"})
     EXPECT_NE(text.find(name), std::string::npos) << name;

@@ -5,8 +5,8 @@
 // match the Query() reference on EVERY measure, the inexact stock close
 // price included: the fold hands each group its rows in serial row order
 // and groups are numbered in serial first-occurrence order. Covered across
-// all four paper workloads (census, hmo, retail, stocks), the query path,
-// the cube backends and the materialization layer.
+// all four paper workloads (census, hmo, retail, stocks), the query path
+// and the cube backends.
 
 #include "statcube/exec/parallel_kernels.h"
 
@@ -17,9 +17,6 @@
 #include <vector>
 
 #include "coded_query.h"
-#include "statcube/materialize/greedy.h"
-#include "statcube/materialize/lattice.h"
-#include "statcube/materialize/view_store.h"
 #include "statcube/olap/backend.h"
 #include "statcube/query/parser.h"
 #include "statcube/workload/census.h"
@@ -234,53 +231,6 @@ TEST(BackendEquivalence, GroupBySumThreadInvariant) {
         ExpectTablesIdentical(*serial, *parallel,
                               backend->name() + "@" + std::to_string(t));
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Materialization: concurrent view building and greedy selection.
-
-TEST(MaterializeEquivalence, MaterializeAllMatchesSerialOrder) {
-  const auto& w = Workloads::Get();
-  std::vector<std::string> dims = {"category", "city", "month"};
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
-  auto serial =
-      MaterializedCubeStore::Create(w.retail.flat, dims, aggs).ValueOrDie();
-  auto parallel =
-      MaterializedCubeStore::Create(w.retail.flat, dims, aggs).ValueOrDie();
-
-  std::vector<uint32_t> masks;
-  for (uint32_t m = 0; m < 8; ++m) masks.push_back(m);
-  // Serial reference: (popcount desc, mask asc) — the documented order.
-  for (uint32_t m : {7u, 3u, 5u, 6u, 1u, 2u, 4u, 0u})
-    ASSERT_TRUE(serial.Materialize(m).ok());
-  ASSERT_TRUE(parallel.MaterializeAll(masks, /*threads=*/4).ok());
-
-  ASSERT_EQ(serial.materialized_masks(), parallel.materialized_masks());
-  EXPECT_EQ(serial.materialized_rows(), parallel.materialized_rows());
-  for (uint32_t m : masks) {
-    auto a = serial.Query(m);
-    auto b = parallel.Query(m);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectTablesIdentical(*a, *b, "view mask " + std::to_string(m));
-  }
-}
-
-TEST(MaterializeEquivalence, GreedySelectMatchesSerial) {
-  // Estimated lattice over 5 dims (32 views) with deliberate cardinality
-  // ties, so the lowest-index argmin tie-break is actually exercised.
-  Lattice lattice = Lattice::FromCardinalities(
-      {"a", "b", "c", "d", "e"}, {20, 20, 50, 5, 5}, 100000);
-  for (size_t k : {size_t(1), size_t(3), size_t(6)}) {
-    ViewSelection serial = GreedySelect(lattice, k);
-    for (int t : {1, 2, 4, 8}) {
-      ViewSelection parallel = GreedySelectParallel(lattice, k, t);
-      EXPECT_EQ(serial.views, parallel.views) << "k=" << k << " t=" << t;
-      EXPECT_EQ(serial.benefit, parallel.benefit);
-      EXPECT_EQ(serial.total_cost, parallel.total_cost);
-      EXPECT_EQ(serial.space_rows, parallel.space_rows);
     }
   }
 }
