@@ -1,9 +1,13 @@
 // Experiments P1 and P4 (DESIGN.md §6, §12): thread sweep of the parallel
 // kernels (statcube/exec) over two §6 aggregation shapes — the coded
 // group-by and the CUBE lattice built on it. Both run as queries through
-// ExecuteQuery: the coded pass (exec::CodedGroupBy) numbers rows into
-// group ids over the workers' morsels, the fold adds them on the caller in
-// row order, and a CUBE rolls up one grouping set per task per level.
+// ExecuteQuery: the coded pass (exec::CodedGroupBy) packs each row's BY
+// codes into a key over the workers' morsels, the fold adds the rows on
+// the caller in row order — into a slot per key when the key space is
+// dense, else into group ids numbered in first-occurrence order — and a
+// CUBE rolls up one grouping set per task per level.
+// BM_ExecuteFinestPanel is the dashboard's finest panel at one thread, at
+// a size whose fold state does not fit in the L1 cache.
 // Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial
 // baseline cost, so speedup(N) = real_time(1) / real_time(N). On a machine
 // with fewer cores than N the pool oversubscribes (EnsureThreads), which
@@ -40,9 +44,26 @@ const StatisticalObject& BigRetail() {
   return *obj;
 }
 
-// Times `text` through ExecuteQuery with state.range(0) workers.
-void RunQuery(benchmark::State& state, const char* text) {
-  const StatisticalObject& obj = BigRetail();
+// The dashboard's finest panel at its post-append size: 90,000 rows over
+// 200 products x 40 stores, about 8,000 groups. Its fold state outgrows
+// the L1 cache, which BigRetail's 600 groups fit in. Seed pinned as above.
+const StatisticalObject& PanelRetail() {
+  static const StatisticalObject* obj = [] {
+    RetailOptions opt;
+    opt.num_products = 200;
+    opt.num_stores = 40;
+    opt.num_cities = 8;
+    opt.num_days = 360;
+    opt.num_rows = 90000;
+    opt.seed = 17;
+    return new StatisticalObject(MakeRetailWorkload(opt)->object);
+  }();
+  return *obj;
+}
+
+// Times `text` over `obj` through ExecuteQuery with state.range(0) workers.
+void RunQuery(benchmark::State& state, const char* text,
+              const StatisticalObject& obj = BigRetail()) {
   const ParsedQuery q = ParseQuery(text).ValueOrDie();
   for (auto _ : state) {
     auto t = ExecuteQuery(obj, q, int(state.range(0)));
@@ -63,6 +84,12 @@ void BM_ExecuteCubeBy(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_ExecuteFinestPanel(benchmark::State& state) {
+  RunQuery(state, "SELECT sum(amount), sum(qty) BY product, store",
+           PanelRetail());
+}
+BENCHMARK(BM_ExecuteFinestPanel)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace statcube

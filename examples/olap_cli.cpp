@@ -18,8 +18,8 @@
 // over N workers' morsels, and CUBE's grouping sets within a lattice level;
 // its fold adds the rows on the caller in row order. Results are
 // bit-identical to serial execution at any thread count, and EXPLAIN
-// PROFILE shows the pass's coded_pass[...] morsel spans and the fold's
-// vec.aggregate. The default comes from the STATCUBE_THREADS environment
+// PROFILE shows the pass's coded_pass[...] morsel spans, the fold's
+// vec.aggregate and the emit's vec.emit. The default comes from the STATCUBE_THREADS environment
 // variable, falling back to the hardware concurrency; `--threads=1` runs
 // the same kernel on the caller. The worker pool is built at startup, so
 // /metrics shows statcube.exec.pool_size immediately.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -131,6 +132,26 @@ double SumBlockAuto(const double* v, size_t n, bool all_integral,
   return vec::SumBlockOrdered(v, n);
 }
 
+// Counts one fold of `rows` kept rows into `groups` non-empty groups.
+void CountFold(size_t rows, size_t groups) {
+  if (!obs::Enabled()) return;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
+  reg.GetCounter("statcube.exec.vec.rows").Add(rows);
+  reg.GetCounter("statcube.exec.vec.groups").Add(groups);
+}
+
+// The codes of `values` in Value::Compare order. On exact values
+// (GroupsExactly) that order is strict, and it is StatesToTable's.
+std::vector<uint32_t> CodesByRank(const std::vector<Value>& values) {
+  std::vector<uint32_t> codes(values.size());
+  for (size_t c = 0; c < codes.size(); ++c) codes[c] = uint32_t(c);
+  std::sort(codes.begin(), codes.end(), [&](uint32_t a, uint32_t b) {
+    return Value::Compare(values[a], values[b]) < 0;
+  });
+  return codes;
+}
+
 // AggState::AddSlab of slab positions [0, n), in order, into
 // states[gid[e] * stride]. A null `values` is count() without a column
 // (rows only); a null `flags` says every entry is a non-NaN number.
@@ -147,23 +168,70 @@ void FoldSlab(const uint32_t* gid, const double* values, const uint8_t* flags,
   }
 }
 
-// The fold of n > 0 kept rows (DESIGN.md §12): one pass on the caller in row
-// order, one aggregate at a time, into flat per-group states indexed by
-// group id — no hash table, no Row, no Value. Each group folds its rows in
-// ascending row order, so every state is the serial GroupByStates' bit for
-// bit. gids[e] is row e's group in [0, ngroups); null puts every row in one
-// group (an empty BY). Returns `slabs.size()` states per group, group-major.
+// An empty BY's one group over n > 0 rows of a contiguous slab: the pure
+// block-kernel case, computing only the fields Finalize(fn) reads. Sums run
+// reassociated only under the exactness gate (gap rows hold 0.0, which is
+// bit-transparent to a sum whose running value starts at +0.0); count
+// reduces over the flag bytes; min/max fall back to a flag-checked loop
+// when any row lacks a numeric value.
+AggState BlockState(const SlabView& slab, size_t n, AggFn fn) {
+  AggState st;
+  st.rows = int64_t(n);
+  // kCountAll reads rows only; a null slab is count() without a column.
+  if (slab.values == nullptr || fn == AggFn::kCountAll) return st;
+  const SlabEvidence& ev = slab.evidence;
+  const double* v = slab.values;
+  const uint8_t* f = slab.flags;
+  st.count = ev.gap ? int64_t(vec::CountFlagBits(f, n, kSlabNonNull))
+                    : int64_t(n);
+  switch (fn) {
+    case AggFn::kVariance:
+    case AggFn::kStdDev:
+      st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
+                      ? vec::SumSqBlockFast(v, n)
+                      : vec::SumSqBlockOrdered(v, n);
+      [[fallthrough]];
+    case AggFn::kSum:
+    case AggFn::kAvg:
+      st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+      break;
+    case AggFn::kMin:
+      if (!ev.gap) {
+        st.min = vec::MinBlock(v, n);
+        break;
+      }
+      for (size_t r = 0; r < n; ++r)
+        if ((f[r] & kSlabNumeric) != 0 && v[r] < st.min) st.min = v[r];
+      break;
+    case AggFn::kMax:
+      if (!ev.gap) {
+        st.max = vec::MaxBlock(v, n);
+        break;
+      }
+      for (size_t r = 0; r < n; ++r)
+        if ((f[r] & kSlabNumeric) != 0 && v[r] > st.max) st.max = v[r];
+      break;
+    case AggFn::kCount:
+    case AggFn::kCountAll:
+      break;
+  }
+  return st;
+}
+
+// The numbered fold of n kept rows (DESIGN.md §12): one pass on the caller
+// in row order, one aggregate at a time, into flat per-group AggStates
+// indexed by group id — no hash table, no Row, no Value. Each group folds
+// its rows in ascending row order, so every state is the serial
+// GroupByStates' bit for bit. gids[e] is row e's group in [0, ngroups);
+// null puts every row in one group (an empty BY, BlockState). Returns
+// `slabs.size()` states per group, group-major.
 std::vector<AggState> FoldStates(size_t n, const uint32_t* gids,
                                  size_t ngroups,
-                                 const std::vector<SlabView>& slabs) {
+                                 const std::vector<SlabView>& slabs,
+                                 const std::vector<AggSpec>& aggs) {
   const size_t naggs = slabs.size();
   std::vector<AggState> states(ngroups * naggs);
-  if (obs::Enabled()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("statcube.exec.vec.groupby_calls").Add(1);
-    reg.GetCounter("statcube.exec.vec.rows").Add(n);
-    reg.GetCounter("statcube.exec.vec.groups").Add(ngroups);
-  }
+  CountFold(n, ngroups);
   obs::Span span("vec.aggregate");
   if (gids != nullptr) {
     for (size_t i = 0; i < naggs; ++i)
@@ -172,38 +240,143 @@ std::vector<AggState> FoldStates(size_t n, const uint32_t* gids,
                states.data() + i, naggs);
     return states;
   }
+  for (size_t i = 0; ngroups > 0 && i < naggs; ++i)
+    states[i] = BlockState(slabs[i], n, aggs[i].fn);
+  return states;
+}
 
-  // Empty BY: one global group over fully contiguous slabs — the pure
-  // block-kernel case. Sum/sum_sq run reassociated only under the exactness
-  // gate (gap rows hold 0.0, which is bit-transparent to a sum whose running
-  // value starts at +0.0); count reduces over the flag bytes; min/max fall
-  // back to a flag-checked loop when any row lacks a numeric value.
-  for (size_t i = 0; i < naggs; ++i) {
-    AggState& st = states[i];
-    st.rows = int64_t(n);
-    const SlabView& slab = slabs[i];
-    if (slab.values == nullptr) continue;  // kCountAll without a column
-    const SlabEvidence& ev = slab.evidence;
-    const double* v = slab.values;
-    st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
-    st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
-                    ? vec::SumSqBlockFast(v, n)
-                    : vec::SumSqBlockOrdered(v, n);
-    if (!ev.gap) {
-      st.count = int64_t(n);
-      st.min = vec::MinBlock(v, n);
-      st.max = vec::MaxBlock(v, n);
-    } else {
-      const uint8_t* f = slab.flags;
-      st.count = int64_t(vec::CountFlagBits(f, n, kSlabNonNull));
-      for (size_t r = 0; r < n; ++r) {
-        if ((f[r] & kSlabNumeric) == 0) continue;
-        if (v[r] < st.min) st.min = v[r];
-        if (v[r] > st.max) st.max = v[r];
+// A dense key space's fold state: one slot per packed key. Each aggregate
+// keeps only the arrays its function reads (Gray et al.'s per-function
+// scratchpad), all indexed by slot; the row count is shared.
+struct SlotStates {
+  struct Agg {
+    std::vector<double> sum;      // sum, avg, var, stddev
+    std::vector<double> sum_sq;   // var, stddev
+    std::vector<double> extreme;  // min from +inf, or max from -inf
+    std::vector<uint32_t> count;  // non-null values, on a slab with a gap
+  };
+  std::vector<uint32_t> rows;
+  std::vector<Agg> aggs;
+  size_t groups = 0;  // non-empty slots
+
+  // Aggregate i's value at slot s: its arrays read back into the AggState
+  // AddSlab would have built, so Finalize gives the same bits.
+  Value Finalize(size_t i, size_t s, AggFn fn) const {
+    const Agg& a = aggs[i];
+    AggState st;
+    st.rows = rows[s];
+    st.count = a.count.empty() ? rows[s] : a.count[s];
+    if (!a.sum.empty()) st.sum = a.sum[s];
+    if (!a.sum_sq.empty()) st.sum_sq = a.sum_sq[s];
+    if (!a.extreme.empty()) st.min = st.max = a.extreme[s];
+    return st.Finalize(fn);
+  }
+};
+
+// The fold of n kept rows into `nslots` slots (DESIGN.md §12): slot[e] is
+// kept row e's packed key. One pass on the caller per array, in row order,
+// so every array holds what AddSlab would have, bit for bit. A gap row
+// holds 0.0, which leaves a sum that started at +0.0 unchanged, so sums
+// read no flags; min, max and the non-null count do.
+SlotStates FoldSlots(size_t n, const uint64_t* slot, size_t nslots,
+                     const std::vector<SlabView>& slabs,
+                     const std::vector<AggSpec>& aggs) {
+  obs::Span span("vec.aggregate");
+  SlotStates st;
+  st.rows.assign(nslots, 0);
+  for (size_t e = 0; e < n; ++e) ++st.rows[slot[e]];
+  for (uint32_t r : st.rows) st.groups += r != 0;
+  st.aggs.resize(aggs.size());
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const double* v = slabs[i].values;
+    if (v == nullptr || aggs[i].fn == AggFn::kCountAll) continue;
+    const uint8_t* f = slabs[i].evidence.gap ? slabs[i].flags : nullptr;
+    SlotStates::Agg& a = st.aggs[i];
+    if (f != nullptr) {
+      a.count.assign(nslots, 0);
+      for (size_t e = 0; e < n; ++e)
+        a.count[slot[e]] += (f[e] & kSlabNonNull) != 0;
+    }
+    switch (aggs[i].fn) {
+      case AggFn::kVariance:
+      case AggFn::kStdDev:
+        a.sum_sq.assign(nslots, 0.0);
+        for (size_t e = 0; e < n; ++e) a.sum_sq[slot[e]] += v[e] * v[e];
+        [[fallthrough]];
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        a.sum.assign(nslots, 0.0);
+        for (size_t e = 0; e < n; ++e) a.sum[slot[e]] += v[e];
+        break;
+      case AggFn::kMin: {
+        a.extreme.assign(nslots, std::numeric_limits<double>::infinity());
+        double* x = a.extreme.data();
+        for (size_t e = 0; e < n; ++e)
+          if ((f == nullptr || (f[e] & kSlabNumeric) != 0) &&
+              v[e] < x[slot[e]])
+            x[slot[e]] = v[e];
+        break;
       }
+      case AggFn::kMax: {
+        a.extreme.assign(nslots, -std::numeric_limits<double>::infinity());
+        double* x = a.extreme.data();
+        for (size_t e = 0; e < n; ++e)
+          if ((f == nullptr || (f[e] & kSlabNumeric) != 0) &&
+              v[e] > x[slot[e]])
+            x[slot[e]] = v[e];
+        break;
+      }
+      case AggFn::kCount:
+      case AggFn::kCountAll:
+        break;
     }
   }
-  return states;
+  return st;
+}
+
+// A dense GROUP BY's table: one row per non-empty slot, in the order
+// StatesToTable sorts to — Value::Compare on the BY columns, which on exact
+// values is the order of the codes' ranks. So the emit walks the key space
+// rank by rank, BY attribute 0 outermost, and sorts no group.
+Table EmitSlots(const CodedGroupByInput& in, const SlotStates& st) {
+  obs::Span span("vec.emit");
+  const size_t nby = in.by.size();
+  const size_t naggs = in.aggs.size();
+  Table out(in.name + "_by_" + Join(in.by_names, "_"),
+            CubeOutputSchema(in.by_names, in.aggs));  // StatesToTable's
+  if (st.groups == 0) return out;
+  out.mutable_rows().reserve(st.groups);
+  std::vector<std::vector<uint32_t>> by_rank(nby);
+  std::vector<uint64_t> stride(nby, 1);  // a code's step in the packed key
+  for (size_t k = nby; k-- > 0;) {
+    by_rank[k] = CodesByRank(*in.by[k].values);
+    if (k + 1 < nby) stride[k] = stride[k + 1] * in.by[k + 1].values->size();
+  }
+  // An odometer over the ranks of attributes 0..nby-2; the last attribute
+  // sweeps its ranks inside.
+  std::vector<size_t> pos(nby, 0);
+  for (;;) {
+    uint64_t base = 0;
+    for (size_t k = 0; k + 1 < nby; ++k)
+      base += by_rank[k][pos[k]] * stride[k];
+    for (uint32_t last : by_rank[nby - 1]) {
+      const size_t s = size_t(base + last);
+      if (st.rows[s] == 0) continue;
+      Row row(nby + naggs);
+      for (size_t k = 0; k + 1 < nby; ++k)
+        row[k] = (*in.by[k].values)[by_rank[k][pos[k]]];
+      row[nby - 1] = (*in.by[nby - 1].values)[last];
+      for (size_t i = 0; i < naggs; ++i)
+        row[nby + i] = st.Finalize(i, s, in.aggs[i].fn);
+      out.AppendRowUnchecked(std::move(row));
+    }
+    size_t k = nby - 1;
+    for (; k > 0; --k) {
+      if (++pos[k - 1] < by_rank[k - 1].size()) break;
+      pos[k - 1] = 0;
+    }
+    if (k == 0) return out;
+  }
 }
 
 // GROUP BY CUBE over its finest grouping (at most 20 dimensions): every
@@ -276,25 +449,30 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
       return std::nullopt;
     levels = levels || a.level_of != nullptr;
   }
-
-  // The pass, in two steps. Morsels, in parallel when there are workers:
-  // each row's packed BY codes, or kDropped when a filter drops it. Then in
-  // row order: each kept row's dense group id, numbered on first
-  // occurrence.
   constexpr uint64_t kDropped = UINT64_MAX;
   if (key_space == kDropped) return std::nullopt;
+
+  // The pass, when there is a BY or a WHERE. Morsels, in parallel when
+  // there are workers: each row's packed BY codes, or kDropped when a
+  // filter drops it. Then in row order: a WHERE compacts the keys over the
+  // kept rows in place, and a key space too sparse for slots (or a CUBE's)
+  // numbers them into dense group ids in first-occurrence order. An empty
+  // BY without a WHERE runs no pass: every row is kept, in one group.
   const size_t n = in.rows;
   const bool filtered = !in.filters.empty();
+  size_t nkept = n;
+  std::unique_ptr<uint64_t[]> keys;  // the kept rows' packed keys
+  std::vector<uint32_t> kept;        // row indexes, when a filter drops rows
+  bool slotted = false;
+  std::optional<GroupIds> groups;
   std::vector<uint32_t> gids;
-  std::vector<uint32_t> kept;  // row indexes, when a filter drops rows
-  GroupIds groups(key_space, n);
-  {
+  if (nby > 0 || filtered) {
     std::optional<obs::Span> pass_span;
     if (in.pass_span != nullptr) pass_span.emplace(in.pass_span);
     if (obs::Enabled())
       obs::RecordBytesTouched(n * sizeof(uint32_t) *
                               (in.filters.size() + nby));
-    auto keys = std::make_unique_for_overwrite<uint64_t[]>(n);
+    keys = std::make_unique_for_overwrite<uint64_t[]>(n);
     ParallelForOptions loop = LoopOptions("coded_pass", options);
     // One worker takes large morsels: the stop context is still checked
     // between them, and fewer morsels cost less bookkeeping.
@@ -318,15 +496,27 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
         loop);
     if (StopReason sr = StopAfter(options); sr != StopReason::kNone)
       return StopStatus(sr, filtered || levels ? "scan" : "groupby");
-    if (nby > 0) gids.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (keys[r] == kDropped) continue;
-      if (filtered) kept.push_back(uint32_t(r));
-      if (nby > 0) gids.push_back(groups.Find(keys[r]));
+    if (filtered) {
+      nkept = 0;
+      for (size_t r = 0; r < n; ++r) {
+        if (keys[r] == kDropped) continue;
+        kept.push_back(uint32_t(r));
+        keys[nkept++] = keys[r];
+      }
+      obs::RecordOperator("select", n, nkept);
     }
-    if (filtered) obs::RecordOperator("select", n, kept.size());
+    // Dense: at most kMinSlots slots, or two per kept row. Up to 1,024
+    // slots the slots' fold and walk cost no more than the numbering and
+    // the sort even for a handful of kept rows (docs/PERFORMANCE.md §14).
+    constexpr uint64_t kMinSlots = uint64_t(1) << 10;
+    slotted = nby > 0 && !in.cube &&
+              key_space <= std::max<uint64_t>(kMinSlots, 2 * uint64_t(nkept));
+    if (nby > 0 && !slotted) {
+      groups.emplace(key_space, n);
+      gids.resize(nkept);
+      for (size_t e = 0; e < nkept; ++e) gids[e] = groups->Find(keys[e]);
+    }
   }
-  const size_t nkept = filtered ? kept.size() : n;
 
   // Slabs: the caller's, or gathered over the kept rows once per slab. The
   // evidence covers a superset of the kept rows, so it holds.
@@ -355,21 +545,30 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
   std::optional<obs::Span> fold_span;
   if (in.fold_span != nullptr) fold_span.emplace(in.fold_span);
   obs::Span op_span(in.cube ? "op.cube" : "op.groupby");
-  const size_t naggs = in.aggs.size();
-  const size_t ngroups =
-      nkept == 0 ? 0 : (nby == 0 ? 1 : groups.keys().size());
-  std::vector<AggState> states;
-  if (nkept > 0) {
-    states = FoldStates(nkept, nby == 0 ? nullptr : gids.data(), ngroups,
-                        slabs);
+  if (slotted) {
+    // A dense GROUP BY: the keys index the slots directly.
+    const SlotStates states =
+        FoldSlots(nkept, keys.get(), size_t(key_space), slabs, in.aggs);
     if (StopReason r = StopAfter(options); r != StopReason::kNone)
       return StopStatus(r, "groupby");
+    CountFold(nkept, states.groups);
+    Table out = EmitSlots(in, states);
+    obs::RecordOperator("groupby", nkept, out.num_rows());
+    return out;
   }
+
+  const size_t naggs = in.aggs.size();
+  const size_t ngroups =
+      nkept == 0 ? 0 : (nby == 0 ? 1 : groups->keys().size());
+  const std::vector<AggState> states = FoldStates(
+      nkept, nby == 0 ? nullptr : gids.data(), ngroups, slabs, in.aggs);
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
   // Group g's code of BY attribute k, unpacked from its key.
   std::vector<std::vector<uint32_t>> codes(nby,
                                            std::vector<uint32_t>(ngroups));
   for (size_t g = 0; nby > 0 && g < ngroups; ++g) {
-    uint64_t key = groups.keys()[g];
+    uint64_t key = groups->keys()[g];
     for (size_t k = nby; k-- > 0;) {
       codes[k][g] = uint32_t(key % in.by[k].values->size());
       key /= in.by[k].values->size();
@@ -396,21 +595,16 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
                        options);
   }
 
-  // GROUP BY: one row per group, in the order StatesToTable sorts to —
-  // Value::Compare on the BY columns, which on exact values is the order
-  // of the codes' ranks, so the groups sort by integers.
+  // A sparse GROUP BY: one row per group, in the order StatesToTable sorts
+  // to, found by sorting the groups by the ranks of their codes.
+  obs::Span emit_span("vec.emit");
   std::vector<uint64_t> rank_key(ngroups, 0);
   for (size_t k = 0; k < nby; ++k) {
-    const std::vector<Value>& vals = *in.by[k].values;
-    std::vector<uint32_t> sorted(vals.size());
-    for (size_t c = 0; c < vals.size(); ++c) sorted[c] = uint32_t(c);
-    std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
-      return Value::Compare(vals[a], vals[b]) < 0;
-    });
-    std::vector<uint64_t> rank(vals.size());
-    for (size_t p = 0; p < sorted.size(); ++p) rank[sorted[p]] = p;
+    const std::vector<uint32_t> by_rank = CodesByRank(*in.by[k].values);
+    std::vector<uint64_t> rank(by_rank.size());
+    for (size_t p = 0; p < by_rank.size(); ++p) rank[by_rank[p]] = p;
     for (size_t g = 0; g < ngroups; ++g)
-      rank_key[g] = rank_key[g] * vals.size() + rank[codes[k][g]];
+      rank_key[g] = rank_key[g] * by_rank.size() + rank[codes[k][g]];
   }
   std::vector<uint32_t> order(ngroups);
   for (size_t g = 0; g < ngroups; ++g) order[g] = uint32_t(g);

@@ -1,17 +1,19 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
 // the group-by over dictionary-coded columns (CodedGroupBy, the route of
-// the query executor and the ROLAP backends), whose morsel pass feeds dense
-// group ids to one fold in row order and builds CUBE's grouping-set lattice
-// on it (DESIGN.md §12). A Table has one group-by, the serial GroupBy /
-// CubeBy of relational/; a MOLAP array has one reduction,
+// the query executor and the ROLAP backends), whose morsel pass packs each
+// row's BY codes into a key for one fold in row order, and which builds
+// CUBE's grouping-set lattice on that fold (DESIGN.md §12). A dense key
+// space indexes per-function arrays directly; a sparse one, and CUBE's,
+// is numbered into group ids first. A Table has one group-by, the serial
+// GroupBy / CubeBy of relational/; a MOLAP array has one reduction,
 // DenseArray::SumRangeBy.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
 // documented in DESIGN.md §6): every kernel's output is **bit-identical for
 // any thread count and any morsel size**, including 1. The coded group-by
 // and CUBE also match GroupBy / CubeBy over the decoded rows bit for bit on
-// every measure: the fold hands each group its rows in serial row order
-// and groups are numbered in serial first-occurrence order.
+// every measure: the fold hands each group its rows in serial row order,
+// and group ids are numbered in serial first-occurrence order.
 
 #ifndef STATCUBE_EXEC_PARALLEL_KERNELS_H_
 #define STATCUBE_EXEC_PARALLEL_KERNELS_H_
@@ -92,16 +94,20 @@ struct CodedGroupByInput {
 
 /// GROUP BY or CUBE over code columns, bit-identical to GroupBy / CubeBy
 /// over the decoded rows at any thread count. A morsel pass packs each
-/// kept row's BY codes into one key, keys are numbered into dense group
-/// ids in first-occurrence order, one pass on the caller folds the slabs
-/// of the kept rows in row order (DESIGN.md §12), and a GROUP BY emits its
-/// groups sorted by the ranks of their codes (the order of Value::Compare
-/// on exact values); a CUBE rolls its finest grouping up through the
-/// lattice, one task per grouping set within a level. Returns nullopt,
-/// before touching a row, when codes cannot group exactly — a BY attribute
-/// whose values hold NaN or two entries Value::Compare calls equal — and
-/// for BY codes that do not pack into 64 bits and CUBEs over more than 20
-/// attributes.
+/// kept row's BY codes into one key (an empty BY without a WHERE has no
+/// pass), then one pass on the caller folds the slabs of the kept rows in
+/// row order (DESIGN.md §12). A GROUP BY whose key space is dense against
+/// its kept rows gives each key a slot: only the arrays each aggregate's
+/// function reads, indexed by the key, and an emit that walks the key
+/// space in the ranks of the codes (the order of Value::Compare on exact
+/// values). A sparse key space, and a CUBE's, is numbered into group ids
+/// in first-occurrence order and folded into AggStates; a GROUP BY then
+/// sorts its groups by those ranks, and a CUBE rolls its finest grouping
+/// up through the lattice, one task per grouping set within a level.
+/// Returns nullopt, before touching a row, when codes cannot group exactly
+/// — a BY attribute whose values hold NaN or two entries Value::Compare
+/// calls equal — and for BY codes that do not pack into 64 bits and CUBEs
+/// over more than 20 attributes.
 /// `options.stop` is checked by the pass and the fold; a pass that filters
 /// or reads a level stops as "scan", any other as "groupby".
 std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,

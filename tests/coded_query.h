@@ -49,22 +49,33 @@ inline void ExpectTablesIdentical(const Table& a, const Table& b,
   }
 }
 
+// An object over dimensions `dims` and one measure v, one cell per
+// (coordinates, v) pair.
+inline StatisticalObject CellObject(
+    const std::string& name, const std::vector<std::string>& dims,
+    const std::vector<std::pair<Row, Value>>& cells) {
+  StatisticalObject obj(name);
+  for (const std::string& d : dims)
+    EXPECT_TRUE(obj.AddDimension(Dimension(d)).ok());
+  EXPECT_TRUE(
+      obj.AddMeasure({"v", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
+  for (const auto& [coords, v] : cells)
+    EXPECT_TRUE(obj.AddCell(coords, {v}).ok());
+  return obj;
+}
+
 // A one-dimension (k), one-measure (v) object over `cells`.
 inline StatisticalObject KvObject(
     const std::string& name,
     const std::vector<std::pair<Value, Value>>& cells) {
-  StatisticalObject obj(name);
-  EXPECT_TRUE(obj.AddDimension(Dimension("k")).ok());
-  EXPECT_TRUE(
-      obj.AddMeasure({"v", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
-  for (const auto& [k, v] : cells) EXPECT_TRUE(obj.AddCell({k}, {v}).ok());
-  return obj;
+  std::vector<std::pair<Row, Value>> rows;
+  for (const auto& [k, v] : cells) rows.emplace_back(Row{k}, v);
+  return CellObject(name, {"k"}, rows);
 }
 
 // ExecuteQuery(obj, text, options) is Query(obj, text), bit for bit, and
-// ran on the code columns: its profile holds `coded_pass` morsel spans,
-// which the row route never opens. An empty object runs no morsel, so
-// there is no span to look for.
+// ran on the code columns: its profile holds the coded fold's
+// `vec.aggregate` span, which the row route never opens.
 inline void ExpectCodedMatchesQuery(const StatisticalObject& obj,
                                     const std::string& text,
                                     const exec::ExecOptions& options) {
@@ -81,10 +92,9 @@ inline void ExpectCodedMatchesQuery(const StatisticalObject& obj,
   const obs::QueryProfile profile = scope.Take();
   ASSERT_TRUE(executed.ok()) << executed.status();
   ExpectTablesIdentical(*reference, *executed, text);
-  if (obj.data().num_rows() == 0) return;
   bool coded = false;
   for (const obs::SpanRecord& span : profile.trace.spans())
-    coded = coded || span.name.rfind("coded_pass", 0) == 0;
+    coded = coded || span.name == "vec.aggregate";
   EXPECT_TRUE(coded) << "ran on the row route";
 }
 

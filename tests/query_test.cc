@@ -148,8 +148,8 @@ TEST(ExecuteTest, ByCubeProducesAllRows) {
   EXPECT_FALSE(ParseQuery("SELECT sum(a) BY CUBE()").ok());
 }
 
-// Which route ExecuteQuery took, read from the profile's spans: the coded
-// pass runs as `coded_pass` morsels; the row route has none.
+// Which route ExecuteQuery took, read from the profile's spans: only the
+// coded fold opens `vec.aggregate`.
 std::string RouteOf(const StatisticalObject& obj, const std::string& text) {
   QueryOptions opt;
   opt.record = false;
@@ -157,7 +157,7 @@ std::string RouteOf(const StatisticalObject& obj, const std::string& text) {
   EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
   if (!r.ok()) return "error";
   for (const obs::SpanRecord& span : r->profile.trace.spans())
-    if (span.name.rfind("coded_pass", 0) == 0) return "coded";
+    if (span.name == "vec.aggregate") return "coded";
   return "rows";
 }
 

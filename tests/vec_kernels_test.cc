@@ -102,6 +102,11 @@ exec::ExecOptions Vec(int threads, size_t morsel_rows = 128) {
   return o;
 }
 
+// A GROUP BY gives its packed key space a slot per key when the space is
+// dense against the kept rows (at most max(1,024, 2 × kept rows) keys),
+// and numbers the keys in first-occurrence order otherwise; both must
+// give Query()'s bits. The shapes below sit on either side of that rule.
+
 TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // The flag-encoded slabs must reproduce AggState::Add exactly: NULL rows
   // count toward `rows` only, a non-numeric cell toward `count` too, and a
@@ -109,26 +114,65 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // over. The NaN rows all fall in g0, so in g1..g4 avg and var show
   // `count` and `sum_sq`; count(v) shows `rows` and min/max their own bits.
   // The numbers are not integers, so a fold of these flagged slabs out of
-  // row order shows in the sums' bits.
-  std::vector<std::pair<Value, Value>> cells;
+  // row order shows in the sums' bits. Each group's numbers share a sign
+  // (g0, g2, g4 positive), so a min or max that folded a gap row's stored
+  // 0.0 would show too.
+  //
+  // The 600 edge cells are w = 'edge' and p = 'p0'; 2,000 filler cells,
+  // one per p value, are w = 'fill'. So BY k is dense with or without the
+  // WHERE, and BY k, p (5 × 2,001 keys) is sparse against 2,600 rows and
+  // against the 600 the WHERE keeps.
+  std::vector<std::pair<Row, Value>> cells;
+  auto sign = [](int g) { return g % 2 == 0 ? 1.0 : -1.0; };
   for (int i = 0; i < 600; ++i) {
-    Value key(std::string("g").append(std::to_string(i % 5)));
+    Row coords = {Value(std::string("g").append(std::to_string(i % 5))),
+                  Value("p0"), Value("edge")};
     if (i % 11 == 0) {
-      cells.emplace_back(key, Value::Null());
+      cells.emplace_back(coords, Value::Null());
     } else if (i % 13 == 0) {
-      cells.emplace_back(key, Value("not-a-number"));
+      cells.emplace_back(coords, Value("not-a-number"));
     } else if (i % 35 == 0) {
-      cells.emplace_back(key,
+      cells.emplace_back(coords,
                          Value(std::numeric_limits<double>::quiet_NaN()));
     } else {
-      cells.emplace_back(key, Value(0.1 * double(i) - 40.0));
+      cells.emplace_back(coords,
+                         Value(sign(i % 5) * (0.1 * double(i) + 0.05)));
     }
   }
-  const StatisticalObject edges = KvObject("edges", cells);
-  for (int threads : {1, 2, 4, 8})
-    ExpectCodedMatchesQuery(
-        edges, "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v) BY k",
-        Vec(threads));
+  for (int j = 0; j < 2000; ++j)
+    cells.emplace_back(
+        Row{Value(std::string("g").append(std::to_string(j % 5))),
+            Value(std::string("p").append(std::to_string(j + 1))),
+            Value("fill")},
+        Value(sign(j % 5) * (double(j) + 0.25)));
+  const StatisticalObject edges = CellObject("edges", {"k", "p", "w"}, cells);
+  const std::string aggs =
+      "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v)";
+  for (const char* tail : {" BY k", " BY k WHERE w = 'edge'", " BY k, p",
+                           " BY k, p WHERE w = 'edge'", "", " WHERE k = 'g2'"})
+    for (int threads : {1, 2, 4, 8})
+      ExpectCodedMatchesQuery(edges, aggs + tail, Vec(threads));
+}
+
+// A grid of `rows` cells over a (`na` <= 400 numbers, negative and
+// positive, int and double alternating) × b (`nb` <= 400 strings), with
+// w = 'in' on every fourth row, 'few' on every fortieth (offset one) and
+// 'out' elsewhere. Both attributes first occur out of
+// Value::Compare order, so an emit in slot or group-id order shows. The
+// (a, b) pairs repeat every 400 rows and v is not integral, so a group's
+// sum shows its fold order.
+StatisticalObject Grid(int na, int nb, int rows) {
+  std::vector<std::pair<Row, Value>> cells;
+  for (int i = 0; i < rows; ++i) {
+    const int x = (i % 400 * 7) % na - na / 2;
+    const Value a = x % 2 == 0 ? Value(int64_t(x)) : Value(double(x) + 0.5);
+    const int b = (i % 400 * 13) % nb;
+    const char* w = i % 4 == 0 ? "in" : (i % 40 == 1 ? "few" : "out");
+    cells.emplace_back(
+        Row{a, Value(std::string("b").append(std::to_string(b))), Value(w)},
+        Value(0.1 * double(i % 97) + 0.01));
+  }
+  return CellObject("grid", {"a", "b", "w"}, cells);
 }
 
 TEST(VecGroupBy, ManyGroupsAtEveryMorselSize) {
@@ -143,12 +187,29 @@ TEST(VecGroupBy, ManyGroupsAtEveryMorselSize) {
   auto reference = Query(many, text);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_EQ(701u, reference->num_rows());
+  // The density rule's two sides over 4,000 rows: unfiltered, 80 × 100 =
+  // 8,000 keys are dense and 80 × 101 sparse; under w = 'in' (1,000 rows),
+  // 40 × 50 = 2,000 are dense and 40 × 51 sparse; under w = 'few' (100
+  // rows), 32 × 32 = 1,024 are dense and 32 × 33 sparse.
+  const StatisticalObject dense = Grid(80, 100, 4000);
+  const StatisticalObject sparse = Grid(80, 101, 4000);
+  const StatisticalObject dense_in = Grid(40, 50, 4000);
+  const StatisticalObject sparse_in = Grid(40, 51, 4000);
+  const StatisticalObject dense_few = Grid(32, 32, 4000);
+  const StatisticalObject sparse_few = Grid(32, 33, 4000);
+  const char* all = "SELECT sum(v), min(v), count() BY a, b";
+  const char* in = "SELECT sum(v), max(v), count() BY a, b WHERE w = 'in'";
+  const char* few = "SELECT sum(v), avg(v) BY a, b WHERE w = 'few'";
+  const std::pair<const StatisticalObject*, const char*> cases[] = {
+      {&many, text},         {&dense, all},         {&sparse, all},
+      {&dense, "SELECT avg(v) BY b"},               {&dense_in, in},
+      {&sparse_in, in},      {&dense_few, few},     {&sparse_few, few}};
   // A size_t-max morsel makes the whole table one morsel: ParallelFor's
   // morsel count must not overflow to zero.
-  for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()}) {
-    for (int threads : {1, 2, 4, 8})
-      ExpectCodedMatchesQuery(many, text, Vec(threads, morsel));
-  }
+  for (const auto& [obj, query] : cases)
+    for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()})
+      for (int threads : {1, 2, 4, 8})
+        ExpectCodedMatchesQuery(*obj, query, Vec(threads, morsel));
 }
 
 }  // namespace

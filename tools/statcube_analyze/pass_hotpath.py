@@ -4,10 +4,12 @@ The morsel/kernel bodies are the code the engine runs once per row or
 once per block under the parallel scheduler; a blocking operation there
 serializes every worker behind it. Hot regions:
 
- * lambdas passed to `RunMorsels(` / `ParallelFor(` (the morsel bodies);
- * `*Block*` kernels (SumBlockOrdered & co in common/vec_block.cc);
- * functions transitively called from a hot region within the same file
-   (the group-by phase helpers: FoldSlab, ...).
+ * lambdas passed to `RunMorsels(` / `ParallelFor(` (the morsel bodies:
+   the coded group-by's pass, the CUBE lattice's grouping sets);
+ * `*Block*` kernels (SumBlockOrdered & co in common/vec_block.cc, and in
+   exec/parallel_kernels.cc the empty BY's fold BlockState and the
+   SumBlockAuto router it calls);
+ * functions transitively called from a hot region within the same file.
 
 Flagged inside a hot region:
 
