@@ -1,11 +1,13 @@
 // Experiments P1 and P4 (DESIGN.md §6, §12): thread sweep of the parallel
 // kernels (statcube/exec) over two §6 aggregation shapes — the coded
-// group-by and the CUBE lattice built on it. Both run as queries through
+// group-by and the CUBE built on it. Both run as queries through
 // ExecuteQuery: the coded pass (exec::CodedGroupBy) packs each row's BY
-// codes into a key over the workers' morsels, the fold adds the rows on
-// the caller in row order — into a slot per key when the key space is
-// dense, else into group ids numbered in first-occurrence order — and a
-// CUBE rolls up one grouping set per task per level.
+// codes into a key over the workers' morsels, and the fold adds the rows
+// on the caller in row order into per-function slot arrays — a slot per
+// key when the key space is dense, else per group id numbered in
+// first-occurrence order. A CUBE numbers its keys and rolls its finest
+// grouping up through CubeBy's lattice on the caller, so only its pass
+// scales with the workers.
 // BM_ExecuteFinestPanel is the dashboard's finest panel at one thread, at
 // a size whose fold state does not fit in the L1 cache.
 // Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -68,12 +69,11 @@ inline uint64_t Mix64(uint64_t x) {
 }
 
 // Packed BY code tuple -> dense group id in first-occurrence order. Direct
-// addressing while the key space is small, else open addressing sized for
-// one group per row.
+// addressing when the key space is dense (CodedGroupBy's density rule), else
+// open addressing sized for one group per kept row.
 class GroupIds {
  public:
-  GroupIds(uint64_t key_space, size_t rows) {
-    direct_ = key_space <= std::max<uint64_t>(uint64_t(1) << 16, 2 * rows);
+  GroupIds(bool dense, uint64_t key_space, size_t rows) : direct_(dense) {
     size_t slots = size_t(key_space);
     if (!direct_) {
       slots = 16;
@@ -152,102 +152,9 @@ std::vector<uint32_t> CodesByRank(const std::vector<Value>& values) {
   return codes;
 }
 
-// AggState::AddSlab of slab positions [0, n), in order, into
-// states[gid[e] * stride]. A null `values` is count() without a column
-// (rows only); a null `flags` says every entry is a non-NaN number.
-void FoldSlab(const uint32_t* gid, const double* values, const uint8_t* flags,
-              size_t n, AggState* states, size_t stride) {
-  if (values == nullptr) {
-    for (size_t e = 0; e < n; ++e) ++states[gid[e] * stride].rows;
-  } else if (flags == nullptr) {
-    for (size_t e = 0; e < n; ++e)
-      states[gid[e] * stride].AddSlab(values[e], kSlabNonNull | kSlabNumeric);
-  } else {
-    for (size_t e = 0; e < n; ++e)
-      states[gid[e] * stride].AddSlab(values[e], flags[e]);
-  }
-}
-
-// An empty BY's one group over n > 0 rows of a contiguous slab: the pure
-// block-kernel case, computing only the fields Finalize(fn) reads. Sums run
-// reassociated only under the exactness gate (gap rows hold 0.0, which is
-// bit-transparent to a sum whose running value starts at +0.0); count
-// reduces over the flag bytes; min/max fall back to a flag-checked loop
-// when any row lacks a numeric value.
-AggState BlockState(const SlabView& slab, size_t n, AggFn fn) {
-  AggState st;
-  st.rows = int64_t(n);
-  // kCountAll reads rows only; a null slab is count() without a column.
-  if (slab.values == nullptr || fn == AggFn::kCountAll) return st;
-  const SlabEvidence& ev = slab.evidence;
-  const double* v = slab.values;
-  const uint8_t* f = slab.flags;
-  st.count = ev.gap ? int64_t(vec::CountFlagBits(f, n, kSlabNonNull))
-                    : int64_t(n);
-  switch (fn) {
-    case AggFn::kVariance:
-    case AggFn::kStdDev:
-      st.sum_sq = vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
-                      ? vec::SumSqBlockFast(v, n)
-                      : vec::SumSqBlockOrdered(v, n);
-      [[fallthrough]];
-    case AggFn::kSum:
-    case AggFn::kAvg:
-      st.sum = SumBlockAuto(v, n, ev.integral, ev.max_abs);
-      break;
-    case AggFn::kMin:
-      if (!ev.gap) {
-        st.min = vec::MinBlock(v, n);
-        break;
-      }
-      for (size_t r = 0; r < n; ++r)
-        if ((f[r] & kSlabNumeric) != 0 && v[r] < st.min) st.min = v[r];
-      break;
-    case AggFn::kMax:
-      if (!ev.gap) {
-        st.max = vec::MaxBlock(v, n);
-        break;
-      }
-      for (size_t r = 0; r < n; ++r)
-        if ((f[r] & kSlabNumeric) != 0 && v[r] > st.max) st.max = v[r];
-      break;
-    case AggFn::kCount:
-    case AggFn::kCountAll:
-      break;
-  }
-  return st;
-}
-
-// The numbered fold of n kept rows (DESIGN.md §12): one pass on the caller
-// in row order, one aggregate at a time, into flat per-group AggStates
-// indexed by group id — no hash table, no Row, no Value. Each group folds
-// its rows in ascending row order, so every state is the serial
-// GroupByStates' bit for bit. gids[e] is row e's group in [0, ngroups);
-// null puts every row in one group (an empty BY, BlockState). Returns
-// `slabs.size()` states per group, group-major.
-std::vector<AggState> FoldStates(size_t n, const uint32_t* gids,
-                                 size_t ngroups,
-                                 const std::vector<SlabView>& slabs,
-                                 const std::vector<AggSpec>& aggs) {
-  const size_t naggs = slabs.size();
-  std::vector<AggState> states(ngroups * naggs);
-  CountFold(n, ngroups);
-  obs::Span span("vec.aggregate");
-  if (gids != nullptr) {
-    for (size_t i = 0; i < naggs; ++i)
-      FoldSlab(gids, slabs[i].values,
-               slabs[i].evidence.gap ? slabs[i].flags : nullptr, n,
-               states.data() + i, naggs);
-    return states;
-  }
-  for (size_t i = 0; ngroups > 0 && i < naggs; ++i)
-    states[i] = BlockState(slabs[i], n, aggs[i].fn);
-  return states;
-}
-
-// A dense key space's fold state: one slot per packed key. Each aggregate
-// keeps only the arrays its function reads (Gray et al.'s per-function
-// scratchpad), all indexed by slot; the row count is shared.
+// Per slot, one aggregate at a time: the fold's state (DESIGN.md §12).
+// Each aggregate keeps only the arrays its function reads (Gray et al.'s
+// per-function scratchpad), all indexed by slot; the row count is shared.
 struct SlotStates {
   struct Agg {
     std::vector<double> sum;      // sum, avg, var, stddev
@@ -259,9 +166,10 @@ struct SlotStates {
   std::vector<Agg> aggs;
   size_t groups = 0;  // non-empty slots
 
-  // Aggregate i's value at slot s: its arrays read back into the AggState
-  // AddSlab would have built, so Finalize gives the same bits.
-  Value Finalize(size_t i, size_t s, AggFn fn) const {
+  // Aggregate i at non-empty slot s, read back into the AggState AddSlab
+  // would have built: equal in every field its function reads, so Finalize
+  // and Merge give the same bits.
+  AggState State(size_t i, size_t s) const {
     const Agg& a = aggs[i];
     AggState st;
     st.rows = rows[s];
@@ -269,69 +177,110 @@ struct SlotStates {
     if (!a.sum.empty()) st.sum = a.sum[s];
     if (!a.sum_sq.empty()) st.sum_sq = a.sum_sq[s];
     if (!a.extreme.empty()) st.min = st.max = a.extreme[s];
-    return st.Finalize(fn);
+    return st;
   }
 };
 
+// The min (Better = std::less) or max (std::greater) of each slot's
+// numeric entries, in row order; a null `slot` folds every row into slot 0.
+template <typename Better>
+void FoldExtreme(size_t n, const uint64_t* slot, const double* v,
+                 const uint8_t* f, double* x) {
+  for (size_t e = 0; e < n; ++e) {
+    const size_t s = slot == nullptr ? 0 : size_t(slot[e]);
+    if ((f == nullptr || (f[e] & kSlabNumeric) != 0) && Better()(v[e], x[s]))
+      x[s] = v[e];
+  }
+}
+
 // The fold of n kept rows into `nslots` slots (DESIGN.md §12): slot[e] is
-// kept row e's packed key. One pass on the caller per array, in row order,
-// so every array holds what AddSlab would have, bit for bit. A gap row
-// holds 0.0, which leaves a sum that started at +0.0 unchanged, so sums
-// read no flags; min, max and the non-null count do.
+// kept row e's packed key or group id. One pass on the caller per array,
+// in row order, so every array holds what AddSlab would have, bit for bit.
+// A gap row holds 0.0, which leaves a sum that started at +0.0 unchanged,
+// so sums read no flags; min, max and the non-null count do. A null `slot`
+// is an empty BY's one slot, reduced by the block kernels: sums run
+// reassociated only under the exactness gate, and min and max take the
+// block kernels only on a slab without a gap.
 SlotStates FoldSlots(size_t n, const uint64_t* slot, size_t nslots,
                      const std::vector<SlabView>& slabs,
                      const std::vector<AggSpec>& aggs) {
   obs::Span span("vec.aggregate");
   SlotStates st;
   st.rows.assign(nslots, 0);
-  for (size_t e = 0; e < n; ++e) ++st.rows[slot[e]];
+  if (slot == nullptr) {
+    st.rows[0] = uint32_t(n);
+  } else {
+    for (size_t e = 0; e < n; ++e) ++st.rows[slot[e]];
+  }
   for (uint32_t r : st.rows) st.groups += r != 0;
   st.aggs.resize(aggs.size());
+  if (st.groups == 0) return st;  // the block kernels require n >= 1
   for (size_t i = 0; i < aggs.size(); ++i) {
     const double* v = slabs[i].values;
     if (v == nullptr || aggs[i].fn == AggFn::kCountAll) continue;
-    const uint8_t* f = slabs[i].evidence.gap ? slabs[i].flags : nullptr;
+    const SlabEvidence& ev = slabs[i].evidence;
+    const uint8_t* f = ev.gap ? slabs[i].flags : nullptr;
     SlotStates::Agg& a = st.aggs[i];
     if (f != nullptr) {
       a.count.assign(nslots, 0);
-      for (size_t e = 0; e < n; ++e)
-        a.count[slot[e]] += (f[e] & kSlabNonNull) != 0;
+      if (slot == nullptr) {
+        a.count[0] = uint32_t(vec::CountFlagBits(f, n, kSlabNonNull));
+      } else {
+        for (size_t e = 0; e < n; ++e)
+          a.count[slot[e]] += (f[e] & kSlabNonNull) != 0;
+      }
     }
     switch (aggs[i].fn) {
       case AggFn::kVariance:
       case AggFn::kStdDev:
         a.sum_sq.assign(nslots, 0.0);
-        for (size_t e = 0; e < n; ++e) a.sum_sq[slot[e]] += v[e] * v[e];
+        if (slot == nullptr) {
+          a.sum_sq[0] =
+              vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
+                  ? vec::SumSqBlockFast(v, n)
+                  : vec::SumSqBlockOrdered(v, n);
+        } else {
+          for (size_t e = 0; e < n; ++e) a.sum_sq[slot[e]] += v[e] * v[e];
+        }
         [[fallthrough]];
       case AggFn::kSum:
       case AggFn::kAvg:
         a.sum.assign(nslots, 0.0);
-        for (size_t e = 0; e < n; ++e) a.sum[slot[e]] += v[e];
+        if (slot == nullptr) {
+          a.sum[0] = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+        } else {
+          for (size_t e = 0; e < n; ++e) a.sum[slot[e]] += v[e];
+        }
         break;
-      case AggFn::kMin: {
+      case AggFn::kMin:
         a.extreme.assign(nslots, std::numeric_limits<double>::infinity());
-        double* x = a.extreme.data();
-        for (size_t e = 0; e < n; ++e)
-          if ((f == nullptr || (f[e] & kSlabNumeric) != 0) &&
-              v[e] < x[slot[e]])
-            x[slot[e]] = v[e];
+        if (slot == nullptr && f == nullptr) {
+          a.extreme[0] = vec::MinBlock(v, n);
+        } else {
+          FoldExtreme<std::less<double>>(n, slot, v, f, a.extreme.data());
+        }
         break;
-      }
-      case AggFn::kMax: {
+      case AggFn::kMax:
         a.extreme.assign(nslots, -std::numeric_limits<double>::infinity());
-        double* x = a.extreme.data();
-        for (size_t e = 0; e < n; ++e)
-          if ((f == nullptr || (f[e] & kSlabNumeric) != 0) &&
-              v[e] > x[slot[e]])
-            x[slot[e]] = v[e];
+        if (slot == nullptr && f == nullptr) {
+          a.extreme[0] = vec::MaxBlock(v, n);
+        } else {
+          FoldExtreme<std::greater<double>>(n, slot, v, f, a.extreme.data());
+        }
         break;
-      }
       case AggFn::kCount:
       case AggFn::kCountAll:
         break;
     }
   }
   return st;
+}
+
+// Fills an output row's aggregate cells, after its BY values, from slot s.
+void FinalizeAggs(const CodedGroupByInput& in, const SlotStates& st, size_t s,
+                  Row* row) {
+  for (size_t i = 0; i < in.aggs.size(); ++i)
+    (*row)[in.by.size() + i] = st.State(i, s).Finalize(in.aggs[i].fn);
 }
 
 // A dense GROUP BY's table: one row per non-empty slot, in the order
@@ -341,7 +290,6 @@ SlotStates FoldSlots(size_t n, const uint64_t* slot, size_t nslots,
 Table EmitSlots(const CodedGroupByInput& in, const SlotStates& st) {
   obs::Span span("vec.emit");
   const size_t nby = in.by.size();
-  const size_t naggs = in.aggs.size();
   Table out(in.name + "_by_" + Join(in.by_names, "_"),
             CubeOutputSchema(in.by_names, in.aggs));  // StatesToTable's
   if (st.groups == 0) return out;
@@ -362,12 +310,11 @@ Table EmitSlots(const CodedGroupByInput& in, const SlotStates& st) {
     for (uint32_t last : by_rank[nby - 1]) {
       const size_t s = size_t(base + last);
       if (st.rows[s] == 0) continue;
-      Row row(nby + naggs);
+      Row row(nby + in.aggs.size());
       for (size_t k = 0; k + 1 < nby; ++k)
         row[k] = (*in.by[k].values)[by_rank[k][pos[k]]];
       row[nby - 1] = (*in.by[nby - 1].values)[last];
-      for (size_t i = 0; i < naggs; ++i)
-        row[nby + i] = st.Finalize(i, s, in.aggs[i].fn);
+      FinalizeAggs(in, st, s, &row);
       out.AppendRowUnchecked(std::move(row));
     }
     size_t k = nby - 1;
@@ -377,61 +324,6 @@ Table EmitSlots(const CodedGroupByInput& in, const SlotStates& st) {
     }
     if (k == 0) return out;
   }
-}
-
-// GROUP BY CUBE over its finest grouping (at most 20 dimensions): every
-// coarser grouping rolls up through the lattice level-synchronously, one
-// task per grouping set within a level ([ZDN97]'s simultaneous
-// aggregation, parallelized). `finest` must be GroupByStates(input, dims,
-// aggs) bit for bit, insertion order included; the output is then CubeBy's.
-Result<Table> CubeLattice(const std::string& name, GroupedStates finest,
-                          const std::vector<std::string>& dims,
-                          const std::vector<AggSpec>& aggs,
-                          const ExecOptions& options) {
-  size_t ndims = dims.size();
-  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
-
-  // Every coarser grouping rolls up from the parent with the lowest absent
-  // dimension added — the same parent CubeBy picks, so the merged states are
-  // identical. Groupings within one popcount level depend only on the level
-  // above, so each level is one parallel loop (morsel = one grouping set).
-  std::vector<GroupedStates> computed(size_t(full) + 1);
-  computed[full] = std::move(finest);
-
-  std::vector<std::vector<uint32_t>> levels(ndims);  // by popcount, asc mask
-  for (uint32_t m = 0; m < full; ++m)
-    levels[__builtin_popcount(m)].push_back(m);
-
-  ParallelForOptions loop = LoopOptions("cube_rollup", options);
-  loop.morsel_size = 1;  // one grouping set per task
-  for (size_t level = ndims; level-- > 0;) {
-    const std::vector<uint32_t>& masks = levels[level];
-    ParallelFor(
-        masks.size(),
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            uint32_t m = masks[i];
-            uint32_t missing = full & ~m;
-            uint32_t parent = m | (missing & (~missing + 1));
-            computed[m] =
-                RollupGroupedStates(computed[parent], parent, m, ndims);
-          }
-        },
-        loop);
-    if (StopReason r = StopAfter(options); r != StopReason::kNone)
-      return StopStatus(r, "cube");
-  }
-
-  // Emission order matches CubeBy (popcount desc, mask asc); the canonical
-  // sort would make any emission order equivalent anyway since every
-  // dim/ALL pattern is unique.
-  Table out(name + "_cube", CubeOutputSchema(dims, aggs));
-  EmitCubeGrouping(computed[full], full, ndims, aggs, &out);
-  for (size_t level = ndims; level-- > 0;)
-    for (uint32_t m : levels[level])
-      EmitCubeGrouping(computed[m], m, ndims, aggs, &out);
-  SortCubeRows(&out, ndims);
-  return out;
 }
 
 }  // namespace
@@ -456,16 +348,16 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
   // there are workers: each row's packed BY codes, or kDropped when a
   // filter drops it. Then in row order: a WHERE compacts the keys over the
   // kept rows in place, and a key space too sparse for slots (or a CUBE's)
-  // numbers them into dense group ids in first-occurrence order. An empty
-  // BY without a WHERE runs no pass: every row is kept, in one group.
+  // numbers them in place into dense group ids in first-occurrence order.
+  // An empty BY without a WHERE runs no pass: every row is kept, in one
+  // group.
   const size_t n = in.rows;
   const bool filtered = !in.filters.empty();
   size_t nkept = n;
-  std::unique_ptr<uint64_t[]> keys;  // the kept rows' packed keys
+  std::unique_ptr<uint64_t[]> keys;  // per kept row: its slot
   std::vector<uint32_t> kept;        // row indexes, when a filter drops rows
-  bool slotted = false;
+  bool numbered = false;
   std::optional<GroupIds> groups;
-  std::vector<uint32_t> gids;
   if (nby > 0 || filtered) {
     std::optional<obs::Span> pass_span;
     if (in.pass_span != nullptr) pass_span.emplace(in.pass_span);
@@ -505,16 +397,16 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
       }
       obs::RecordOperator("select", n, nkept);
     }
-    // Dense: at most kMinSlots slots, or two per kept row. Up to 1,024
+    // Dense: at most kMinSlots keys, or two per kept row. Up to 1,024
     // slots the slots' fold and walk cost no more than the numbering and
     // the sort even for a handful of kept rows (docs/PERFORMANCE.md §14).
     constexpr uint64_t kMinSlots = uint64_t(1) << 10;
-    slotted = nby > 0 && !in.cube &&
-              key_space <= std::max<uint64_t>(kMinSlots, 2 * uint64_t(nkept));
-    if (nby > 0 && !slotted) {
-      groups.emplace(key_space, n);
-      gids.resize(nkept);
-      for (size_t e = 0; e < nkept; ++e) gids[e] = groups->Find(keys[e]);
+    const bool dense =
+        key_space <= std::max<uint64_t>(kMinSlots, 2 * uint64_t(nkept));
+    numbered = nby > 0 && (in.cube || !dense);
+    if (numbered) {
+      groups.emplace(dense, key_space, nkept);
+      for (size_t e = 0; e < nkept; ++e) keys[e] = groups->Find(keys[e]);
     }
   }
 
@@ -542,29 +434,27 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
     }
   }
 
+  // One fold: a dense GROUP BY's keys index the slots directly, group ids
+  // index one slot per group, and an empty BY has one slot.
   std::optional<obs::Span> fold_span;
   if (in.fold_span != nullptr) fold_span.emplace(in.fold_span);
   obs::Span op_span(in.cube ? "op.cube" : "op.groupby");
-  if (slotted) {
-    // A dense GROUP BY: the keys index the slots directly.
-    const SlotStates states =
-        FoldSlots(nkept, keys.get(), size_t(key_space), slabs, in.aggs);
-    if (StopReason r = StopAfter(options); r != StopReason::kNone)
-      return StopStatus(r, "groupby");
-    CountFold(nkept, states.groups);
+  const size_t nslots =
+      nby == 0 ? 1 : (numbered ? groups->keys().size() : size_t(key_space));
+  const SlotStates states = FoldSlots(nkept, nby == 0 ? nullptr : keys.get(),
+                                      nslots, slabs, in.aggs);
+  if (StopReason r = StopAfter(options); r != StopReason::kNone)
+    return StopStatus(r, "groupby");
+  CountFold(nkept, states.groups);
+  if (nby > 0 && !numbered) {
     Table out = EmitSlots(in, states);
     obs::RecordOperator("groupby", nkept, out.num_rows());
     return out;
   }
 
-  const size_t naggs = in.aggs.size();
-  const size_t ngroups =
-      nkept == 0 ? 0 : (nby == 0 ? 1 : groups->keys().size());
-  const std::vector<AggState> states = FoldStates(
-      nkept, nby == 0 ? nullptr : gids.data(), ngroups, slabs, in.aggs);
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-  // Group g's code of BY attribute k, unpacked from its key.
+  // Numbered groups (an empty BY's one slot is group 0, when it holds
+  // rows): group g's code of BY attribute k, unpacked from its key.
+  const size_t ngroups = states.groups;
   std::vector<std::vector<uint32_t>> codes(nby,
                                            std::vector<uint32_t>(ngroups));
   for (size_t g = 0; nby > 0 && g < ngroups; ++g) {
@@ -586,13 +476,15 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
       Row key(nby);
       for (size_t g = 0; g < ngroups; ++g) {
         for (size_t k = 0; k < nby; ++k) key[k] = value(k, g);
-        finest.emplace(key, std::vector<AggState>(
-                                states.begin() + g * naggs,
-                                states.begin() + (g + 1) * naggs));
+        std::vector<AggState> st;
+        st.reserve(in.aggs.size());
+        for (size_t i = 0; i < in.aggs.size(); ++i)
+          st.push_back(states.State(i, g));
+        finest.emplace(key, std::move(st));
       }
     }
-    return CubeLattice(in.name, std::move(finest), in.by_names, in.aggs,
-                       options);
+    return CubeFromFinest(in.name, std::move(finest), in.by_names, in.aggs,
+                          options.stop);
   }
 
   // A sparse GROUP BY: one row per group, in the order StatesToTable sorts
@@ -615,10 +507,9 @@ std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
             CubeOutputSchema(in.by_names, in.aggs));  // StatesToTable's
   out.mutable_rows().reserve(ngroups);
   for (uint32_t g : order) {
-    Row row(nby + naggs);
+    Row row(nby + in.aggs.size());
     for (size_t k = 0; k < nby; ++k) row[k] = value(k, g);
-    for (size_t i = 0; i < naggs; ++i)
-      row[nby + i] = states[size_t(g) * naggs + i].Finalize(in.aggs[i].fn);
+    FinalizeAggs(in, states, g, &row);
     out.AppendRowUnchecked(std::move(row));
   }
   obs::RecordOperator("groupby", nkept, out.num_rows());

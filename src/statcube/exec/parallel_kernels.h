@@ -1,10 +1,11 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
 // the group-by over dictionary-coded columns (CodedGroupBy, the route of
 // the query executor and the ROLAP backends), whose morsel pass packs each
-// row's BY codes into a key for one fold in row order, and which builds
-// CUBE's grouping-set lattice on that fold (DESIGN.md §12). A dense key
-// space indexes per-function arrays directly; a sparse one, and CUBE's,
-// is numbered into group ids first. A Table has one group-by, the serial
+// row's BY codes into a key for one fold in row order into per-function
+// slot arrays (DESIGN.md §12). A dense GROUP BY's keys are its slots; a
+// sparse one's, and a CUBE's, are numbered into group ids first, and a
+// CUBE's finest grouping rolls up through CubeBy's own lattice
+// (relational/cube_operator.h). A Table has one group-by, the serial
 // GroupBy / CubeBy of relational/; a MOLAP array has one reduction,
 // DenseArray::SumRangeBy.
 //
@@ -32,9 +33,8 @@ namespace statcube::exec {
 
 /// Knobs shared by every parallel kernel.
 struct ExecOptions {
-  /// Worker cap for the coded pass's morsels and CUBE's grouping sets
-  /// within a lattice level: 0 = DefaultThreads(); 1 = run inline on the
-  /// caller (same result); N > pool grows the pool.
+  /// Worker cap for the coded pass's morsels: 0 = DefaultThreads(); 1 =
+  /// run inline on the caller (same result); N > pool grows the pool.
   int threads = 0;
   /// Morsel size in rows of the coded pass when it has more than one
   /// worker. Every kernel gives the same bits at any size.
@@ -95,21 +95,23 @@ struct CodedGroupByInput {
 /// GROUP BY or CUBE over code columns, bit-identical to GroupBy / CubeBy
 /// over the decoded rows at any thread count. A morsel pass packs each
 /// kept row's BY codes into one key (an empty BY without a WHERE has no
-/// pass), then one pass on the caller folds the slabs of the kept rows in
-/// row order (DESIGN.md §12). A GROUP BY whose key space is dense against
-/// its kept rows gives each key a slot: only the arrays each aggregate's
-/// function reads, indexed by the key, and an emit that walks the key
+/// pass), then one fold on the caller, in row order, gives each slot only
+/// the arrays each aggregate's function reads (DESIGN.md §12). A kept
+/// row's slot is its key when the key space is dense — at most
+/// max(1,024, 2 × kept rows) keys — and the GROUP BY's emit walks the key
 /// space in the ranks of the codes (the order of Value::Compare on exact
-/// values). A sparse key space, and a CUBE's, is numbered into group ids
-/// in first-occurrence order and folded into AggStates; a GROUP BY then
-/// sorts its groups by those ranks, and a CUBE rolls its finest grouping
-/// up through the lattice, one task per grouping set within a level.
+/// values). A sparse GROUP BY and every CUBE number the keys in place into
+/// group ids in first-occurrence order, one slot per group; the GROUP BY
+/// then sorts its groups by those ranks, and the CUBE reads its finest
+/// grouping back into AggStates in group-id order and rolls it up with
+/// CubeFromFinest. An empty BY has one slot, reduced by the block kernels.
 /// Returns nullopt, before touching a row, when codes cannot group exactly
 /// — a BY attribute whose values hold NaN or two entries Value::Compare
 /// calls equal — and for BY codes that do not pack into 64 bits and CUBEs
 /// over more than 20 attributes.
-/// `options.stop` is checked by the pass and the fold; a pass that filters
-/// or reads a level stops as "scan", any other as "groupby".
+/// `options.stop` is checked by the pass, the fold and the CUBE's lattice
+/// levels; a pass that filters or reads a level stops as "scan", any
+/// other as "groupby", and the lattice as "cube".
 std::optional<Result<Table>> CodedGroupBy(const CodedGroupByInput& in,
                                           const ExecOptions& options = {});
 

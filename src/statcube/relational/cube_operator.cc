@@ -1,7 +1,7 @@
 #include "statcube/relational/cube_operator.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "statcube/common/str_util.h"
 
@@ -15,6 +15,10 @@ Schema CubeOutputSchema(const std::vector<std::string>& dims,
   return s;
 }
 
+namespace {
+
+// Sorts cube output deterministically by the dimension columns (total
+// order: every row's dim/ALL pattern is unique).
 void SortCubeRows(Table* t, size_t ndims) {
   std::sort(t->mutable_rows().begin(), t->mutable_rows().end(),
             [ndims](const Row& a, const Row& b) {
@@ -26,7 +30,9 @@ void SortCubeRows(Table* t, size_t ndims) {
             });
 }
 
-// The grouped key contains the participating dims in dims order.
+// Emits one grouping's states into `out`, padding absent dims with ALL.
+// `mask` bit i set <=> dims[i] participates in the grouping; the grouped
+// key holds the participating dims in dims order.
 void EmitCubeGrouping(const GroupedStates& states, uint32_t mask, size_t ndims,
                       const std::vector<AggSpec>& aggs, Table* out) {
   // Every caller runs SortCubeRows over the assembled table.
@@ -46,25 +52,10 @@ void EmitCubeGrouping(const GroupedStates& states, uint32_t mask, size_t ndims,
   }
 }
 
-Result<Table> CubeByNaive(const Table& input,
-                          const std::vector<std::string>& dims,
-                          const std::vector<AggSpec>& aggs) {
-  if (dims.size() > 20)
-    return Status::InvalidArgument("cube over >20 dimensions refused");
-  size_t ndims = dims.size();
-  Table out(input.name() + "_cube", CubeOutputSchema(dims, aggs));
-  for (uint32_t mask = 0; mask < (1u << ndims); ++mask) {
-    std::vector<std::string> sub;
-    for (size_t d = 0; d < ndims; ++d)
-      if (mask & (1u << d)) sub.push_back(dims[d]);
-    STATCUBE_ASSIGN_OR_RETURN(GroupedStates states,
-                              GroupByStates(input, sub, aggs));
-    EmitCubeGrouping(states, mask, ndims, aggs, &out);
-  }
-  SortCubeRows(&out, ndims);
-  return out;
-}
-
+// Rolls `fine` (grouping `fine_mask`) up to `coarse_mask` by dropping the
+// key positions of dims present in fine but not in coarse and merging
+// states. Deterministic: iteration over `fine` and AggState::Merge order
+// are pure functions of `fine`'s contents, insertion order included.
 GroupedStates RollupGroupedStates(const GroupedStates& fine,
                                   uint32_t fine_mask, uint32_t coarse_mask,
                                   size_t ndims) {
@@ -91,45 +82,70 @@ GroupedStates RollupGroupedStates(const GroupedStates& fine,
   return out;
 }
 
+}  // namespace
+
+Result<Table> CubeByNaive(const Table& input,
+                          const std::vector<std::string>& dims,
+                          const std::vector<AggSpec>& aggs) {
+  if (dims.size() > 20)
+    return Status::InvalidArgument("cube over >20 dimensions refused");
+  size_t ndims = dims.size();
+  Table out(input.name() + "_cube", CubeOutputSchema(dims, aggs));
+  for (uint32_t mask = 0; mask < (1u << ndims); ++mask) {
+    std::vector<std::string> sub;
+    for (size_t d = 0; d < ndims; ++d)
+      if (mask & (1u << d)) sub.push_back(dims[d]);
+    STATCUBE_ASSIGN_OR_RETURN(GroupedStates states,
+                              GroupByStates(input, sub, aggs));
+    EmitCubeGrouping(states, mask, ndims, aggs, &out);
+  }
+  SortCubeRows(&out, ndims);
+  return out;
+}
+
+Result<Table> CubeFromFinest(const std::string& name, GroupedStates finest,
+                             const std::vector<std::string>& dims,
+                             const std::vector<AggSpec>& aggs,
+                             const CancelContext* stop) {
+  size_t ndims = dims.size();
+  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
+  Table out(name + "_cube", CubeOutputSchema(dims, aggs));
+  std::vector<GroupedStates> computed(size_t(full) + 1);
+  computed[full] = std::move(finest);
+  EmitCubeGrouping(computed[full], full, ndims, aggs, &out);
+
+  // Groupings by decreasing popcount, ascending mask within a level, so
+  // every grouping rolls up from a computed parent with exactly one more
+  // dimension: the lowest absent one. Rolling up from the parent with the
+  // *smallest* state count would be cheaper; the lowest-bit choice keeps
+  // the code simple and is within a constant factor.
+  std::vector<std::vector<uint32_t>> levels(ndims);  // by popcount, asc mask
+  for (uint32_t m = 0; m < full; ++m)
+    levels[__builtin_popcount(m)].push_back(m);
+  for (size_t level = ndims; level-- > 0;) {
+    for (uint32_t m : levels[level]) {
+      uint32_t missing = full & ~m;
+      uint32_t parent = m | (missing & (~missing + 1));
+      computed[m] = RollupGroupedStates(computed[parent], parent, m, ndims);
+      EmitCubeGrouping(computed[m], m, ndims, aggs, &out);
+    }
+    if (stop != nullptr)
+      if (StopReason r = stop->Check(); r != StopReason::kNone)
+        return StopStatus(r, "cube");
+  }
+  SortCubeRows(&out, ndims);
+  return out;
+}
+
 Result<Table> CubeBy(const Table& input, const std::vector<std::string>& dims,
                      const std::vector<AggSpec>& aggs) {
   if (dims.size() > 20)
     return Status::InvalidArgument("cube over >20 dimensions refused");
-  size_t ndims = dims.size();
-  uint32_t full = ndims == 0 ? 0 : ((1u << ndims) - 1);
-
   // One scan of the input: the finest grouping.
   STATCUBE_ASSIGN_OR_RETURN(GroupedStates base,
                             GroupByStates(input, dims, aggs));
-
-  Table out(input.name() + "_cube", CubeOutputSchema(dims, aggs));
-  // Process masks by decreasing popcount so every grouping can roll up from
-  // a computed parent with exactly one more dimension.
-  std::unordered_map<uint32_t, GroupedStates> computed;
-  computed.emplace(full, std::move(base));
-
-  std::vector<uint32_t> masks;
-  for (uint32_t m = 0; m <= full; ++m) masks.push_back(m);
-  std::sort(masks.begin(), masks.end(), [](uint32_t a, uint32_t b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    return pa != pb ? pa > pb : a < b;
-  });
-
-  for (uint32_t m : masks) {
-    if (!computed.count(m)) {
-      // Parent: add the lowest absent dimension. Rolling up from the parent
-      // with the *smallest* state count would be cheaper; lowest-bit choice
-      // keeps the code simple and is within a constant factor for the
-      // benchmark's purposes.
-      uint32_t missing = full & ~m;
-      uint32_t parent = m | (missing & (~missing + 1));
-      const GroupedStates& fine = computed.at(parent);
-      computed.emplace(m, RollupGroupedStates(fine, parent, m, ndims));
-    }
-    EmitCubeGrouping(computed.at(m), m, ndims, aggs, &out);
-  }
-  SortCubeRows(&out, ndims);
-  return out;
+  return CubeFromFinest(input.name(), std::move(base), dims, aggs,
+                        CurrentCancelContext());
 }
 
 Result<Table> RollupBy(const Table& input,

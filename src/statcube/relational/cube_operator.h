@@ -9,10 +9,10 @@
 //    scan of the input per subset. This is the verbose SQL the paper calls
 //    "awkward" in §5.4.
 //  * CubeBy — one scan computes the finest grouping; every coarser grouping
-//    is derived by merging accumulator states along the lattice, the
-//    simultaneous-aggregation idea of [ZDN97] (§6.6). Results are identical
-//    (a property test asserts this); bench/bench_cube_operator measures the
-//    gap.
+//    is derived by merging accumulator states along the lattice
+//    (CubeFromFinest), the simultaneous-aggregation idea of [ZDN97] (§6.6).
+//    Results are identical (a property test asserts this);
+//    bench/bench_cube_operator measures the gap.
 
 #ifndef STATCUBE_RELATIONAL_CUBE_OPERATOR_H_
 #define STATCUBE_RELATIONAL_CUBE_OPERATOR_H_
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "statcube/common/cancellation.h"
 #include "statcube/common/status.h"
 #include "statcube/relational/aggregate.h"
 #include "statcube/relational/table.h"
@@ -47,31 +48,22 @@ Result<Table> RollupBy(const Table& input,
 /// materialization module.
 uint64_t CubeUpperBound(const std::vector<uint64_t>& cardinalities);
 
-// Building blocks shared with the parallel cube kernel
-// (statcube/exec/parallel_kernels.h), exposed so the parallel lattice walk
-// emits bytes identical to the serial one.
-
 /// Output schema shared by all cube variants: dims then aggregates.
 Schema CubeOutputSchema(const std::vector<std::string>& dims,
                         const std::vector<AggSpec>& aggs);
 
-/// Rolls `fine` (grouping `fine_mask`) up to `coarse_mask` by dropping the
-/// key positions of dims present in fine but not in coarse and merging
-/// states. Deterministic: iteration over `fine` and AggState::Merge order
-/// are pure functions of `fine`'s contents.
-GroupedStates RollupGroupedStates(const GroupedStates& fine,
-                                  uint32_t fine_mask, uint32_t coarse_mask,
-                                  size_t ndims);
-
-/// Emits one grouping's states into `out`, padding absent dims with ALL.
-/// `mask` bit i set <=> dims[i] participates in the grouping.
-void EmitCubeGrouping(const GroupedStates& states, uint32_t mask,
-                      size_t ndims, const std::vector<AggSpec>& aggs,
-                      Table* out);
-
-/// Sorts cube output deterministically by the dimension columns (total
-/// order: every row's dim/ALL pattern is unique).
-void SortCubeRows(Table* t, size_t ndims);
+/// GROUP BY CUBE from its finest grouping: CubeBy after its scan, shared
+/// with the coded group-by (statcube/exec/parallel_kernels.h), which builds
+/// `finest` from code columns. Every coarser grouping rolls up through the
+/// lattice from the parent with the lowest absent dimension added, by state
+/// merging. `finest` must be GroupByStates(input, dims, aggs) bit for bit,
+/// insertion order included, over at most 20 dims; the output, named
+/// `name` + "_cube", is then CubeBy's. Checks `stop`, when not null, after
+/// each lattice level and returns StopStatus(reason, "cube") once it fires.
+Result<Table> CubeFromFinest(const std::string& name, GroupedStates finest,
+                             const std::vector<std::string>& dims,
+                             const std::vector<AggSpec>& aggs,
+                             const CancelContext* stop);
 
 }  // namespace statcube
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -104,8 +105,18 @@ exec::ExecOptions Vec(int threads, size_t morsel_rows = 128) {
 
 // A GROUP BY gives its packed key space a slot per key when the space is
 // dense against the kept rows (at most max(1,024, 2 × kept rows) keys),
-// and numbers the keys in first-occurrence order otherwise; both must
-// give Query()'s bits. The shapes below sit on either side of that rule.
+// and numbers the keys in first-occurrence order otherwise; a CUBE always
+// numbers them, through a direct table on a dense key space and a hash
+// table on a sparse one. Every shape must give Query()'s bits. The shapes
+// below sit on either side of that rule.
+
+// `query` with its BY list as a CUBE: "... BY a, b WHERE ..." becomes
+// "... BY CUBE(a, b) WHERE ...".
+std::string AsCube(std::string query) {
+  const size_t by = query.find(" BY ") + 4;
+  return query.insert(std::min(query.find(" WHERE"), query.size()), ")")
+      .insert(by, "CUBE(");
+}
 
 TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // The flag-encoded slabs must reproduce AggState::Add exactly: NULL rows
@@ -121,7 +132,9 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   // The 600 edge cells are w = 'edge' and p = 'p0'; 2,000 filler cells,
   // one per p value, are w = 'fill'. So BY k is dense with or without the
   // WHERE, and BY k, p (5 × 2,001 keys) is sparse against 2,600 rows and
-  // against the 600 the WHERE keeps.
+  // against the 600 the WHERE keeps. The CUBEs read each slab's arrays
+  // back for the lattice, and the empty BYs (whole, g1's negative numbers,
+  // g2's positive ones) reduce gap slabs with the block kernels.
   std::vector<std::pair<Row, Value>> cells;
   auto sign = [](int g) { return g % 2 == 0 ? 1.0 : -1.0; };
   for (int i = 0; i < 600; ++i) {
@@ -148,8 +161,12 @@ TEST(VecGroupBy, NullsNonNumericsAndNaNs) {
   const StatisticalObject edges = CellObject("edges", {"k", "p", "w"}, cells);
   const std::string aggs =
       "SELECT sum(v), count(v), min(v), max(v), var(v), avg(v)";
-  for (const char* tail : {" BY k", " BY k WHERE w = 'edge'", " BY k, p",
-                           " BY k, p WHERE w = 'edge'", "", " WHERE k = 'g2'"})
+  for (const char* tail :
+       {" BY k", " BY k WHERE w = 'edge'", " BY k, p",
+        " BY k, p WHERE w = 'edge'", " BY CUBE(k)",
+        " BY CUBE(k) WHERE w = 'edge'", " BY CUBE(k, p)",
+        " BY CUBE(k, p) WHERE w = 'edge'", "", " WHERE k = 'g1'",
+        " WHERE k = 'g2'"})
     for (int threads : {1, 2, 4, 8})
       ExpectCodedMatchesQuery(edges, aggs + tail, Vec(threads));
 }
@@ -190,7 +207,8 @@ TEST(VecGroupBy, ManyGroupsAtEveryMorselSize) {
   // The density rule's two sides over 4,000 rows: unfiltered, 80 × 100 =
   // 8,000 keys are dense and 80 × 101 sparse; under w = 'in' (1,000 rows),
   // 40 × 50 = 2,000 are dense and 40 × 51 sparse; under w = 'few' (100
-  // rows), 32 × 32 = 1,024 are dense and 32 × 33 sparse.
+  // rows), 32 × 32 = 1,024 are dense and 32 × 33 sparse. Each query runs
+  // as a CUBE too, whose numbering takes the same rule.
   const StatisticalObject dense = Grid(80, 100, 4000);
   const StatisticalObject sparse = Grid(80, 101, 4000);
   const StatisticalObject dense_in = Grid(40, 50, 4000);
@@ -207,9 +225,10 @@ TEST(VecGroupBy, ManyGroupsAtEveryMorselSize) {
   // A size_t-max morsel makes the whole table one morsel: ParallelFor's
   // morsel count must not overflow to zero.
   for (const auto& [obj, query] : cases)
-    for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()})
-      for (int threads : {1, 2, 4, 8})
-        ExpectCodedMatchesQuery(*obj, query, Vec(threads, morsel));
+    for (const std::string& text : {std::string(query), AsCube(query)})
+      for (size_t morsel : {size_t(128), std::numeric_limits<size_t>::max()})
+        for (int threads : {1, 2, 4, 8})
+          ExpectCodedMatchesQuery(*obj, text, Vec(threads, morsel));
 }
 
 }  // namespace

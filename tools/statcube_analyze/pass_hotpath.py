@@ -5,10 +5,10 @@ once per block under the parallel scheduler; a blocking operation there
 serializes every worker behind it. Hot regions:
 
  * lambdas passed to `RunMorsels(` / `ParallelFor(` (the morsel bodies:
-   the coded group-by's pass, the CUBE lattice's grouping sets);
+   the coded group-by's pass);
  * `*Block*` kernels (SumBlockOrdered & co in common/vec_block.cc, and in
-   exec/parallel_kernels.cc the empty BY's fold BlockState and the
-   SumBlockAuto router it calls);
+   exec/parallel_kernels.cc the SumBlockAuto router that the empty BY's
+   fold calls);
  * functions transitively called from a hot region within the same file.
 
 Flagged inside a hot region:
