@@ -5,9 +5,9 @@
 //   KeyBuild     — the fixed per-query overhead the cache adds (normalize +
 //                  fingerprint; paid on every cached query, hit or miss),
 //   WarmHit      — exact-key reuse,
-//   DerivedHit   — lattice roll-up from a cached superset grouping
-//                  (BY product, store answered from cache, regrouped BY
-//                  store), per thread count,
+//   DeriveRollup — the derivation a derived hit runs: find the cached
+//                  superset grouping (BY product, store) and roll it up
+//                  BY store with RollupFinalized,
 //
 // plus WorkloadReplayWarm: the stats_server query mix (§ examples/) replayed
 // against a warm cache in derive mode — the end-to-end speedup the
@@ -16,9 +16,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "statcube/query/cache_key.h"
 #include "statcube/cache/result_cache.h"
 #include "statcube/query/parser.h"
+#include "statcube/relational/aggregate.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -36,10 +39,10 @@ const StatisticalObject& BigRetail() {
   return *obj;
 }
 
-QueryOptions Opts(cache::Mode mode, int threads = 1) {
+QueryOptions Opts(cache::Mode mode) {
   QueryOptions o;
   o.cache = mode;
-  o.threads = threads;
+  o.threads = 1;
   o.record = false;  // keep the flight recorder out of the timings
   return o;
 }
@@ -75,7 +78,6 @@ BENCHMARK(BM_KeyBuild)->Unit(benchmark::kMicrosecond);
 void BM_WarmHit(benchmark::State& state) {
   const auto& obj = BigRetail();
   auto& rc = cache::ResultCache::Global();
-  rc.set_admit_min_us(0);
   rc.Clear();
   (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kOn));  // seed
   for (auto _ : state) {
@@ -86,26 +88,27 @@ void BM_WarmHit(benchmark::State& state) {
 BENCHMARK(BM_WarmHit)->Unit(benchmark::kMicrosecond);
 
 // Lattice roll-up: only the superset grouping is cached; every iteration
-// regroups its 600 rows instead of scanning 200k. Arg(N) = rollup threads.
-void BM_DerivedHit(benchmark::State& state) {
+// finds it and regroups its 600 rows instead of scanning 200k. A derived
+// hit through QueryProfiled does this once and then admits the answer, so
+// its next request is an exact hit (WarmHit).
+void BM_DeriveRollup(benchmark::State& state) {
   const auto& obj = BigRetail();
   auto& rc = cache::ResultCache::Global();
-  rc.set_admit_min_us(0);
   rc.Clear();
   (void)QueryProfiled(obj, kSuperset, Opts(cache::Mode::kDerive));  // seed
-  // Keep the derived result OUT of the cache (it would turn iteration 2
-  // into an exact hit): raise the admission bar so only the seeded superset
-  // stays resident and every iteration re-derives.
-  rc.set_admit_min_us(uint64_t(1) << 60);
-  const int threads = int(state.range(0));
-  for (auto _ : state) {
-    auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive, threads));
-    benchmark::DoNotOptimize(r->table->num_rows());
+  auto key =
+      query::BuildQueryKey(obj, *ParseQuery(kQuery), QueryEngine::kRelational);
+  if (!key.ok() || !rc.FindDerivationSource(*key)) {
+    state.SkipWithError("no derivation source for the query");
+    return;
   }
-  rc.set_admit_min_us(0);
-  state.counters["threads"] = double(threads);
+  for (auto _ : state) {
+    std::optional<cache::DerivedSource> src = rc.FindDerivationSource(*key);
+    auto t = RollupFinalized(*src->result, src->by, src->aggs, key->by);
+    benchmark::DoNotOptimize(t->num_rows());
+  }
 }
-BENCHMARK(BM_DerivedHit)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DeriveRollup)->Unit(benchmark::kMicrosecond);
 
 // End-to-end: the stats_server replay mix against a warm derive-mode cache.
 // One priming round, then each iteration replays the whole mix.
@@ -127,7 +130,6 @@ void BM_WorkloadReplayWarm(benchmark::State& state) {
        QueryEngine::kRelational},
   };
   auto& rc = cache::ResultCache::Global();
-  rc.set_admit_min_us(0);
   rc.Clear();
   auto replay = [&](cache::Mode mode) {
     for (const Q& q : mix) {

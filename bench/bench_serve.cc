@@ -171,7 +171,6 @@ void BM_ServeCachedHit(benchmark::State& state) {
     return new StatisticalObject(MakeRetailWorkload(opt)->object);
   }();
   auto& rc = cache::ResultCache::Global();
-  rc.set_admit_min_us(0);
   rc.Clear();
   serve::QueryFrontDoor door(*obj);
   obs::HttpRequest req;
@@ -193,7 +192,6 @@ void BM_ServeCachedHit(benchmark::State& state) {
     benchmark::DoNotOptimize(bytes);
   }
   rc.Clear();
-  rc.set_admit_min_us(cache::ResultCache::Options().admit_min_us);
   state.counters["response_kb"] = double(bytes) / 1024;
 }
 BENCHMARK(BM_ServeCachedHit)->Unit(benchmark::kMicrosecond);

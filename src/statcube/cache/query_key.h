@@ -38,7 +38,7 @@
 namespace statcube::cache {
 
 /// Canonical identity of one query against one dataset version, plus the
-/// metadata the cache needs for admission and lattice derivation.
+/// metadata the cache needs for lattice derivation.
 struct QueryKey {
   /// Everything but the group-by list; the scope of derivation.
   std::string family;
@@ -46,15 +46,16 @@ struct QueryKey {
   std::string exact;
   /// Requested group-by columns, in request order.
   std::vector<std::string> by;
-  /// Aggregate functions, in request order.
-  std::vector<AggFn> agg_fns;
-  /// Relational-shape output column names (AggSpec::EffectiveName), in
-  /// request order. Backend-shaped results use the single column "sum".
-  std::vector<std::string> agg_names;
+  /// The requested aggregates, in request order. A relational answer names
+  /// its columns by their EffectiveName; a backend answer has the single
+  /// column "sum".
+  std::vector<AggSpec> aggs;
   /// BY CUBE(...) request — cacheable exactly, never derivable.
   bool cube = false;
-  /// All aggregates are distributive (sum/count/min/max): the result can be
-  /// rolled up from a cached superset, and the entry can serve as a source.
+  /// A roll-up from a cached superset repeats direct execution's bits: every
+  /// aggregate is distributive, and every sum is over a measure whose values
+  /// re-add exactly (vec::ReorderIsExact). Such an entry can also serve as
+  /// a source.
   bool derivable = false;
   /// Predicted answer shape: true when the engine is a cube backend and
   /// the query is BackendExpressible (single SUM of a real measure, plain

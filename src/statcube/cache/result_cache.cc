@@ -52,8 +52,7 @@ ResultCache::ResultCache(const Options& options)
       per_shard_budget_(options.byte_budget /
                         std::max<size_t>(1, options.shards)),
       max_entry_bytes_(options.max_entry_bytes != 0 ? options.max_entry_bytes
-                                                    : options.byte_budget / 8),
-      admit_min_us_(options.admit_min_us) {
+                                                    : options.byte_budget / 8) {
   size_t n = std::max<size_t>(1, options.shards);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
@@ -143,12 +142,7 @@ std::optional<DerivedSource> ResultCache::FindDerivationSource(
     Entry& e = *it->second;
     if (!e.derivable_source) continue;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // keep hot
-    DerivedSource src;
-    src.result = e.result;
-    src.by = e.by;
-    src.agg_fns = e.agg_fns;
-    src.agg_cols = e.agg_cols;
-    return src;
+    return DerivedSource{e.result, e.by, e.aggs};
   }
   return std::nullopt;
 }
@@ -161,13 +155,12 @@ void ResultCache::NoteDerivedHit() {
 
 std::shared_ptr<const std::string> ResultCache::Insert(
     const QueryKey& key, std::shared_ptr<const Table> result,
-    bool backend_answered, uint64_t exec_us) {
+    bool backend_answered) {
   auto refuse = [this]() -> std::shared_ptr<const std::string> {
     admission_rejects_.fetch_add(1, std::memory_order_relaxed);
     Count("admission_rejects");
     return nullptr;
   };
-  if (exec_us < admit_min_us_.load(std::memory_order_relaxed)) return refuse();
   // A table too large on its own is refused before it is encoded.
   size_t entry_bytes = result->ByteSize() + key.exact.size() + sizeof(Entry);
   if (entry_bytes > max_entry_bytes_) return refuse();
@@ -182,12 +175,11 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   e.result = std::move(result);
   e.json = json;
   e.by = key.by;
-  e.agg_fns = key.agg_fns;
+  e.aggs = key.aggs;
   // Actual shape, not predicted: a backend answer always has the single
   // aggregate column "sum" (olap/backend.h), anything else keeps the
   // relational EffectiveName columns.
-  e.agg_cols = backend_answered ? std::vector<std::string>{"sum"}
-                                : key.agg_names;
+  if (backend_answered) e.aggs[0].output_name = "sum";
   e.derivable_source = key.derivable && !key.cube;
   e.backend_shaped = backend_answered;
   e.bytes = entry_bytes;

@@ -12,13 +12,12 @@
 ///  2. **Derived hit** (Mode::kDerive): no exact entry, but some cached
 ///     entry in the same family groups by a *superset* of the requested
 ///     dimensions (`Lattice::DerivableFrom` on interned dimension masks) and
-///     every aggregate is distributive — the entry is rolled up with the
-///     ordinary group-by kernels instead of scanning base data
-///     (cache/derive.h).
+///     the key is derivable (QueryKey::derivable) — the entry is rolled up
+///     by `RollupFinalized` (relational/aggregate.h), the roll-up the
+///     materialized-view store uses too, instead of scanning base data.
 ///  3. **Miss**: the caller executes normally and offers the result back via
-///     Insert, which applies cost-aware admission: results cheaper to
-///     recompute than `admit_min_us` (measured by the QueryProfile span
-///     timings) or larger than `max_entry_bytes` are not worth keeping.
+///     Insert, which admits every result up to `max_entry_bytes`; the byte
+///     budget's LRU decides what stays.
 ///
 /// An entry is an immutable answer shared with every reader: the table
 /// (`shared_ptr<const Table>`, the very object the executor built) plus
@@ -64,13 +63,14 @@ struct CachedResult {
   std::shared_ptr<const std::string> json;  ///< `table->ToJson()`
 };
 
-/// A cached superset entry usable to answer a finer query by roll-up; handed
-/// to RollupDerived (cache/derive.h).
+/// A cached superset entry usable to answer a finer query by roll-up; its
+/// fields are RollupFinalized's source arguments (relational/aggregate.h).
 struct DerivedSource {
   std::shared_ptr<const Table> result;  ///< the cached superset result
   std::vector<std::string> by;          ///< its group-by columns (insert order)
-  std::vector<AggFn> agg_fns;           ///< original aggregate functions
-  std::vector<std::string> agg_cols;    ///< aggregate column names in `result`
+  /// Its aggregates: each one's function, and its column in `result` as
+  /// the EffectiveName.
+  std::vector<AggSpec> aggs;
 };
 
 /// The sharded, byte-bounded, lattice-aware result cache.
@@ -80,9 +80,6 @@ class ResultCache {
   struct Options {
     size_t byte_budget = 64ull << 20;  ///< total across shards
     size_t shards = 8;                 ///< lock-striping factor
-    /// Admission floor: results that took less than this to execute are not
-    /// cached (0 admits everything — used by tests).
-    uint64_t admit_min_us = 50;
     /// Largest admissible entry; 0 means byte_budget / 8.
     size_t max_entry_bytes = 0;
   };
@@ -96,7 +93,7 @@ class ResultCache {
     uint64_t misses = 0;             ///< lookups that found no exact entry
     uint64_t derived_hits = 0;       ///< misses recovered by roll-up
     uint64_t inserts = 0;            ///< entries admitted
-    uint64_t admission_rejects = 0;  ///< offers refused (too cheap / large)
+    uint64_t admission_rejects = 0;  ///< offers refused (too large)
     uint64_t evictions = 0;          ///< entries pushed out by the budget
     size_t bytes = 0;                ///< current resident bytes
     size_t entries = 0;              ///< current resident entries
@@ -104,7 +101,7 @@ class ResultCache {
 
   /// Default Options.
   ResultCache();
-  /// Custom budget/sharding/admission knobs.
+  /// Custom budget, sharding and entry-size knobs.
   explicit ResultCache(const Options& options);
 
   /// The process-wide cache used by QueryProfiled. Honors the
@@ -126,15 +123,14 @@ class ResultCache {
   void NoteDerivedHit();
 
   /// Offers a computed result. `backend_answered` says whether a cube
-  /// backend produced it (shape tag for derivation), `exec_us` is the
-  /// measured execution cost driving admission. An admitted result is kept
-  /// by reference, not copied, and encoded once (outside the shard lock);
-  /// the encoding counts toward the entry's bytes. Returns the stored
-  /// encoding (the live entry's, when the key is already cached), or null
-  /// when admission refuses the result.
+  /// backend produced it (shape tag for derivation). A result within
+  /// `max_entry_bytes` is admitted, kept by reference, not copied, and
+  /// encoded once (outside the shard lock); the encoding counts toward the
+  /// entry's bytes. Returns the stored encoding (the live entry's, when the
+  /// key is already cached), or null when the result is too large.
   std::shared_ptr<const std::string> Insert(
       const QueryKey& key, std::shared_ptr<const Table> result,
-      bool backend_answered, uint64_t exec_us);
+      bool backend_answered);
 
   /// Empties the cache and the derivation index (counters are kept:
   /// they are lifetime totals).
@@ -148,16 +144,6 @@ class ResultCache {
   /// Current resident entry count across all shards.
   size_t entries() const { return entries_.load(std::memory_order_relaxed); }
 
-  /// Runtime knobs for tests and benchmarks (e.g. force admission with 0, or
-  /// block admission entirely to measure steady-state derivation).
-  void set_admit_min_us(uint64_t us) {
-    admit_min_us_.store(us, std::memory_order_relaxed);
-  }
-  /// Current admission floor in microseconds.
-  uint64_t admit_min_us() const {
-    return admit_min_us_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Entry {
     std::string exact;
@@ -165,8 +151,7 @@ class ResultCache {
     std::shared_ptr<const Table> result;
     std::shared_ptr<const std::string> json;
     std::vector<std::string> by;
-    std::vector<AggFn> agg_fns;
-    std::vector<std::string> agg_cols;
+    std::vector<AggSpec> aggs;
     bool derivable_source = false;
     bool backend_shaped = false;
     size_t bytes = 0;
@@ -198,7 +183,6 @@ class ResultCache {
   const size_t byte_budget_;
   const size_t per_shard_budget_;
   const size_t max_entry_bytes_;
-  std::atomic<uint64_t> admit_min_us_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   Mutex index_mu_;

@@ -10,20 +10,11 @@ Result<MaterializedCubeStore> MaterializedCubeStore::Create(
   STATCUBE_RETURN_NOT_OK(base.schema().IndexesOf(dims).status());
   if (dims.size() > 16)
     return Status::InvalidArgument("cube store over >16 dimensions refused");
-  for (const auto& a : aggs) {
-    switch (a.fn) {
-      case AggFn::kSum:
-      case AggFn::kCount:
-      case AggFn::kCountAll:
-      case AggFn::kMin:
-      case AggFn::kMax:
-        break;
-      default:
-        return Status::InvalidArgument(
-            std::string("aggregate '") + AggFnName(a.fn) +
-            "' is not distributive; views could not be re-aggregated");
-    }
-  }
+  for (const auto& a : aggs)
+    if (!Distributive(a.fn))
+      return Status::InvalidArgument(
+          std::string("aggregate '") + AggFnName(a.fn) +
+          "' is not distributive; views could not be re-aggregated");
   return MaterializedCubeStore(std::move(base), std::move(dims),
                                std::move(aggs));
 }
@@ -47,20 +38,6 @@ int64_t MaterializedCubeStore::CheapestAncestor(uint32_t mask) const {
   return best;
 }
 
-Result<Table> MaterializedCubeStore::AggregateFrom(const Table& src,
-                                                   uint32_t src_mask,
-                                                   uint32_t mask) const {
-  (void)src_mask;
-  std::vector<AggSpec> combine;
-  for (const auto& a : aggs_) {
-    AggFn fn = a.fn;
-    // Counts combine by summation; min/max by themselves; sums by sums.
-    if (fn == AggFn::kCount || fn == AggFn::kCountAll) fn = AggFn::kSum;
-    combine.push_back({fn, a.EffectiveName(), a.EffectiveName()});
-  }
-  return GroupBy(src, DimsOf(mask), combine);
-}
-
 Status MaterializedCubeStore::Materialize(uint32_t mask) {
   obs::Span span("viewstore.materialize");
   if (mask >= (uint32_t(1) << dims_.size()))
@@ -72,7 +49,8 @@ Status MaterializedCubeStore::Materialize(uint32_t mask) {
     STATCUBE_ASSIGN_OR_RETURN(view, GroupBy(base_, DimsOf(mask), aggs_));
   } else {
     STATCUBE_ASSIGN_OR_RETURN(
-        view, AggregateFrom(views_.at(uint32_t(anc)), uint32_t(anc), mask));
+        view, RollupFinalized(views_.at(uint32_t(anc)), DimsOf(uint32_t(anc)),
+                              aggs_, DimsOf(mask)));
   }
   views_.emplace(mask, std::move(view));
   return Status::OK();
@@ -98,7 +76,8 @@ Result<Table> MaterializedCubeStore::Query(uint32_t mask) {
   }
   last_rows_scanned_ = views_.at(uint32_t(anc)).num_rows();
   obs::RecordViewStoreQuery(mask, /*hit=*/false, anc, last_rows_scanned_);
-  return AggregateFrom(views_.at(uint32_t(anc)), uint32_t(anc), mask);
+  return RollupFinalized(views_.at(uint32_t(anc)), DimsOf(uint32_t(anc)),
+                         aggs_, DimsOf(mask));
 }
 
 Result<uint64_t> MaterializedCubeStore::AppendAndRefresh(
@@ -109,54 +88,14 @@ Result<uint64_t> MaterializedCubeStore::AppendAndRefresh(
 
   uint64_t reaggregated = 0;
   for (auto& [mask, view] : views_) {
-    // Aggregate the delta at this view's grouping...
-    STATCUBE_ASSIGN_OR_RETURN(Table delta_view,
-                              GroupBy(delta, DimsOf(mask), aggs_));
+    // Only the delta is aggregated at the view's grouping; its groups join
+    // the view's rows, and the roll-up onto the same grouping merges them.
+    const std::vector<std::string> dims = DimsOf(mask);
+    STATCUBE_ASSIGN_OR_RETURN(Table delta_view, GroupBy(delta, dims, aggs_));
+    for (Row& r : delta_view.mutable_rows())
+      view.AppendRowUnchecked(std::move(r));
+    STATCUBE_ASSIGN_OR_RETURN(view, RollupFinalized(view, dims, aggs_, dims));
     reaggregated += delta.num_rows();
-    // ... and merge into the stored view: distributive aggregates combine
-    // group-wise (count -> sum, min/max -> min/max, sum -> sum).
-    size_t ngroup = DimsOf(mask).size();
-    // Index existing view rows by group key.
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    for (size_t i = 0; i < view.num_rows(); ++i) {
-      Row key(view.row(i).begin(), view.row(i).begin() + long(ngroup));
-      index.emplace(std::move(key), i);
-    }
-    for (const Row& dr : delta_view.rows()) {
-      Row key(dr.begin(), dr.begin() + long(ngroup));
-      auto it = index.find(key);
-      if (it == index.end()) {
-        view.AppendRowUnchecked(dr);
-        continue;
-      }
-      Row& target = view.mutable_rows()[it->second];
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        size_t col = ngroup + a;
-        const Value& add = dr[col];
-        if (add.is_null()) continue;
-        if (target[col].is_null()) {
-          target[col] = add;
-          continue;
-        }
-        switch (aggs_[a].fn) {
-          case AggFn::kSum:
-          case AggFn::kCount:
-          case AggFn::kCountAll:
-            target[col] = Value(target[col].AsDouble() + add.AsDouble());
-            break;
-          case AggFn::kMin:
-            if (add.AsDouble() < target[col].AsDouble()) target[col] = add;
-            break;
-          case AggFn::kMax:
-            if (add.AsDouble() > target[col].AsDouble()) target[col] = add;
-            break;
-          default:
-            return Status::Internal("non-distributive aggregate in store");
-        }
-      }
-    }
-    // Keep deterministic order for comparisons.
-    STATCUBE_RETURN_NOT_OK(view.SortBy(DimsOf(mask)));
   }
   // Finally append to the base.
   for (const Row& r : new_rows) base_.AppendRowUnchecked(r);

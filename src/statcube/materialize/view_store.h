@@ -4,7 +4,9 @@
 /// run-time counterpart of the lattice/greedy analysis.
 ///
 /// Only distributive aggregates (sum, count, min, max) can be
-/// re-aggregated from a view, which is what the store accepts.
+/// re-aggregated from a view, which is what the store accepts. An answer
+/// from a view and a refresh both roll up through RollupFinalized
+/// (relational/aggregate.h), the roll-up the result cache derives with.
 
 #ifndef STATCUBE_MATERIALIZE_VIEW_STORE_H_
 #define STATCUBE_MATERIALIZE_VIEW_STORE_H_
@@ -67,9 +69,6 @@ class MaterializedCubeStore {
   std::vector<std::string> DimsOf(uint32_t mask) const;
   // Smallest materialized strict ancestor of mask, or -1 for the base.
   int64_t CheapestAncestor(uint32_t mask) const;
-  // Aggregates `src` (a view at `src_mask`) down to `mask`.
-  Result<Table> AggregateFrom(const Table& src, uint32_t src_mask,
-                              uint32_t mask) const;
 
   Table base_;
   std::vector<std::string> dims_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "statcube/common/epoch.h"
+#include "statcube/common/vec_block.h"
 #include "statcube/obs/json.h"
 #include "statcube/query/parser.h"
 
@@ -55,18 +56,16 @@ uint64_t DatasetFingerprint(const StatisticalObject& obj) {
   return h;
 }
 
-bool Distributive(AggFn fn) {
-  switch (fn) {
-    case AggFn::kSum:
-    case AggFn::kCount:
-    case AggFn::kCountAll:
-    case AggFn::kMin:
-    case AggFn::kMax:
-      return true;
-    case AggFn::kAvg:
-    case AggFn::kVariance:
-    case AggFn::kStdDev:
-      return false;
+// A sum rolled up from partial sums repeats direct execution's bits only
+// when no partial can round: every number of the measure is integral and
+// rows × max|v| stays within 2^53 (vec::ReorderIsExact). The slab's
+// evidence covers every row, so it holds for any WHERE's subset. A sum over
+// anything but a measure never qualifies.
+bool SumReaddsExactly(const StatisticalObject& obj, const std::string& column) {
+  for (size_t m = 0; m < obj.measures().size(); ++m) {
+    if (obj.measures()[m].name != column) continue;
+    const SlabEvidence& ev = obj.measure_slabs()[m].evidence;
+    return vec::ReorderIsExact(ev.integral, ev.max_abs, obj.data().num_rows());
   }
   return false;
 }
@@ -80,13 +79,13 @@ Result<cache::QueryKey> BuildQueryKey(const StatisticalObject& obj,
 
   cache::QueryKey key;
   key.by = query.by;
+  key.aggs = query.aggs;
   key.cube = query.cube;
   key.derivable = !query.cube;
-  for (const auto& a : query.aggs) {
-    key.agg_fns.push_back(a.fn);
-    key.agg_names.push_back(a.EffectiveName());
-    if (!Distributive(a.fn)) key.derivable = false;
-  }
+  for (const auto& a : query.aggs)
+    if (!Distributive(a.fn) ||
+        (a.fn == AggFn::kSum && !SumReaddsExactly(obj, a.column)))
+      key.derivable = false;
   // The backend route's own test, made before any build: a wrong
   // prediction (a build that fails) can only miss, never mis-derive, since
   // no backend-shaped entry then exists in the family either.
@@ -109,7 +108,7 @@ Result<cache::QueryKey> BuildQueryKey(const StatisticalObject& obj,
     family += "(";
     family += query.aggs[i].column;
     family += ")->";
-    family += key.agg_names[i];
+    family += query.aggs[i].EffectiveName();
   }
   // WHERE is conjunctive equality, so order does not affect the result:
   // canonicalize by sorting on (attribute, tagged value).

@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
 
-#include "statcube/cache/derive.h"
 #include "statcube/cache/result_cache.h"
 #include "statcube/common/cancellation.h"
 #include "statcube/common/str_util.h"
@@ -472,23 +470,17 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
         if (std::optional<cache::DerivedSource> src =
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");
-          const auto derive_start = std::chrono::steady_clock::now();
-          Result<Table> derived = cache::RollupDerived(*src, *key);
+          Result<Table> derived =
+              RollupFinalized(*src->result, src->by, src->aggs, key->by);
           if (derived.ok()) {
             out = std::make_shared<const Table>(std::move(derived).value());
             executed = true;
             scope.profile().cache = "derived";
             rc.NoteDerivedHit();
-            // Offer the derived table as an exact entry for next time;
-            // admission weighs the (cheap) re-derivation cost, so tiny
-            // roll-ups stay derive-on-demand.
-            uint64_t derive_us =
-                uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                             std::chrono::steady_clock::now() - derive_start)
-                             .count());
-            // The source was shape-matched, so the derived table has the
+            // Offer the derived table as an exact entry for next time. The
+            // source was shape-matched, so the derived table has the
             // request's predicted shape.
-            json = rc.Insert(*key, out, key->backend_shaped, derive_us);
+            json = rc.Insert(*key, out, key->backend_shaped);
           }
         }
       }
@@ -497,7 +489,6 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   }
   const bool from_cache = executed;
   if (from_cache) scope.profile().backend = "cache";
-  const auto exec_start = std::chrono::steady_clock::now();
 
   // Cube-engine route: when the query is backend-expressible, build the
   // backend for its measure (its cost is part of the profile, under its own
@@ -565,17 +556,10 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   if (StopReason r = cctx.Check(); r != StopReason::kNone)
     return fail(StopStatus(r, "post-execution"));
 
-  // Offer a freshly computed result back to the cache; admission compares
-  // the measured execution cost (backend build included — that is what a
-  // recomputation would pay) against the cost floor.
+  // Offer a freshly computed result back to the cache.
   if (!from_cache && key.ok()) {
     obs::Span insert_span("cache.insert");
-    uint64_t exec_us = uint64_t(std::chrono::duration_cast<
-                                    std::chrono::microseconds>(
-                                    std::chrono::steady_clock::now() -
-                                    exec_start)
-                                    .count());
-    json = rc.Insert(*key, out, backend_answered, exec_us);
+    json = rc.Insert(*key, out, backend_answered);
   }
 
   ProfiledQuery pq;

@@ -31,6 +31,22 @@ const char* AggFnName(AggFn fn) {
   return "?";
 }
 
+bool Distributive(AggFn fn) {
+  switch (fn) {
+    case AggFn::kSum:
+    case AggFn::kCount:
+    case AggFn::kCountAll:
+    case AggFn::kMin:
+    case AggFn::kMax:
+      return true;
+    case AggFn::kAvg:
+    case AggFn::kVariance:
+    case AggFn::kStdDev:
+      return false;
+  }
+  return false;
+}
+
 std::string AggSpec::EffectiveName() const {
   if (!output_name.empty()) return output_name;
   std::string n = AggFnName(fn);
@@ -121,7 +137,9 @@ Table StatesToTable(const std::string& name,
 
   Table out(name, out_schema);
   for (const auto& [key, st] : states) {
-    Row row = key;
+    Row row;
+    row.reserve(key.size() + aggs.size());
+    row.insert(row.end(), key.begin(), key.end());
     for (size_t i = 0; i < aggs.size(); ++i)
       row.push_back(st[i].Finalize(aggs[i].fn));
     out.AppendRowUnchecked(std::move(row));
@@ -147,6 +165,44 @@ Result<Table> GroupBy(const Table& input,
   Table out = StatesToTable(input.name() + "_by_" + Join(group_cols, "_"),
                             group_cols, aggs, states);
   obs::RecordOperator("groupby", input.num_rows(), out.num_rows());
+  return out;
+}
+
+Result<Table> RollupFinalized(const Table& src,
+                              const std::vector<std::string>& src_by,
+                              const std::vector<AggSpec>& aggs,
+                              const std::vector<std::string>& by) {
+  std::vector<AggSpec> reagg;
+  reagg.reserve(aggs.size());
+  for (const AggSpec& a : aggs) {
+    if (!Distributive(a.fn))
+      return Status::InvalidArgument(std::string("aggregate '") +
+                                     AggFnName(a.fn) +
+                                     "' is not distributive; its finalized "
+                                     "values do not re-aggregate");
+    const AggFn fn =
+        a.fn == AggFn::kMin || a.fn == AggFn::kMax ? a.fn : AggFn::kSum;
+    reagg.push_back({fn, a.EffectiveName(), a.EffectiveName()});
+  }
+  STATCUBE_ASSIGN_OR_RETURN(GroupedStates states,
+                            GroupByStates(src, by, reagg));
+
+  std::string name = src.name();
+  const std::string suffix = "_by_" + Join(src_by, "_");
+  if (name.size() >= suffix.size() &&
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+    name.replace(name.size() - suffix.size(), suffix.size(),
+                 "_by_" + Join(by, "_"));
+  Table out = StatesToTable(name, by, reagg, states);
+  // A count's sum finalized as a double; GroupBy finalizes counts as int64.
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].fn != AggFn::kCount && aggs[i].fn != AggFn::kCountAll)
+      continue;
+    for (Row& row : out.mutable_rows()) {
+      Value& v = row[by.size() + i];
+      if (!v.is_null()) v = Value(int64_t(std::llround(v.AsDouble())));
+    }
+  }
   return out;
 }
 

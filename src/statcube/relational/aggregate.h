@@ -46,6 +46,11 @@ enum class AggFn {
 /// Name of an aggregate function ("sum", "avg", ...).
 const char* AggFnName(AggFn fn);
 
+/// True when finalized values of `fn` re-aggregate (Gray et al.'s
+/// distributive functions): sums and both counts by summing, min and max by
+/// themselves. avg, var and stddev do not.
+bool Distributive(AggFn fn);
+
 /// One requested aggregate: a function over a column, with an output name.
 struct AggSpec {
   AggFn fn;
@@ -175,6 +180,20 @@ Table StatesToTable(const std::string& name,
                     const std::vector<std::string>& group_cols,
                     const std::vector<AggSpec>& aggs,
                     const GroupedStates& states);
+
+/// Rolls `src`, a finalized group-by (the columns `src_by`, then column i
+/// named `aggs[i].EffectiveName()` holding `aggs[i].fn`'s values), up to
+/// `by`, a subset of `src_by`, in one serial pass: a source holds one row
+/// per group. Sums and counts re-aggregate by summing and min and max by
+/// themselves; a non-distributive aggregate is refused. The table has
+/// GroupBy's shape: `src`'s name with its `_by_<src_by>` suffix rebased
+/// onto `by`, counts as int64 and rows sorted by `by`. So it repeats
+/// GroupBy over the rows `src` summarizes whenever every partial sum is
+/// exact (vec::ReorderIsExact).
+Result<Table> RollupFinalized(const Table& src,
+                              const std::vector<std::string>& src_by,
+                              const std::vector<AggSpec>& aggs,
+                              const std::vector<std::string>& by);
 
 }  // namespace statcube
 

@@ -36,7 +36,6 @@ void SortCubeRows(Table* t, size_t ndims) {
 void EmitCubeGrouping(const GroupedStates& states, uint32_t mask, size_t ndims,
                       const std::vector<AggSpec>& aggs, Table* out) {
   // Every caller runs SortCubeRows over the assembled table.
-  // statcube-lint: allow(unordered-emit)
   for (const auto& [key, st] : states) {
     Row row(ndims + aggs.size());
     size_t k = 0;

@@ -80,13 +80,9 @@ QueryOptions Opts(Mode mode, QueryEngine engine = QueryEngine::kRelational,
   return o;
 }
 
-// Tests share the process-global cache QueryProfiled consults; admit
-// everything (these queries run in microseconds) and start each scenario
-// cold.
-void ResetCache() {
-  ResultCache::Global().set_admit_min_us(0);
-  ResultCache::Global().Clear();
-}
+// Tests share the process-global cache QueryProfiled consults; each
+// scenario starts cold.
+void ResetCache() { ResultCache::Global().Clear(); }
 
 ProfiledQuery RunQ(const StatisticalObject& obj, const std::string& text,
                   const QueryOptions& opt, const std::string& what) {
@@ -270,6 +266,23 @@ TEST(CacheEquivalence, NonDistributiveNeverDerives) {
   ProfiledQuery off = RunQ(obj, "SELECT avg(close) BY stock",
                           Opts(Mode::kOff), "avg direct");
   ExpectTablesIdentical(*off.table, *pq.table, "avg never derived");
+}
+
+// A sum over a measure with non-integral values re-adds its partial sums in
+// another order than direct execution, so a roll-up may differ in the last
+// bit (here in 8 of the 20 stocks): the key is not derivable, and the query
+// executes, bit-identical to Query().
+TEST(CacheEquivalence, InexactSumsAreExecutedNotDerived) {
+  const auto& obj = Workloads::Get().stocks;
+  const std::string text = "SELECT sum(close) BY stock";
+  ResetCache();
+  QueryOptions d = Opts(Mode::kDerive);
+  RunQ(obj, "SELECT sum(close) BY stock, day", d, "seed");
+  ProfiledQuery pq = RunQ(obj, text, d, text);
+  EXPECT_EQ(pq.profile.cache, "miss");
+  Result<Table> reference = Query(obj, text);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ExpectTablesIdentical(*reference, *pq.table, "inexact sum");
 }
 
 // --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the lattice-aware result cache (statcube/cache): key
 // canonicalization and dataset versioning, LRU/byte-budget eviction,
-// cost-aware admission, derivation-source selection, epoch invalidation,
+// size-bounded admission, derivation-source selection, epoch invalidation,
 // and the statcube.cache.* metrics.
 
 #include "statcube/cache/result_cache.h"
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "round_trip_cells.h"
-#include "statcube/cache/derive.h"
 #include "statcube/common/epoch.h"
 #include "statcube/query/cache_key.h"
 #include "statcube/obs/metrics.h"
@@ -201,7 +200,6 @@ ResultCache::Options Tiny(size_t budget, size_t shards = 1) {
   ResultCache::Options o;
   o.byte_budget = budget;
   o.shards = shards;
-  o.admit_min_us = 0;  // admit everything unless a test raises it
   o.max_entry_bytes = budget;
   return o;
 }
@@ -210,7 +208,7 @@ TEST(ResultCacheTest, InsertThenExactHit) {
   ResultCache rc(Tiny(1 << 20));
   QueryKey key = KeyFor("SELECT sum(amount) BY store");
   auto result = FakeResult("r_by_store", 4);
-  EXPECT_NE(rc.Insert(key, result, /*backend_answered=*/false, 1000),
+  EXPECT_NE(rc.Insert(key, result, /*backend_answered=*/false),
             nullptr);
   auto hit = rc.Lookup(key);
   ASSERT_NE(hit.table, nullptr);
@@ -225,24 +223,9 @@ TEST(ResultCacheTest, InsertThenExactHit) {
 
 TEST(ResultCacheTest, MissOnDifferentKey) {
   ResultCache rc(Tiny(1 << 20));
-  rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 2), false,
-            1000);
+  rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 2), false);
   EXPECT_FALSE(Cached(rc, KeyFor("SELECT sum(amount) BY city")));
   EXPECT_EQ(rc.stats().misses, 1u);
-}
-
-TEST(ResultCacheTest, AdmissionRejectsCheapResults) {
-  ResultCache rc(Tiny(1 << 20));
-  rc.set_admit_min_us(500);
-  QueryKey key = KeyFor("SELECT sum(amount) BY store");
-  EXPECT_EQ(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/10),
-            nullptr);
-  EXPECT_FALSE(Cached(rc, key));
-  EXPECT_EQ(rc.stats().admission_rejects, 1u);
-  // Expensive enough: admitted.
-  EXPECT_NE(rc.Insert(key, FakeResult("a", 2), false, /*exec_us=*/5000),
-            nullptr);
-  EXPECT_TRUE(Cached(rc, key));
 }
 
 TEST(ResultCacheTest, AdmissionRejectsOversizeResults) {
@@ -250,7 +233,7 @@ TEST(ResultCacheTest, AdmissionRejectsOversizeResults) {
   o.max_entry_bytes = 64;  // smaller than any real table
   ResultCache rc(o);
   EXPECT_EQ(rc.Insert(KeyFor("SELECT sum(amount) BY store"),
-                      FakeResult("a", 100), false, 1000),
+                      FakeResult("a", 100), false),
             nullptr);
   EXPECT_EQ(rc.stats().admission_rejects, 1u);
   EXPECT_EQ(rc.entries(), 0u);
@@ -264,7 +247,7 @@ TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
   QueryKey key = KeyFor("SELECT sum(amount) BY store, city");
   auto result = FakeResult("r_by_store_city", 200);
   std::shared_ptr<const std::string> json =
-      rc.Insert(key, result, /*backend_answered=*/false, 1000);
+      rc.Insert(key, result, /*backend_answered=*/false);
   ASSERT_NE(json, nullptr);
   EXPECT_EQ(*json, serve::TableToJson(*result));
 
@@ -275,7 +258,7 @@ TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
   ASSERT_TRUE(src.has_value());
   EXPECT_EQ(src->result.get(), result.get());
   // Re-offering a live key keeps the entry and returns its encoding.
-  EXPECT_EQ(rc.Insert(key, FakeResult("r_by_store_city", 200), false, 1000),
+  EXPECT_EQ(rc.Insert(key, FakeResult("r_by_store_city", 200), false),
             json);
   EXPECT_EQ(rc.Lookup(key).table.get(), result.get());
 
@@ -288,7 +271,7 @@ TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
     ResultCache::Options o = Tiny(4 << 20);
     o.max_entry_bytes = cap;
     ResultCache capped(o);
-    EXPECT_EQ(capped.Insert(key, result, false, 1000) != nullptr,
+    EXPECT_EQ(capped.Insert(key, result, false) != nullptr,
               cap == entry_bytes)
         << cap;
     EXPECT_EQ(capped.stats().bytes, cap == entry_bytes ? entry_bytes : 0u);
@@ -307,10 +290,10 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
   QueryKey a = KeyFor("SELECT sum(amount) BY store");
   QueryKey b = KeyFor("SELECT sum(amount) BY city");
   QueryKey c = KeyFor("SELECT sum(amount) BY product");
-  rc.Insert(a, FakeResult("a", 50), false, 1000);
-  rc.Insert(b, FakeResult("b", 50), false, 1000);
+  rc.Insert(a, FakeResult("a", 50), false);
+  rc.Insert(b, FakeResult("b", 50), false);
   ASSERT_TRUE(Cached(rc, a));  // refresh a; b is now LRU
-  rc.Insert(c, FakeResult("c", 50), false, 1000);
+  rc.Insert(c, FakeResult("c", 50), false);
   EXPECT_GT(rc.stats().evictions, 0u);
   EXPECT_FALSE(Cached(rc, b)) << "LRU victim should be b";
   EXPECT_TRUE(Cached(rc, a));
@@ -320,8 +303,7 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
 
 TEST(ResultCacheTest, ClearEmptiesEverything) {
   ResultCache rc(Tiny(1 << 20));
-  rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 5), false,
-            1000);
+  rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 5), false);
   rc.Clear();
   EXPECT_EQ(rc.entries(), 0u);
   EXPECT_EQ(rc.bytes(), 0u);
@@ -336,23 +318,23 @@ TEST(ResultCacheTest, FindsSmallestSupersetOfSameShape) {
   QueryKey fine = KeyFor("SELECT sum(amount) BY product, store, city");
   QueryKey mid = KeyFor("SELECT sum(amount) BY store, city");
   QueryKey want = KeyFor("SELECT sum(amount) BY store");
-  rc.Insert(fine, FakeResult("r_by_product_store_city", 48), false, 1000);
-  rc.Insert(mid, FakeResult("r_by_store_city", 8), false, 1000);
+  rc.Insert(fine, FakeResult("r_by_product_store_city", 48), false);
+  rc.Insert(mid, FakeResult("r_by_store_city", 8), false);
   auto src = rc.FindDerivationSource(want);
   ASSERT_TRUE(src.has_value());
   // The cheaper (fewer-rows) ancestor wins, like CheapestAncestor.
   EXPECT_EQ(src->result->name(), "r_by_store_city");
   EXPECT_EQ(src->by, mid.by);
-  ASSERT_EQ(src->agg_fns.size(), 1u);
-  EXPECT_EQ(src->agg_fns[0], AggFn::kSum);
-  EXPECT_EQ(src->agg_cols[0], "sum_amount");
+  ASSERT_EQ(src->aggs.size(), 1u);
+  EXPECT_EQ(src->aggs[0].fn, AggFn::kSum);
+  EXPECT_EQ(src->aggs[0].EffectiveName(), "sum_amount");
 }
 
 TEST(ResultCacheTest, NoDerivationAcrossShapes) {
   ResultCache rc(Tiny(4 << 20));
   // A relational-shaped entry must not serve a backend-shaped request.
   QueryKey rel_superset = KeyFor("SELECT sum(amount) BY store, city");
-  rc.Insert(rel_superset, FakeResult("r_by_store_city", 8), false, 1000);
+  rc.Insert(rel_superset, FakeResult("r_by_store_city", 8), false);
   QueryKey molap_want =
       KeyFor("SELECT sum(amount) BY store", QueryEngine::kMolap);
   EXPECT_FALSE(rc.FindDerivationSource(molap_want).has_value());
@@ -361,7 +343,7 @@ TEST(ResultCacheTest, NoDerivationAcrossShapes) {
 TEST(ResultCacheTest, NoDerivationForNonDistributive) {
   ResultCache rc(Tiny(4 << 20));
   rc.Insert(KeyFor("SELECT sum(amount) BY store, city"),
-            FakeResult("r_by_store_city", 8), false, 1000);
+            FakeResult("r_by_store_city", 8), false);
   QueryKey avg = KeyFor("SELECT avg(amount) BY store");
   EXPECT_FALSE(rc.FindDerivationSource(avg).has_value());
   // And the subset relation must actually hold.
@@ -375,10 +357,10 @@ TEST(ResultCacheTest, EvictedEntriesLeaveTheIndex) {
       sample->ByteSize() + serve::TableToJson(*sample).size() + 512,
       /*shards=*/1));
   QueryKey superset = KeyFor("SELECT sum(amount) BY store, city");
-  rc.Insert(superset, FakeResult("r_by_store_city", 50), false, 1000);
+  rc.Insert(superset, FakeResult("r_by_store_city", 50), false);
   // A second insert evicts the first (budget holds one entry).
   rc.Insert(KeyFor("SELECT sum(amount) BY product, city"),
-            FakeResult("r_by_product_city", 50), false, 1000);
+            FakeResult("r_by_product_city", 50), false);
   EXPECT_GT(rc.stats().evictions, 0u);
   QueryKey want = KeyFor("SELECT sum(amount) BY store");
   auto src = rc.FindDerivationSource(want);
@@ -395,7 +377,7 @@ TEST(ResultCacheTest, MetricsRegistered) {
   auto& reg = obs::MetricsRegistry::Global();
   uint64_t hits0 = reg.GetCounter("statcube.cache.hits").Value();
   uint64_t misses0 = reg.GetCounter("statcube.cache.misses").Value();
-  rc.Insert(key, FakeResult("a", 3), false, 1000);
+  rc.Insert(key, FakeResult("a", 3), false);
   (void)rc.Lookup(key);
   (void)rc.Lookup(KeyFor("SELECT sum(amount) BY city"));
   EXPECT_EQ(reg.GetCounter("statcube.cache.hits").Value(), hits0 + 1);
@@ -423,7 +405,7 @@ TEST(ResultCacheTest, ConcurrentMixedOperations) {
       for (int i = 0; i < 200; ++i) {
         const QueryKey& key = keys[(w + i) % 4];
         if (i % 3 == 0)
-          rc.Insert(key, FakeResult("t_by_x", 10 + i % 7), false, 1000);
+          rc.Insert(key, FakeResult("t_by_x", 10 + i % 7), false);
         else if (i % 3 == 1)
           (void)rc.Lookup(key);
         else
@@ -462,8 +444,7 @@ TEST(ResultCacheTest, HeldHitsSurviveEviction) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < 400; ++i) {
         const int k = (w + i) % kKeys;
-        rc.Insert(keys[k], FakeResult("t" + std::to_string(k), 40 + k), false,
-                  1000);
+        rc.Insert(keys[k], FakeResult("t" + std::to_string(k), 40 + k), false);
       }
     });
   }

@@ -50,7 +50,7 @@ constexpr char kQuery[] = "SELECT sum(amount) BY CUBE(city, month, store)";
 constexpr int kMaxAttempts = 20;
 
 // One attempt: start the query on a worker thread with an external token and
-// the cache in admit-everything mode, cancel as soon as the registry shows
+// the cache on, cancel as soon as the registry shows
 // execution progress, and report whether the cancel won the race. When it
 // did, every post-condition is asserted here.
 bool AttemptCancel(int threads) {
@@ -119,19 +119,7 @@ bool AttemptCancel(int threads) {
 
 class CancellationLoadTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Admit everything so a leaked partial insert cannot hide behind the
-    // cost-aware admission floor; restored in TearDown.
-    cache::ResultCache& rc = cache::ResultCache::Global();
-    saved_admit_min_us_ = rc.admit_min_us();
-    rc.set_admit_min_us(0);
-  }
-  void TearDown() override {
-    cache::ResultCache& rc = cache::ResultCache::Global();
-    rc.set_admit_min_us(saved_admit_min_us_);
-    rc.Clear();
-  }
-  uint64_t saved_admit_min_us_ = 0;
+  void TearDown() override { cache::ResultCache::Global().Clear(); }
 };
 
 void RunAtThreads(int threads) {

@@ -214,15 +214,8 @@ std::string Reference(const StatisticalObject& obj, const std::string& text) {
 
 class FrontDoorCachedTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    cache::ResultCache::Global().set_admit_min_us(0);  // admit everything
-    cache::ResultCache::Global().Clear();
-  }
-  void TearDown() override {
-    cache::ResultCache::Global().Clear();
-    cache::ResultCache::Global().set_admit_min_us(
-        cache::ResultCache::Options().admit_min_us);
-  }
+  void SetUp() override { cache::ResultCache::Global().Clear(); }
+  void TearDown() override { cache::ResultCache::Global().Clear(); }
 };
 
 TEST_F(FrontDoorCachedTest, MissHitAndDerivedServeTheReferenceBytes) {

@@ -266,6 +266,19 @@ void Emit(Table& out) {
 """)
         self.assertEqual(self.run_det(), [])
 
+    def test_loop_without_emit_clean(self):
+        self.write("src/statcube/exec/emit.cc", """\
+size_t Count() {
+  std::unordered_map<int, double> groups;
+  size_t n = 0;
+  for (const auto& [k, v] : groups) {
+    n += v > 0;
+  }
+  return n;
+}
+""")
+        self.assertEqual(self.run_det(), [])
+
 
 # --------------------------------------------------------------- hotpath
 

@@ -45,16 +45,6 @@ preceding-line comment `// statcube-lint: allow(<rule-id>)`):
                    and load) or too long (slow everywhere). Tests must
                    poll the observable condition or drive the
                    component's deterministic hook (e.g. SweepOnce).
-  unordered-emit   a range-for over a variable declared with an
-                   unordered container type (or the GroupedStates alias)
-                   whose body emits rows/output, in result-producing
-                   src/statcube modules. Bucket order is stdlib-defined,
-                   so it must never reach results (DESIGN.md §13). This
-                   is the fail-fast single-file edition of the
-                   whole-program determinism pass in
-                   tools/statcube_analyze (which also sees aliases and
-                   cross-file types); sort before emitting or iterate a
-                   deterministic index instead.
 
 Usage:
   tools/statcube_lint.py                      # lint src tests bench examples
@@ -550,89 +540,12 @@ def check_sleep(path, raw_lines, code_lines, violations):
 
 
 # --------------------------------------------------------------------------
-# Rule: unordered-emit
-# --------------------------------------------------------------------------
-
-UNORDERED_EMIT_MODULES = ("exec", "cache", "molap", "relational", "olap",
-                          "query", "serve")
-UNORDERED_DECL_RE = re.compile(
-    r"(?:unordered_(?:map|set|multimap|multiset)\s*<|\bGroupedStates\b)")
-RANGE_FOR_UNORDERED_RE = re.compile(r"\bfor\s*\([^;)]*:\s*([\w.\->\[\]]+)")
-EMIT_CALL_RE = re.compile(
-    r"\b(AppendRow(?:Unchecked)?|push_back|emplace_back|ToJson|ToString|"
-    r"AddRow)\s*\(")
-SORT_CALL_RE = re.compile(r"\b(?:std::)?(?:stable_)?sort\s*\(|\bSort\w*\s*\(")
-
-
-def check_unordered_emit(path, raw_lines, code_lines, violations):
-    rel = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
-    parts = rel.split("/")
-    if len(parts) < 4 or parts[0] != "src" or parts[1] != "statcube" or \
-            parts[2] not in UNORDERED_EMIT_MODULES:
-        return
-    # Names this file declares with an unordered type (locals, members,
-    # parameters): the identifier following the closing `>` (or the alias).
-    unordered_names = set()
-    text = "\n".join(code_lines)
-    for m in UNORDERED_DECL_RE.finditer(text):
-        i = text.find("<", m.start())
-        if i >= 0 and i < m.end() + 2:
-            depth = 0
-            while i < len(text):
-                if text[i] == "<":
-                    depth += 1
-                elif text[i] == ">":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-        else:
-            i = m.end() - 1
-        nm = re.match(r"[&*\s]*([A-Za-z_]\w*)", text[i + 1: i + 160])
-        if nm and nm.group(1) != "const":
-            unordered_names.add(nm.group(1))
-    if not unordered_names:
-        return
-    for idx, line in enumerate(code_lines):
-        fm = RANGE_FOR_UNORDERED_RE.search(line)
-        if not fm:
-            continue
-        target = re.split(r"[.\-\[]", fm.group(1))[0]
-        if target not in unordered_names:
-            continue
-        if "unordered-emit" in allowed_rules_at(raw_lines, idx):
-            continue
-        # Loop body: lines until the braces opened from here re-balance.
-        depth = 0
-        end = idx
-        emitted = False
-        for j in range(idx, min(idx + 80, len(code_lines))):
-            emitted = emitted or (j > idx and
-                                  EMIT_CALL_RE.search(code_lines[j]))
-            depth += code_lines[j].count("{") - code_lines[j].count("}")
-            if j > idx and depth <= 0:
-                end = j
-                break
-        if not emitted:
-            continue
-        after = "\n".join(code_lines[end + 1: end + 16])
-        if SORT_CALL_RE.search(after):
-            continue
-        violations.append(Violation(
-            path, idx + 1, "unordered-emit",
-            f"range-for over unordered container '{target}' emits output; "
-            "stdlib bucket order must not reach results — sort first or "
-            "iterate a deterministic index (see tools/statcube_analyze)"))
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
 RULES = [
     "naked-new", "naked-delete", "banned-random", "unconsumed-status",
     "include-cc", "codegen-drift", "doc-gated", "no-cout", "sleep",
-    "unordered-emit",
 ]
 
 
@@ -673,7 +586,6 @@ def lint_file(path, status_names, violations):
     check_doc_gated(path, raw_lines, code_lines, violations)
     check_no_cout(path, raw_lines, code_lines, violations)
     check_sleep(path, raw_lines, code_lines, violations)
-    check_unordered_emit(path, raw_lines, code_lines, violations)
 
 
 def main(argv=None):

@@ -305,81 +305,6 @@ class LintFixtureTest(unittest.TestCase):
                    "TEST(T, X) { Poll(); }\n")
         self.assertClean("tests/a_test.cc")
 
-    # ------------------------------------------------------ unordered-emit
-
-    def test_unordered_emit_fires(self):
-        self.write("src/statcube/exec/a.cc",
-                   "void Emit(Table* out) {\n"
-                   "  std::unordered_map<Key, Agg> groups;\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    out->AppendRow(MakeRow(k, v));\n"
-                   "  }\n"
-                   "}\n")
-        self.assertFires("src/statcube/exec/a.cc", "unordered-emit")
-
-    def test_unordered_emit_alias_fires(self):
-        self.write("src/statcube/relational/a.cc",
-                   "void Emit(const GroupedStates& states, Table* out) {\n"
-                   "  for (const auto& [k, st] : states) {\n"
-                   "    out->AppendRowUnchecked(MakeRow(k, st));\n"
-                   "  }\n"
-                   "}\n")
-        self.assertFires("src/statcube/relational/a.cc", "unordered-emit")
-
-    def test_unordered_emit_sort_after_ok(self):
-        self.write("src/statcube/exec/a.cc",
-                   "void Emit(Table* out) {\n"
-                   "  std::unordered_map<Key, Agg> groups;\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    out->AppendRow(MakeRow(k, v));\n"
-                   "  }\n"
-                   "  SortRows(out);\n"
-                   "}\n")
-        self.assertClean("src/statcube/exec/a.cc")
-
-    def test_unordered_emit_ordered_map_ok(self):
-        self.write("src/statcube/exec/a.cc",
-                   "void Emit(Table* out) {\n"
-                   "  std::map<Key, Agg> groups;\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    out->AppendRow(MakeRow(k, v));\n"
-                   "  }\n"
-                   "}\n")
-        self.assertClean("src/statcube/exec/a.cc")
-
-    def test_unordered_emit_non_result_module_ok(self):
-        self.write("src/statcube/io/a.cc",
-                   "void Emit(Table* out) {\n"
-                   "  std::unordered_map<Key, Agg> groups;\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    out->AppendRow(MakeRow(k, v));\n"
-                   "  }\n"
-                   "}\n")
-        self.assertClean("src/statcube/io/a.cc")
-
-    def test_unordered_emit_no_emit_in_body_ok(self):
-        self.write("src/statcube/exec/a.cc",
-                   "size_t Count() {\n"
-                   "  std::unordered_map<Key, Agg> groups;\n"
-                   "  size_t n = 0;\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    n += v.count;\n"
-                   "  }\n"
-                   "  return n;\n"
-                   "}\n")
-        self.assertClean("src/statcube/exec/a.cc")
-
-    def test_unordered_emit_allow_escape(self):
-        self.write("src/statcube/exec/a.cc",
-                   "void Emit(Table* out) {\n"
-                   "  std::unordered_map<Key, Agg> groups;\n"
-                   "  // statcube-lint: allow(unordered-emit)\n"
-                   "  for (const auto& [k, v] : groups) {\n"
-                   "    out->AppendRow(MakeRow(k, v));\n"
-                   "  }\n"
-                   "}\n")
-        self.assertClean("src/statcube/exec/a.cc")
-
 
 class HarvestTest(unittest.TestCase):
     def setUp(self):
