@@ -1,9 +1,13 @@
 // Experiment P2 (DESIGN.md §7): what the result cache buys on the hot query
-// path. Four costs on the same 200k-row retail object:
+// path. Five costs on the same 200k-row retail object:
 //
 //   ColdExecute  — the backend price a miss pays (cache off),
-//   KeyBuild     — the fixed per-query overhead the cache adds (normalize +
-//                  fingerprint; paid on every cached query, hit or miss),
+//   FoldAppend   — what the first query after a 1,000-cell append pays in
+//                  derive mode: the appended rows alone, aggregated and
+//                  merged into the cached answer (`cache: folded`),
+//   KeyBuild     — the fixed per-query overhead the cache adds (normalize
+//                  the group-by/WHERE; paid on every cached query, hit or
+//                  miss),
 //   WarmHit      — exact-key reuse,
 //   DeriveRollup — the derivation a derived hit runs: find the cached
 //                  superset grouping (BY product, store) and roll it up
@@ -17,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 
 #include "statcube/query/cache_key.h"
 #include "statcube/cache/result_cache.h"
@@ -61,8 +66,41 @@ void BM_ColdExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdExecute)->Unit(benchmark::kMicrosecond);
 
+// The query after an append, in derive mode: each iteration appends 1,000
+// cells with quarter-valued amounts (untimed), then asks kQuery once. The
+// cached answer is one version old, so the query folds the appended rows
+// into it instead of executing over every row. Uses only AddCell and
+// QueryProfiled, so the same source times a tree without the fold, where
+// the query executes. A fixed iteration count bounds the object's growth.
+void BM_FoldAppend(benchmark::State& state) {
+  StatisticalObject obj = BigRetail();  // a copy: appends stay local
+  auto& rc = cache::ResultCache::Global();
+  rc.Clear();
+  (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));  // seed
+  const Table& data = obj.data();
+  const size_t ndims = obj.dimensions().size();
+  size_t next = 0;
+  std::string outcome;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int k = 0; k < 1000; ++k, ++next) {
+      const Row& like = data.row((next * 7919) % data.num_rows());
+      Row dims(like.begin(), like.begin() + ndims);
+      (void)obj.AddCell(dims, {Value(int64_t(1 + next % 9)),
+                               Value(double(1 + next % 20000) / 4)});
+    }
+    state.ResumeTiming();
+    auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));
+    outcome = r->profile.cache;
+    benchmark::DoNotOptimize(r->table->num_rows());
+  }
+  state.SetLabel(outcome);
+  state.counters["rows"] = double(obj.data().num_rows());
+}
+BENCHMARK(BM_FoldAppend)->Unit(benchmark::kMicrosecond)->Iterations(200);
+
 // Fixed overhead the cache adds to every query: canonical key construction
-// (dataset fingerprint + normalized group-by/WHERE).
+// (normalized group-by/WHERE).
 void BM_KeyBuild(benchmark::State& state) {
   const auto& obj = BigRetail();
   auto parsed = ParseQuery(kQuery);
@@ -104,7 +142,7 @@ void BM_DeriveRollup(benchmark::State& state) {
   }
   for (auto _ : state) {
     std::optional<cache::DerivedSource> src = rc.FindDerivationSource(*key);
-    auto t = RollupFinalized(*src->result, src->by, src->aggs, key->by);
+    auto t = RollupFinalized({src->result.get()}, src->by, src->aggs, key->by);
     benchmark::DoNotOptimize(t->num_rows());
   }
 }

@@ -4,10 +4,14 @@
 /// The key is built so that two requests share an entry exactly when they
 /// are guaranteed to produce bit-identical result tables:
 ///
-///  - **Dataset version**: a fingerprint of the object (name, row count,
-///    dimension/measure names, first/last row) combined with the object's
-///    mutation epoch (common/epoch.h). Any load or append changes the epoch,
-///    so stale entries can never be served.
+///  - **Data version**: the object's identity (StatisticalObject::identity)
+///    in the family, and its row count in `object_rows`. Appends keep the
+///    identity and only add rows, so (identity, rows) names one version of
+///    the data; a copy and every other mutation renew the identity, so no
+///    two objects, and no object before and after such an edit, share a
+///    family. The row count is not part of either string: the cache keeps
+///    one version per exact key, answers a hit only at the key's version,
+///    and may fold an older version's answer forward (cache/result_cache.h).
 ///  - **Predicate fingerprint**: WHERE equalities sorted by attribute then
 ///    value (with a value-type tag, so the string '1' never collides with
 ///    the integer 1) — `WHERE a=1 AND b=2` and `WHERE b=2 AND a=1` share.
@@ -44,6 +48,9 @@ struct QueryKey {
   std::string family;
   /// `family` + the ordered BY list (+ CUBE); the scope of exact reuse.
   std::string exact;
+  /// The object's row count: with the identity in `family`, the version of
+  /// the data the key asks about.
+  size_t object_rows = 0;
   /// Requested group-by columns, in request order.
   std::vector<std::string> by;
   /// The requested aggregates, in request order. A relational answer names
@@ -52,10 +59,11 @@ struct QueryKey {
   std::vector<AggSpec> aggs;
   /// BY CUBE(...) request — cacheable exactly, never derivable.
   bool cube = false;
-  /// A roll-up from a cached superset repeats direct execution's bits: every
-  /// aggregate is distributive, and every sum is over a measure whose values
-  /// re-add exactly (vec::ReorderIsExact). Such an entry can also serve as
-  /// a source.
+  /// A roll-up from a cached superset, or a fold of the appended rows into
+  /// an older version's answer, repeats direct execution's bits: every
+  /// aggregate is distributive, and every sum is over a measure whose
+  /// values re-add exactly (vec::ReorderIsExact). Such an entry can also
+  /// serve as a source.
   bool derivable = false;
   /// Predicted answer shape: true when the engine is a cube backend and
   /// the query is BackendExpressible (single SUM of a real measure, plain

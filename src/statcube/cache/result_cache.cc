@@ -76,18 +76,22 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& exact) {
 }
 
 CachedResult ResultCache::Lookup(const QueryKey& key) {
-  CachedResult hit;
+  CachedResult found;
   {
     Shard& shard = ShardFor(key.exact);
     MutexLock lock(shard.mu);
     auto it = shard.map.find(key.exact);
     if (it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hit.table = it->second->result;
-      hit.json = it->second->json;
+      const Entry& e = *it->second;
+      found.table = e.result;
+      found.json = e.json;
+      found.object_rows = e.object_rows;
+      found.backend_shaped = e.backend_shaped;
+      found.hit = e.object_rows == key.object_rows;
     }
   }
-  if (hit.table != nullptr) {
+  if (found.hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     Count("hits");
     obs::RecordCacheProbe(obs::CacheProbe::kHit);
@@ -96,7 +100,7 @@ CachedResult ResultCache::Lookup(const QueryKey& key) {
     Count("misses");
     obs::RecordCacheProbe(obs::CacheProbe::kMiss);
   }
-  return hit;
+  return found;
 }
 
 std::optional<DerivedSource> ResultCache::FindDerivationSource(
@@ -140,7 +144,7 @@ std::optional<DerivedSource> ResultCache::FindDerivationSource(
     auto it = shard.map.find(exact);
     if (it == shard.map.end()) continue;  // evicted since the index scan
     Entry& e = *it->second;
-    if (!e.derivable_source) continue;
+    if (!e.derivable_source || e.object_rows != key.object_rows) continue;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // keep hot
     return DerivedSource{e.result, e.by, e.aggs};
   }
@@ -151,6 +155,12 @@ void ResultCache::NoteDerivedHit() {
   derived_hits_.fetch_add(1, std::memory_order_relaxed);
   Count("derived_hits");
   obs::RecordCacheProbe(obs::CacheProbe::kDerived);
+}
+
+void ResultCache::NoteFoldedHit() {
+  folded_hits_.fetch_add(1, std::memory_order_relaxed);
+  Count("folded_hits");
+  obs::RecordCacheProbe(obs::CacheProbe::kFolded);
 }
 
 std::shared_ptr<const std::string> ResultCache::Insert(
@@ -176,6 +186,7 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   e.json = json;
   e.by = key.by;
   e.aggs = key.aggs;
+  e.object_rows = key.object_rows;
   // Actual shape, not predicted: a backend answer always has the single
   // aggregate column "sum" (olap/backend.h), anything else keeps the
   // relational EffectiveName columns.
@@ -184,18 +195,27 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   e.backend_shaped = backend_answered;
   e.bytes = entry_bytes;
 
-  // Victims leave the shard under its lock but are destroyed after it is
-  // released: the last reference to a large table frees it there.
-  std::list<Entry> evicted;
+  // Victims, and the older version this entry replaces, leave the shard
+  // under its lock but are destroyed after it is released: the last
+  // reference to a large table frees it there.
+  std::list<Entry> evicted, replaced;
   {
     Shard& shard = ShardFor(key.exact);
     MutexLock lock(shard.mu);
     auto it = shard.map.find(key.exact);
     if (it != shard.map.end()) {
-      // Deterministic execution means an existing entry is already this
-      // result; just refresh recency.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->json;
+      Entry& live = *it->second;
+      if (live.object_rows == key.object_rows) {
+        // Deterministic execution means an entry at this version is
+        // already this result; just refresh recency.
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        return live.json;
+      }
+      shard.bytes -= live.bytes;
+      bytes_.fetch_sub(live.bytes, std::memory_order_relaxed);
+      entries_.fetch_sub(1, std::memory_order_relaxed);
+      replaced.splice(replaced.end(), shard.lru, it->second);
+      shard.map.erase(it);
     }
     shard.lru.push_front(std::move(e));
     shard.map[key.exact] = shard.lru.begin();
@@ -216,6 +236,9 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   Count("inserts");
   {
     MutexLock lock(index_mu_);
+    // A replaced version's member goes, and a derivable key's comes back
+    // below: a family lists each exact key once, whatever inserts race.
+    DropMember(key.family, key.exact);
     if (key.derivable && !key.cube) {
       Family& fam = families_[key.family];
       uint32_t mask = 0;
@@ -232,17 +255,7 @@ std::shared_ptr<const std::string> ResultCache::Insert(
       if (indexable)
         fam.members.push_back({key.exact, mask, rows, backend_answered});
     }
-    for (const Entry& victim : evicted) {
-      auto fam_it = families_.find(victim.family);
-      if (fam_it == families_.end()) continue;
-      auto& members = fam_it->second.members;
-      members.erase(std::remove_if(members.begin(), members.end(),
-                                   [&victim](const FamilyMember& m) {
-                                     return m.exact == victim.exact;
-                                   }),
-                    members.end());
-      if (members.empty()) families_.erase(fam_it);
-    }
+    for (const Entry& victim : evicted) DropMember(victim.family, victim.exact);
   }
   if (!evicted.empty()) {
     evictions_.fetch_add(evicted.size(), std::memory_order_relaxed);
@@ -250,6 +263,19 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   }
   UpdateSizeMetrics();
   return json;
+}
+
+void ResultCache::DropMember(const std::string& family,
+                             const std::string& exact) {
+  auto fam_it = families_.find(family);
+  if (fam_it == families_.end()) return;
+  auto& members = fam_it->second.members;
+  members.erase(std::remove_if(members.begin(), members.end(),
+                               [&exact](const FamilyMember& m) {
+                                 return m.exact == exact;
+                               }),
+                members.end());
+  if (members.empty()) families_.erase(fam_it);
 }
 
 void ResultCache::Clear() {
@@ -273,6 +299,7 @@ ResultCache::Stats ResultCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.derived_hits = derived_hits_.load(std::memory_order_relaxed);
+  s.folded_hits = folded_hits_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);

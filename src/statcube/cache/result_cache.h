@@ -4,37 +4,49 @@
 /// Sits between QueryProfiled / ExecuteQueryOnBackend and the physical
 /// backends (relational, MOLAP, ROLAP): the paper's §6.3/§6.6 observation —
 /// most OLAP answers are derivable from previously computed aggregates — as
-/// an actual fast path. Three ways a request can be satisfied:
+/// an actual fast path. Four ways a request can be satisfied, tried in
+/// this order by QueryProfiled:
 ///
 ///  1. **Exact hit**: the canonical key (cache/query_key.h) matches a live
-///     entry; the stored table and its stored JSON encoding are returned
-///     by reference, nothing copied.
-///  2. **Derived hit** (Mode::kDerive): no exact entry, but some cached
-///     entry in the same family groups by a *superset* of the requested
-///     dimensions (`Lattice::DerivableFrom` on interned dimension masks) and
-///     the key is derivable (QueryKey::derivable) — the entry is rolled up
-///     by `RollupFinalized` (relational/aggregate.h), the roll-up the
-///     materialized-view store uses too, instead of scanning base data.
-///  3. **Miss**: the caller executes normally and offers the result back via
-///     Insert, which admits every result up to `max_entry_bytes`; the byte
-///     budget's LRU decides what stays.
+///     entry at the key's data version; the stored table and its stored
+///     JSON encoding are returned by reference, nothing copied.
+///  2. **Folded** (Mode::kDerive): the exact key's entry answers an older
+///     version of the same object, which has only gained rows since. The
+///     caller aggregates the appended rows alone and merges that delta into
+///     the stored table with `RollupFinalized` (relational/aggregate.h),
+///     Gray et al.'s maintenance of distributive aggregates under insert.
+///     Only a derivable key (QueryKey::derivable), a relational-shaped
+///     entry and a GROUP BY (not a CUBE) fold.
+///  3. **Derived** (Mode::kDerive): some entry at the key's version in the
+///     same family groups by a *superset* of the requested dimensions
+///     (`Lattice::DerivableFrom` on interned dimension masks) and the key
+///     is derivable — the entry is rolled up by `RollupFinalized`, the
+///     roll-up the materialized-view store uses too, instead of scanning
+///     base data.
+///  4. **Miss**: the caller executes normally.
+///
+/// Every answer but a hit is offered back via Insert, which admits every
+/// result up to `max_entry_bytes` and replaces the exact key's entry at an
+/// older version: the cache keeps one version per exact key, and the byte
+/// budget's LRU decides what stays.
 ///
 /// An entry is an immutable answer shared with every reader: the table
 /// (`shared_ptr<const Table>`, the very object the executor built) plus
 /// its wire encoding (Table::ToJson), made once at admission. Readers keep
-/// what they were handed after the entry is evicted.
+/// what they were handed after the entry is evicted or replaced.
 ///
 /// Storage is a sharded LRU keyed by the exact key string, bounded by a byte
 /// budget (per entry: `Table::ByteSize` plus the encoding's bytes plus the
 /// key); eviction is per shard. A side index per family maps group-by sets
-/// to bitmasks for the derivation search. Invalidation is by construction:
-/// keys embed the dataset epoch (common/epoch.h), so entries for mutated
-/// objects stop matching and age out via LRU.
+/// to bitmasks for the derivation search. Invalidation is by version: an
+/// entry is a hit only at the row count it answers, and an object that is
+/// copied or edited other than by appending has a new identity, so its
+/// keys name another family.
 ///
-/// Observability: statcube.cache.{hits,misses,derived_hits,inserts,
-/// admission_rejects,evictions} counters and statcube.cache.{bytes,entries}
-/// gauges, visible on /metrics when obs is enabled; identical
-/// numbers are always available via stats() for tests.
+/// Observability: statcube.cache.{hits,misses,derived_hits,folded_hits,
+/// inserts,admission_rejects,evictions} counters and
+/// statcube.cache.{bytes,entries} gauges, visible on /metrics when obs is
+/// enabled; identical numbers are always available via stats() for tests.
 
 #ifndef STATCUBE_CACHE_RESULT_CACHE_H_
 #define STATCUBE_CACHE_RESULT_CACHE_H_
@@ -56,11 +68,18 @@
 
 namespace statcube::cache {
 
-/// An exact hit: the entry's table and its JSON encoding (Table::ToJson),
-/// shared with the cache. Both are null on a miss.
+/// What Lookup found under the exact key: its entry at whatever version it
+/// answers, shared with the cache. `table` and `json` are null when there
+/// is no entry; `hit` says whether the entry answers the key's version.
 struct CachedResult {
   std::shared_ptr<const Table> table;       ///< the cached result
   std::shared_ptr<const std::string> json;  ///< `table->ToJson()`
+  /// The object's row count the entry answers (QueryKey::object_rows).
+  size_t object_rows = 0;
+  /// A cube backend produced the entry (its shape tag).
+  bool backend_shaped = false;
+  /// The entry answers the key's version: an exact hit.
+  bool hit = false;
 };
 
 /// A cached superset entry usable to answer a finer query by roll-up; its
@@ -85,13 +104,15 @@ class ResultCache {
   };
 
   /// Monotonic counters + instantaneous size, mirrored in statcube.cache.*.
-  /// Hit rate over a window is (hits + derived_hits) / (hits + misses):
-  /// every lookup counts one hit or one miss, and derived hits are the
-  /// subset of misses recovered without touching base data.
+  /// Hit rate over a window is (hits + folded_hits + derived_hits) /
+  /// (hits + misses): every lookup counts one hit or one miss, and folded
+  /// and derived hits are the subsets of misses recovered from cached
+  /// answers.
   struct Stats {
-    uint64_t hits = 0;               ///< exact-key lookups answered
-    uint64_t misses = 0;             ///< lookups that found no exact entry
+    uint64_t hits = 0;  ///< exact-key lookups answered at the key's version
+    uint64_t misses = 0;  ///< lookups with no entry at the key's version
     uint64_t derived_hits = 0;       ///< misses recovered by roll-up
+    uint64_t folded_hits = 0;  ///< misses recovered by folding appended rows
     uint64_t inserts = 0;            ///< entries admitted
     uint64_t admission_rejects = 0;  ///< offers refused (too large)
     uint64_t evictions = 0;          ///< entries pushed out by the budget
@@ -108,26 +129,35 @@ class ResultCache {
   /// STATCUBE_CACHE_BYTES environment variable for its byte budget.
   static ResultCache& Global();
 
-  /// Exact lookup; counts a hit (and refreshes LRU) or a miss. A hit shares
-  /// the entry's table and encoding; a miss returns two nulls.
+  /// Exact lookup: shares the exact key's entry at any version (refreshing
+  /// its LRU position). Counts a hit when the entry answers the key's
+  /// version (`hit`), else a miss; an older version's entry comes back for
+  /// the caller to fold forward.
   CachedResult Lookup(const QueryKey& key);
 
-  /// Best derivation source for `key`: a live entry of the same family and
-  /// shape whose group-by set is a superset of `key.by`, with distributive
-  /// aggregates on both sides — smallest row count wins, mirroring
-  /// MaterializedCubeStore::CheapestAncestor. Does not count hits or misses
-  /// (call NoteDerivedHit once the roll-up actually succeeds).
+  /// Best derivation source for `key`: a live entry at the key's version,
+  /// of the same family and shape, whose group-by set is a superset of
+  /// `key.by`, with distributive aggregates on both sides — smallest row
+  /// count wins, mirroring MaterializedCubeStore::CheapestAncestor. Does
+  /// not count hits or misses (call NoteDerivedHit once the roll-up
+  /// actually succeeds).
   std::optional<DerivedSource> FindDerivationSource(const QueryKey& key);
 
   /// Records a successful derivation (statcube.cache.derived_hits).
   void NoteDerivedHit();
 
-  /// Offers a computed result. `backend_answered` says whether a cube
-  /// backend produced it (shape tag for derivation). A result within
-  /// `max_entry_bytes` is admitted, kept by reference, not copied, and
-  /// encoded once (outside the shard lock); the encoding counts toward the
-  /// entry's bytes. Returns the stored encoding (the live entry's, when the
-  /// key is already cached), or null when the result is too large.
+  /// Records a successful fold of appended rows into an older version's
+  /// entry (statcube.cache.folded_hits).
+  void NoteFoldedHit();
+
+  /// Offers a computed result for `key`'s version. `backend_answered` says
+  /// whether a cube backend produced it (shape tag for derivation and
+  /// folding). A result within `max_entry_bytes` is admitted, kept by
+  /// reference, not copied, and encoded once (outside the shard lock); the
+  /// encoding counts toward the entry's bytes. It replaces the exact key's
+  /// entry at an older version, and the family index updates that member.
+  /// Returns the stored encoding (the live entry's, when the key's version
+  /// is already cached), or null when the result is too large.
   std::shared_ptr<const std::string> Insert(
       const QueryKey& key, std::shared_ptr<const Table> result,
       bool backend_answered);
@@ -152,6 +182,7 @@ class ResultCache {
     std::shared_ptr<const std::string> json;
     std::vector<std::string> by;
     std::vector<AggSpec> aggs;
+    size_t object_rows = 0;  // the version it answers
     bool derivable_source = false;
     bool backend_shaped = false;
     size_t bytes = 0;
@@ -179,6 +210,10 @@ class ResultCache {
 
   Shard& ShardFor(const std::string& exact);
   void UpdateSizeMetrics();
+  /// Removes `exact` from `family`'s derivation index, and the family
+  /// when it has no member left.
+  void DropMember(const std::string& family, const std::string& exact)
+      STATCUBE_REQUIRES(index_mu_);
 
   const size_t byte_budget_;
   const size_t per_shard_budget_;
@@ -194,6 +229,7 @@ class ResultCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> derived_hits_{0};
+  std::atomic<uint64_t> folded_hits_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> admission_rejects_{0};
   std::atomic<uint64_t> evictions_{0};

@@ -6,7 +6,7 @@
 /// cache, the obs serving layer, ...). The analysis proves *at compile time*
 /// which mutex guards which field and that every access happens under the
 /// right lock — turning the serial==parallel determinism contract and the
-/// epoch-invalidation contract from test-time hopes (TSan) into build-time
+/// result cache's locking from test-time hopes (TSan) into build-time
 /// guarantees. See DESIGN.md §8 and
 /// https://clang.llvm.org/docs/ThreadSafetyAnalysis.html.
 ///

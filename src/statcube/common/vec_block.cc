@@ -1,5 +1,9 @@
 #include "statcube/common/vec_block.h"
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
@@ -137,13 +141,38 @@ size_t CountFlagBits(const uint8_t* flags, size_t n, uint8_t bit) {
   return c;
 }
 
-bool ReorderIsExact(bool all_integral, double max_abs, size_t n) {
-  if (!all_integral) return false;
-  if (n == 0) return true;
-  // Every partial sum in any grouping is bounded by n * max_abs; keeping
-  // that at or below 2^53 makes every partial an exactly representable
-  // integer, so association cannot change a bit. Division avoids overflow.
-  return max_abs <= kMaxExactDouble / static_cast<double>(n);
+bool ReorderIsExact(int scale, double max_abs, size_t n) {
+  if (n == 0 || max_abs == 0.0) return true;
+  if (!(max_abs <= std::numeric_limits<double>::max())) return false;
+  // In units of 2^scale the largest magnitude is the integer m, and every
+  // partial sum is an integer of magnitude at most n * m. That is exact
+  // while n * m <= 2^53, i.e. m <= floor(2^53 / n) in integers. A scale
+  // the numbers do not have (m not an integer) licenses nothing.
+  const double m = std::ldexp(max_abs, -scale);
+  if (!(m <= kMaxExactDouble) || m != std::trunc(m)) return false;
+  constexpr uint64_t kTwo53 = uint64_t(1) << 53;
+  return uint64_t(m) <= kTwo53 / uint64_t(n);
+}
+
+void ScaleEvidence::Note(double x) {
+  const double a = std::fabs(x);
+  if (!(a <= std::numeric_limits<double>::max())) {  // NaN or an infinity
+    max_abs = std::numeric_limits<double>::infinity();
+    return;
+  }
+  if (a == 0.0) return;
+  if (a > max_abs) max_abs = a;
+  // x = significand * 2^(biased exponent - 1075) for a normal number (the
+  // significand carries the implicit bit), significand * 2^-1074 for a
+  // subnormal; its lowest set bit sets the scale.
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  const int biased = int((bits >> 52) & 0x7ff);
+  const uint64_t frac = bits & ((uint64_t(1) << 52) - 1);
+  const uint64_t significand =
+      biased == 0 ? frac : frac | (uint64_t(1) << 52);
+  const int low = (biased == 0 ? -1074 : biased - 1075) +
+                  std::countr_zero(significand);
+  if (low < scale) scale = low;
 }
 
 const char* SimdLevelName() { return GetDispatch().level; }

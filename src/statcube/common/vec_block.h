@@ -18,10 +18,11 @@
 ///    lanes (lane j sums elements j, j+4, j+8, ...), which reassociates
 ///    the addition. Callers may use them **only when reassociation is
 ///    provably exact** — `ReorderIsExact` implements the rule: if every
-///    value is integral and `n * max|v|` (or `n * max|v|^2` for the
-///    squared sum) stays within 2^53, every partial sum in any order is an
-///    exactly representable integer, so any summation order returns the
-///    same bits as the ordered loop.
+///    value is a multiple of 2^e (its binary scale, `ScaleEvidence`) and
+///    `n * max|v|` stays within 2^(53+e) (`n * max|v|^2` within 2^(53+2e)
+///    for the squared sum), every partial sum in any order is a multiple
+///    of 2^e with at most 53 significant bits, exactly representable, so
+///    any summation order returns the same bits as the ordered loop.
 ///  * `MinBlock` / `MaxBlock` reduce over an associative, commutative,
 ///    NaN-free lattice — bit-identical in any order, always vectorizable.
 ///  * `CountFlagBits` counts set low bits in a flag byte array — integer
@@ -73,12 +74,41 @@ double MaxBlock(const double* v, size_t n);
 /// Number of bytes in `flags[0, n)` with bit `bit` set.
 size_t CountFlagBits(const uint8_t* flags, size_t n, uint8_t bit);
 
-/// True when a reassociated sum over `n` values, each integral with
-/// absolute value at most `max_abs`, is provably bit-identical to the
-/// ordered sum: every partial sum is an integer of magnitude <= n * max_abs
-/// <= 2^53, hence exactly representable. `all_integral` is the caller's
-/// evidence (tracked incrementally by the measure slabs and DenseArray).
-bool ReorderIsExact(bool all_integral, double max_abs, size_t n);
+/// True when a reassociated sum over `n` values, each a multiple of
+/// 2^`scale` with absolute value at most `max_abs`, is provably
+/// bit-identical to the ordered sum: `n * max_abs <= 2^(53 + scale)`, so
+/// every partial sum, in any order, is a multiple of 2^scale within
+/// 2^(53 + scale), hence exactly representable. Decided in integers, so
+/// the bound is exact. An infinite or NaN `max_abs` never qualifies; a
+/// zero `max_abs` (every value zero) and `n == 0` always do. The squared
+/// sum's gate is `ReorderIsExact(2 * scale, max_abs * max_abs, n)`.
+bool ReorderIsExact(int scale, double max_abs, size_t n);
+
+/// What ReorderIsExact needs to know about a set of numbers, folded in one
+/// number at a time: the evidence of the measure slabs
+/// (relational/aggregate.h's SlabEvidence) and of DenseArray. Evidence
+/// about a superset of the numbers holds for any subset of them.
+struct ScaleEvidence {
+  /// No number but zeros yet: the scale of an empty or all-zero set.
+  static constexpr int kNoScale = 1 << 20;
+  /// The largest e such that every nonzero number is a multiple of 2^e:
+  /// the smallest exponent of a lowest set bit among them (0 for odd
+  /// integers, -2 for quarters, -1074 for the smallest subnormal).
+  int scale = kNoScale;
+  /// The largest |number|; +inf once a NaN or an infinity is noted, which
+  /// leaves no licence.
+  double max_abs = 0.0;
+
+  /// Folds `x` in. Zeros (either sign) leave the scale alone.
+  void Note(double x);
+
+  /// ReorderIsExact for a sum over `n` of the numbers.
+  bool Licenses(size_t n) const { return ReorderIsExact(scale, max_abs, n); }
+  /// ReorderIsExact for a sum over `n` of their squares.
+  bool LicensesSquares(size_t n) const {
+    return ReorderIsExact(2 * scale, max_abs * max_abs, n);
+  }
+};
 
 /// The instruction set the reassociating kernels dispatched to at startup:
 /// "avx2" or "generic".

@@ -1,10 +1,16 @@
 #include "statcube/core/statistical_object.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "statcube/common/str_util.h"
 
 namespace statcube {
+
+uint64_t ObjectIdentity::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void StatisticalObject::RebuildSchema() {
   Schema s;
@@ -25,6 +31,7 @@ Status StatisticalObject::AddDimension(Dimension dim) {
     if (d.name() == dim.name())
       return Status::AlreadyExists("dimension '" + dim.name() + "'");
   dims_.push_back(std::move(dim));
+  identity_.Renew();
   RebuildSchema();
   return Status::OK();
 }
@@ -36,6 +43,7 @@ Status StatisticalObject::AddMeasure(SummaryMeasure measure) {
     if (m.name == measure.name)
       return Status::AlreadyExists("measure '" + measure.name + "'");
   measures_.push_back(std::move(measure));
+  identity_.Renew();
   RebuildSchema();
   return Status::OK();
 }
@@ -54,7 +62,7 @@ Result<Dimension*> StatisticalObject::MutableDimensionNamed(
     if (d.name() == name) {
       // Handing out a mutable hierarchy invalidates cached roll-ups, and
       // the handle may clear the registered values.
-      DataEpochs::Global().Bump(name_);
+      identity_.Renew();
       std::vector<uint8_t>& reg = registered_[size_t(&d - dims_.data())];
       std::fill(reg.begin(), reg.end(), uint8_t{0});
       return &d;
@@ -122,9 +130,6 @@ Status StatisticalObject::AddCell(const Row& dim_values,
     row.push_back(measure_values[j]);
   }
   data_.AppendRowUnchecked(std::move(row));
-  // Publish the mutation so cached query results against the old contents
-  // stop matching (common/epoch.h).
-  DataEpochs::Global().Bump(name_);
   return Status::OK();
 }
 

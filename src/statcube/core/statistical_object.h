@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "statcube/common/epoch.h"
 #include "statcube/common/status.h"
 #include "statcube/common/value.h"
 #include "statcube/core/dimension.h"
@@ -35,6 +34,36 @@
 
 namespace statcube {
 
+/// An identity drawn from a process-wide counter, never reused. A copy
+/// draws a fresh one; a move hands the identity over and the moved-from
+/// side draws a fresh one. So a holder keeps the defaulted special members
+/// and still never shares an identity.
+class ObjectIdentity {
+ public:
+  ObjectIdentity() : id_(Next()) {}
+  ObjectIdentity(const ObjectIdentity&) : id_(Next()) {}
+  ObjectIdentity(ObjectIdentity&& other) noexcept : id_(other.id_) {
+    other.Renew();
+  }
+  ObjectIdentity& operator=(const ObjectIdentity&) {
+    Renew();
+    return *this;
+  }
+  ObjectIdentity& operator=(ObjectIdentity&& other) noexcept {
+    id_ = other.id_;
+    other.Renew();
+    return *this;
+  }
+
+  uint64_t value() const { return id_; }
+  /// Draws a fresh identity.
+  void Renew() { id_ = Next(); }
+
+ private:
+  static uint64_t Next();
+  uint64_t id_;
+};
+
 /// A multidimensional summary dataset with explicit semantics.
 class StatisticalObject {
  public:
@@ -42,6 +71,13 @@ class StatisticalObject {
   explicit StatisticalObject(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
+
+  /// The object's identity. AddCell only appends, so rows [0, n) never
+  /// change under one identity, and (identity, row count) names one
+  /// version of the data: the result cache's notion of "same data". A
+  /// copy, a moved-from object and every mutation but AddCell
+  /// (AddDimension, AddMeasure, MutableDimensionNamed) get a fresh one.
+  uint64_t identity() const { return identity_.value(); }
 
   /// Adds a dimension (before any cells).
   Status AddDimension(Dimension dim);
@@ -54,7 +90,7 @@ class StatisticalObject {
 
   /// Looks up a dimension by name.
   Result<const Dimension*> DimensionNamed(const std::string& name) const;
-  /// Mutable handle; conservatively bumps the cache epoch (hierarchy edits
+  /// Mutable handle; conservatively renews the identity (hierarchy edits
   /// change roll-up results, so cached answers must stop matching), and
   /// since the handle can clear the registered values, the next AddCell
   /// registers each of this dimension's values again.
@@ -113,6 +149,7 @@ class StatisticalObject {
  private:
   void RebuildSchema();
 
+  ObjectIdentity identity_;
   std::string name_;
   std::vector<Dimension> dims_;
   std::vector<SummaryMeasure> measures_;

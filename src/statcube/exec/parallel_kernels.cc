@@ -111,12 +111,11 @@ class GroupIds {
   std::vector<uint64_t> keys_;
 };
 
-// Picks the reassociated block sum when
-// `vec::ReorderIsExact(all_integral, max_abs, n)` holds and the ordered loop
-// otherwise; always bit-identical to `vec::SumBlockOrdered`. Counts each
-// choice in `statcube.exec.vec.block_sum_fast` / `_ordered`.
-double SumBlockAuto(const double* v, size_t n, bool all_integral,
-                    double max_abs) {
+// Picks the reassociated block sum when the evidence licenses it
+// (vec::ReorderIsExact) and the ordered loop otherwise; always
+// bit-identical to `vec::SumBlockOrdered`. Counts each choice in
+// `statcube.exec.vec.block_sum_fast` / `_ordered`.
+double SumBlockAuto(const double* v, size_t n, const vec::ScaleEvidence& ev) {
   // Resolved once: GetCounter is a by-name map lookup under the registry
   // mutex. Registry entries are never erased (Reset() only zeroes values),
   // so the references stay valid for the process lifetime.
@@ -124,7 +123,7 @@ double SumBlockAuto(const double* v, size_t n, bool all_integral,
       .GetCounter("statcube.exec.vec.block_sum_fast");
   static obs::Counter& ordered_counter = obs::MetricsRegistry::Global()
       .GetCounter("statcube.exec.vec.block_sum_ordered");
-  if (vec::ReorderIsExact(all_integral, max_abs, n)) {
+  if (ev.Licenses(n)) {
     if (obs::Enabled()) fast_counter.Add(1);
     return vec::SumBlockFast(v, n);
   }
@@ -235,10 +234,8 @@ SlotStates FoldSlots(size_t n, const uint64_t* slot, size_t nslots,
       case AggFn::kStdDev:
         a.sum_sq.assign(nslots, 0.0);
         if (slot == nullptr) {
-          a.sum_sq[0] =
-              vec::ReorderIsExact(ev.integral, ev.max_abs * ev.max_abs, n)
-                  ? vec::SumSqBlockFast(v, n)
-                  : vec::SumSqBlockOrdered(v, n);
+          a.sum_sq[0] = ev.LicensesSquares(n) ? vec::SumSqBlockFast(v, n)
+                                              : vec::SumSqBlockOrdered(v, n);
         } else {
           for (size_t e = 0; e < n; ++e) a.sum_sq[slot[e]] += v[e] * v[e];
         }
@@ -247,7 +244,7 @@ SlotStates FoldSlots(size_t n, const uint64_t* slot, size_t nslots,
       case AggFn::kAvg:
         a.sum.assign(nslots, 0.0);
         if (slot == nullptr) {
-          a.sum[0] = SumBlockAuto(v, n, ev.integral, ev.max_abs);
+          a.sum[0] = SumBlockAuto(v, n, ev);
         } else {
           for (size_t e = 0; e < n; ++e) a.sum[slot[e]] += v[e];
         }

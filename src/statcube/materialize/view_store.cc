@@ -49,8 +49,8 @@ Status MaterializedCubeStore::Materialize(uint32_t mask) {
     STATCUBE_ASSIGN_OR_RETURN(view, GroupBy(base_, DimsOf(mask), aggs_));
   } else {
     STATCUBE_ASSIGN_OR_RETURN(
-        view, RollupFinalized(views_.at(uint32_t(anc)), DimsOf(uint32_t(anc)),
-                              aggs_, DimsOf(mask)));
+        view, RollupFinalized({&views_.at(uint32_t(anc))},
+                              DimsOf(uint32_t(anc)), aggs_, DimsOf(mask)));
   }
   views_.emplace(mask, std::move(view));
   return Status::OK();
@@ -76,7 +76,7 @@ Result<Table> MaterializedCubeStore::Query(uint32_t mask) {
   }
   last_rows_scanned_ = views_.at(uint32_t(anc)).num_rows();
   obs::RecordViewStoreQuery(mask, /*hit=*/false, anc, last_rows_scanned_);
-  return RollupFinalized(views_.at(uint32_t(anc)), DimsOf(uint32_t(anc)),
+  return RollupFinalized({&views_.at(uint32_t(anc))}, DimsOf(uint32_t(anc)),
                          aggs_, DimsOf(mask));
 }
 
@@ -88,13 +88,12 @@ Result<uint64_t> MaterializedCubeStore::AppendAndRefresh(
 
   uint64_t reaggregated = 0;
   for (auto& [mask, view] : views_) {
-    // Only the delta is aggregated at the view's grouping; its groups join
-    // the view's rows, and the roll-up onto the same grouping merges them.
+    // Only the delta is aggregated at the view's grouping; the roll-up
+    // onto the same grouping merges it into the view in one linear pass.
     const std::vector<std::string> dims = DimsOf(mask);
     STATCUBE_ASSIGN_OR_RETURN(Table delta_view, GroupBy(delta, dims, aggs_));
-    for (Row& r : delta_view.mutable_rows())
-      view.AppendRowUnchecked(std::move(r));
-    STATCUBE_ASSIGN_OR_RETURN(view, RollupFinalized(view, dims, aggs_, dims));
+    STATCUBE_ASSIGN_OR_RETURN(
+        view, RollupFinalized({&view, &delta_view}, dims, aggs_, dims));
     reaggregated += delta.num_rows();
   }
   // Finally append to the base.

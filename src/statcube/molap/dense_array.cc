@@ -1,14 +1,9 @@
 #include "statcube/molap/dense_array.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
-#include "statcube/common/vec_block.h"
-
 namespace statcube {
-
-bool DenseArray::IsIntegral(double v) { return std::trunc(v) == v; }
 
 DenseArray::DenseArray(std::vector<size_t> shape) : shape_(std::move(shape)) {
   strides_.assign(shape_.size(), 1);
@@ -88,12 +83,12 @@ Result<std::vector<double>> DenseArray::SumRangeBy(
   if (total_cells == 0) return std::vector<double>();  // empty sub-cube
   std::vector<double> totals(ntotals, 0.0);
 
-  // Exactness gate for reassociated (SIMD) segment sums: when every cell
-  // ever written is integral and the whole sub-cube's sum stays within
-  // 2^53, any association is exact, so block-summing a segment into its
-  // total is bit-identical to adding its cells one by one. Otherwise keep
-  // the strictly ordered accumulation.
-  const bool fast = vec::ReorderIsExact(all_integral_, max_abs_, total_cells);
+  // Exactness gate for reassociated (SIMD) segment sums, the coded fold's
+  // licence: when every cell ever written is a multiple of 2^e and the
+  // whole sub-cube's sum stays within 2^(53+e), any association is exact,
+  // so block-summing a segment into its total is bit-identical to adding
+  // its cells one by one. Otherwise keep the strictly ordered accumulation.
+  const bool fast = evidence_.Licenses(total_cells);
   // The innermost dimension contributes a contiguous segment per
   // combination of the leading ones; its cells go to one total, or, when
   // it is a BY dimension, `inner_step` apart.

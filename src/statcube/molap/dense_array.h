@@ -18,6 +18,7 @@
 #include "statcube/common/block_counter.h"
 #include "statcube/common/cancellation.h"
 #include "statcube/common/status.h"
+#include "statcube/common/vec_block.h"
 
 namespace statcube {
 
@@ -84,32 +85,18 @@ class DenseArray {
   BlockCounter& counter() { return counter_; }
   const std::vector<double>& cells() const { return cells_; }
 
-  /// Conservative exactness evidence for reassociated (SIMD) summation
-  /// (common/vec_block.h): true while every value ever written was an integer
-  /// (the initial cells are 0.0). Overwrites never clear history, so this
-  /// may under-claim but never over-claims.
-  bool all_integral() const { return all_integral_; }
-  /// Upper bound on |cell| across every value ever written (overwrites keep
-  /// the old bound — an over-estimate is still a sound gate input).
-  double max_abs() const { return max_abs_; }
-
  private:
-  // Maintains the exactness metadata on every write path. NaN is not
-  // integral and its magnitude comparison is always false, so it pins
-  // all_integral_ off; infinities blow the bound. Either disables the
-  // reassociated fast path.
-  void NoteWrite(double v) {
-    double a = v < 0 ? -v : v;
-    if (a > max_abs_) max_abs_ = a;
-    if (all_integral_ && !IsIntegral(v)) all_integral_ = false;
-  }
-  static bool IsIntegral(double v);
+  // Maintains the exactness evidence on every write path.
+  void NoteWrite(double v) { evidence_.Note(v); }
 
   std::vector<size_t> shape_;
   std::vector<size_t> strides_;  // row-major
   std::vector<double> cells_;
-  bool all_integral_ = true;
-  double max_abs_ = 0.0;
+  // Exactness evidence for reassociated (SIMD) summation
+  // (common/vec_block.h) over every value ever written (the initial cells
+  // are 0.0). Overwrites never clear history, so it may under-claim but
+  // never over-claims.
+  vec::ScaleEvidence evidence_;
   BlockCounter counter_;
 };
 

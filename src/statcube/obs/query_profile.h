@@ -44,10 +44,11 @@ struct ViewStoreEvent {
 /// The full profile of one query.
 struct QueryProfile {
   /// "molap", "rolap", "rolap+bitmap", "relational" — or "cache" when the
-  /// result cache answered without executing.
+  /// result cache answered without executing over the object's rows (a
+  /// fold reads only the appended ones).
   std::string backend;
-  /// Result-cache outcome: "hit", "derived", "miss", or empty when the
-  /// query ran with the cache off.
+  /// Result-cache outcome: "hit", "folded", "derived", "miss", or empty
+  /// when the query ran with the cache off.
   std::string cache;
   /// How the query ended: "ok", "cancelled", or "deadline_exceeded" (set by
   /// QueryProfiled; empty — treated as "ok" by the serializers — for

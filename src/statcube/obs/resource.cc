@@ -28,6 +28,7 @@ ResourceVector ResourceAccumulator::Snapshot() const {
   v.tasks_spawned = tasks_.load(std::memory_order_relaxed);
   v.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   v.cache_derived_hits = cache_derived_.load(std::memory_order_relaxed);
+  v.cache_folded_hits = cache_folded_.load(std::memory_order_relaxed);
   v.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < kCpuSlots; ++i) {
     if (per_thread_used_[i].load(std::memory_order_relaxed)) {
@@ -65,8 +66,8 @@ std::string ResourceVector::ToString() const {
   std::ostringstream os;
   os << "cpu_us=" << cpu_us << " bytes_touched=" << bytes_touched
      << " morsels=" << morsels << " tasks_spawned=" << tasks_spawned
-     << " cache=" << cache_hits << "h/" << cache_derived_hits << "d/"
-     << cache_misses << "m";
+     << " cache=" << cache_hits << "h/" << cache_folded_hits << "f/"
+     << cache_derived_hits << "d/" << cache_misses << "m";
   if (!cpu_us_by_thread.empty()) {
     os << " cpu_by_thread=";
     for (size_t i = 0; i < cpu_us_by_thread.size(); ++i) {
@@ -87,6 +88,7 @@ std::string ResourceVector::ToJson() const {
       .Key("tasks_spawned").Uint(tasks_spawned)
       .Key("cache_hits").Uint(cache_hits)
       .Key("cache_derived_hits").Uint(cache_derived_hits)
+      .Key("cache_folded_hits").Uint(cache_folded_hits)
       .Key("cache_misses").Uint(cache_misses)
       .Key("cpu_us_by_thread").BeginArray();
   for (const auto& [thread, us] : cpu_us_by_thread)

@@ -54,6 +54,8 @@ struct ResourceVector {
   uint64_t cache_hits = 0;
   /// Result-cache derived (lattice roll-up) hits.
   uint64_t cache_derived_hits = 0;
+  /// Result-cache folded hits: appended rows folded into an older answer.
+  uint64_t cache_folded_hits = 0;
   /// Result-cache lookups that found no exact entry.
   uint64_t cache_misses = 0;
   /// Per-thread CPU split: (CurrentThreadId, microseconds), ascending by
@@ -65,7 +67,7 @@ struct ResourceVector {
   bool Empty() const {
     return cpu_us == 0 && bytes_touched == 0 && morsels == 0 &&
            tasks_spawned == 0 && cache_hits == 0 && cache_derived_hits == 0 &&
-           cache_misses == 0;
+           cache_folded_hits == 0 && cache_misses == 0;
   }
 
   /// One-line human-readable summary (used by QueryProfile::ToString).
@@ -117,6 +119,10 @@ class ResourceAccumulator {
   void CountCacheDerived() {
     cache_derived_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Counts a result-cache folded hit.
+  void CountCacheFolded() {
+    cache_folded_.fetch_add(1, std::memory_order_relaxed);
+  }
   /// Counts a result-cache miss.
   void CountCacheMiss() {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -132,6 +138,7 @@ class ResourceAccumulator {
   std::atomic<uint64_t> tasks_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_derived_{0};
+  std::atomic<uint64_t> cache_folded_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::array<std::atomic<uint64_t>, kCpuSlots> per_thread_us_{};
   std::array<std::atomic<bool>, kCpuSlots> per_thread_used_{};
@@ -195,6 +202,7 @@ inline void RecordBytesTouched(uint64_t bytes) {
 enum class CacheProbe {
   kHit,      ///< exact entry answered
   kDerived,  ///< answered by lattice roll-up of a cached superset
+  kFolded,   ///< answered by folding appended rows into an older answer
   kMiss      ///< no exact entry
 };
 
@@ -207,6 +215,7 @@ inline void RecordCacheProbe(CacheProbe outcome) {
   switch (outcome) {
     case CacheProbe::kHit: r->CountCacheHit(); break;
     case CacheProbe::kDerived: r->CountCacheDerived(); break;
+    case CacheProbe::kFolded: r->CountCacheFolded(); break;
     case CacheProbe::kMiss: r->CountCacheMiss(); break;
   }
 }

@@ -17,8 +17,8 @@
 
 namespace statcube::query {
 
-/// Builds the canonical key. Cheap (touches two rows of data); fails only
-/// when the query has no aggregates.
+/// Builds the canonical key. Cheap (reads no row of data); fails only when
+/// the query has no aggregates.
 Result<cache::QueryKey> BuildQueryKey(const StatisticalObject& obj,
                                       const ParsedQuery& query,
                                       QueryEngine engine);

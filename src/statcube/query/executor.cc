@@ -228,19 +228,23 @@ std::optional<CodedAttr> AttrOf(const StatisticalObject& obj,
 // The executor on the code columns (DESIGN.md §14): a WHERE is a keep
 // array per leaf code, a level is its code map, and exec::CodedGroupBy
 // groups the kept rows' codes and folds the object's measure slabs. No row
-// gets a Value hash, a Value compare or a Row. Returns nullopt, before
-// touching a row, for the shapes codes cannot group exactly: a BY or WHERE
-// on a measure, an aggregate over anything but a measure, and whatever
+// gets a Value hash, a Value compare or a Row. Reads rows [from, n) only:
+// 0 for a query, the first appended row for a cache fold, whose codes,
+// slabs and flags start there while the dictionaries, the level maps and
+// the slabs' evidence cover every row. Returns nullopt, before touching a
+// row, for the shapes codes cannot group exactly: a BY or WHERE on a
+// measure, an aggregate over anything but a measure, and whatever
 // CodedGroupBy declines — which the row route handles (and refuses) as it
 // always has.
 std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
                                           const ParsedQuery& query,
                                           const ScanPlan& plan,
-                                          const exec::ExecOptions& options) {
+                                          const exec::ExecOptions& options,
+                                          size_t from = 0) {
   const size_t ndims = obj.dimensions().size();
   exec::CodedGroupByInput in;
   in.name = obj.data().name() + (plan.where.empty() ? "" : "_sel");
-  in.rows = obj.data().num_rows();
+  in.rows = obj.data().num_rows() - from;
   in.by_names = query.by;
   in.aggs = NamedAggs(query);
   in.cube = query.cube;
@@ -258,13 +262,13 @@ std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
     const StatisticalObject::MeasureSlab& slab =
         obj.measure_slabs()[*col - ndims];
     in.slabs.push_back(
-        {slab.values.data(), slab.flags.data(), slab.evidence});
+        {slab.values.data() + from, slab.flags.data() + from, slab.evidence});
   }
   for (const std::string& name : query.by) {
     std::optional<CodedAttr> a = AttrOf(obj, plan, *plan.schema.IndexOf(name));
     if (!a) return std::nullopt;
-    in.by.push_back(
-        {obj.code_columns()[a->dim].codes.data(), a->level_of, a->values});
+    in.by.push_back({obj.code_columns()[a->dim].codes.data() + from,
+                     a->level_of, a->values});
   }
   // WHERE: per leaf dimension, the codes every predicate on it (on the
   // dimension or on one of its levels) keeps.
@@ -285,7 +289,8 @@ std::optional<Result<Table>> ExecuteCoded(const StatisticalObject& obj,
       it->second[leaf] &= match[a->level_of ? a->level_of[leaf] : leaf];
   }
   for (const auto& [dim, k] : keep)
-    in.filters.push_back({obj.code_columns()[dim].codes.data(), k.data()});
+    in.filters.push_back(
+        {obj.code_columns()[dim].codes.data() + from, k.data()});
   return exec::CodedGroupBy(in, options);
 }
 
@@ -300,6 +305,28 @@ Result<Table> ExecuteRows(const StatisticalObject& obj,
   obs::Span agg_span("aggregate");
   return query.cube ? CubeBy(input, query.by, aggs)
                     : GroupBy(input, query.by, aggs);
+}
+
+// Folds the rows appended since `stale` was computed, rows
+// [stale_rows, n), into it (cache/result_cache.h): the coded group-by over
+// those rows alone, merged into the stored table by RollupFinalized's
+// linear pass. The caller has checked the licence (QueryKey::derivable:
+// distributive aggregates, every sum re-adding exactly over all n rows),
+// so the merge repeats a full execution's bits. nullopt when the coded
+// route declines the query.
+std::optional<Result<Table>> FoldAppended(const StatisticalObject& obj,
+                                          const ParsedQuery& query,
+                                          const Table& stale,
+                                          size_t stale_rows, int threads) {
+  Result<ScanPlan> plan = PlanQuery(obj, query, /*coded=*/true);
+  if (!plan.ok()) return Result<Table>(plan.status());
+  std::optional<Result<Table>> delta =
+      ExecuteCoded(obj, query, *plan,
+                   {.threads = threads, .stop = CurrentCancelContext()},
+                   stale_rows);
+  if (!delta || !delta->ok()) return delta;
+  return RollupFinalized({&stale, &**delta}, query.by, NamedAggs(query),
+                         query.by);
 }
 
 }  // namespace
@@ -448,47 +475,68 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   // is moved in and then shared with the cache.
   std::shared_ptr<const Table> out;
   std::shared_ptr<const std::string> json;
-  bool executed = false;
 
-  // Result-cache route: an exact entry is returned as stored; under
-  // Mode::kDerive a cached superset grouping is rolled up instead of
-  // touching base data. Either way the backends below are skipped entirely
-  // (profile backend "cache"). Key building failures — e.g. a query with no
+  // Result-cache route, in order: an exact entry at the object's version
+  // is returned as stored; under Mode::kDerive, an older version's entry
+  // has the appended rows folded in, or else a cached superset grouping at
+  // this version is rolled up. Either way no base row before the appended
+  // ones is touched and the backends below are skipped entirely (profile
+  // backend "cache"). Key building failures — e.g. a query with no
   // aggregates, which cannot parse anyway — just disable caching.
   cache::ResultCache& rc = cache::ResultCache::Global();
   Result<cache::QueryKey> key = Status::Unimplemented("cache off");
+  bool hit = false;
+  bool answer_backend_shaped = false;  // the shape tag Insert records
   if (options.cache != cache::Mode::kOff) {
     obs::Span lookup_span("cache.lookup");
     key = query::BuildQueryKey(obj, q, options.engine);
     if (key.ok()) {
-      if (cache::CachedResult hit = rc.Lookup(*key); hit.table != nullptr) {
-        out = std::move(hit.table);
-        json = std::move(hit.json);
-        executed = true;
+      cache::CachedResult found = rc.Lookup(*key);
+      const bool derive =
+          options.cache == cache::Mode::kDerive && key->derivable;
+      if (found.hit) {
+        out = std::move(found.table);
+        json = std::move(found.json);
+        hit = true;
         scope.profile().cache = "hit";
-      } else if (options.cache == cache::Mode::kDerive && key->derivable) {
+      } else if (derive && found.table != nullptr &&
+                 found.object_rows < key->object_rows &&
+                 !found.backend_shaped && !key->backend_shaped) {
+        obs::Span fold_span("cache.fold");
+        std::optional<Result<Table>> folded =
+            FoldAppended(obj, q, *found.table, found.object_rows,
+                         options.threads);
+        if (folded && !folded->ok()) {
+          if (is_stop(folded->status())) return fail(folded->status());
+          return folded->status();
+        }
+        if (folded) {
+          out = std::make_shared<const Table>(std::move(*folded).value());
+          scope.profile().cache = "folded";
+          rc.NoteFoldedHit();
+        }
+      }
+      if (out == nullptr && derive) {
         if (std::optional<cache::DerivedSource> src =
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");
-          Result<Table> derived =
-              RollupFinalized(*src->result, src->by, src->aggs, key->by);
+          Result<Table> derived = RollupFinalized(
+              {src->result.get()}, src->by, src->aggs, key->by);
           if (derived.ok()) {
             out = std::make_shared<const Table>(std::move(derived).value());
-            executed = true;
             scope.profile().cache = "derived";
             rc.NoteDerivedHit();
-            // Offer the derived table as an exact entry for next time. The
-            // source was shape-matched, so the derived table has the
+            // The source was shape-matched, so the derived table has the
             // request's predicted shape.
-            json = rc.Insert(*key, out, key->backend_shaped);
+            answer_backend_shaped = key->backend_shaped;
           }
         }
       }
-      if (!executed) scope.profile().cache = "miss";
+      if (out == nullptr) scope.profile().cache = "miss";
     }
   }
-  const bool from_cache = executed;
-  if (from_cache) scope.profile().backend = "cache";
+  bool executed = out != nullptr;
+  if (executed) scope.profile().backend = "cache";
 
   // Cube-engine route: when the query is backend-expressible, build the
   // backend for its measure (its cost is part of the profile, under its own
@@ -496,7 +544,6 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   // relational executor — the profile's backend field says which path
   // answered. A backend that declines a query it cannot group exactly
   // (Unimplemented, olap/backend.h) falls back the same way.
-  bool backend_answered = false;
   if (!executed && options.engine != QueryEngine::kRelational &&
       BackendExpressible(obj, q).ok()) {
     Result<std::unique_ptr<CubeBackend>> backend =
@@ -525,7 +572,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
       if (res.ok()) {
         out = std::make_shared<const Table>(std::move(res).value());
         executed = true;
-        backend_answered = true;
+        answer_backend_shaped = true;
       } else if (is_stop(res.status())) {
         return fail(res.status());
       } else if (res.status().code() != StatusCode::kUnimplemented) {
@@ -556,10 +603,11 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   if (StopReason r = cctx.Check(); r != StopReason::kNone)
     return fail(StopStatus(r, "post-execution"));
 
-  // Offer a freshly computed result back to the cache.
-  if (!from_cache && key.ok()) {
+  // Offer every answer but a hit back to the cache: as the key's version,
+  // it replaces an older version's entry.
+  if (!hit && key.ok()) {
     obs::Span insert_span("cache.insert");
-    json = rc.Insert(*key, out, backend_answered);
+    json = rc.Insert(*key, out, answer_backend_shaped);
   }
 
   ProfiledQuery pq;

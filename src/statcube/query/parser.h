@@ -128,10 +128,11 @@ struct QueryOptions {
   /// must not perturb the recorder (A/B benchmarks, recorder tests).
   bool record = true;
   /// Result-cache mode (cache/result_cache.h): kOff never consults the
-  /// cache, kOn reuses exact-key matches, kDerive additionally answers by
-  /// rolling up a cached superset grouping through the lattice. Any mode
+  /// cache, kOn reuses exact-key matches at the object's version, kDerive
+  /// additionally folds appended rows into an older version's answer or
+  /// rolls up a cached superset grouping through the lattice. Any mode
   /// returns bit-identical tables; the profile's `cache` field says which
-  /// path answered ("hit" / "derived" / "miss").
+  /// path answered ("hit" / "folded" / "derived" / "miss").
   cache::Mode cache = cache::Mode::kOff;
   /// Relative execution budget in microseconds, measured from query start
   /// (0 = none). Past it the query stops at the next morsel / row-batch

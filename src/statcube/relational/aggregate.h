@@ -27,6 +27,7 @@
 
 #include "statcube/common/status.h"
 #include "statcube/common/value.h"
+#include "statcube/common/vec_block.h"
 #include "statcube/relational/table.h"
 
 namespace statcube {
@@ -67,34 +68,29 @@ inline constexpr uint8_t kSlabNonNull = 1;
 inline constexpr uint8_t kSlabNumeric = 2;
 
 /// What is known about a whole measure slab, the licence for the block
-/// kernels' shortcuts (common/vec_block.h). Evidence about a superset of
-/// the rows holds for any subset of them.
-struct SlabEvidence {
-  bool integral = true;  ///< every number is integral (NaN is not)
-  double max_abs = 0.0;  ///< largest |number|, NaN ignored
-  bool gap = false;      ///< some entry is not a number, or is NaN
+/// kernels' shortcuts and for re-adding its sums in another order
+/// (common/vec_block.h): the numbers' binary scale and largest magnitude,
+/// and whether some entry is no number. Evidence about a superset of the
+/// rows holds for any subset of them.
+struct SlabEvidence : vec::ScaleEvidence {
+  bool gap = false;  ///< some entry is not a number, or is NaN
 };
 
 /// Encodes `v` as a slab entry: returns its flag byte, stores the number
 /// (0.0 for NULL, strings and ALL) in `*x`, and folds it into `*ev`.
 inline uint8_t EncodeSlabEntry(const Value& v, double* x, SlabEvidence* ev) {
   switch (v.type()) {
-    case ValueType::kInt64: {
-      *x = double(v.AsInt64());  // always integral, never NaN
-      const double a = *x < 0 ? -*x : *x;
-      if (a > ev->max_abs) ev->max_abs = a;
+    case ValueType::kInt64:
+      *x = double(v.AsInt64());
+      ev->Note(*x);
       return kSlabNonNull | kSlabNumeric;
-    }
-    case ValueType::kDouble: {
+    case ValueType::kDouble:
       *x = v.AsDouble();
-      const double a = *x < 0 ? -*x : *x;
-      if (a > ev->max_abs) ev->max_abs = a;
-      if (ev->integral && std::trunc(*x) != *x) ev->integral = false;
+      ev->Note(*x);
       // NaN breaks the block min/max precondition (the ordered `<`
       // comparisons skip it; a block seed would keep it): a gap too.
       if (*x != *x) ev->gap = true;
       return kSlabNonNull | kSlabNumeric;
-    }
     case ValueType::kNull:
       *x = 0.0;
       ev->gap = true;
@@ -181,16 +177,22 @@ Table StatesToTable(const std::string& name,
                     const std::vector<AggSpec>& aggs,
                     const GroupedStates& states);
 
-/// Rolls `src`, a finalized group-by (the columns `src_by`, then column i
-/// named `aggs[i].EffectiveName()` holding `aggs[i].fn`'s values), up to
-/// `by`, a subset of `src_by`, in one serial pass: a source holds one row
-/// per group. Sums and counts re-aggregate by summing and min and max by
-/// themselves; a non-distributive aggregate is refused. The table has
-/// GroupBy's shape: `src`'s name with its `_by_<src_by>` suffix rebased
-/// onto `by`, counts as int64 and rows sorted by `by`. So it repeats
-/// GroupBy over the rows `src` summarizes whenever every partial sum is
-/// exact (vec::ReorderIsExact).
-Result<Table> RollupFinalized(const Table& src,
+/// Rolls `srcs`, finalized group-bys (each with the columns `src_by`, then
+/// a column named `aggs[i].EffectiveName()` holding `aggs[i].fn`'s values),
+/// up to `by`, a subset of `src_by`, as one input: a source holds one row
+/// per group, and a group may recur across sources. Sums and counts
+/// re-aggregate by summing and min and max by themselves; a
+/// non-distributive aggregate is refused. The table has GroupBy's shape:
+/// the first source's name with its `_by_<src_by>` suffix rebased onto
+/// `by`, counts as int64 and rows sorted by `by`. So it repeats GroupBy
+/// over the rows the sources summarize whenever every partial sum is exact
+/// (vec::ReorderIsExact). When `by` is `src_by` and every source is
+/// strictly sorted on it with no NaN in a key (every GroupBy-shaped table
+/// over such keys is), one linear merge combines them; otherwise one hash
+/// pass over the sources in order does. Both give the same bits: equal
+/// keys combine through AggState in source order, and keep the first
+/// source's spelling.
+Result<Table> RollupFinalized(const std::vector<const Table*>& srcs,
                               const std::vector<std::string>& src_by,
                               const std::vector<AggSpec>& aggs,
                               const std::vector<std::string>& by);

@@ -3,19 +3,23 @@
 // (relational + the three cube backends) and thread count, the query path
 // must produce BIT-identical tables with the cache off, cold (miss +
 // insert), warm (exact hit) and derived (lattice roll-up from a cached
-// superset) — including table names and value types. Also covers epoch
-// invalidation after appends, WHERE literals that must not share a key, and
-// concurrent queriers sharing the global cache (TSan target).
+// superset) — including table names and value types. Also covers versions
+// (invalidation after appends, objects that must not share answers),
+// appends folded into cached answers, WHERE literals that must not share a
+// key, and concurrent queriers sharing the global cache (TSan target).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "statcube/cache/result_cache.h"
 #include "statcube/query/parser.h"
+#include "statcube/serve/front_door.h"
 #include "statcube/workload/census.h"
 #include "statcube/workload/hmo.h"
 #include "statcube/workload/retail.h"
@@ -286,8 +290,8 @@ TEST(CacheEquivalence, InexactSumsAreExecutedNotDerived) {
 }
 
 // --------------------------------------------------------------------------
-// Invalidation: an append moves the epoch, so warm entries stop matching
-// and the fresh result reflects the new data.
+// Invalidation: an append moves the object's version, so under Mode::kOn
+// warm entries stop matching and the fresh result reflects the new data.
 
 TEST(CacheEquivalence, AppendInvalidates) {
   auto data = MakeRetailWorkload().ValueOrDie();
@@ -314,6 +318,259 @@ TEST(CacheEquivalence, AppendInvalidates) {
   ExpectTablesIdentical(*direct.table, *after.table, "post-append");
   // And the totals actually moved.
   EXPECT_FALSE(cold.table->rows() == after.table->rows());
+}
+
+// --------------------------------------------------------------------------
+// Versions and folded appends. An answer is kept for one version of one
+// object, (identity, rows); under derive mode an older version's answer of
+// a licensed key has the appended rows folded in. Every answer must equal
+// Query() on the object as it stands: cell by cell by representation, and
+// byte for byte on the wire.
+
+void ExpectReference(const StatisticalObject& obj, const std::string& text,
+                     const Table& got, const std::string& what) {
+  Result<Table> want = Query(obj, text);
+  ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+  EXPECT_EQ(got.name(), want->name()) << what;
+  ASSERT_TRUE(got.schema() == want->schema()) << what;
+  ASSERT_EQ(got.num_rows(), want->num_rows()) << what;
+  for (size_t r = 0; r < got.num_rows(); ++r)
+    for (size_t c = 0; c < got.num_columns(); ++c)
+      ASSERT_TRUE(SameRepr()(got.at(r, c), want->at(r, c)))
+          << what << " row " << r << " col " << c << ": "
+          << got.at(r, c).ToString() << " vs " << want->at(r, c).ToString();
+  EXPECT_EQ(serve::TableToJson(got), serve::TableToJson(*want)) << what;
+}
+
+// A three-row object named `name`, "d" by "m", with `middle` as its
+// second cell: (a, 1), middle, (c, 3).
+StatisticalObject Twin(const std::string& name, const char* d, double m) {
+  StatisticalObject obj(name);
+  EXPECT_TRUE(obj.AddDimension(Dimension("d")).ok());
+  EXPECT_TRUE(obj.AddMeasure({.name = "m"}).ok());
+  EXPECT_TRUE(obj.AddCell({Value("a")}, {Value(1.0)}).ok());
+  EXPECT_TRUE(obj.AddCell({Value(d)}, {Value(m)}).ok());
+  EXPECT_TRUE(obj.AddCell({Value("c")}, {Value(3.0)}).ok());
+  return obj;
+}
+
+// Two objects with one name, one row count and the same first and last
+// rows are still two objects: neither is served the other's answer.
+TEST(CacheEquivalence, SameNamedObjectsNeverShareAnswers) {
+  const StatisticalObject first = Twin("twin", "b", 2.0);
+  const StatisticalObject second = Twin("twin", "z", 9.0);
+  const std::string q = "SELECT sum(m) BY d";
+  for (Mode mode : {Mode::kOn, Mode::kDerive}) {
+    ResetCache();
+    ProfiledQuery a = RunQ(first, q, Opts(mode), "first");
+    ExpectReference(first, q, *a.table, "first");
+    ProfiledQuery b = RunQ(second, q, Opts(mode), "second");
+    EXPECT_EQ(b.profile.cache, "miss") << cache::ModeName(mode);
+    ExpectReference(second, q, *b.table, "second");
+  }
+}
+
+// Appends `cells` retail cells for `batch`: coordinates copied from
+// existing rows, an int64 qty and a quarter-valued amount (the e2e
+// dashboard's appends), with new products and stores along the way, a
+// product whose amount is always NULL and one whose amount is NULL only in
+// batch 0.
+void AppendRetail(StatisticalObject& obj, int batch, int cells) {
+  uint64_t x = 0x9e3779b97f4a7c15ull * uint64_t(batch + 1);
+  for (int k = 0; k < cells; ++k) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const Row like = obj.data().row(size_t(x % obj.data().num_rows()));
+    Row dims(like.begin(), like.begin() + 3);
+    Value amount(double(1 + x % 20000) / 4);
+    if (k % 50 == 7) dims[0] = Value("prod_new" + std::to_string(batch));
+    if (k % 70 == 11) dims[1] = Value("store_new" + std::to_string(k % 3));
+    if (k % 40 == 0) {
+      dims[0] = Value("prod_null");
+      amount = Value::Null();
+    }
+    if (k % 40 == 20) {
+      dims[0] = Value("prod_late");
+      if (batch == 0) amount = Value::Null();
+    }
+    ASSERT_TRUE(
+        obj.AddCell(dims, {Value(int64_t(1 + x % 9)), std::move(amount)}).ok());
+  }
+}
+
+StatisticalObject SmallRetail() {
+  RetailOptions opt;
+  opt.num_products = 12;
+  opt.num_stores = 6;
+  opt.num_cities = 3;
+  opt.num_days = 40;
+  opt.num_rows = 3000;
+  return MakeRetailWorkload(opt).ValueOrDie().object;
+}
+
+const char* const kDashboardPanels[] = {
+    "SELECT sum(amount), sum(qty) BY product, store",
+    "SELECT sum(amount), sum(qty) BY product, city",
+    "SELECT sum(amount), sum(qty) BY product",
+    "SELECT sum(amount), sum(qty) BY store",
+    "SELECT sum(qty) BY store",
+    "SELECT sum(amount), sum(qty) BY city",
+    "SELECT sum(qty)",
+    "SELECT sum(amount)",
+};
+
+TEST(CacheEquivalence, FoldedAppendsAreBitIdentical) {
+  std::vector<std::string> queries(std::begin(kDashboardPanels),
+                                   std::end(kDashboardPanels));
+  queries.push_back(
+      "SELECT sum(amount), count() BY store WHERE city = 'city1'");
+  queries.push_back("SELECT sum(qty), sum(amount) BY category, month");
+  queries.push_back(
+      "SELECT count(), count(amount), min(amount), max(amount) BY product");
+  queries.push_back("SELECT min(amount), max(qty), count(amount) WHERE "
+                    "product = 'prod_late'");
+  for (int threads : {1, 4}) {
+    StatisticalObject obj = SmallRetail();
+    ResetCache();
+    for (const std::string& q : queries)
+      RunQ(obj, q, Opts(Mode::kDerive, QueryEngine::kRelational, threads), q);
+    for (int batch = 0; batch < 4; ++batch) {
+      AppendRetail(obj, batch, 400);
+      const uint64_t folded0 = ResultCache::Global().stats().folded_hits;
+      for (const std::string& q : queries) {
+        const std::string what = q + " batch " + std::to_string(batch) +
+                                 " threads " + std::to_string(threads);
+        ProfiledQuery pq = RunQ(
+            obj, q, Opts(Mode::kDerive, QueryEngine::kRelational, threads),
+            what);
+        EXPECT_EQ(pq.profile.cache, "folded") << what;
+        EXPECT_EQ(pq.profile.backend, "cache") << what;
+        ExpectReference(obj, q, *pq.table, what);
+        ASSERT_NE(pq.json, nullptr) << what;
+        EXPECT_EQ(*pq.json, serve::TableToJson(*pq.table)) << what;
+        // The folded answer is the key's entry now: a hit.
+        ProfiledQuery again = RunQ(
+            obj, q, Opts(Mode::kDerive, QueryEngine::kRelational, threads),
+            what);
+        EXPECT_EQ(again.profile.cache, "hit") << what;
+        EXPECT_EQ(again.table.get(), pq.table.get()) << what;
+      }
+      EXPECT_EQ(ResultCache::Global().stats().folded_hits - folded0,
+                queries.size());
+      // One version per exact key: the folds replaced their entries.
+      EXPECT_EQ(ResultCache::Global().stats().entries, queries.size());
+    }
+  }
+}
+
+// What does not fold re-executes after an append, as a miss: a CUBE, an
+// avg, a backend's answer, a sum whose values do not re-add exactly (the
+// stocks' close), and anything under Mode::kOn.
+TEST(CacheEquivalence, UnfoldableEntriesReexecuteAfterAppends) {
+  struct Case {
+    StatisticalObject obj;
+    std::string text;
+    QueryEngine engine;
+    Mode mode;
+  };
+  std::vector<Case> cases;
+  cases.push_back({SmallRetail(), "SELECT sum(qty) BY CUBE(store, city)",
+                   QueryEngine::kRelational, Mode::kDerive});
+  cases.push_back({SmallRetail(), "SELECT avg(amount) BY store",
+                   QueryEngine::kRelational, Mode::kDerive});
+  cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
+                   QueryEngine::kMolap, Mode::kDerive});
+  cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
+                   QueryEngine::kRolap, Mode::kDerive});
+  cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
+                   QueryEngine::kRelational, Mode::kOn});
+  cases.push_back({Workloads::Get().stocks, "SELECT sum(close) BY stock",
+                   QueryEngine::kRelational, Mode::kDerive});
+  for (Case& c : cases) {
+    const std::string what =
+        c.text + " engine=" + QueryEngineName(c.engine) + " mode=" +
+        cache::ModeName(c.mode);
+    ResetCache();
+    RunQ(c.obj, c.text, Opts(c.mode, c.engine), what + " [seed]");
+    for (int batch = 0; batch < 2; ++batch) {
+      // Rows copied from the object itself: every measure keeps its
+      // evidence, so a licence lost or held stays as it was.
+      for (size_t r = 0; r < 50; ++r) {
+        const Row row = c.obj.data().row(r * 7);
+        const size_t ndims = c.obj.dimensions().size();
+        ASSERT_TRUE(c.obj
+                        .AddCell(Row(row.begin(), row.begin() + ndims),
+                                 Row(row.begin() + ndims, row.end()))
+                        .ok());
+      }
+      ProfiledQuery pq = RunQ(c.obj, c.text, Opts(c.mode, c.engine), what);
+      EXPECT_EQ(pq.profile.cache, "miss") << what;
+      ProfiledQuery off = RunQ(c.obj, c.text, Opts(Mode::kOff, c.engine),
+                               what + " [off]");
+      ExpectTablesIdentical(*off.table, *pq.table, what);
+      if (c.engine == QueryEngine::kRelational)
+        ExpectReference(c.obj, c.text, *pq.table, what);
+    }
+  }
+}
+
+// A copy is another object: it and its source, appended with different
+// rows, each get their own answer, folded from their own entries.
+TEST(CacheEquivalence, CopiesAppendedApartKeepTheirOwnAnswers) {
+  StatisticalObject source = SmallRetail();
+  const std::string q = "SELECT sum(amount), count() BY store";
+  ResetCache();
+  RunQ(source, q, Opts(Mode::kDerive), "seed");
+  StatisticalObject copy = source;
+  ProfiledQuery fresh = RunQ(copy, q, Opts(Mode::kDerive), "copy, fresh");
+  EXPECT_EQ(fresh.profile.cache, "miss");
+  ExpectReference(copy, q, *fresh.table, "copy, fresh");
+  AppendRetail(source, 0, 300);
+  AppendRetail(copy, 1, 300);
+  for (int round = 0; round < 2; ++round) {
+    ProfiledQuery a = RunQ(source, q, Opts(Mode::kDerive), "source");
+    ProfiledQuery b = RunQ(copy, q, Opts(Mode::kDerive), "copy");
+    EXPECT_EQ(a.profile.cache, round == 0 ? "folded" : "hit");
+    EXPECT_EQ(b.profile.cache, round == 0 ? "folded" : "hit");
+    ExpectReference(source, q, *a.table, "source");
+    ExpectReference(copy, q, *b.table, "copy");
+    EXPECT_NE(serve::TableToJson(*a.table), serve::TableToJson(*b.table));
+  }
+}
+
+// Four threads serve the dashboard after one append, all on the same
+// keys: each answer is folded by its thread or is a hit on another
+// thread's fold, and equals Query() (TSan covers the fold and replace).
+TEST(CacheEquivalence, ConcurrentFoldsOfOneAppend) {
+  StatisticalObject obj = SmallRetail();
+  ResetCache();
+  for (const char* q : kDashboardPanels) RunQ(obj, q, Opts(Mode::kDerive), q);
+  AppendRetail(obj, 0, 500);
+  std::vector<std::string> want;
+  for (const char* q : kDashboardPanels)
+    want.push_back(serve::TableToJson(*Query(obj, q)));
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < 8; ++i) {
+        const size_t p = size_t(t + i) % std::size(kDashboardPanels);
+        auto r = QueryProfiled(obj, kDashboardPanels[p],
+                               Opts(Mode::kDerive, QueryEngine::kRelational,
+                                    1 + t % 2));
+        if (!r.ok() || serve::TableToJson(*r->table) != want[p] ||
+            r->json == nullptr || *r->json != want[p] ||
+            (r->profile.cache != "folded" && r->profile.cache != "hit"))
+          wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : workers) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ResultCache::Global().stats().entries,
+            std::size(kDashboardPanels));
 }
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Unit tests for the lattice-aware result cache (statcube/cache): key
-// canonicalization and dataset versioning, LRU/byte-budget eviction,
-// size-bounded admission, derivation-source selection, epoch invalidation,
-// and the statcube.cache.* metrics.
+// canonicalization and data versions, LRU/byte-budget eviction,
+// size-bounded admission, derivation-source selection, versioned entries
+// (a hit only at the key's version, one version per exact key), and the
+// statcube.cache.* metrics.
 
 #include "statcube/cache/result_cache.h"
 
@@ -9,13 +10,13 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "round_trip_cells.h"
-#include "statcube/common/epoch.h"
 #include "statcube/query/cache_key.h"
 #include "statcube/obs/metrics.h"
 #include "statcube/query/parser.h"
@@ -67,7 +68,18 @@ std::shared_ptr<const Table> FakeResult(const std::string& name, size_t rows) {
 }
 
 bool Cached(ResultCache& rc, const QueryKey& key) {
-  return rc.Lookup(key).table != nullptr;
+  return rc.Lookup(key).hit;
+}
+
+// A three-row object, "d" by "m", with `middle` as its second cell.
+StatisticalObject Small(const std::string& name, const Row& middle) {
+  StatisticalObject obj(name);
+  EXPECT_TRUE(obj.AddDimension(Dimension("d")).ok());
+  EXPECT_TRUE(obj.AddMeasure({.name = "m"}).ok());
+  EXPECT_TRUE(obj.AddCell({Value("a")}, {Value(1.0)}).ok());
+  EXPECT_TRUE(obj.AddCell({middle[0]}, {middle[1]}).ok());
+  EXPECT_TRUE(obj.AddCell({Value("c")}, {Value(3.0)}).ok());
+  return obj;
 }
 
 // --------------------------------------------------------------------------
@@ -129,21 +141,67 @@ TEST(QueryKeyTest, DerivabilityGates) {
   EXPECT_FALSE(KeyFor("SELECT sum(amount) BY CUBE(store, city)").derivable);
 }
 
-TEST(QueryKeyTest, EpochChangesFamily) {
-  QueryKey before = KeyFor("SELECT sum(amount) BY store");
-  DataEpochs::Global().Bump(Retail().name());
-  QueryKey after = KeyFor("SELECT sum(amount) BY store");
-  EXPECT_NE(before.exact, after.exact);
-  EXPECT_NE(before.family, after.family);
+// A version is (identity, rows): AddCell keeps the identity and moves the
+// row count, so the key's strings stay and its object_rows grows.
+TEST(QueryKeyTest, AppendKeepsTheFamilyAndMovesTheVersion) {
+  StatisticalObject obj = Small("versioned", {Value("b"), Value(2.0)});
+  const uint64_t id = obj.identity();
+  QueryKey before = KeyFor("SELECT sum(m) BY d", QueryEngine::kRelational,
+                           &obj);
+  ASSERT_TRUE(obj.AddCell({Value("e")}, {Value(5.0)}).ok());
+  EXPECT_EQ(obj.identity(), id);
+  QueryKey after = KeyFor("SELECT sum(m) BY d", QueryEngine::kRelational,
+                          &obj);
+  EXPECT_EQ(before.exact, after.exact);
+  EXPECT_EQ(before.family, after.family);
+  EXPECT_EQ(before.object_rows, 3u);
+  EXPECT_EQ(after.object_rows, 4u);
 }
 
-TEST(QueryKeyTest, AddCellBumpsEpoch) {
-  StatisticalObject obj("epoch_probe");
-  ASSERT_TRUE(obj.AddDimension(Dimension("d")).ok());
-  ASSERT_TRUE(obj.AddMeasure({.name = "m"}).ok());
-  uint64_t e0 = DataEpochs::Global().Of("epoch_probe");
-  ASSERT_TRUE(obj.AddCell({Value("a")}, {Value(1.0)}).ok());
-  EXPECT_GT(DataEpochs::Global().Of("epoch_probe"), e0);
+// Every other way to change what an object answers renews its identity,
+// and with it the key's family: a copy, a moved-from object, a new
+// dimension or measure and a mutable dimension handle. A move hands the
+// identity to its target.
+TEST(QueryKeyTest, CopiesMovesAndEditsRenewTheIdentity) {
+  StatisticalObject obj = Small("renewed", {Value("b"), Value(2.0)});
+  const uint64_t id = obj.identity();
+  const std::string family =
+      KeyFor("SELECT sum(m) BY d", QueryEngine::kRelational, &obj).family;
+
+  StatisticalObject copy = obj;
+  EXPECT_NE(copy.identity(), id);
+  EXPECT_EQ(obj.identity(), id);
+  EXPECT_NE(KeyFor("SELECT sum(m) BY d", QueryEngine::kRelational, &copy)
+                .family,
+            family);
+  StatisticalObject assigned("other");
+  const uint64_t assigned_id = assigned.identity();
+  assigned = obj;
+  EXPECT_NE(assigned.identity(), id);
+  EXPECT_NE(assigned.identity(), assigned_id);
+
+  StatisticalObject moved = std::move(obj);
+  EXPECT_EQ(moved.identity(), id);
+  EXPECT_NE(obj.identity(), id);  // NOLINT(bugprone-use-after-move)
+  StatisticalObject move_assigned("other");
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.identity(), id);
+  EXPECT_NE(moved.identity(), id);  // NOLINT(bugprone-use-after-move)
+
+  uint64_t last = move_assigned.identity();
+  ASSERT_TRUE(move_assigned.MutableDimensionNamed("d").ok());
+  EXPECT_NE(move_assigned.identity(), last);
+
+  StatisticalObject fresh("fresh");
+  last = fresh.identity();
+  ASSERT_TRUE(fresh.AddDimension(Dimension("d")).ok());
+  EXPECT_NE(fresh.identity(), last);
+  last = fresh.identity();
+  ASSERT_TRUE(fresh.AddMeasure({.name = "m"}).ok());
+  EXPECT_NE(fresh.identity(), last);
+  last = fresh.identity();
+  ASSERT_TRUE(fresh.AddCell({Value("a")}, {Value(1.0)}).ok());
+  EXPECT_EQ(fresh.identity(), last);
 }
 
 TEST(QueryKeyTest, ValueTypeTagsDoNotCollide) {
@@ -308,6 +366,63 @@ TEST(ResultCacheTest, ClearEmptiesEverything) {
   EXPECT_EQ(rc.entries(), 0u);
   EXPECT_EQ(rc.bytes(), 0u);
   EXPECT_FALSE(Cached(rc, KeyFor("SELECT sum(amount) BY store")));
+}
+
+// An entry answers one version: a lookup at a later version finds it but
+// is no hit (the caller may fold it forward), a derivation never reads it,
+// and an insert at the later version replaces it — one entry per exact
+// key, one family member, the older table freed for its last reader.
+TEST(ResultCacheTest, EntriesAnswerOneVersionAndAreReplaced) {
+  ResultCache rc(Tiny(4 << 20));
+  QueryKey v1 = KeyFor("SELECT sum(amount) BY store, city");
+  QueryKey v2 = v1;
+  v2.object_rows = v1.object_rows + 10;
+  auto old_table = FakeResult("r_by_store_city", 8);
+  rc.Insert(v1, old_table, false);
+
+  cache::CachedResult stale = rc.Lookup(v2);
+  EXPECT_FALSE(stale.hit);
+  EXPECT_EQ(stale.table.get(), old_table.get());
+  EXPECT_EQ(stale.object_rows, v1.object_rows);
+  EXPECT_FALSE(stale.backend_shaped);
+  EXPECT_EQ(rc.stats().misses, 1u);
+  EXPECT_EQ(rc.stats().hits, 0u);
+  QueryKey subset = KeyFor("SELECT sum(amount) BY store");
+  subset.object_rows = v2.object_rows;
+  EXPECT_FALSE(rc.FindDerivationSource(subset).has_value())
+      << "an older version must not be rolled up";
+
+  auto new_table = FakeResult("r_by_store_city", 9);
+  std::shared_ptr<const std::string> json = rc.Insert(v2, new_table, false);
+  ASSERT_NE(json, nullptr);
+  EXPECT_EQ(*json, serve::TableToJson(*new_table));
+  EXPECT_EQ(rc.stats().entries, 1u);
+  EXPECT_EQ(rc.stats().inserts, 2u);
+  cache::CachedResult hit = rc.Lookup(v2);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(hit.table.get(), new_table.get());
+  std::optional<cache::DerivedSource> src = rc.FindDerivationSource(subset);
+  ASSERT_TRUE(src.has_value());
+  EXPECT_EQ(src->result.get(), new_table.get());
+  // The entry now answers v2 only, and the cache let go of the v1 table.
+  EXPECT_FALSE(rc.Lookup(v1).hit);
+  EXPECT_EQ(old_table.use_count(), 2);  // this test's and `stale`'s
+}
+
+// Replacing an entry whose key no longer derives (its sums lost their
+// licence with the append) drops its family member too.
+TEST(ResultCacheTest, ReplacedEntryThatNoLongerDerivesLeavesTheIndex) {
+  ResultCache rc(Tiny(4 << 20));
+  QueryKey v1 = KeyFor("SELECT sum(amount) BY store, city");
+  ASSERT_TRUE(v1.derivable);
+  rc.Insert(v1, FakeResult("r_by_store_city", 8), false);
+  QueryKey v2 = v1;
+  v2.object_rows += 1;
+  v2.derivable = false;
+  rc.Insert(v2, FakeResult("r_by_store_city", 8), false);
+  QueryKey subset = KeyFor("SELECT sum(amount) BY store");
+  subset.object_rows = v2.object_rows;
+  EXPECT_FALSE(rc.FindDerivationSource(subset).has_value());
 }
 
 // --------------------------------------------------------------------------

@@ -64,13 +64,16 @@ TEST(DenseArrayTest, SumRange) {
 // ------------------------------------------------- SumRangeBy (one pass)
 
 // Cells like the parallel-equivalence arrays': inexact (0.1 * (i % 97) +
-// 0.003, where the order of the adds shows in the bits) or integers (which
-// take the block-sum path).
-DenseArray MakeArray(std::vector<size_t> shape, bool integer_cells) {
+// 0.003, where the order of the adds shows in the bits), integers or
+// quarters (which both take the block-sum path: their binary scale
+// licenses it).
+enum class Cells { kInexact, kIntegers, kQuarters };
+DenseArray MakeArray(std::vector<size_t> shape, Cells cells) {
   DenseArray a(std::move(shape));
   for (size_t i = 0; i < a.num_cells(); ++i)
-    a.SetLinear(i, integer_cells ? double(i % 97)
-                                 : 0.1 * double(i % 97) + 0.003);
+    a.SetLinear(i, cells == Cells::kInexact    ? 0.1 * double(i % 97) + 0.003
+                   : cells == Cells::kIntegers ? double(i % 97)
+                                               : double(i % 97) / 4);
   return a;
 }
 
@@ -145,8 +148,8 @@ TEST(DenseArrayTest, SumRangeByAddsEachGroupInArrayOrder) {
     bys.push_back({});
     for (size_t d = 0; d < n; ++d) bys.back().push_back(d);
 
-    for (bool integer_cells : {false, true}) {
-      DenseArray a = MakeArray(shape, integer_cells);
+    for (Cells cells : {Cells::kInexact, Cells::kIntegers, Cells::kQuarters}) {
+      DenseArray a = MakeArray(shape, cells);
       for (size_t c = 0; c < cases.size(); ++c) {
         const std::vector<DimRange>& ranges = cases[c];
         const bool empty = c == 3;
@@ -154,7 +157,9 @@ TEST(DenseArrayTest, SumRangeByAddsEachGroupInArrayOrder) {
           std::string what = std::to_string(n) + "d, case " +
                              std::to_string(c) + ", by {";
           for (size_t d : by) what += " " + std::to_string(d);
-          what += integer_cells ? " }, integer cells" : " }";
+          what += cells == Cells::kInexact    ? " }"
+                  : cells == Cells::kIntegers ? " }, integer cells"
+                                              : " }, quarter cells";
           const uint64_t blocks0 = a.counter().blocks_read();
           const uint64_t bytes0 = a.counter().bytes_read();
           auto got = a.SumRangeBy(ranges, by);
@@ -191,7 +196,7 @@ TEST(DenseArrayTest, SumRangeByAddsEachGroupInArrayOrder) {
 }
 
 TEST(DenseArrayTest, SumRangeByValidates) {
-  DenseArray a = MakeArray({5, 6, 7, 4}, /*integer_cells=*/false);
+  DenseArray a = MakeArray({5, 6, 7, 4}, Cells::kInexact);
   const std::vector<DimRange> whole = {{0, 5}, {0, 6}, {0, 7}, {0, 4}};
   EXPECT_EQ(a.SumRangeBy({{0, 5}}, {}).status().code(),
             StatusCode::kInvalidArgument);
@@ -211,7 +216,7 @@ TEST(DenseArrayTest, SumRangeByValidates) {
 // outlasts the cells between two checks; a fired one stops before the
 // first cell.
 TEST(DenseArrayTest, SumRangeByStops) {
-  DenseArray a = MakeArray({3, 9000}, /*integer_cells=*/false);
+  DenseArray a = MakeArray({3, 9000}, Cells::kInexact);
   const std::vector<DimRange> whole = {{0, 3}, {0, 9000}};
   CancellationToken token;
   CancelContext ctx;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "statcube/relational/aggregate.h"
 #include "statcube/relational/expression.h"
 #include "statcube/relational/join.h"
@@ -217,6 +221,131 @@ TEST(AggregateTest, StateMergeEqualsDirect) {
                    AggFn::kMax, AggFn::kVariance, AggFn::kStdDev}) {
     EXPECT_EQ(a.Finalize(fn), whole.Finalize(fn)) << AggFnName(fn);
   }
+}
+
+// ---------------------------------------------------------------------------
+// RollupFinalized over several sources: the linear merge (sources strictly
+// sorted on the grouping itself) against the hash path and GroupBy.
+
+// Cells bit for bit: the same type, the same bits for doubles.
+void ExpectSameCells(const Table& a, const Table& b, const std::string& what) {
+  EXPECT_EQ(a.name(), b.name()) << what;
+  ASSERT_TRUE(a.schema() == b.schema()) << what;
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  for (size_t r = 0; r < a.num_rows(); ++r)
+    for (size_t c = 0; c < a.num_columns(); ++c)
+      ASSERT_TRUE(SameRepr()(a.at(r, c), b.at(r, c)))
+          << what << " row " << r << " col " << c << ": "
+          << a.at(r, c).ToString() << " vs " << b.at(r, c).ToString();
+}
+
+// (k1, k2, v) rows named "t", so every group-by of them is "t_by_...".
+Table KV(const std::vector<std::tuple<const char*, int, Value>>& rows) {
+  Schema s;
+  s.AddColumn("k1", ValueType::kString);
+  s.AddColumn("k2", ValueType::kInt64);
+  s.AddColumn("v", ValueType::kDouble);
+  Table t("t", s);
+  for (const auto& [k1, k2, v] : rows)
+    EXPECT_TRUE(t.AppendRow({Value(k1), Value(k2), v}).ok());
+  return t;
+}
+
+Table Concat(const Table& a, const Table& b) {
+  Table out(a.name(), a.schema());
+  for (const Row& r : a.rows()) out.AppendRowUnchecked(r);
+  for (const Row& r : b.rows()) out.AppendRowUnchecked(r);
+  return out;
+}
+
+TEST(AggregateTest, RollupMergeEqualsHashPathAndGroupBy) {
+  // Keys new on either side; a group whose values are all NULL on one
+  // side (sum NULL there) and one NULL on both; min/max ties between 0.0
+  // and -0.0 across the sides, in both orders.
+  const Table first = KV({{"a", 1, Value(3.0)},
+                          {"a", 2, Value(0.0)},
+                          {"b", 1, Value::Null()},
+                          {"b", 2, Value(-0.0)},
+                          {"c", 7, Value(5.0)},
+                          {"n", 1, Value::Null()},
+                          {"a", 1, Value(-2.0)}});
+  const Table second = KV({{"a", 2, Value(-0.0)},
+                           {"b", 1, Value(4.0)},
+                           {"b", 2, Value(0.0)},
+                           {"d", 3, Value(6.0)},
+                           {"n", 1, Value::Null()},
+                           {"a", 0, Value(1.0)}});
+  const std::vector<std::string> by = {"k1", "k2"};
+  const std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
+                                     {AggFn::kCount, "v", ""},
+                                     {AggFn::kCountAll, "", ""},
+                                     {AggFn::kMin, "v", ""},
+                                     {AggFn::kMax, "v", ""}};
+  Result<Table> a = GroupBy(first, by, aggs);
+  Result<Table> b = GroupBy(second, by, aggs);
+  Result<Table> direct = GroupBy(Concat(first, second), by, aggs);
+  ASSERT_TRUE(a.ok() && b.ok() && direct.ok());
+
+  Result<Table> merged = RollupFinalized({&*a, &*b}, by, aggs, by);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ExpectSameCells(*merged, *direct, "merge vs GroupBy");
+
+  // A shuffled source is no longer sorted: the hash path runs.
+  Table shuffled(a->name(), a->schema());
+  for (size_t r = a->num_rows(); r-- > 0;)
+    shuffled.AppendRowUnchecked(a->row(r));
+  Result<Table> hashed = RollupFinalized({&shuffled, &*b}, by, aggs, by);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  ExpectSameCells(*merged, *hashed, "merge vs hash path");
+  // So does one source holding both sides' groups.
+  const Table both = Concat(*a, *b);
+  Result<Table> one = RollupFinalized({&both}, by, aggs, by);
+  ASSERT_TRUE(one.ok());
+  ExpectSameCells(*merged, *one, "merge vs one concatenated source");
+  // The other source order keeps the second side's spelling of a tie.
+  Result<Table> swapped = RollupFinalized({&*b, &*a}, by, aggs, by);
+  Result<Table> swapped_hash = RollupFinalized({&*b, &shuffled}, by, aggs, by);
+  ASSERT_TRUE(swapped.ok() && swapped_hash.ok());
+  ExpectSameCells(*swapped, *swapped_hash, "swapped merge vs hash path");
+
+  // Counts stay int64, and the all-NULL group's sum, min and max stay NULL.
+  for (size_t r = 0; r < merged->num_rows(); ++r) {
+    EXPECT_EQ(merged->at(r, 3).type(), ValueType::kInt64);
+    EXPECT_EQ(merged->at(r, 4).type(), ValueType::kInt64);
+    if (merged->at(r, 0) == Value("n")) {
+      EXPECT_TRUE(merged->at(r, 2).is_null());
+      EXPECT_TRUE(merged->at(r, 5).is_null());
+      EXPECT_EQ(merged->at(r, 3).AsInt64(), 0);
+      EXPECT_EQ(merged->at(r, 4).AsInt64(), 2);
+    }
+  }
+
+  // Onto a subset of the grouping the hash path runs, and agrees with
+  // GroupBy too.
+  Result<Table> coarse = RollupFinalized({&*a, &*b}, by, aggs, {"k1"});
+  Result<Table> coarse_direct = GroupBy(Concat(first, second), {"k1"}, aggs);
+  ASSERT_TRUE(coarse.ok() && coarse_direct.ok());
+  ExpectSameCells(*coarse, *coarse_direct, "subset roll-up vs GroupBy");
+}
+
+// Empty BY: each source is one global row (or none), merged into one.
+TEST(AggregateTest, RollupMergeOfGlobalRows) {
+  const Table first = KV({{"a", 1, Value(1.5)}, {"b", 2, Value(2.0)}});
+  const Table second = KV({{"c", 3, Value(0.25)}});
+  const Table none = KV({});
+  const std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
+                                     {AggFn::kCountAll, "", ""}};
+  Result<Table> a = GroupBy(first, {}, aggs);
+  Result<Table> b = GroupBy(second, {}, aggs);
+  Result<Table> c = GroupBy(none, {}, aggs);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  Result<Table> merged = RollupFinalized({&*a, &*c, &*b}, {}, aggs, {});
+  Result<Table> direct = GroupBy(Concat(first, second), {}, aggs);
+  ASSERT_TRUE(merged.ok() && direct.ok());
+  ExpectSameCells(*merged, *direct, "global rows");
+  EXPECT_FALSE(RollupFinalized({}, {}, aggs, {}).ok());
+  EXPECT_FALSE(
+      RollupFinalized({&*a}, {}, {{AggFn::kAvg, "v", ""}}, {}).ok());
 }
 
 TEST(JoinTest, HashJoinInner) {

@@ -263,7 +263,7 @@ TEST(StatisticalObjectTest, CodeColumnsAndSlabsMirrorTheCells) {
       double x = 0.0;
       EncodeSlabEntry(v, &x, &evidence);
     }
-    EXPECT_EQ(evidence.integral, slabs[m].evidence.integral);
+    EXPECT_EQ(evidence.scale, slabs[m].evidence.scale);
     EXPECT_EQ(evidence.max_abs, slabs[m].evidence.max_abs);
     EXPECT_EQ(evidence.gap, slabs[m].evidence.gap);
   }

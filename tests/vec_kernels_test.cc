@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <utility>
@@ -76,15 +78,123 @@ TEST(VecBlock, CountFlagBits) {
 
 TEST(VecBlock, ReorderIsExactGate) {
   const double kMax = vec::kMaxExactDouble;  // 2^53
-  // Non-integral values never qualify, no matter how small.
-  EXPECT_FALSE(vec::ReorderIsExact(false, 1.0, 10));
-  // Integral and comfortably small: exact.
-  EXPECT_TRUE(vec::ReorderIsExact(true, 1000.0, 1000));
+  // Integral (scale 0) and comfortably small: exact.
+  EXPECT_TRUE(vec::ReorderIsExact(0, 1000.0, 1000));
   // n * max_abs crossing 2^53 disqualifies: a partial sum could round.
-  EXPECT_TRUE(vec::ReorderIsExact(true, kMax / 4.0, 4));
-  EXPECT_FALSE(vec::ReorderIsExact(true, kMax / 4.0, 5));
+  EXPECT_TRUE(vec::ReorderIsExact(0, kMax / 4.0, 4));
+  EXPECT_FALSE(vec::ReorderIsExact(0, kMax / 4.0, 5));
   // Empty blocks are trivially exact.
-  EXPECT_TRUE(vec::ReorderIsExact(true, 0.0, 0));
+  EXPECT_TRUE(vec::ReorderIsExact(0, 0.0, 0));
+  // A scale the numbers do not have licenses nothing: 0.5 is no multiple
+  // of 2^0.
+  EXPECT_FALSE(vec::ReorderIsExact(0, 0.5, 10));
+}
+
+// The scale is the smallest exponent of a lowest set bit among the
+// nonzero numbers; zeros leave it alone, NaN and infinities revoke the
+// licence through max_abs.
+TEST(VecBlock, ScaleEvidenceRecordsBinaryScale) {
+  auto evidence = [](std::initializer_list<double> xs) {
+    vec::ScaleEvidence ev;
+    for (double x : xs) ev.Note(x);
+    return ev;
+  };
+  EXPECT_EQ(evidence({1, 3, 5}).scale, 0);
+  EXPECT_EQ(evidence({2, 4, 12}).scale, 1);
+  EXPECT_EQ(evidence({0.25, 1.5, 5000.75}).scale, -2);
+  EXPECT_EQ(evidence({-0.25, 3}).scale, -2);
+  EXPECT_EQ(evidence({0.1}).scale, -55);  // 0.1 = 0x1.999999999999ap-4
+  const double tiny = std::numeric_limits<double>::denorm_min();  // 2^-1074
+  EXPECT_EQ(evidence({tiny, 1.0}).scale, -1074);
+  EXPECT_EQ(evidence({3 * tiny}).scale, -1074);
+  EXPECT_EQ(evidence({4 * tiny}).scale, -1072);
+  // Zeros of either sign are ignored; a set of zeros has no scale and
+  // always re-adds exactly.
+  vec::ScaleEvidence zeros = evidence({0.0, -0.0, 0.0});
+  EXPECT_EQ(zeros.scale, vec::ScaleEvidence::kNoScale);
+  EXPECT_EQ(zeros.max_abs, 0.0);
+  EXPECT_TRUE(zeros.Licenses(1000000));
+  EXPECT_TRUE(zeros.LicensesSquares(1000000));
+  EXPECT_EQ(evidence({-0.0, 0.5}).scale, -1);
+  EXPECT_EQ(evidence({-0.0, 0.5}).max_abs, 0.5);
+  // NaN and the infinities leave no licence, whatever else was seen.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    vec::ScaleEvidence ev = evidence({1.0, bad, 2.0});
+    EXPECT_FALSE(ev.Licenses(1)) << bad;
+    EXPECT_FALSE(ev.LicensesSquares(1)) << bad;
+    EXPECT_TRUE(ev.Licenses(0)) << bad;
+  }
+}
+
+// Quarter values re-add exactly while n * max_abs <= 2^51, decided in
+// integers: exactly at the bound, and not one quarter past it.
+TEST(VecBlock, ReorderIsExactAtTheBinaryScaleBound) {
+  // The dashboard's appends: (1..20000)/4 over 90,000 rows.
+  vec::ScaleEvidence quarters;
+  for (int k = 1; k <= 20000; ++k) quarters.Note(k / 4.0);
+  EXPECT_EQ(quarters.scale, -2);
+  EXPECT_TRUE(quarters.Licenses(90000));
+  EXPECT_TRUE(quarters.LicensesSquares(90000));
+
+  constexpr uint64_t kTwo53 = uint64_t(1) << 53;
+  // (From n = 2 on, one step past the bound is still a double.)
+  for (size_t n : {size_t(2), size_t(3), size_t(7), size_t(90000),
+                   size_t(1) << 20}) {
+    // The largest multiple of 2^-2 with n * m <= 2^51: m = floor(2^53/n)
+    // quarters.
+    const double at = std::ldexp(double(kTwo53 / n), -2);
+    const double past = at + 0.25;
+    EXPECT_TRUE(vec::ReorderIsExact(-2, at, n)) << n;
+    EXPECT_FALSE(vec::ReorderIsExact(-2, past, n)) << n;
+    // Integral data keep the licence they had: at 2^53 / n, not past it.
+    EXPECT_TRUE(vec::ReorderIsExact(0, double(kTwo53 / n), n)) << n;
+    EXPECT_FALSE(vec::ReorderIsExact(0, double(kTwo53 / n + 1), n)) << n;
+  }
+  // Subnormals: the scale reaches -1074, and the bound scales with it.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  vec::ScaleEvidence sub;
+  sub.Note(tiny);
+  sub.Note(1000 * tiny);
+  EXPECT_TRUE(sub.Licenses(1000));
+  vec::ScaleEvidence mixed;  // 1.0 in units of 2^-1074 is far past 2^53
+  mixed.Note(tiny);
+  mixed.Note(1.0);
+  EXPECT_FALSE(mixed.Licenses(2));
+  // The squared sum's gate doubles the scale and squares the magnitude.
+  EXPECT_TRUE(vec::ReorderIsExact(-4, 0.25 * 0.25, 2));
+  EXPECT_FALSE(quarters.LicensesSquares(size_t(1) << 26));
+}
+
+// What the licence promises: a licensed set sums to the same bits in any
+// order, here a reversal, the reassociated block kernel and a pairwise
+// tree.
+TEST(VecBlock, LicensedQuarterSumsAreOrderFree) {
+  std::vector<double> v;
+  vec::ScaleEvidence ev;
+  uint64_t x = 88172645463325252ull;
+  for (int i = 0; i < 4096; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    v.push_back(double(1 + x % 80000) / 4 * (x % 3 == 0 ? -1 : 1));
+    ev.Note(v.back());
+  }
+  ASSERT_TRUE(ev.Licenses(v.size()));
+  const double ordered = vec::SumBlockOrdered(v.data(), v.size());
+  std::vector<double> rev(v.rbegin(), v.rend());
+  EXPECT_EQ(ordered, vec::SumBlockOrdered(rev.data(), rev.size()));
+  EXPECT_EQ(ordered, vec::SumBlockFast(v.data(), v.size()));
+  std::vector<double> tree = v;
+  while (tree.size() > 1) {
+    std::vector<double> next;
+    for (size_t i = 0; i + 1 < tree.size(); i += 2)
+      next.push_back(tree[i] + tree[i + 1]);
+    if (tree.size() % 2 == 1) next.push_back(tree.back());
+    tree.swap(next);
+  }
+  EXPECT_EQ(ordered, tree[0]);
 }
 
 TEST(VecBlock, SimdLevelNameIsKnown) {
