@@ -117,9 +117,9 @@ void BM_WarmHit(benchmark::State& state) {
   const auto& obj = BigRetail();
   auto& rc = cache::ResultCache::Global();
   rc.Clear();
-  (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kOn));  // seed
+  (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));  // seed
   for (auto _ : state) {
-    auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kOn));
+    auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));
     benchmark::DoNotOptimize(r->table->num_rows());
   }
 }

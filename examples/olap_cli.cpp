@@ -24,10 +24,10 @@
 // the same kernel on the caller. The worker pool is built at startup, so
 // /metrics shows statcube.exec.pool_size immediately.
 //
-// Caching: `--cache=off|on|derive` answers repeated queries from the
-// result cache (`on` = exact reuse, `derive` = also roll up cached
-// supersets through the lattice; see cache/result_cache.h). Cached answers
-// are bit-identical to direct execution; the profile's `cache:` line shows
+// Caching: `--cache=off|derive` answers repeated queries from the result
+// cache (`derive` reuses exact answers and rolls up cached supersets
+// through the lattice; see cache/result_cache.h). Cached answers are
+// bit-identical to direct execution; the profile's `cache:` line shows
 // hit / derived / miss, and statcube.cache.* metrics land in \m and /metrics.
 // Any --cache mode routes queries through QueryProfiled even without
 // --profile, so admission can see execution timings.
@@ -85,7 +85,7 @@ struct CliOptions {
   long flight_capacity = -1;    // --flight-capacity=N; -1 = leave default
   long statusz_sample_ms = 1000;  // --statusz-sample-ms=D
   long deadline_ms = 0;           // --deadline-ms=N; 0 = no deadline
-  cache::Mode cache = cache::Mode::kOff;  // --cache=off|on|derive
+  cache::Mode cache = cache::Mode::kOff;  // --cache=off|derive
   std::string object_file;
 };
 
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       printf("usage: olap_cli [--profile] [--engine=relational|molap|rolap|"
-             "rolap+bitmap] [--threads=N] [--cache=off|on|derive] "
+             "rolap+bitmap] [--threads=N] [--cache=off|derive] "
              "[--serve=PORT] [--slow-query-us=N] [--flight-capacity=N] "
              "[--statusz-sample-ms=D] [--deadline-ms=N] [object-file]\n"
              "  --threads=N   execute on N workers (default: "

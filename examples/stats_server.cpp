@@ -21,7 +21,7 @@
 //   --slow-query-us=T  slow-query log threshold (default 20000)
 //   --flight-capacity=N  flight-recorder ring size (default 128, max 65536)
 //   --statusz-sample-ms=D  /statusz sampling interval (default 1000)
-//   --cache=M          result-cache mode off|on|derive (default off);
+//   --cache=M          result-cache mode off|derive (default off);
 //                      with the cache on, round 1 is cold and every later
 //                      round hits — statcube_cache_* in /metrics shows the
 //                      hit rate live (the EXPERIMENTS.md P2 recipe)
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       fprintf(stderr,
               "usage: stats_server [--port=P] [--iterations=N] "
               "[--delay-ms=D] [--slow-query-us=T] [--flight-capacity=N] "
-              "[--statusz-sample-ms=D] [--cache=off|on|derive] [--rows=N] "
+              "[--statusz-sample-ms=D] [--cache=off|derive] [--rows=N] "
               "[--default-deadline-ms=N] [--max-query-ms=N] [--quiet] "
               "[--no-workload] [--max-active=N] [--max-queue=N] "
               "[--max-wait-ms=N] [--tenant-max-concurrent=N] "

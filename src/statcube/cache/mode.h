@@ -17,14 +17,13 @@ namespace statcube::cache {
 /// How QueryProfiled consults the result cache.
 enum class Mode {
   kOff,     ///< never consult or populate the cache (the default)
-  kOn,      ///< exact-key reuse only
-  kDerive,  ///< exact reuse + lattice roll-up from cached supersets
+  kDerive,  ///< exact reuse, folded appends, roll-up from cached supersets
 };
 
-/// Name as accepted by ModeFromName ("off" / "on" / "derive").
+/// Name as accepted by ModeFromName ("off" / "derive").
 const char* ModeName(Mode mode);
 
-/// Parses "off" / "on" / "derive" (case-insensitive).
+/// Parses "off" / "derive" (case-insensitive).
 Result<Mode> ModeFromName(const std::string& name);
 
 }  // namespace statcube::cache

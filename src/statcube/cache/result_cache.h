@@ -10,15 +10,15 @@
 ///  1. **Exact hit**: the canonical key (cache/query_key.h) matches a live
 ///     entry at the key's data version; the stored table and its stored
 ///     JSON encoding are returned by reference, nothing copied.
-///  2. **Folded** (Mode::kDerive): the exact key's entry answers an older
-///     version of the same object, which has only gained rows since. The
-///     caller aggregates the appended rows alone and merges that delta into
-///     the stored table with `RollupFinalized` (relational/aggregate.h),
-///     Gray et al.'s maintenance of distributive aggregates under insert.
-///     Only a derivable key (QueryKey::derivable), a relational-shaped
-///     entry and a GROUP BY (not a CUBE) fold.
-///  3. **Derived** (Mode::kDerive): some entry at the key's version in the
-///     same family groups by a *superset* of the requested dimensions
+///  2. **Folded**: the exact key's entry answers an older version of the
+///     same object, which has only gained rows since. The caller
+///     aggregates the appended rows alone and merges that delta into the
+///     stored table with `RollupFinalized` (relational/aggregate.h), Gray
+///     et al.'s maintenance of distributive aggregates under insert. Only
+///     a derivable key (QueryKey::derivable), a relational-shaped entry and
+///     a GROUP BY (not a CUBE) fold.
+///  3. **Derived**: some entry at the key's version in the same family
+///     groups by a *superset* of the requested dimensions
 ///     (`Lattice::DerivableFrom` on interned dimension masks) and the key
 ///     is derivable — the entry is rolled up by `RollupFinalized`, the
 ///     roll-up the materialized-view store uses too, instead of scanning
@@ -35,23 +35,25 @@
 /// its wire encoding (Table::ToJson), made once at admission. Readers keep
 /// what they were handed after the entry is evicted or replaced.
 ///
-/// Storage is a sharded LRU keyed by the exact key string, bounded by a byte
-/// budget (per entry: `Table::ByteSize` plus the encoding's bytes plus the
-/// key); eviction is per shard. A side index per family maps group-by sets
-/// to bitmasks for the derivation search. Invalidation is by version: an
-/// entry is a hit only at the row count it answers, and an object that is
-/// copied or edited other than by appending has a new identity, so its
-/// keys name another family.
+/// Storage is one LRU list under one mutex, keyed by the exact key string
+/// and bounded as a whole by a byte budget (per entry: `Table::ByteSize`
+/// plus the encoding's bytes plus the key). A side index per family points
+/// at the family's derivable entries in that list, each with its group-by
+/// set as a bitmask, and is updated under the same lock by every insert,
+/// replacement and eviction, so a derivation is one scan of the family.
+/// Invalidation is by version: an entry is a hit only at the row count it
+/// answers, and an object that is copied or edited other than by appending
+/// has a new identity, so its keys name another family.
 ///
 /// Observability: statcube.cache.{hits,misses,derived_hits,folded_hits,
 /// inserts,admission_rejects,evictions} counters and
 /// statcube.cache.{bytes,entries} gauges, visible on /metrics when obs is
-/// enabled; identical numbers are always available via stats() for tests.
+/// enabled; identical numbers are always available via stats(). The
+/// registry is only called after the cache's lock is released.
 
 #ifndef STATCUBE_CACHE_RESULT_CACHE_H_
 #define STATCUBE_CACHE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -92,13 +94,12 @@ struct DerivedSource {
   std::vector<AggSpec> aggs;
 };
 
-/// The sharded, byte-bounded, lattice-aware result cache.
+/// The byte-bounded, lattice-aware result cache: one LRU under one lock.
 class ResultCache {
  public:
   /// Construction-time knobs (see class comment).
   struct Options {
-    size_t byte_budget = 64ull << 20;  ///< total across shards
-    size_t shards = 8;                 ///< lock-striping factor
+    size_t byte_budget = 64ull << 20;  ///< bounds the whole cache
     /// Largest admissible entry; 0 means byte_budget / 8.
     size_t max_entry_bytes = 0;
   };
@@ -122,7 +123,7 @@ class ResultCache {
 
   /// Default Options.
   ResultCache();
-  /// Custom budget, sharding and entry-size knobs.
+  /// Custom budget and entry-size knobs.
   explicit ResultCache(const Options& options);
 
   /// The process-wide cache used by QueryProfiled. Honors the
@@ -138,7 +139,8 @@ class ResultCache {
   /// Best derivation source for `key`: a live entry at the key's version,
   /// of the same family and shape, whose group-by set is a superset of
   /// `key.by`, with distributive aggregates on both sides — smallest row
-  /// count wins, mirroring MaterializedCubeStore::CheapestAncestor. Does
+  /// count wins (ties to the smaller exact key), mirroring
+  /// MaterializedCubeStore::CheapestAncestor — refreshed in the LRU. Does
   /// not count hits or misses (call NoteDerivedHit once the roll-up
   /// actually succeeds).
   std::optional<DerivedSource> FindDerivationSource(const QueryKey& key);
@@ -153,7 +155,7 @@ class ResultCache {
   /// Offers a computed result for `key`'s version. `backend_answered` says
   /// whether a cube backend produced it (shape tag for derivation and
   /// folding). A result within `max_entry_bytes` is admitted, kept by
-  /// reference, not copied, and encoded once (outside the shard lock); the
+  /// reference, not copied, and encoded once (outside the lock); the
   /// encoding counts toward the entry's bytes. It replaces the exact key's
   /// entry at an older version, and the family index updates that member.
   /// Returns the stored encoding (the live entry's, when the key's version
@@ -169,11 +171,6 @@ class ResultCache {
   /// Snapshot of the counters and current size.
   Stats stats() const;
 
-  /// Current resident bytes across all shards.
-  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  /// Current resident entry count across all shards.
-  size_t entries() const { return entries_.load(std::memory_order_relaxed); }
-
  private:
   struct Entry {
     std::string exact;
@@ -183,56 +180,35 @@ class ResultCache {
     std::vector<std::string> by;
     std::vector<AggSpec> aggs;
     size_t object_rows = 0;  // the version it answers
-    bool derivable_source = false;
     bool backend_shaped = false;
+    uint32_t by_mask = 0;  // its family's bits of `by`, when indexed
     size_t bytes = 0;
   };
-  struct Shard {
-    Mutex mu;
-    /// front = most recently used
-    std::list<Entry> lru STATCUBE_GUARDED_BY(mu);
-    std::unordered_map<std::string, std::list<Entry>::iterator> map
-        STATCUBE_GUARDED_BY(mu);
-    size_t bytes STATCUBE_GUARDED_BY(mu) = 0;
-  };
+  /// Front = most recently used.
+  using Lru = std::list<Entry>;
   /// Derivation index for one family: group-by column names interned to
-  /// bits, members listed as (mask, exact key, rows).
-  struct FamilyMember {
-    std::string exact;
-    uint32_t mask = 0;
-    size_t rows = 0;
-    bool backend_shaped = false;
-  };
+  /// bits, and the family's derivable entries in the LRU.
   struct Family {
     std::unordered_map<std::string, int> bit_of;
-    std::vector<FamilyMember> members;
+    std::vector<Lru::iterator> members;
   };
 
-  Shard& ShardFor(const std::string& exact);
-  void UpdateSizeMetrics();
-  /// Removes `exact` from `family`'s derivation index, and the family
-  /// when it has no member left.
-  void DropMember(const std::string& family, const std::string& exact)
-      STATCUBE_REQUIRES(index_mu_);
+  /// Lists `it`, the entry just inserted for `key`, in its family's index
+  /// when `key` derives and its group-by set fits a 32-bit lattice mask.
+  void AddToIndex(const QueryKey& key, Lru::iterator it)
+      STATCUBE_REQUIRES(mu_);
+  /// Takes `it` out of the map, its family's index and the byte count,
+  /// and moves it to `retired`, to be destroyed after the lock is released.
+  void Retire(Lru::iterator it, Lru* retired) STATCUBE_REQUIRES(mu_);
 
   const size_t byte_budget_;
-  const size_t per_shard_budget_;
   const size_t max_entry_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  Mutex index_mu_;
-  std::unordered_map<std::string, Family> families_
-      STATCUBE_GUARDED_BY(index_mu_);
-
-  std::atomic<size_t> bytes_{0};
-  std::atomic<size_t> entries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> derived_hits_{0};
-  std::atomic<uint64_t> folded_hits_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> admission_rejects_{0};
-  std::atomic<uint64_t> evictions_{0};
+  mutable Mutex mu_;
+  Lru lru_ STATCUBE_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Lru::iterator> map_ STATCUBE_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Family> families_ STATCUBE_GUARDED_BY(mu_);
+  Stats stats_ STATCUBE_GUARDED_BY(mu_);
 };
 
 }  // namespace statcube::cache

@@ -48,36 +48,39 @@ uint64_t FlightRecorder::Record(const QueryProfile& profile,
   rec.query = query;
   rec.latency_us = profile.trace.TotalDurationNs() / 1000;
   rec.profile = profile;
+  const uint64_t latency_us = rec.latency_us;
 
-  uint64_t threshold;
+  // The record moves into the ring; the log line below reads the caller's
+  // profile and query.
+  uint64_t id, threshold;
+  bool slow;
   {
     MutexLock lock(mu_);
-    rec.id = next_id_++;
+    id = rec.id = next_id_++;
     threshold = slow_threshold_us_;
-    rec.slow = threshold > 0 && rec.latency_us >= threshold;
-    ring_.push_back(rec);  // copy stays for the log event below
+    slow = rec.slow = threshold > 0 && latency_us >= threshold;
+    ring_.push_back(std::move(rec));
     while (ring_.size() > capacity()) ring_.pop_front();
   }
 
   if (Enabled())
     MetricsRegistry::Global().GetCounter("statcube.recorder.recorded").Add(1);
-  if (rec.slow) {
+  if (slow) {
     if (Enabled())
       MetricsRegistry::Global().GetCounter("statcube.recorder.slow").Add(1);
     LogEvent(LogLevel::kWarn, "slow_query")
-        .Int("profile_id", int64_t(rec.id))
-        .Int("latency_us", int64_t(rec.latency_us))
+        .Int("profile_id", int64_t(id))
+        .Int("latency_us", int64_t(latency_us))
         .Int("threshold_us", int64_t(threshold))
-        .Str("backend", rec.profile.backend.empty() ? "relational"
-                                                    : rec.profile.backend)
-        .Int("result_rows", int64_t(rec.profile.result_rows))
-        .Int("blocks_read", int64_t(rec.profile.blocks.blocks_read()))
-        .Str("outcome", rec.profile.outcome.empty() ? "ok"
-                                                    : rec.profile.outcome)
-        .Str("query", rec.query)
+        .Str("backend",
+             profile.backend.empty() ? "relational" : profile.backend)
+        .Int("result_rows", int64_t(profile.result_rows))
+        .Int("blocks_read", int64_t(profile.blocks.blocks_read()))
+        .Str("outcome", profile.outcome.empty() ? "ok" : profile.outcome)
+        .Str("query", query)
         .Emit();
   }
-  return rec.id;
+  return id;
 }
 
 std::vector<RecordedProfile> FlightRecorder::Snapshot(

@@ -11,10 +11,10 @@
 // "slow_query" event — exactly one line per offending query, subject to the
 // log's token-bucket rate limit.
 //
-// Concurrency: one mutex guards the ring. Record() copies the profile in;
-// Snapshot()/Get() copy profiles out. Profiles are a few KB; this is far
-// off the query hot path (one Record per *profiled* query, after it
-// completes).
+// Concurrency: one mutex guards the ring. Record() copies the profile
+// before it takes the lock and moves the copy in; Snapshot()/Get() copy
+// profiles out. Profiles are a few KB; this is far off the query hot path
+// (one Record per *profiled* query, after it completes).
 
 #ifndef STATCUBE_OBS_FLIGHT_RECORDER_H_
 #define STATCUBE_OBS_FLIGHT_RECORDER_H_

@@ -60,9 +60,8 @@ struct QueryProfile {
   std::string tenant;
   Trace trace;          ///< span tree (phases and sub-phases)
   /// Everything the query consumed, attributed across workers: CPU time
-  /// (total and per thread), bytes touched, morsels, tasks, cache
-  /// probe outcomes. Folded from the query's ResourceAccumulator by
-  /// ProfileScope::Take().
+  /// (total and per thread), bytes touched, morsels, tasks. Folded from
+  /// the query's ResourceAccumulator by ProfileScope::Take().
   ResourceVector resources;
   std::vector<OperatorStats> operators;
   BlockCounter blocks;  ///< logical I/O summed over every store touched

@@ -53,7 +53,7 @@ struct ActiveQueryInfo {
   std::string query;
   /// Engine name as printed in profiles ("relational", "molap", ...).
   std::string engine;
-  /// Result-cache mode name ("off", "on", "derive").
+  /// Result-cache mode name ("off", "derive").
   std::string cache_mode;
   /// Tenant the query runs on behalf of (empty = untenanted).
   std::string tenant;

@@ -26,10 +26,6 @@ ResourceVector ResourceAccumulator::Snapshot() const {
   v.bytes_touched = bytes_.load(std::memory_order_relaxed);
   v.morsels = morsels_.load(std::memory_order_relaxed);
   v.tasks_spawned = tasks_.load(std::memory_order_relaxed);
-  v.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  v.cache_derived_hits = cache_derived_.load(std::memory_order_relaxed);
-  v.cache_folded_hits = cache_folded_.load(std::memory_order_relaxed);
-  v.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < kCpuSlots; ++i) {
     if (per_thread_used_[i].load(std::memory_order_relaxed)) {
       v.cpu_us_by_thread.emplace_back(
@@ -65,9 +61,7 @@ TaskContextScope::~TaskContextScope() {
 std::string ResourceVector::ToString() const {
   std::ostringstream os;
   os << "cpu_us=" << cpu_us << " bytes_touched=" << bytes_touched
-     << " morsels=" << morsels << " tasks_spawned=" << tasks_spawned
-     << " cache=" << cache_hits << "h/" << cache_folded_hits << "f/"
-     << cache_derived_hits << "d/" << cache_misses << "m";
+     << " morsels=" << morsels << " tasks_spawned=" << tasks_spawned;
   if (!cpu_us_by_thread.empty()) {
     os << " cpu_by_thread=";
     for (size_t i = 0; i < cpu_us_by_thread.size(); ++i) {
@@ -86,10 +80,6 @@ std::string ResourceVector::ToJson() const {
       .Key("bytes_touched").Uint(bytes_touched)
       .Key("morsels").Uint(morsels)
       .Key("tasks_spawned").Uint(tasks_spawned)
-      .Key("cache_hits").Uint(cache_hits)
-      .Key("cache_derived_hits").Uint(cache_derived_hits)
-      .Key("cache_folded_hits").Uint(cache_folded_hits)
-      .Key("cache_misses").Uint(cache_misses)
       .Key("cpu_us_by_thread").BeginArray();
   for (const auto& [thread, us] : cpu_us_by_thread)
     w.BeginObject().Key("thread").Uint(thread).Key("us").Uint(us).EndObject();

@@ -1,9 +1,9 @@
 /// \file
 /// \brief Per-query resource attribution: a `ResourceVector` of everything a
-/// query consumed (CPU time per worker, bytes touched, morsels, cache
-/// outcomes, tasks spawned), accumulated through a query-scoped context that
-/// travels with the work — across the task scheduler's thread boundary —
-/// instead of staying pinned to the submitting thread.
+/// query consumed (CPU time per worker, bytes touched, morsels, tasks
+/// spawned), accumulated through a query-scoped context that travels with
+/// the work — across the task scheduler's thread boundary — instead of
+/// staying pinned to the submitting thread.
 ///
 /// Collection model: `ProfileScope` (query_profile.h) owns a
 /// `ResourceAccumulator` and installs it thread-locally next to the trace.
@@ -50,14 +50,6 @@ struct ResourceVector {
   uint64_t morsels = 0;
   /// Helper tasks submitted to the scheduler on behalf of this query.
   uint64_t tasks_spawned = 0;
-  /// Result-cache exact hits observed while this query executed.
-  uint64_t cache_hits = 0;
-  /// Result-cache derived (lattice roll-up) hits.
-  uint64_t cache_derived_hits = 0;
-  /// Result-cache folded hits: appended rows folded into an older answer.
-  uint64_t cache_folded_hits = 0;
-  /// Result-cache lookups that found no exact entry.
-  uint64_t cache_misses = 0;
   /// Per-thread CPU split: (CurrentThreadId, microseconds), ascending by
   /// thread id. Threads beyond the accumulator's slot capacity fold into
   /// the aggregate `cpu_us` only.
@@ -66,8 +58,7 @@ struct ResourceVector {
   /// True when nothing was charged (e.g. obs was disabled).
   bool Empty() const {
     return cpu_us == 0 && bytes_touched == 0 && morsels == 0 &&
-           tasks_spawned == 0 && cache_hits == 0 && cache_derived_hits == 0 &&
-           cache_folded_hits == 0 && cache_misses == 0;
+           tasks_spawned == 0;
   }
 
   /// One-line human-readable summary (used by QueryProfile::ToString).
@@ -111,22 +102,6 @@ class ResourceAccumulator {
   void CountTasks(uint64_t n = 1) {
     tasks_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Counts a result-cache exact hit.
-  void CountCacheHit() {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Counts a result-cache derived hit.
-  void CountCacheDerived() {
-    cache_derived_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Counts a result-cache folded hit.
-  void CountCacheFolded() {
-    cache_folded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Counts a result-cache miss.
-  void CountCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Folds the counters into a plain ResourceVector.
   ResourceVector Snapshot() const;
@@ -136,10 +111,6 @@ class ResourceAccumulator {
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> morsels_{0};
   std::atomic<uint64_t> tasks_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_derived_{0};
-  std::atomic<uint64_t> cache_folded_{0};
-  std::atomic<uint64_t> cache_misses_{0};
   std::array<std::atomic<uint64_t>, kCpuSlots> per_thread_us_{};
   std::array<std::atomic<bool>, kCpuSlots> per_thread_used_{};
 };
@@ -196,28 +167,6 @@ ResourceAccumulator* SwapCurrentResources(ResourceAccumulator* r);
 inline void RecordBytesTouched(uint64_t bytes) {
   if (!Enabled()) return;
   if (ResourceAccumulator* r = CurrentResources()) r->ChargeBytes(bytes);
-}
-
-/// Result-cache probe outcomes, charged to the current query.
-enum class CacheProbe {
-  kHit,      ///< exact entry answered
-  kDerived,  ///< answered by lattice roll-up of a cached superset
-  kFolded,   ///< answered by folding appended rows into an older answer
-  kMiss      ///< no exact entry
-};
-
-/// Records a result-cache probe outcome against the current query (no-op
-/// when obs is disabled or no context is installed).
-inline void RecordCacheProbe(CacheProbe outcome) {
-  if (!Enabled()) return;
-  ResourceAccumulator* r = CurrentResources();
-  if (r == nullptr) return;
-  switch (outcome) {
-    case CacheProbe::kHit: r->CountCacheHit(); break;
-    case CacheProbe::kDerived: r->CountCacheDerived(); break;
-    case CacheProbe::kFolded: r->CountCacheFolded(); break;
-    case CacheProbe::kMiss: r->CountCacheMiss(); break;
-  }
 }
 
 }  // namespace statcube::obs

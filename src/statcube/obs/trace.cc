@@ -69,6 +69,33 @@ Trace& Trace::operator=(const Trace& other) {
   return *this;
 }
 
+Trace::Trace(Trace&& other) : origin_(other.origin_) {
+  std::vector<SpanRecord> taken;
+  {
+    MutexLock lock(other.mu_);
+    taken.swap(other.spans_);
+  }
+  budget_.store(other.span_budget(), std::memory_order_relaxed);
+  dropped_.store(other.dropped_spans(), std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  spans_ = std::move(taken);
+}
+
+Trace& Trace::operator=(Trace&& other) {
+  if (this == &other) return *this;
+  std::vector<SpanRecord> taken;
+  {
+    MutexLock lock(other.mu_);
+    taken.swap(other.spans_);
+  }
+  budget_.store(other.span_budget(), std::memory_order_relaxed);
+  dropped_.store(other.dropped_spans(), std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  origin_ = other.origin_;
+  spans_ = std::move(taken);
+  return *this;
+}
+
 int32_t Trace::BeginSpan(std::string name) {
   SpanRecord rec;
   rec.name = std::move(name);

@@ -85,6 +85,11 @@ class Trace {
   /// a Trace are copied into the flight recorder.
   Trace(const Trace& other);
   Trace& operator=(const Trace& other);
+  /// Takes `other`'s spans (locks `other`, which is left with none), so a
+  /// QueryProfile moves out of its ProfileScope and into the flight
+  /// recorder without copying a span.
+  Trace(Trace&& other);
+  Trace& operator=(Trace&& other);
 
   /// Opens a span as a child of this thread's innermost open span (or of
   /// the propagated parent on a worker thread). Returns the span index, or

@@ -477,12 +477,12 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   std::shared_ptr<const std::string> json;
 
   // Result-cache route, in order: an exact entry at the object's version
-  // is returned as stored; under Mode::kDerive, an older version's entry
-  // has the appended rows folded in, or else a cached superset grouping at
-  // this version is rolled up. Either way no base row before the appended
-  // ones is touched and the backends below are skipped entirely (profile
-  // backend "cache"). Key building failures — e.g. a query with no
-  // aggregates, which cannot parse anyway — just disable caching.
+  // is returned as stored; else an older version's entry has the appended
+  // rows folded in, or else a cached superset grouping at this version is
+  // rolled up. Either way no base row before the appended ones is touched
+  // and the backends below are skipped entirely (profile backend "cache").
+  // Key building failures — e.g. a query with no aggregates, which cannot
+  // parse anyway — just disable caching.
   cache::ResultCache& rc = cache::ResultCache::Global();
   Result<cache::QueryKey> key = Status::Unimplemented("cache off");
   bool hit = false;
@@ -492,14 +492,12 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     key = query::BuildQueryKey(obj, q, options.engine);
     if (key.ok()) {
       cache::CachedResult found = rc.Lookup(*key);
-      const bool derive =
-          options.cache == cache::Mode::kDerive && key->derivable;
       if (found.hit) {
         out = std::move(found.table);
         json = std::move(found.json);
         hit = true;
         scope.profile().cache = "hit";
-      } else if (derive && found.table != nullptr &&
+      } else if (key->derivable && found.table != nullptr &&
                  found.object_rows < key->object_rows &&
                  !found.backend_shaped && !key->backend_shaped) {
         obs::Span fold_span("cache.fold");
@@ -516,7 +514,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
           rc.NoteFoldedHit();
         }
       }
-      if (out == nullptr && derive) {
+      if (out == nullptr && key->derivable) {
         if (std::optional<cache::DerivedSource> src =
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");

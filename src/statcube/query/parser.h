@@ -128,9 +128,9 @@ struct QueryOptions {
   /// must not perturb the recorder (A/B benchmarks, recorder tests).
   bool record = true;
   /// Result-cache mode (cache/result_cache.h): kOff never consults the
-  /// cache, kOn reuses exact-key matches at the object's version, kDerive
-  /// additionally folds appended rows into an older version's answer or
-  /// rolls up a cached superset grouping through the lattice. Any mode
+  /// cache; kDerive reuses exact-key matches at the object's version, and
+  /// otherwise folds appended rows into an older version's answer or
+  /// rolls up a cached superset grouping through the lattice. Either mode
   /// returns bit-identical tables; the profile's `cache` field says which
   /// path answered ("hit" / "folded" / "derived" / "miss").
   cache::Mode cache = cache::Mode::kOff;

@@ -24,7 +24,7 @@
 /// ```json
 /// {"query":   "SELECT sum(amount) BY store",   // required
 ///  "engine":  "molap",          // relational|molap|rolap|rolap+bitmap
-///  "cache":   "derive",         // off|on|derive
+///  "cache":   "derive",         // off|derive
 ///  "threads": 4,                // 0 = exec::DefaultThreads()
 ///  "deadline_ms": 250,          // 0 = no deadline
 ///  "tenant":  "team-fraud",     // [A-Za-z0-9_.-]{1,64}; default "default"

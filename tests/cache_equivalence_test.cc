@@ -105,11 +105,13 @@ void ExpectOffColdWarmIdentical(const StatisticalObject& obj,
   EXPECT_TRUE(off.profile.cache.empty()) << what;
 
   ResetCache();
-  ProfiledQuery cold = RunQ(obj, text, Opts(Mode::kOn, engine, threads), what);
+  ProfiledQuery cold =
+      RunQ(obj, text, Opts(Mode::kDerive, engine, threads), what);
   EXPECT_EQ(cold.profile.cache, "miss") << what;
   ExpectTablesIdentical(*off.table, *cold.table, what + " [cold]");
 
-  ProfiledQuery warm = RunQ(obj, text, Opts(Mode::kOn, engine, threads), what);
+  ProfiledQuery warm =
+      RunQ(obj, text, Opts(Mode::kDerive, engine, threads), what);
   EXPECT_EQ(warm.profile.cache, "hit") << what;
   EXPECT_EQ(warm.profile.backend, "cache") << what;
   ExpectTablesIdentical(*off.table, *warm.table, what + " [warm]");
@@ -290,18 +292,23 @@ TEST(CacheEquivalence, InexactSumsAreExecutedNotDerived) {
 }
 
 // --------------------------------------------------------------------------
-// Invalidation: an append moves the object's version, so under Mode::kOn
-// warm entries stop matching and the fresh result reflects the new data.
+// Invalidation: an append moves the object's version, so warm entries
+// stop being hits and the fresh result reflects the new data: the licensed
+// sum is folded forward, the avg (which does not fold) executes.
 
 TEST(CacheEquivalence, AppendInvalidates) {
   auto data = MakeRetailWorkload().ValueOrDie();
   StatisticalObject obj = std::move(data.object);
   const std::string q = "SELECT sum(qty) BY store";
+  const std::string avg = "SELECT avg(qty) BY store";
   ResetCache();
-  ProfiledQuery cold = RunQ(obj, q, Opts(Mode::kOn), "cold");
+  ProfiledQuery cold = RunQ(obj, q, Opts(Mode::kDerive), "cold");
   EXPECT_EQ(cold.profile.cache, "miss");
-  ProfiledQuery warm = RunQ(obj, q, Opts(Mode::kOn), "warm");
+  ProfiledQuery warm = RunQ(obj, q, Opts(Mode::kDerive), "warm");
   EXPECT_EQ(warm.profile.cache, "hit");
+  RunQ(obj, avg, Opts(Mode::kDerive), "avg cold");
+  EXPECT_EQ(RunQ(obj, avg, Opts(Mode::kDerive), "avg warm").profile.cache,
+            "hit");
 
   // Append one sale; the warm entry must not be served again.
   Row dims, measures;
@@ -312,12 +319,18 @@ TEST(CacheEquivalence, AppendInvalidates) {
   measures.push_back(Value(int64_t(9)));        // amount
   ASSERT_TRUE(obj.AddCell(dims, measures).ok());
 
-  ProfiledQuery after = RunQ(obj, q, Opts(Mode::kOn), "after append");
-  EXPECT_EQ(after.profile.cache, "miss") << "stale entry served after append";
+  ProfiledQuery after = RunQ(obj, q, Opts(Mode::kDerive), "after append");
+  EXPECT_EQ(after.profile.cache, "folded") << "stale entry served";
   ProfiledQuery direct = RunQ(obj, q, Opts(Mode::kOff), "direct after append");
   ExpectTablesIdentical(*direct.table, *after.table, "post-append");
+  ExpectTablesIdentical(*Query(obj, q), *after.table, "post-append");
   // And the totals actually moved.
   EXPECT_FALSE(cold.table->rows() == after.table->rows());
+
+  ProfiledQuery avg_after =
+      RunQ(obj, avg, Opts(Mode::kDerive), "avg after append");
+  EXPECT_EQ(avg_after.profile.cache, "miss") << "stale entry served";
+  ExpectTablesIdentical(*Query(obj, avg), *avg_after.table, "post-append avg");
 }
 
 // --------------------------------------------------------------------------
@@ -360,14 +373,12 @@ TEST(CacheEquivalence, SameNamedObjectsNeverShareAnswers) {
   const StatisticalObject first = Twin("twin", "b", 2.0);
   const StatisticalObject second = Twin("twin", "z", 9.0);
   const std::string q = "SELECT sum(m) BY d";
-  for (Mode mode : {Mode::kOn, Mode::kDerive}) {
-    ResetCache();
-    ProfiledQuery a = RunQ(first, q, Opts(mode), "first");
-    ExpectReference(first, q, *a.table, "first");
-    ProfiledQuery b = RunQ(second, q, Opts(mode), "second");
-    EXPECT_EQ(b.profile.cache, "miss") << cache::ModeName(mode);
-    ExpectReference(second, q, *b.table, "second");
-  }
+  ResetCache();
+  ProfiledQuery a = RunQ(first, q, Opts(Mode::kDerive), "first");
+  ExpectReference(first, q, *a.table, "first");
+  ProfiledQuery b = RunQ(second, q, Opts(Mode::kDerive), "second");
+  EXPECT_EQ(b.profile.cache, "miss");
+  ExpectReference(second, q, *b.table, "second");
 }
 
 // Appends `cells` retail cells for `batch`: coordinates copied from
@@ -465,34 +476,29 @@ TEST(CacheEquivalence, FoldedAppendsAreBitIdentical) {
 }
 
 // What does not fold re-executes after an append, as a miss: a CUBE, an
-// avg, a backend's answer, a sum whose values do not re-add exactly (the
-// stocks' close), and anything under Mode::kOn.
+// avg, a backend's answer, and a sum whose values do not re-add exactly
+// (the stocks' close).
 TEST(CacheEquivalence, UnfoldableEntriesReexecuteAfterAppends) {
   struct Case {
     StatisticalObject obj;
     std::string text;
     QueryEngine engine;
-    Mode mode;
   };
   std::vector<Case> cases;
   cases.push_back({SmallRetail(), "SELECT sum(qty) BY CUBE(store, city)",
-                   QueryEngine::kRelational, Mode::kDerive});
+                   QueryEngine::kRelational});
   cases.push_back({SmallRetail(), "SELECT avg(amount) BY store",
-                   QueryEngine::kRelational, Mode::kDerive});
+                   QueryEngine::kRelational});
   cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
-                   QueryEngine::kMolap, Mode::kDerive});
+                   QueryEngine::kMolap});
   cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
-                   QueryEngine::kRolap, Mode::kDerive});
-  cases.push_back({SmallRetail(), "SELECT sum(amount) BY store",
-                   QueryEngine::kRelational, Mode::kOn});
+                   QueryEngine::kRolap});
   cases.push_back({Workloads::Get().stocks, "SELECT sum(close) BY stock",
-                   QueryEngine::kRelational, Mode::kDerive});
+                   QueryEngine::kRelational});
   for (Case& c : cases) {
-    const std::string what =
-        c.text + " engine=" + QueryEngineName(c.engine) + " mode=" +
-        cache::ModeName(c.mode);
+    const std::string what = c.text + " engine=" + QueryEngineName(c.engine);
     ResetCache();
-    RunQ(c.obj, c.text, Opts(c.mode, c.engine), what + " [seed]");
+    RunQ(c.obj, c.text, Opts(Mode::kDerive, c.engine), what + " [seed]");
     for (int batch = 0; batch < 2; ++batch) {
       // Rows copied from the object itself: every measure keeps its
       // evidence, so a licence lost or held stays as it was.
@@ -504,7 +510,8 @@ TEST(CacheEquivalence, UnfoldableEntriesReexecuteAfterAppends) {
                                  Row(row.begin() + ndims, row.end()))
                         .ok());
       }
-      ProfiledQuery pq = RunQ(c.obj, c.text, Opts(c.mode, c.engine), what);
+      ProfiledQuery pq =
+          RunQ(c.obj, c.text, Opts(Mode::kDerive, c.engine), what);
       EXPECT_EQ(pq.profile.cache, "miss") << what;
       ProfiledQuery off = RunQ(c.obj, c.text, Opts(Mode::kOff, c.engine),
                                what + " [off]");
@@ -584,10 +591,11 @@ void ExpectOwnAnswers(const StatisticalObject& obj,
   ResetCache();
   for (size_t i = 0; i < texts.size(); ++i) {
     ProfiledQuery off = RunQ(obj, texts[i], Opts(Mode::kOff), texts[i]);
-    ProfiledQuery on = RunQ(obj, texts[i], Opts(Mode::kOn), texts[i]);
-    EXPECT_EQ(on.profile.cache, "miss") << texts[i];
+    ProfiledQuery cached =
+        RunQ(obj, texts[i], Opts(Mode::kDerive), texts[i]);
+    EXPECT_EQ(cached.profile.cache, "miss") << texts[i];
     EXPECT_EQ(off.table->num_rows(), rows[i]) << texts[i];
-    ExpectTablesIdentical(*off.table, *on.table, texts[i]);
+    ExpectTablesIdentical(*off.table, *cached.table, texts[i]);
   }
 }
 

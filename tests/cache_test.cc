@@ -87,12 +87,16 @@ StatisticalObject Small(const std::string& name, const Row& middle) {
 
 TEST(CacheMode, Names) {
   EXPECT_STREQ(cache::ModeName(Mode::kOff), "off");
-  EXPECT_STREQ(cache::ModeName(Mode::kOn), "on");
   EXPECT_STREQ(cache::ModeName(Mode::kDerive), "derive");
-  EXPECT_EQ(*cache::ModeFromName("ON"), Mode::kOn);
-  EXPECT_EQ(*cache::ModeFromName("derive"), Mode::kDerive);
+  EXPECT_EQ(*cache::ModeFromName("DERIVE"), Mode::kDerive);
   EXPECT_EQ(*cache::ModeFromName("off"), Mode::kOff);
   EXPECT_FALSE(cache::ModeFromName("sometimes").ok());
+  // Exact-only reuse is no mode of its own: `derive` tries the exact hit
+  // first.
+  Result<Mode> on = cache::ModeFromName("on");
+  ASSERT_FALSE(on.ok());
+  EXPECT_NE(on.status().message().find("(off|derive)"), std::string::npos)
+      << on.status().ToString();
 }
 
 // --------------------------------------------------------------------------
@@ -254,10 +258,9 @@ TEST(QueryKeyTest, WhereLiteralsOneBitApartGetDistinctKeys) {
 // --------------------------------------------------------------------------
 // The cache proper: insert/lookup, admission, eviction.
 
-ResultCache::Options Tiny(size_t budget, size_t shards = 1) {
+ResultCache::Options Tiny(size_t budget) {
   ResultCache::Options o;
   o.byte_budget = budget;
-  o.shards = shards;
   o.max_entry_bytes = budget;
   return o;
 }
@@ -294,7 +297,7 @@ TEST(ResultCacheTest, AdmissionRejectsOversizeResults) {
                       FakeResult("a", 100), false),
             nullptr);
   EXPECT_EQ(rc.stats().admission_rejects, 1u);
-  EXPECT_EQ(rc.entries(), 0u);
+  EXPECT_EQ(rc.stats().entries, 0u);
 }
 
 // An entry is the inserted object itself, shared: a hit and a derivation
@@ -337,14 +340,13 @@ TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
 }
 
 TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
-  // Budget that holds roughly two of the three entries (one shard so LRU
-  // order is global).
-  // Per-entry overhead beyond the table and its encoding: the exact-key
-  // string plus the Entry struct — comfortably under 1 KiB.
+  // Budget that holds roughly two of the three entries. Per-entry overhead
+  // beyond the table and its encoding: the exact-key string plus the Entry
+  // struct — comfortably under 1 KiB.
   auto sample = FakeResult("x", 50);
   const size_t budget =
       2 * (sample->ByteSize() + serve::TableToJson(*sample).size() + 1024);
-  ResultCache rc(Tiny(budget, /*shards=*/1));
+  ResultCache rc(Tiny(budget));
   QueryKey a = KeyFor("SELECT sum(amount) BY store");
   QueryKey b = KeyFor("SELECT sum(amount) BY city");
   QueryKey c = KeyFor("SELECT sum(amount) BY product");
@@ -356,15 +358,49 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
   EXPECT_FALSE(Cached(rc, b)) << "LRU victim should be b";
   EXPECT_TRUE(Cached(rc, a));
   EXPECT_TRUE(Cached(rc, c));
-  EXPECT_LE(rc.bytes(), budget);
+  EXPECT_LE(rc.stats().bytes, budget);
+}
+
+// A one-row result whose store name is `bytes` long, so that the table and
+// its encoding each take about `bytes`.
+std::shared_ptr<const Table> Blob(size_t bytes) {
+  Schema schema;
+  schema.AddColumn("store", ValueType::kString);
+  schema.AddColumn("sum_amount", ValueType::kDouble);
+  auto t = std::make_shared<Table>("blob", schema);
+  t->AppendRowUnchecked({Value(std::string(bytes, 'x')), Value(1.0)});
+  return t;
+}
+
+// The byte budget bounds the cache as a whole: entries that fit it
+// together all stay, wherever their keys hash, even when any two of them
+// exceed an eighth of it.
+TEST(ResultCacheTest, BudgetBoundsTheWholeCache) {
+  ResultCache rc;  // default options: entries up to an eighth of the budget
+  const size_t budget = ResultCache::Options().byte_budget;
+  std::vector<QueryKey> keys;
+  for (const char* by :
+       {"store", "city", "product", "day", "store, city", "store, product",
+        "store, day", "city, product", "city, day"}) {
+    keys.push_back(KeyFor(std::string("SELECT sum(amount) BY ") + by));
+    // 5/8 of an eighth: half in the table, half in its encoding.
+    ASSERT_NE(rc.Insert(keys.back(), Blob(budget / 8 * 5 / 16), false),
+              nullptr);
+  }
+  const ResultCache::Stats s = rc.stats();
+  EXPECT_EQ(s.entries, keys.size());
+  EXPECT_LT(s.bytes, budget);
+  EXPECT_GT(s.bytes / keys.size() * 2, budget / 8);
+  EXPECT_EQ(s.evictions, 0u);
+  for (const QueryKey& key : keys) EXPECT_TRUE(Cached(rc, key)) << key.exact;
 }
 
 TEST(ResultCacheTest, ClearEmptiesEverything) {
   ResultCache rc(Tiny(1 << 20));
   rc.Insert(KeyFor("SELECT sum(amount) BY store"), FakeResult("a", 5), false);
   rc.Clear();
-  EXPECT_EQ(rc.entries(), 0u);
-  EXPECT_EQ(rc.bytes(), 0u);
+  EXPECT_EQ(rc.stats().entries, 0u);
+  EXPECT_EQ(rc.stats().bytes, 0u);
   EXPECT_FALSE(Cached(rc, KeyFor("SELECT sum(amount) BY store")));
 }
 
@@ -468,9 +504,8 @@ TEST(ResultCacheTest, NoDerivationForNonDistributive) {
 
 TEST(ResultCacheTest, EvictedEntriesLeaveTheIndex) {
   auto sample = FakeResult("x", 50);
-  ResultCache rc(Tiny(
-      sample->ByteSize() + serve::TableToJson(*sample).size() + 512,
-      /*shards=*/1));
+  ResultCache rc(
+      Tiny(sample->ByteSize() + serve::TableToJson(*sample).size() + 512));
   QueryKey superset = KeyFor("SELECT sum(amount) BY store, city");
   rc.Insert(superset, FakeResult("r_by_store_city", 50), false);
   // A second insert evicts the first (budget holds one entry).
@@ -507,7 +542,7 @@ TEST(ResultCacheTest, MetricsRegistered) {
 // derivation scans on one shared cache.
 
 TEST(ResultCacheTest, ConcurrentMixedOperations) {
-  ResultCache rc(Tiny(256 << 10, /*shards=*/4));
+  ResultCache rc(Tiny(256 << 10));
   const QueryKey keys[] = {
       KeyFor("SELECT sum(amount) BY store"),
       KeyFor("SELECT sum(amount) BY city"),
@@ -534,8 +569,8 @@ TEST(ResultCacheTest, ConcurrentMixedOperations) {
 }
 
 // Readers keep the tables and encodings they were handed while writers
-// evict their entries (a budget of about two entries, four keys, one
-// shard): every held table and its bytes must stay intact. Under ASan a
+// evict their entries (a budget of about two entries, four keys): every
+// held table and its bytes must stay intact. Under ASan a
 // freed table would be a use after free; under TSan, a race.
 TEST(ResultCacheTest, HeldHitsSurviveEviction) {
   constexpr int kKeys = 4;
@@ -550,8 +585,7 @@ TEST(ResultCacheTest, HeldHitsSurviveEviction) {
     want[k] = serve::TableToJson(*FakeResult("t" + std::to_string(k), 40 + k));
   auto sample = FakeResult("t0", 43);
   ResultCache rc(Tiny(
-      2 * (sample->ByteSize() + serve::TableToJson(*sample).size() + 1024),
-      /*shards=*/1));
+      2 * (sample->ByteSize() + serve::TableToJson(*sample).size() + 1024)));
 
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;

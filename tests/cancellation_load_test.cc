@@ -65,7 +65,7 @@ bool AttemptCancel(int threads) {
     QueryOptions opt;
     opt.engine = QueryEngine::kRelational;
     opt.threads = threads;
-    opt.cache = cache::Mode::kOn;
+    opt.cache = cache::Mode::kDerive;
     opt.record = true;
     opt.cancel = &token;
     auto r = QueryProfiled(Retail(), kQuery, opt);
@@ -99,8 +99,8 @@ bool AttemptCancel(int threads) {
   EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
   // ...leave nothing behind in the result cache (admission was wide open,
   // so a leaked partial table would have been admitted)...
-  EXPECT_EQ(rc.entries(), 0u) << "partial result cached at threads="
-                              << threads;
+  EXPECT_EQ(rc.stats().entries, 0u) << "partial result cached at threads="
+                                    << threads;
   EXPECT_EQ(rc.Lookup(*query::BuildQueryKey(Retail(), *ParseQuery(kQuery),
                                             QueryEngine::kRelational))
                 .table,
@@ -130,12 +130,13 @@ void RunAtThreads(int threads) {
     rc.Clear();
     QueryOptions opt;
     opt.threads = threads;
-    opt.cache = cache::Mode::kOn;
+    opt.cache = cache::Mode::kDerive;
     opt.record = false;
     auto r = QueryProfiled(Retail(), kQuery, opt);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_GE(rc.entries(), 1u) << "uncancelled run was not cached; the "
-                                   "no-partial-insert check would be vacuous";
+    ASSERT_GE(rc.stats().entries, 1u)
+        << "uncancelled run was not cached; the no-partial-insert check "
+           "would be vacuous";
   }
 
   for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {

@@ -231,6 +231,32 @@ TEST(TraceTest, DisabledModeRecordsNothing) {
             before);
 }
 
+// A copy duplicates the spans; a move takes them and leaves the source
+// with none (how a QueryProfile travels into the flight recorder).
+TEST(TraceTest, CopyDuplicatesAndMoveTakesTheSpans) {
+  obs::Trace source;
+  source.set_span_budget(2);
+  for (const char* name : {"a", "b", "dropped"})
+    source.EndSpan(source.BeginSpan(name));
+  ASSERT_EQ(source.spans().size(), 2u);
+
+  obs::Trace copy = source;
+  EXPECT_EQ(copy.spans().size(), 2u);
+  EXPECT_EQ(source.spans().size(), 2u);
+
+  obs::Trace moved = std::move(source);
+  ASSERT_EQ(moved.spans().size(), 2u);
+  EXPECT_EQ(moved.spans()[1].name, "b");
+  EXPECT_EQ(moved.dropped_spans(), 1u);
+  EXPECT_EQ(moved.span_budget(), 2u);
+  EXPECT_TRUE(source.spans().empty());  // NOLINT(bugprone-use-after-move)
+
+  obs::Trace assigned;
+  assigned = std::move(copy);
+  EXPECT_EQ(assigned.spans().size(), 2u);
+  EXPECT_TRUE(copy.spans().empty());  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(TraceTest, SpanWithoutTraceScopeIsSafe) {
   obs::EnabledScope on(true);
   EXPECT_EQ(obs::CurrentTrace(), nullptr);

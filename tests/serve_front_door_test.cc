@@ -80,6 +80,8 @@ TEST(FrontDoorValidationTest, RejectsBadBodies) {
       {R"({"query":"SELECT sum(amount) BY city","engine":"warp"})", "engine"},
       {R"({"query":"SELECT sum(amount) BY city","cache":"sometimes"})",
        "cache"},
+      {R"({"query":"SELECT sum(amount) BY city","cache":"on"})",
+       "off|derive"},
       {R"({"query":"SELECT sum(amount) BY city","threads":-1})", "threads"},
       {R"({"query":"SELECT sum(amount) BY city","threads":2.5})", "threads"},
       {R"({"query":"SELECT sum(amount) BY city","threads":100000})",
@@ -243,7 +245,7 @@ TEST_F(FrontDoorCachedTest, MissHitAndDerivedServeTheReferenceBytes) {
 TEST_F(FrontDoorCachedTest, ResponseBodyIsWrittenOnce) {
   QueryFrontDoor door(Retail());
   const char* const kRuns[][2] = {
-      {"off", "off"}, {"on", "miss"}, {"on", "hit"}};
+      {"off", "off"}, {"derive", "miss"}, {"derive", "hit"}};
   for (const auto& [mode, path] : kRuns) {
     obs::HttpResponse resp = door.ServeRequest(Post(
         R"({"query":"SELECT sum(amount), sum(qty) BY product, store, day",)"

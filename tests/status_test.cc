@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 namespace statcube {
 namespace {
 
@@ -74,6 +77,42 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r(std::string("hello"));
   std::string s = std::move(r).value();
   EXPECT_EQ(s, "hello");
+}
+
+// `*std::move(r)` moves the value out, as with std::optional, so a
+// move-only payload compiles.
+TEST(ResultTest, DereferencingAnRvalueMovesAMoveOnlyValue) {
+  Result<std::unique_ptr<int>> r(std::make_unique<int>(7));
+  std::unique_ptr<int> p = *std::move(r);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(*p, 7);
+}
+
+// Counts the copies made of it; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) = default;
+  int* copies;
+};
+
+TEST(ResultTest, DereferencingAnRvalueCopiesNothing) {
+  int copies = 0;
+  Result<CopyCounter> r{CopyCounter(&copies)};
+  CopyCounter moved = *std::move(r);
+  EXPECT_EQ(moved.copies, &copies);
+  EXPECT_EQ(copies, 0);
+  // An lvalue still copies: the counter counts.
+  Result<CopyCounter> kept{CopyCounter(&copies)};
+  CopyCounter copied = *kept;
+  EXPECT_EQ(copied.copies, &copies);
+  EXPECT_EQ(copies, 1);
 }
 
 }  // namespace
