@@ -43,14 +43,14 @@
 //   --max-active=N         queries executing at once (default 4)
 //   --max-queue=N          waiters beyond that before 503-shedding (def. 16)
 //   --max-wait-ms=N        longest queued wait before shedding (def. 2000)
+//                          The HTTP server runs max-active + max-queue + 1
+//                          workers: a running or queued query holds one, and
+//                          the spare serves /healthz and /metrics while the
+//                          gate is full. max-active + max-queue <= 1024.
 //   --tenant-max-concurrent=N  per-tenant in-flight cap (default 16)
 //   --tenant-qps=Q         per-tenant request rate (default 0 = unlimited)
 //   --tenant-burst=B       token-bucket capacity (default max(1, qps))
 //   --tenant-bytes-per-sec=N  per-tenant response-byte budget (default 0)
-//   --http-workers=N       connection-handling threads (default 4); raise
-//                          for load tests so shedding happens at the
-//                          admission queue, not the connection queue
-//   --http-queue=N         accepted-but-unserviced connection cap (def. 64)
 //
 //   curl -s localhost:8080/query -d '{"query":"SELECT sum(amount) BY store",
 //     "engine":"molap","tenant":"demo"}'
@@ -126,11 +126,6 @@ int main(int argc, char** argv) {
   long max_query_ms = 0;
   bool quiet = false;
   bool no_workload = false;
-  // HTTP connection-layer sizing. The defaults fit the demo workload; a
-  // load-test front door wants enough workers that shedding happens at the
-  // admission queue (tenant-attributed) rather than the connection queue.
-  int http_workers = 4;
-  int http_queue = 64;
   cache::Mode cache_mode = cache::Mode::kOff;
   serve::FrontDoorOptions fdopt;
   for (int i = 1; i < argc; ++i) {
@@ -226,18 +221,6 @@ int main(int argc, char** argv) {
         fprintf(stderr, "--tenant-burst must be >= 0\n");
         return 1;
       }
-    } else if (arg.rfind("--http-workers=", 0) == 0) {
-      http_workers = atoi(arg.c_str() + strlen("--http-workers="));
-      if (http_workers < 1) {
-        fprintf(stderr, "--http-workers must be >= 1\n");
-        return 1;
-      }
-    } else if (arg.rfind("--http-queue=", 0) == 0) {
-      http_queue = atoi(arg.c_str() + strlen("--http-queue="));
-      if (http_queue < 1) {
-        fprintf(stderr, "--http-queue must be >= 1\n");
-        return 1;
-      }
     } else if (arg.rfind("--tenant-bytes-per-sec=", 0) == 0) {
       long v = atol(arg.c_str() + strlen("--tenant-bytes-per-sec="));
       if (v < 0) {
@@ -254,10 +237,17 @@ int main(int argc, char** argv) {
               "[--no-workload] [--max-active=N] [--max-queue=N] "
               "[--max-wait-ms=N] [--tenant-max-concurrent=N] "
               "[--tenant-qps=Q] [--tenant-burst=B] "
-              "[--tenant-bytes-per-sec=N] [--http-workers=N] "
-              "[--http-queue=N]\n");
+              "[--tenant-bytes-per-sec=N]\n");
       return arg == "--help" || arg == "-h" ? 0 : 1;
     }
+  }
+  // Every running or queued query holds an HTTP worker, so the gate sizes
+  // the pool; refuse a gate too large to back with threads.
+  const long gate =
+      long(fdopt.queue.max_active) + long(fdopt.queue.max_queued);
+  if (gate > 1024) {
+    fprintf(stderr, "--max-active + --max-queue must be <= 1024\n");
+    return 1;
   }
 
   RetailOptions ropt;
@@ -295,8 +285,7 @@ int main(int argc, char** argv) {
   obs::StatsServerOptions sopt;
   sopt.port = uint16_t(port);
   sopt.sampler = &sampler;
-  sopt.num_workers = http_workers;
-  sopt.max_queued = http_queue;
+  sopt.num_workers = int(gate) + 1;
   obs::StatsServer server(sopt);
 
   // The query front door: POST /query with per-tenant admission control.

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/uio.h>
@@ -33,6 +32,10 @@ namespace statcube::obs {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 8192;
+// A worker whose accept() failed for any reason but shutdown waits this
+// long before retrying; the connection stays in the backlog meanwhile.
+constexpr auto kAcceptRetryPause = std::chrono::milliseconds(10);
+constexpr int64_t kAcceptWarnIntervalMs = 1000;
 
 const char* StatusText(int code) {
   switch (code) {
@@ -212,7 +215,6 @@ std::string Sparkline(const std::vector<double>& values) {
 StatsServer::StatsServer(StatsServerOptions options)
     : options_(std::move(options)) {
   if (options_.num_workers < 1) options_.num_workers = 1;
-  if (options_.max_queued < 1) options_.max_queued = 1;
   if (!options_.register_default_endpoints) return;
 
   Handle("/healthz", [](const HttpRequest&) {
@@ -529,9 +531,10 @@ Status StatsServer::Start() {
     listen_fd_ = -1;
     return s;
   }
-  // The front door is sized for ~1000 concurrent closed-loop sessions; a
-  // short backlog turns a connect burst into SYN retransmits (seconds of
-  // artificial tail latency). The kernel clamps to somaxconn.
+  // Connections wait here until a worker accepts them. The front door is
+  // sized for ~1000 concurrent closed-loop sessions; a short backlog turns
+  // a connect burst into SYN retransmits (seconds of artificial tail
+  // latency). The kernel clamps to somaxconn.
   if (listen(listen_fd_, 1024) < 0) {
     Status s = Status::Internal(std::string("listen: ") + strerror(errno));
     close(listen_fd_);
@@ -542,23 +545,11 @@ Status StatsServer::Start() {
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_.store(ntohs(addr.sin_port));
 
-  if (pipe(wake_pipe_) < 0) {
-    Status s = Status::Internal(std::string("pipe: ") + strerror(errno));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-
   start_time_ = std::chrono::steady_clock::now();
   requests_served_.store(0);
-  {
-    MutexLock lock(queue_mu_);
-    shutting_down_ = false;
-  }
   running_.store(true);
   for (int i = 0; i < options_.num_workers; ++i)
     workers_.emplace_back(&StatsServer::WorkerLoop, this);
-  acceptor_ = std::thread(&StatsServer::AcceptLoop, this);
 
   LogEvent(LogLevel::kInfo, "stats_server_started")
       .Int("port", port_.load())
@@ -570,97 +561,44 @@ Status StatsServer::Start() {
 void StatsServer::Stop() {
   if (!running_.exchange(false)) return;
 
-  // Wake the acceptor out of poll() via the self-pipe; it then stops
-  // accepting and exits. shutdown() unblocks any in-flight accept too.
-  char byte = 'x';
-  ssize_t ignored = write(wake_pipe_[1], &byte, 1);
-  (void)ignored;
+  // shutdown() wakes every worker blocked in accept() with EINVAL; a worker
+  // serving a connection finishes it first. The close resets whatever is
+  // still in the backlog.
   shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
+  for (std::thread& w : workers_) w.join();
+  workers_.clear();
   close(listen_fd_);
   listen_fd_ = -1;
-  close(wake_pipe_[0]);
-  close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-
-  // Tell workers to drain: anything still queued is answered 503.
-  {
-    MutexLock lock(queue_mu_);
-    shutting_down_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& w : workers_)
-    if (w.joinable()) w.join();
-  workers_.clear();
-
-  std::deque<int> leftovers;
-  {
-    MutexLock lock(queue_mu_);
-    leftovers.swap(pending_);
-  }
-  for (int fd : leftovers) {
-    WriteResponse(fd, SimpleResponse(503, "shutting down\n"), false);
-    close(fd);
-  }
 
   LogEvent(LogLevel::kInfo, "stats_server_stopped")
       .Int("requests_served", int64_t(requests_served_.load()))
       .Emit();
 }
 
-void StatsServer::AcceptLoop() {
-  while (running_.load()) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {wake_pipe_[0], POLLIN, 0};
-    int rc = poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // Stop() wrote the self-pipe
-    if ((fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listen socket shut down
-    }
-    bool queued = false;
-    {
-      MutexLock lock(queue_mu_);
-      if (int(pending_.size()) < options_.max_queued) {
-        pending_.push_back(fd);
-        queued = true;
-      }
-    }
-    if (queued) {
-      queue_cv_.NotifyOne();
-    } else {
-      // Bounded queue full: shed load instead of buffering unboundedly.
-      WriteResponse(fd, SimpleResponse(503, "overloaded\n"), false);
-      close(fd);
-      if (Enabled())
-        MetricsRegistry::Global().GetCounter("statcube.http.shed").Add(1);
-    }
-  }
-}
-
 void StatsServer::WorkerLoop() {
   while (true) {
-    int fd = -1;
-    {
-      MutexLock lock(queue_mu_);
-      while (!shutting_down_ && pending_.empty()) queue_cv_.Wait(queue_mu_);
-      if (!pending_.empty()) {
-        fd = pending_.front();
-        pending_.pop_front();
-      } else if (shutting_down_) {
-        return;
-      }
+    const int fd = accept(listen_fd_, nullptr, nullptr);
+    if (fd >= 0) {
+      ServeConnection(fd);
+      continue;
     }
-    if (fd >= 0) ServeConnection(fd);
+    const int err = errno;
+    if (err == EINVAL) return;  // Stop() shut the listen socket down
+    if (err == EINTR || err == ECONNABORTED) continue;
+    // EMFILE/ENFILE at the fd limit, ENOBUFS/ENOMEM: the connection stays
+    // in the backlog until an accept() succeeds. One warning a second.
+    const int64_t now_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    int64_t next = next_accept_warn_ms_.load();
+    if (now_ms >= next && next_accept_warn_ms_.compare_exchange_strong(
+                              next, now_ms + kAcceptWarnIntervalMs))
+      LogEvent(LogLevel::kWarn, "accept_failed")
+          .Int("port", port_.load())
+          .Int("errno", err)
+          .Emit();
+    std::this_thread::sleep_for(kAcceptRetryPause);
   }
 }
 

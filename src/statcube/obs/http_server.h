@@ -1,11 +1,18 @@
 // Embedded HTTP/1.1 stats server over raw POSIX sockets — no third-party
 // dependency, because the only job is serving small text/JSON snapshots to
-// scrapers and humans with curl. Architecture: one acceptor thread blocks
-// in poll() on the listen socket plus a self-pipe; accepted connections go
-// into a bounded queue drained by a small fixed pool of worker threads
-// (serving a snapshot is cheap; the pool exists so one stalled client
-// cannot block the scraper). Stop() writes the self-pipe, closes the listen
-// socket, and joins every thread — safe to call from any thread, idempotent.
+// scrapers and humans with curl, plus the serve/ front door's POST /query.
+// Architecture: a fixed pool of `num_workers` threads, each looping on
+// accept() on the listen socket and serving the connection it accepted, so
+// accept and serve run on one thread. A connection that no worker has
+// reached waits in the kernel's listen backlog; the server sheds no load of
+// its own (the serve/ front door's admission queue is the one 503 gate).
+// An accept() error other than the listen socket's shutdown — EMFILE at the
+// fd limit, say — leaves the connection queued: the worker logs a
+// rate-limited `accept_failed` warning and retries after a short pause.
+// Stop() shuts the listen socket down, which wakes every worker blocked in
+// accept(), joins them (a request in flight is answered first) and closes
+// the socket; connections still in the backlog are reset. Safe to call
+// from any thread but a handler's, idempotent.
 //
 // Built-in endpoints (GET unless noted; HEAD answers headers-only):
 //   /metrics         Prometheus text exposition v0.0.4 (obs/exporter.h)
@@ -44,16 +51,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "statcube/common/mutex.h"
 #include "statcube/common/status.h"
-#include "statcube/common/thread_annotations.h"
 
 namespace statcube::obs {
 
@@ -85,9 +89,10 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 struct StatsServerOptions {
   uint16_t port = 0;        ///< 0 = kernel-assigned (see StatsServer::port())
-  int num_workers = 4;      ///< connection-handling threads
-  int max_queued = 64;      ///< accepted-but-unserviced connection cap;
-                            ///< beyond it, new connections are closed
+  /// Threads that accept and serve connections, one connection each at a
+  /// time. A handler that blocks (a query waiting in the front door's
+  /// admission queue) holds its worker.
+  int num_workers = 4;
   int read_timeout_ms = 5000;   ///< full request must arrive within this
   int write_timeout_ms = 5000;  ///< response write timeout
   /// Largest accepted request body (Content-Length and actual bytes both
@@ -131,12 +136,12 @@ class StatsServer {
   void AddStatuszSection(const std::string& title,
                          std::function<std::string()> html_fn);
 
-  /// Binds 0.0.0.0:<port>, spawns the acceptor and workers. Fails if the
-  /// port is taken or the server already runs.
+  /// Binds 0.0.0.0:<port> and spawns the workers. Fails if the port is
+  /// taken or the server already runs.
   Status Start();
 
-  /// Shuts down: stops accepting, drains queued connections with 503,
-  /// joins all threads. Idempotent.
+  /// Shuts down: stops accepting, lets every request in flight finish, joins
+  /// the workers. Connections no worker has accepted are reset. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(); }
@@ -146,7 +151,7 @@ class StatsServer {
   uint64_t requests_served() const { return requests_served_.load(); }
 
  private:
-  void AcceptLoop();
+  /// accept() and serve until Stop() shuts the listen socket down.
   void WorkerLoop();
   void ServeConnection(int fd);
   /// Renders the /statusz HTML page (sparklines come from options_.sampler).
@@ -161,16 +166,11 @@ class StatsServer {
   std::atomic<uint16_t> port_{0};
   std::atomic<uint64_t> requests_served_{0};
 
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  // self-pipe: Stop() wakes the acceptor
-  std::thread acceptor_;
-  std::vector<std::thread> workers_;
+  /// Steady-clock ms before which no further accept_failed line is logged.
+  std::atomic<int64_t> next_accept_warn_ms_{0};
 
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  /// accepted fds awaiting a worker
-  std::deque<int> pending_ STATCUBE_GUARDED_BY(queue_mu_);
-  bool shutting_down_ STATCUBE_GUARDED_BY(queue_mu_) = false;
+  int listen_fd_ = -1;
+  std::vector<std::thread> workers_;
 
   /// One registered (method, path) route.
   struct Route {

@@ -3,13 +3,13 @@
 /// that lets `max_active` queries execute, queues up to `max_queued` more,
 /// and sheds everything beyond — the 503 path.
 ///
-/// Why a second queue when the HTTP server already bounds its connection
-/// queue: the connection queue protects the *scrape* path (accepting and
-/// parsing cheap requests); this queue protects the *execution* path, where
-/// one query can hold a worker for seconds. Keeping them separate means a
-/// burst of queries saturating the engine never blocks /healthz or
-/// /metrics, and the shedding decision can see query-level state (queue
-/// depth, wait budget) instead of raw connection counts.
+/// This is the server's one overload gate: the HTTP server sheds nothing,
+/// and a connection no worker has reached waits in the kernel's listen
+/// backlog. Every running or queued query holds an HTTP worker, so a server
+/// with `max_active + max_queued + 1` workers (examples/stats_server) keeps
+/// one free for /healthz and /metrics while the gate is full. Each shed is
+/// answered with the tenant and the reason, so it is attributed on
+/// /statusz.
 ///
 /// Semantics: `Enter` admits immediately while fewer than `max_active`
 /// tickets are outstanding. Otherwise the caller waits — FIFO by arrival,

@@ -43,7 +43,6 @@ int StatusToHttp(const Status& st) {
     case StatusCode::kOutOfRange:
     case StatusCode::kNotSummarizable:
     case StatusCode::kUnimplemented: return 400;
-    case StatusCode::kPrivacyRefused: return 403;
     case StatusCode::kCancelled: return 499;
     case StatusCode::kDeadlineExceeded: return 504;
     default: return 500;

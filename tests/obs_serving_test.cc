@@ -1,24 +1,36 @@
 // Tests for the observability serving layer: the shared JSON writer, the
 // Prometheus exporter, the structured log (levels, sinks, token-bucket rate
 // limit), the flight recorder (ring semantics, slow-query promotion), and
-// the embedded HTTP stats server end-to-end over a real socket.
+// the embedded HTTP stats server end-to-end over a real socket: its
+// lifecycle (every worker accepts, Stop() with idle and busy workers, an
+// accept() that fails at the fd limit) and seeded hostile requests.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "json_checker.h"
+#include "statcube/common/rng.h"
 #include "statcube/obs/exporter.h"
 #include "statcube/obs/flight_recorder.h"
 #include "statcube/obs/http_server.h"
@@ -34,36 +46,58 @@ namespace statcube {
 namespace {
 
 // ------------------------------------------------- tiny blocking client
-// One HTTP/1.1 request against localhost:port; returns the raw response
-// (headers + body) or "" on connect/IO failure.
 
-std::string HttpGet(uint16_t port, const std::string& target,
-                    const std::string& method = "GET") {
+// A loopback client socket whose reads give up after 10 s, so a server that
+// never answers fails the test instead of hanging it.
+int BoundedClientSocket() {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  timeval tv{10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+bool Connect(int fd, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    close(fd);
-    return "";
-  }
-  std::string req = method + " " + target + " HTTP/1.1\r\nHost: localhost\r\n"
-                    "Connection: close\r\n\r\n";
+  return connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+}
+
+// Sends `request` (stopping at the first failed write), closes the write
+// side so the server reads EOF instead of waiting out its read timeout,
+// and reads until the server closes, resets or the 10 s bound passes.
+// Returns the bytes read; *timed_out says whether the bound passed.
+std::string Exchange(int fd, const std::string& request,
+                     bool* timed_out = nullptr) {
   size_t off = 0;
-  while (off < req.size()) {
-    ssize_t n = send(fd, req.data() + off, req.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      close(fd);
-      return "";
-    }
+  while (off < request.size()) {
+    ssize_t n = send(fd, request.data() + off, request.size() - off,
+                     MSG_NOSIGNAL);
+    if (n <= 0) break;
     off += size_t(n);
   }
+  shutdown(fd, SHUT_WR);
   std::string resp;
   char buf[4096];
   ssize_t n;
   while ((n = recv(fd, buf, sizeof(buf), 0)) > 0) resp.append(buf, size_t(n));
+  if (timed_out != nullptr)
+    *timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  return resp;
+}
+
+// One HTTP/1.1 request against localhost:port; returns the raw response
+// (headers + body) or "" on connect/IO failure.
+std::string HttpGet(uint16_t port, const std::string& target,
+                    const std::string& method = "GET") {
+  const std::string req = method + " " + target +
+                          " HTTP/1.1\r\nHost: localhost\r\n"
+                          "Connection: close\r\n\r\n";
+  const int fd = BoundedClientSocket();
+  if (fd < 0) return "";
+  const std::string resp = Connect(fd, port) ? Exchange(fd, req) : "";
   close(fd);
   return resp;
 }
@@ -72,6 +106,27 @@ std::string Body(const std::string& response) {
   size_t pos = response.find("\r\n\r\n");
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
+
+// A count-down latch whose wait is bounded: a handler that waits for a
+// request the server never delivers gives up instead of hanging the test.
+class Latch {
+ public:
+  explicit Latch(int count) : count_(count) {}
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (count_ > 0 && --count_ == 0) cv_.notify_all();
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int count_;
+};
 
 // ------------------------------------------------------------ JsonWriter
 
@@ -499,6 +554,154 @@ TEST(StatsServerLifecycleTest, StopIsIdempotentAndPortRefusesAfterStop) {
   second.Stop();
 }
 
+// Two requests held inside the handler at once are both answered by a
+// 2-worker server: each worker accepts its own connection.
+TEST(StatsServerLifecycleTest, EveryWorkerAccepts) {
+  obs::StatsServerOptions opt;
+  opt.port = 0;
+  opt.num_workers = 2;
+  obs::StatsServer server(opt);
+  Latch both_inside(2);
+  server.Handle("/hold", [&both_inside](const obs::HttpRequest&) {
+    both_inside.CountDown();
+    obs::HttpResponse resp;
+    resp.status = both_inside.Wait() ? 200 : 500;
+    return resp;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  std::string first, second;
+  std::thread a([&] { first = HttpGet(server.port(), "/hold"); });
+  std::thread b([&] { second = HttpGet(server.port(), "/hold"); });
+  a.join();
+  b.join();
+  server.Stop();
+  EXPECT_NE(first.find("HTTP/1.1 200 OK"), std::string::npos) << first;
+  EXPECT_NE(second.find("HTTP/1.1 200 OK"), std::string::npos) << second;
+}
+
+// Stop() wakes workers blocked in accept(): it returns with every worker
+// idle, and the port refuses connections afterwards.
+TEST(StatsServerLifecycleTest, StopReturnsWhileEveryWorkerIdlesInAccept) {
+  obs::StatsServerOptions opt;
+  opt.port = 0;
+  opt.num_workers = 4;
+  obs::StatsServer server(opt);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+  EXPECT_NE(HttpGet(port, "/healthz").find("200"), std::string::npos);
+  server.Stop();
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(HttpGet(port, "/healthz"), "");
+}
+
+// A request in flight when Stop() begins is answered 200, and Stop() does
+// not return until it has been.
+TEST(StatsServerLifecycleTest, StopAnswersTheRequestInFlight) {
+  obs::StatsServerOptions opt;
+  opt.port = 0;
+  opt.num_workers = 2;
+  obs::StatsServer server(opt);
+  Latch entered(1), release(1);
+  server.Handle("/hold", [&](const obs::HttpRequest&) {
+    entered.CountDown();
+    obs::HttpResponse resp;
+    resp.status = release.Wait() ? 200 : 500;
+    return resp;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  std::string resp;
+  std::thread client([&] { resp = HttpGet(server.port(), "/hold"); });
+  ASSERT_TRUE(entered.Wait());
+
+  std::atomic<bool> stop_returned{false};
+  std::thread stopper([&] {
+    server.Stop();
+    stop_returned.store(true);
+  });
+  // Stop() has begun once running() reads false.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.running() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_FALSE(server.running());
+  EXPECT_FALSE(stop_returned.load()) << "Stop() did not wait for the handler";
+  release.CountDown();
+  client.join();
+  stopper.join();
+  EXPECT_TRUE(stop_returned.load());
+  EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+}
+
+// At the fd limit accept() fails with EMFILE and leaves the connection in
+// the backlog. The worker logs accept_failed and keeps retrying, so the
+// connection is answered once descriptors are free again.
+TEST(StatsServerLifecycleTest, AcceptRecoversFromFdExhaustion) {
+  Latch warned(1);
+  const std::string emfile = "\"errno\":" + std::to_string(EMFILE);
+  auto prev_sink = obs::SetLogSink([&](const std::string& line) {
+    if (line.find("\"event\":\"accept_failed\"") != std::string::npos &&
+        line.find(emfile) != std::string::npos)
+      warned.CountDown();
+  });
+  obs::SetLogRateLimit(0, 0);
+
+  // Every descriptor the server and the clients take lies at or above
+  // `limit`, the lowest one free now, and every one below it is in use. A
+  // soft limit of `limit` therefore leaves no descriptor to allocate, and
+  // nothing the server closes frees one. A worker already blocked in
+  // accept() reserved its descriptor on entry; the warm-up connection
+  // spends that reservation, so the worker's next accept() meets the limit.
+  const int limit = open("/dev/null", O_RDONLY);
+  ASSERT_GE(limit, 0);
+  close(limit);
+  obs::StatsServerOptions opt;
+  opt.port = 0;
+  opt.num_workers = 1;
+  obs::StatsServer server(opt);
+  ASSERT_TRUE(server.Start().ok());
+  const int warm = BoundedClientSocket();
+  const int client = BoundedClientSocket();
+  ASSERT_GE(warm, 0);
+  ASSERT_GE(client, 0);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = rlim_t(limit);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  // From here to the restore, nothing returns early.
+  const int probe = open("/dev/null", O_RDONLY);
+  const int probe_errno = errno;
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  const bool connected = Connect(warm, server.port()) &&
+                         Connect(client, server.port()) &&
+                         send(warm, request.data(), request.size(),
+                              MSG_NOSIGNAL) == ssize_t(request.size()) &&
+                         send(client, request.data(), request.size(),
+                              MSG_NOSIGNAL) == ssize_t(request.size());
+  const bool logged = connected && warned.Wait();
+  setrlimit(RLIMIT_NOFILE, &saved);  // descriptors free again
+  bool timed_out = false;
+  const std::string resp = Exchange(client, "", &timed_out);
+  const std::string warm_resp = Exchange(warm, "");
+  close(warm);
+  close(client);
+  if (probe >= 0) close(probe);
+  server.Stop();
+  obs::SetLogRateLimit(100, 50);
+  obs::SetLogSink(std::move(prev_sink));
+
+  EXPECT_EQ(probe, -1);
+  EXPECT_EQ(probe_errno, EMFILE);
+  EXPECT_TRUE(connected);
+  EXPECT_TRUE(logged) << "no accept_failed line with errno EMFILE";
+  EXPECT_FALSE(timed_out) << "the connection was never answered";
+  EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+  EXPECT_NE(warm_resp.find("HTTP/1.1 200 OK"), std::string::npos)
+      << warm_resp;
+}
+
 TEST(StatsServerLifecycleTest, PortCollisionReportsError) {
   obs::StatsServerOptions opt;
   opt.port = 0;
@@ -509,6 +712,125 @@ TEST(StatsServerLifecycleTest, PortCollisionReportsError) {
   obs::StatsServer second(opt2);
   EXPECT_FALSE(second.Start().ok());
   first.Stop();
+}
+
+// ------------------------------------------------- hostile HTTP requests
+
+// One seeded mutation step of a well-formed request: a truncation, a
+// flipped byte, a stray CR/LF/NUL, a request-line part dropped, a hostile
+// Content-Length, or a run of garbage bytes.
+void MutateOnce(std::string* req, Rng* rng) {
+  const size_t at = req->empty() ? 0 : size_t(rng->Uniform(req->size()));
+  switch (rng->Uniform(6)) {
+    case 0:
+      req->resize(at);
+      break;
+    case 1:
+      if (!req->empty()) (*req)[at] ^= char(1 + rng->Uniform(255));
+      break;
+    case 2:
+      req->insert(at, 1, "\r\n"[rng->Uniform(3)]);  // CR, LF or NUL
+      break;
+    case 3: {
+      const size_t eol = std::min(req->find_first_of("\r\n"), req->size());
+      std::vector<std::string> parts;
+      size_t pos = 0;
+      while (pos <= eol) {
+        size_t sp = std::min(req->find(' ', pos), eol);
+        parts.push_back(req->substr(pos, sp - pos));
+        pos = sp + 1;
+      }
+      parts.erase(parts.begin() + ptrdiff_t(rng->Uniform(parts.size())));
+      std::string line;
+      for (size_t i = 0; i < parts.size(); ++i)
+        line += (i == 0 ? "" : " ") + parts[i];
+      req->replace(0, eol, line);
+      break;
+    }
+    case 4: {
+      static const char* kLengths[] = {
+          "",      "abc", "-1",     "-0",  "+5",   "1e3", "0x10",
+          "12abc", " 7 7", "4096", "100000000", "99999999999999999999999",
+          "18446744073709551615"};
+      const std::string value =
+          kLengths[rng->Uniform(sizeof(kLengths) / sizeof(kLengths[0]))];
+      const size_t cl = req->find("Content-Length:");
+      if (cl == std::string::npos) {
+        const size_t eol = req->find("\r\n");
+        req->insert(eol == std::string::npos ? req->size() : eol + 2,
+                    "Content-Length: " + value + "\r\n");
+      } else {
+        const size_t start = cl + strlen("Content-Length:");
+        const size_t end = std::min(req->find('\r', start), req->size());
+        req->replace(start, end - start, " " + value);
+      }
+      break;
+    }
+    default: {
+      std::string garbage(1 + rng->Uniform(16), '\0');
+      for (char& c : garbage) c = char(rng->Uniform(256));
+      req->insert(at, garbage);
+      break;
+    }
+  }
+}
+
+// A few hundred seeded mutations of GET /healthz and POST /query-shaped
+// requests, each on its own connection. Every reply is empty (the server
+// read nothing it could answer), a reset, or a status line with a code the
+// HTTP layer documents; the server answers /healthz afterwards.
+TEST(HttpRequestFuzzTest, SeededMutationsGetDocumentedAnswers) {
+  obs::StatsServerOptions opt;
+  opt.port = 0;
+  opt.num_workers = 2;
+  opt.max_body_bytes = 1024;
+  obs::StatsServer server(opt);
+  server.HandleMethod("POST", "/query", [](const obs::HttpRequest& req) {
+    obs::HttpResponse resp;
+    resp.body = std::to_string(req.body.size()) + "\n";
+    return resp;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string body =
+      R"({"query":"SELECT sum(amount) BY city","tenant":"fuzz"})";
+  const std::string seeds[] = {
+      "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "POST /query HTTP/1.1\r\nHost: localhost\r\n"
+      "Content-Type: application/json\r\nContent-Length: " +
+          std::to_string(body.size()) + "\r\n\r\n" + body};
+  const std::set<int> documented = {200, 400, 404, 405, 408, 413};
+  std::map<int, int> seen;
+  Rng rng(0x5eed2026);
+  constexpr int kMutations = 300;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string req = seeds[i % 2];
+    for (uint64_t steps = 1 + rng.Uniform(3); steps > 0; --steps)
+      MutateOnce(&req, &rng);
+    const int fd = BoundedClientSocket();
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(Connect(fd, server.port()));
+    bool timed_out = false;
+    const std::string resp = Exchange(fd, req, &timed_out);
+    close(fd);
+    ASSERT_FALSE(timed_out) << "mutation " << i << " was never answered";
+    if (resp.empty()) {
+      ++seen[0];
+      continue;
+    }
+    ASSERT_GE(resp.size(), 13u) << "mutation " << i << ": " << resp;
+    ASSERT_EQ(resp.compare(0, 9, "HTTP/1.1 "), 0) << resp;
+    const int code = atoi(resp.substr(9, 3).c_str());
+    EXPECT_EQ(documented.count(code), 1u)
+        << "mutation " << i << " answered " << code;
+    ++seen[code];
+  }
+  // The mutations reach both the handler and the parser's refusals.
+  EXPECT_GT(seen[200], 0);
+  EXPECT_GT(seen[400], 0);
+  EXPECT_NE(HttpGet(server.port(), "/healthz").find("HTTP/1.1 200 OK"),
+            std::string::npos);
+  server.Stop();
 }
 
 }  // namespace
