@@ -4,7 +4,12 @@
 //   ColdExecute  — the backend price a miss pays (cache off),
 //   FoldAppend   — what the first query after a 1,000-cell append pays in
 //                  derive mode: the appended rows alone, aggregated and
-//                  merged into the cached answer (`cache: folded`),
+//                  merged into the cached answer (`cache: folded`), for a
+//                  12-group answer; FoldAppendFine for the finest
+//                  dashboard grouping on an object with the dashboard's
+//                  200 products and 40 stores (~8,000 groups, ~900 of them
+//                  touched), where copying the untouched groups and their
+//                  stored bytes is most of the fold,
 //   KeyBuild     — the fixed per-query overhead the cache adds (normalize
 //                  the group-by/WHERE; paid on every cached query, hit or
 //                  miss),
@@ -44,6 +49,24 @@ const StatisticalObject& BigRetail() {
   return *obj;
 }
 
+// BigRetail's rows over e2e_bench dashboard_live's dimensions: 200
+// products × 40 stores, so BY product, store has ~8,000 groups, of which a
+// 1,000-cell append touches ~900 (BigRetail's 50 × 12 has 588, most of
+// them touched).
+const StatisticalObject& DashboardRetail() {
+  static const StatisticalObject* obj = [] {
+    RetailOptions opt;
+    opt.num_products = 200;
+    opt.num_stores = 40;
+    opt.num_cities = 8;
+    opt.num_days = 360;
+    opt.num_rows = 200000;
+    opt.seed = 17;
+    return new StatisticalObject(MakeRetailWorkload(opt)->object);
+  }();
+  return *obj;
+}
+
 QueryOptions Opts(cache::Mode mode) {
   QueryOptions o;
   o.cache = mode;
@@ -67,20 +90,22 @@ void BM_ColdExecute(benchmark::State& state) {
 BENCHMARK(BM_ColdExecute)->Unit(benchmark::kMicrosecond);
 
 // The query after an append, in derive mode: each iteration appends 1,000
-// cells with quarter-valued amounts (untimed), then asks kQuery once. The
+// cells with quarter-valued amounts (untimed), then asks `text` once. The
 // cached answer is one version old, so the query folds the appended rows
 // into it instead of executing over every row. Uses only AddCell and
 // QueryProfiled, so the same source times a tree without the fold, where
 // the query executes. A fixed iteration count bounds the object's growth.
-void BM_FoldAppend(benchmark::State& state) {
-  StatisticalObject obj = BigRetail();  // a copy: appends stay local
+void FoldAfterAppends(benchmark::State& state, const StatisticalObject& base,
+                      const char* text) {
+  StatisticalObject obj = base;  // a copy: appends stay local
   auto& rc = cache::ResultCache::Global();
   rc.Clear();
-  (void)QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));  // seed
+  (void)QueryProfiled(obj, text, Opts(cache::Mode::kDerive));  // seed
   const Table& data = obj.data();
   const size_t ndims = obj.dimensions().size();
   size_t next = 0;
   std::string outcome;
+  size_t groups = 0;
   for (auto _ : state) {
     state.PauseTiming();
     for (int k = 0; k < 1000; ++k, ++next) {
@@ -90,14 +115,28 @@ void BM_FoldAppend(benchmark::State& state) {
                                Value(double(1 + next % 20000) / 4)});
     }
     state.ResumeTiming();
-    auto r = QueryProfiled(obj, kQuery, Opts(cache::Mode::kDerive));
+    auto r = QueryProfiled(obj, text, Opts(cache::Mode::kDerive));
     outcome = r->profile.cache;
-    benchmark::DoNotOptimize(r->table->num_rows());
+    groups = r->table->num_rows();
+    benchmark::DoNotOptimize(groups);
   }
   state.SetLabel(outcome);
   state.counters["rows"] = double(obj.data().num_rows());
+  state.counters["groups"] = double(groups);
+}
+
+void BM_FoldAppend(benchmark::State& state) {
+  FoldAfterAppends(state, BigRetail(), kQuery);
 }
 BENCHMARK(BM_FoldAppend)->Unit(benchmark::kMicrosecond)->Iterations(200);
+
+// The finest dashboard panel (e2e_bench's dashboard_live), whose answer
+// has a group per product and store.
+void BM_FoldAppendFine(benchmark::State& state) {
+  FoldAfterAppends(state, DashboardRetail(),
+                   "SELECT sum(amount), sum(qty) BY product, store");
+}
+BENCHMARK(BM_FoldAppendFine)->Unit(benchmark::kMicrosecond)->Iterations(200);
 
 // Fixed overhead the cache adds to every query: canonical key construction
 // (normalized group-by/WHERE).

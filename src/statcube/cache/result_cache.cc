@@ -80,6 +80,7 @@ CachedResult ResultCache::Lookup(const QueryKey& key) {
       const Entry& e = *it->second;
       found.table = e.result;
       found.json = e.json;
+      found.row_offsets = e.row_offsets;
       found.object_rows = e.object_rows;
       found.backend_shaped = e.backend_shaped;
       found.hit = e.object_rows == key.object_rows;
@@ -142,7 +143,7 @@ void ResultCache::NoteFoldedHit() {
 
 std::shared_ptr<const std::string> ResultCache::Insert(
     const QueryKey& key, std::shared_ptr<const Table> result,
-    bool backend_answered) {
+    bool backend_answered, const JsonSplice* splice) {
   auto refuse = [this]() -> std::shared_ptr<const std::string> {
     {
       MutexLock lock(mu_);
@@ -152,9 +153,12 @@ std::shared_ptr<const std::string> ResultCache::Insert(
     return nullptr;
   };
   // A table too large on its own is refused before it is encoded.
-  size_t entry_bytes = result->ByteSize() + key.exact.size() + sizeof(Entry);
+  size_t entry_bytes = result->ByteSize() + key.exact.size() + sizeof(Entry) +
+                       (result->num_rows() + 1) * sizeof(size_t);
   if (entry_bytes > max_entry_bytes_) return refuse();
-  auto json = std::make_shared<const std::string>(result->ToJson());
+  auto row_offsets = std::make_shared<std::vector<size_t>>();
+  auto json = std::make_shared<const std::string>(
+      result->ToJson(row_offsets.get(), splice));
   entry_bytes += json->size();
   if (entry_bytes > max_entry_bytes_) return refuse();
 
@@ -163,6 +167,7 @@ std::shared_ptr<const std::string> ResultCache::Insert(
   e.family = key.family;
   e.result = std::move(result);
   e.json = json;
+  e.row_offsets = std::move(row_offsets);
   e.by = key.by;
   e.aggs = key.aggs;
   e.object_rows = key.object_rows;

@@ -32,15 +32,19 @@
 ///
 /// An entry is an immutable answer shared with every reader: the table
 /// (`shared_ptr<const Table>`, the very object the executor built) plus
-/// its wire encoding (Table::ToJson), made once at admission. Readers keep
-/// what they were handed after the entry is evicted or replaced.
+/// its wire encoding (Table::ToJson) and where each row starts in it, made
+/// once at admission. A folded answer's encoding is spliced: the rows the
+/// fold copied from the older entry's table keep that entry's bytes, and
+/// only the others are encoded. Readers keep what they were handed after
+/// the entry is evicted or replaced.
 ///
 /// Storage is one LRU list under one mutex, keyed by the exact key string
 /// and bounded as a whole by a byte budget (per entry: `Table::ByteSize`
-/// plus the encoding's bytes plus the key). A side index per family points
-/// at the family's derivable entries in that list, each with its group-by
-/// set as a bitmask, and is updated under the same lock by every insert,
-/// replacement and eviction, so a derivation is one scan of the family.
+/// plus the encoding's bytes, its row offsets and the key). A side index
+/// per family points at the family's derivable entries in that list, each
+/// with its group-by set as a bitmask, and is updated under the same lock
+/// by every insert, replacement and eviction, so a derivation is one scan
+/// of the family.
 /// Invalidation is by version: an entry is a hit only at the row count it
 /// answers, and an object that is copied or edited other than by appending
 /// has a new identity, so its keys name another family.
@@ -76,6 +80,9 @@ namespace statcube::cache {
 struct CachedResult {
   std::shared_ptr<const Table> table;       ///< the cached result
   std::shared_ptr<const std::string> json;  ///< `table->ToJson()`
+  /// Where each of `table`'s rows starts in `json`, then where the last
+  /// one ends (Table::ToJson's row offsets).
+  std::shared_ptr<const std::vector<size_t>> row_offsets;
   /// The object's row count the entry answers (QueryKey::object_rows).
   size_t object_rows = 0;
   /// A cube backend produced the entry (its shape tag).
@@ -155,14 +162,17 @@ class ResultCache {
   /// Offers a computed result for `key`'s version. `backend_answered` says
   /// whether a cube backend produced it (shape tag for derivation and
   /// folding). A result within `max_entry_bytes` is admitted, kept by
-  /// reference, not copied, and encoded once (outside the lock); the
-  /// encoding counts toward the entry's bytes. It replaces the exact key's
-  /// entry at an older version, and the family index updates that member.
-  /// Returns the stored encoding (the live entry's, when the key's version
-  /// is already cached), or null when the result is too large.
+  /// reference, not copied, and encoded once (outside the lock) with its
+  /// row offsets; both count toward the entry's bytes. A fold passes
+  /// `splice`: the older entry's encoding, its row offsets and which of its
+  /// rows the result copies, whose bytes are copied rather than encoded
+  /// again. It replaces the exact key's entry at an older version, and the
+  /// family index updates that member. Returns the stored encoding (the
+  /// live entry's, when the key's version is already cached), or null
+  /// when the result is too large.
   std::shared_ptr<const std::string> Insert(
       const QueryKey& key, std::shared_ptr<const Table> result,
-      bool backend_answered);
+      bool backend_answered, const JsonSplice* splice = nullptr);
 
   /// Empties the cache and the derivation index (counters are kept:
   /// they are lifetime totals).
@@ -177,6 +187,7 @@ class ResultCache {
     std::string family;
     std::shared_ptr<const Table> result;
     std::shared_ptr<const std::string> json;
+    std::shared_ptr<const std::vector<size_t>> row_offsets;
     std::vector<std::string> by;
     std::vector<AggSpec> aggs;
     size_t object_rows = 0;  // the version it answers

@@ -58,6 +58,8 @@ class JsonWriter {
     out_.reserve(out_.size() + more);
     return *this;
   }
+  /// Bytes written so far.
+  size_t size() const { return out_.size(); }
   /// Moves the text written so far out, leaving the writer empty.
   std::string Take() { return std::move(out_); }
 

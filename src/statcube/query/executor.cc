@@ -310,14 +310,16 @@ Result<Table> ExecuteRows(const StatisticalObject& obj,
 // Folds the rows appended since `stale` was computed, rows
 // [stale_rows, n), into it (cache/result_cache.h): the coded group-by over
 // those rows alone, merged into the stored table by RollupFinalized's
-// linear pass. The caller has checked the licence (QueryKey::derivable:
+// linear pass, which reports in `*copied` the stored row each answer row
+// copies. The caller has checked the licence (QueryKey::derivable:
 // distributive aggregates, every sum re-adding exactly over all n rows),
 // so the merge repeats a full execution's bits. nullopt when the coded
 // route declines the query.
 std::optional<Result<Table>> FoldAppended(const StatisticalObject& obj,
                                           const ParsedQuery& query,
                                           const Table& stale,
-                                          size_t stale_rows, int threads) {
+                                          size_t stale_rows, int threads,
+                                          std::vector<size_t>* copied) {
   Result<ScanPlan> plan = PlanQuery(obj, query, /*coded=*/true);
   if (!plan.ok()) return Result<Table>(plan.status());
   std::optional<Result<Table>> delta =
@@ -326,7 +328,7 @@ std::optional<Result<Table>> FoldAppended(const StatisticalObject& obj,
                    stale_rows);
   if (!delta || !delta->ok()) return delta;
   return RollupFinalized({&stale, &**delta}, query.by, NamedAggs(query),
-                         query.by);
+                         query.by, copied);
 }
 
 }  // namespace
@@ -487,6 +489,11 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   Result<cache::QueryKey> key = Status::Unimplemented("cache off");
   bool hit = false;
   bool answer_backend_shaped = false;  // the shape tag Insert records
+  // A fold's splice (Insert): the older entry's encoding and row offsets,
+  // and the stored row each answer row copies.
+  std::shared_ptr<const std::string> stale_json;
+  std::shared_ptr<const std::vector<size_t>> stale_offsets;
+  std::vector<size_t> copied;
   if (options.cache != cache::Mode::kOff) {
     obs::Span lookup_span("cache.lookup");
     key = query::BuildQueryKey(obj, q, options.engine);
@@ -503,13 +510,15 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
         obs::Span fold_span("cache.fold");
         std::optional<Result<Table>> folded =
             FoldAppended(obj, q, *found.table, found.object_rows,
-                         options.threads);
+                         options.threads, &copied);
         if (folded && !folded->ok()) {
           if (is_stop(folded->status())) return fail(folded->status());
           return folded->status();
         }
         if (folded) {
           out = std::make_shared<const Table>(std::move(*folded).value());
+          stale_json = std::move(found.json);
+          stale_offsets = std::move(found.row_offsets);
           scope.profile().cache = "folded";
           rc.NoteFoldedHit();
         }
@@ -602,10 +611,13 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     return fail(StopStatus(r, "post-execution"));
 
   // Offer every answer but a hit back to the cache: as the key's version,
-  // it replaces an older version's entry.
+  // it replaces an older version's entry. A folded answer's encoding
+  // reuses the older entry's bytes for the rows the fold copied.
   if (!hit && key.ok()) {
     obs::Span insert_span("cache.insert");
-    json = rc.Insert(*key, out, answer_backend_shaped);
+    const JsonSplice splice{stale_json.get(), stale_offsets.get(), &copied};
+    json = rc.Insert(*key, out, answer_backend_shaped,
+                     stale_json != nullptr ? &splice : nullptr);
   }
 
   ProfiledQuery pq;

@@ -130,11 +130,24 @@ Status AddStates(const Table& input, const std::vector<std::string>& group_cols,
   return Status::OK();
 }
 
-// -1, 0 or 1 as row a's cells `ia` compare to row b's cells `ib`.
+// -1, 0 or 1 as row a's cells `ia` compare to row b's cells `ib`, in
+// Value::Compare's order. Two strings, a dimension's usual cells, compare
+// here without the call: the merge compares each row's key two or three
+// times.
 int CompareKeys(const Row& a, const std::vector<size_t>& ia, const Row& b,
                 const std::vector<size_t>& ib) {
-  for (size_t k = 0; k < ia.size(); ++k)
-    if (int c = Value::Compare(a[ia[k]], b[ib[k]]); c != 0) return c;
+  for (size_t k = 0; k < ia.size(); ++k) {
+    const Value& x = a[ia[k]];
+    const Value& y = b[ib[k]];
+    int c;
+    if (x.type() == ValueType::kString && y.type() == ValueType::kString) {
+      c = x.AsString().compare(y.AsString());
+      c = (c > 0) - (c < 0);
+    } else {
+      c = Value::Compare(x, y);
+    }
+    if (c != 0) return c;
+  }
   return 0;
 }
 
@@ -142,20 +155,57 @@ bool IsNaN(const Value& v) {
   return v.type() == ValueType::kDouble && v.AsDouble() != v.AsDouble();
 }
 
+// A count re-adds as a sum, which finalizes as a double; GroupBy
+// finalizes counts as int64.
+void CountAsInt64(Value& v) {
+  if (!v.is_null()) v = Value(int64_t(std::llround(v.AsDouble())));
+}
+
+// True when `v`, an aggregate cell that one source alone holds, comes out
+// of its re-aggregation (AggState::Add, Finalize, CountAsInt64 for a
+// `count`) as itself: NULL; in a count an int64 that a double holds
+// exactly; elsewhere a double other than NaN (a NaN min or max finalizes
+// to ±∞) and -0.0 (0.0 + -0.0 is 0.0). Such a cell is copied, not merged.
+bool RefinalizesToItself(const Value& v, bool count) {
+  constexpr int64_t kExact = int64_t(1) << 53;
+  switch (v.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt64:
+      return count && v.AsInt64() >= -kExact && v.AsInt64() <= kExact;
+    case ValueType::kDouble: {
+      const double d = v.AsDouble();
+      return !count && d == d && !(d == 0.0 && std::signbit(d));
+    }
+    default:
+      return false;
+  }
+}
+
 // The merge path of RollupFinalized: `srcs` onto their own grouping `by`.
-// Repeatedly takes the least head key; the sources holding it combine, in
-// source order, through AggState, as the hash path's one state per group
-// does, and the row keeps the first such source's spelling, as its map
-// does. The keys come out in the order StatesToTable sorts to. nullopt, to
+// Repeatedly takes the least head key. A key one source alone holds keeps
+// that source's row, copied whole, when the source is laid out as the
+// output (its keys, then its aggregates, and nothing more) and each
+// aggregate cell refinalizes to itself; otherwise the sources holding the
+// key combine, in source order, through AggState, as the hash path's one
+// state per group does, and the row keeps the first such source's
+// spelling, as its map does. Either way a row has the hash path's bits,
+// and the keys come out in the order StatesToTable sorts to. nullopt, to
 // be redone by the hash path, once a key is not above the one before it —
 // so some source is not strictly sorted — or is NaN, which compares equal
 // to every number and so would join what a hash table keeps apart.
+// `*copied`, when given, gets per output row the row of srcs[0] it
+// copies, or kNoRow.
 Result<std::optional<Table>> MergeSorted(const std::string& name,
                                          const std::vector<const Table*>& srcs,
                                          const std::vector<std::string>& by,
-                                         const std::vector<AggSpec>& reagg) {
-  // Per source: its key cells and its aggregate cells.
+                                         const std::vector<AggSpec>& reagg,
+                                         const std::vector<char>& counts,
+                                         std::vector<size_t>* copied) {
+  // Per source: its key cells, its aggregate cells and whether they are
+  // its whole row in the output's order.
   std::vector<std::vector<size_t>> kidx(srcs.size()), aidx(srcs.size());
+  std::vector<char> whole(srcs.size());
   for (size_t s = 0; s < srcs.size(); ++s) {
     STATCUBE_ASSIGN_OR_RETURN(kidx[s], srcs[s]->schema().IndexesOf(by));
     for (const AggSpec& a : reagg) {
@@ -163,11 +213,19 @@ Result<std::optional<Table>> MergeSorted(const std::string& name,
                                 srcs[s]->schema().IndexOf(a.column));
       aidx[s].push_back(col);
     }
+    std::vector<size_t> cols = kidx[s];
+    cols.insert(cols.end(), aidx[s].begin(), aidx[s].end());
+    whole[s] = srcs[s]->num_columns() == cols.size();
+    for (size_t c = 0; c < cols.size(); ++c) whole[s] &= cols[c] == c;
   }
   Table out(name, CubeOutputSchema(by, reagg));  // StatesToTable's
   size_t total = 0;
   for (const Table* src : srcs) total += src->num_rows();
   out.mutable_rows().reserve(total);
+  if (copied != nullptr) {
+    copied->clear();
+    copied->reserve(total);
+  }
   const CancelContext* stop = CurrentCancelContext();
   std::vector<size_t> pos(srcs.size(), 0);
   std::vector<size_t> take;
@@ -196,15 +254,26 @@ Result<std::optional<Table>> MergeSorted(const std::string& name,
     for (size_t s : take)
       for (size_t col : kidx[s])
         if (IsNaN(srcs[s]->row(pos[s])[col])) return std::optional<Table>();
-    Row row;
-    row.reserve(by.size() + reagg.size());
-    for (size_t col : kidx[take[0]]) row.push_back(first[col]);
-    for (size_t i = 0; i < reagg.size(); ++i) {
-      AggState st;
-      for (size_t s : take) st.Add(srcs[s]->row(pos[s])[aidx[s][i]]);
-      row.push_back(st.Finalize(reagg[i].fn));
+    bool copy = take.size() == 1 && whole[take[0]];
+    for (size_t i = 0; copy && i < reagg.size(); ++i)
+      copy = RefinalizesToItself(first[by.size() + i], counts[i]);
+    if (copy) {
+      out.AppendRowUnchecked(first);
+    } else {
+      Row row;
+      row.reserve(by.size() + reagg.size());
+      for (size_t col : kidx[take[0]]) row.push_back(first[col]);
+      for (size_t i = 0; i < reagg.size(); ++i) {
+        AggState st;
+        for (size_t s : take) st.Add(srcs[s]->row(pos[s])[aidx[s][i]]);
+        Value v = st.Finalize(reagg[i].fn);
+        if (counts[i]) CountAsInt64(v);
+        row.push_back(std::move(v));
+      }
+      out.AppendRowUnchecked(std::move(row));
     }
-    out.AppendRowUnchecked(std::move(row));
+    if (copied != nullptr)
+      copied->push_back(copy && take[0] == 0 ? pos[0] : kNoRow);
     last = &first;
     last_src = take[0];
     for (size_t s : take) ++pos[s];
@@ -266,10 +335,13 @@ Result<Table> GroupBy(const Table& input,
 Result<Table> RollupFinalized(const std::vector<const Table*>& srcs,
                               const std::vector<std::string>& src_by,
                               const std::vector<AggSpec>& aggs,
-                              const std::vector<std::string>& by) {
+                              const std::vector<std::string>& by,
+                              std::vector<size_t>* copied) {
   if (srcs.empty()) return Status::InvalidArgument("no table to roll up");
   std::vector<AggSpec> reagg;
   reagg.reserve(aggs.size());
+  std::vector<char> counts;  // a count re-adds as a sum, finalizes as int64
+  counts.reserve(aggs.size());
   for (const AggSpec& a : aggs) {
     if (!Distributive(a.fn))
       return Status::InvalidArgument(std::string("aggregate '") +
@@ -279,6 +351,7 @@ Result<Table> RollupFinalized(const std::vector<const Table*>& srcs,
     const AggFn fn =
         a.fn == AggFn::kMin || a.fn == AggFn::kMax ? a.fn : AggFn::kSum;
     reagg.push_back({fn, a.EffectiveName(), a.EffectiveName()});
+    counts.push_back(a.fn == AggFn::kCount || a.fn == AggFn::kCountAll);
   }
 
   std::string name = srcs[0]->name();
@@ -291,28 +364,20 @@ Result<Table> RollupFinalized(const std::vector<const Table*>& srcs,
   // Sources grouped by `by` itself merge in one linear pass; otherwise, or
   // when a source turns out not to be strictly sorted, one hash pass over
   // the sources in order.
-  std::optional<Table> merged;
   if (by == src_by) {
-    STATCUBE_ASSIGN_OR_RETURN(merged, MergeSorted(name, srcs, by, reagg));
+    STATCUBE_ASSIGN_OR_RETURN(
+        std::optional<Table> merged,
+        MergeSorted(name, srcs, by, reagg, counts, copied));
+    if (merged) return *std::move(merged);
   }
-  Table out;
-  if (merged) {
-    out = *std::move(merged);
-  } else {
-    GroupedStates states;
-    for (const Table* src : srcs)
-      STATCUBE_RETURN_NOT_OK(AddStates(*src, by, reagg, &states));
-    out = StatesToTable(name, by, reagg, states);
-  }
-  // A count's sum finalized as a double; GroupBy finalizes counts as int64.
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].fn != AggFn::kCount && aggs[i].fn != AggFn::kCountAll)
-      continue;
-    for (Row& row : out.mutable_rows()) {
-      Value& v = row[by.size() + i];
-      if (!v.is_null()) v = Value(int64_t(std::llround(v.AsDouble())));
-    }
-  }
+  GroupedStates states;
+  for (const Table* src : srcs)
+    STATCUBE_RETURN_NOT_OK(AddStates(*src, by, reagg, &states));
+  Table out = StatesToTable(name, by, reagg, states);
+  for (size_t i = 0; i < aggs.size(); ++i)
+    if (counts[i])
+      for (Row& row : out.mutable_rows()) CountAsInt64(row[by.size() + i]);
+  if (copied != nullptr) copied->assign(out.num_rows(), kNoRow);
   return out;
 }
 

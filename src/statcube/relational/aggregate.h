@@ -191,11 +191,16 @@ Table StatesToTable(const std::string& name,
 /// over such keys is), one linear merge combines them; otherwise one hash
 /// pass over the sources in order does. Both give the same bits: equal
 /// keys combine through AggState in source order, and keep the first
-/// source's spelling.
+/// source's spelling. The merge copies a row that one source alone holds
+/// whole where it re-aggregates to itself, and checks the stop context
+/// every 1,024 rows. `*copied`, when given, gets one entry per output row:
+/// the row of srcs[0] it is a copy of (equal by representation), or
+/// kNoRow; the hash path copies none.
 Result<Table> RollupFinalized(const std::vector<const Table*>& srcs,
                               const std::vector<std::string>& src_by,
                               const std::vector<AggSpec>& aggs,
-                              const std::vector<std::string>& by);
+                              const std::vector<std::string>& by,
+                              std::vector<size_t>* copied = nullptr);
 
 }  // namespace statcube
 

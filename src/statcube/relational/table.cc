@@ -1,6 +1,7 @@
 #include "statcube/relational/table.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "statcube/common/str_util.h"
 #include "statcube/obs/json.h"
@@ -69,16 +70,46 @@ std::string Table::ToString(size_t max_rows) const {
   return out;
 }
 
-std::string Table::ToJson() const {
+std::string Table::ToJson(std::vector<size_t>* row_offsets,
+                          const JsonSplice* splice) const {
   obs::JsonWriter w;
+  if (splice != nullptr)  // as many bytes per row as the earlier encoding
+    w.Reserve(splice->json->size() / splice->row_offsets->size() *
+              (rows_.size() + 2));
   w.BeginObject().Key("name").String(name_).Key("columns").BeginArray();
   for (const auto& column : schema_.columns()) w.String(column.name);
   w.EndArray().Key("rows").Uint(rows_.size()).Key("data").BeginArray();
-  for (const Row& row : rows_) {
-    w.BeginArray();
-    for (const Value& v : row) w.Cell(v);
-    w.EndArray();
+  if (row_offsets != nullptr) {
+    row_offsets->clear();
+    row_offsets->reserve(rows_.size() + 1);
   }
+  for (size_t r = 0; r < rows_.size();) {
+    const size_t from = splice != nullptr ? (*splice->rows)[r] : kNoRow;
+    if (from == kNoRow) {
+      w.BeginArray();
+      if (row_offsets != nullptr) row_offsets->push_back(w.size() - 1);
+      for (const Value& v : rows_[r]) w.Cell(v);
+      w.EndArray();
+      ++r;
+      continue;
+    }
+    // Rows [r, r + n) copy the earlier rows [from, from + n): one run of
+    // bytes, from the first one's `[` to the last one's `]`.
+    const std::vector<size_t>& old = *splice->row_offsets;
+    size_t n = 1;
+    while (r + n < rows_.size() && (*splice->rows)[r + n] == from + n) ++n;
+    const size_t begin = old[from];
+    const size_t end =
+        from + n + 1 < old.size() ? old[from + n] - 1 : old.back();
+    w.Raw(std::string_view(*splice->json).substr(begin, end - begin));
+    if (row_offsets != nullptr) {
+      const size_t at = w.size() - (end - begin);
+      for (size_t k = 0; k < n; ++k)
+        row_offsets->push_back(at + old[from + k] - begin);
+    }
+    r += n;
+  }
+  if (row_offsets != nullptr) row_offsets->push_back(w.size());
   w.EndArray().EndObject();
   return w.Take();
 }

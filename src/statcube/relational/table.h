@@ -6,6 +6,8 @@
 #ifndef STATCUBE_RELATIONAL_TABLE_H_
 #define STATCUBE_RELATIONAL_TABLE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,20 @@
 #include "statcube/relational/schema.h"
 
 namespace statcube {
+
+/// "No row": a row index that names none (RollupFinalized's copy report,
+/// JsonSplice).
+inline constexpr size_t kNoRow = SIZE_MAX;
+
+/// Rows whose bytes an earlier encoding already holds: that encoding
+/// (Table::ToJson) and its row offsets, and for each row of the table
+/// being encoded the earlier table's row it copies (equal by
+/// representation, so its bytes are the same), or kNoRow.
+struct JsonSplice {
+  const std::string* json = nullptr;
+  const std::vector<size_t>* row_offsets = nullptr;
+  const std::vector<size_t>* rows = nullptr;
+};
 
 /// A named, schema-ed bag of rows.
 class Table {
@@ -56,7 +72,16 @@ class Table {
   /// as obs::JsonWriter::Cell writes it (exact doubles; NaN and ±∞ as
   /// strings; NULL as null). The one table encoder: the /query envelope
   /// and the result cache's stored encodings both come from it.
-  std::string ToJson() const;
+  std::string ToJson() const { return ToJson(nullptr, nullptr); }
+
+  /// ToJson, also writing where each row's bytes start in the result to
+  /// `*row_offsets`: the offset of each row's `[`, then the end of the
+  /// last row (num_rows() + 1 entries). With `splice`, each run of rows
+  /// that copy consecutive rows of the earlier table is not encoded: its
+  /// bytes, commas included, are copied from the earlier encoding, and the
+  /// result is the same bytes.
+  std::string ToJson(std::vector<size_t>* row_offsets,
+                     const JsonSplice* splice = nullptr) const;
 
   /// Estimated in-memory size in bytes of the row data (used by the storage
   /// benchmarks for the "cross product is wasteful" observation of §4.3).

@@ -46,7 +46,9 @@ TEST(AuditTest, LogsAnswersAndRefusals) {
   EXPECT_TRUE(first.refusal_reason.empty());
   const AuditRecord& second = db.log()[1];
   EXPECT_EQ(second.answered, refused.ok());
-  if (!refused.ok()) EXPECT_FALSE(second.refusal_reason.empty());
+  if (!refused.ok()) {
+    EXPECT_FALSE(second.refusal_reason.empty());
+  }
 }
 
 TEST(AuditTest, TouchCountsOnlyAnsweredQueries) {

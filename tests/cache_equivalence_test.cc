@@ -360,7 +360,8 @@ void ExpectReference(const StatisticalObject& obj, const std::string& text,
 StatisticalObject Twin(const std::string& name, const char* d, double m) {
   StatisticalObject obj(name);
   EXPECT_TRUE(obj.AddDimension(Dimension("d")).ok());
-  EXPECT_TRUE(obj.AddMeasure({.name = "m"}).ok());
+  EXPECT_TRUE(
+      obj.AddMeasure({.name = "m", .unit = "", .weight_measure = ""}).ok());
   EXPECT_TRUE(obj.AddCell({Value("a")}, {Value(1.0)}).ok());
   EXPECT_TRUE(obj.AddCell({Value(d)}, {Value(m)}).ok());
   EXPECT_TRUE(obj.AddCell({Value("c")}, {Value(3.0)}).ok());

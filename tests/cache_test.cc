@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "merge_inputs.h"
 #include "round_trip_cells.h"
 #include "statcube/query/cache_key.h"
 #include "statcube/obs/metrics.h"
@@ -75,7 +76,8 @@ bool Cached(ResultCache& rc, const QueryKey& key) {
 StatisticalObject Small(const std::string& name, const Row& middle) {
   StatisticalObject obj(name);
   EXPECT_TRUE(obj.AddDimension(Dimension("d")).ok());
-  EXPECT_TRUE(obj.AddMeasure({.name = "m"}).ok());
+  EXPECT_TRUE(
+      obj.AddMeasure({.name = "m", .unit = "", .weight_measure = ""}).ok());
   EXPECT_TRUE(obj.AddCell({Value("a")}, {Value(1.0)}).ok());
   EXPECT_TRUE(obj.AddCell({middle[0]}, {middle[1]}).ok());
   EXPECT_TRUE(obj.AddCell({Value("c")}, {Value(3.0)}).ok());
@@ -201,7 +203,8 @@ TEST(QueryKeyTest, CopiesMovesAndEditsRenewTheIdentity) {
   ASSERT_TRUE(fresh.AddDimension(Dimension("d")).ok());
   EXPECT_NE(fresh.identity(), last);
   last = fresh.identity();
-  ASSERT_TRUE(fresh.AddMeasure({.name = "m"}).ok());
+  ASSERT_TRUE(
+      fresh.AddMeasure({.name = "m", .unit = "", .weight_measure = ""}).ok());
   EXPECT_NE(fresh.identity(), last);
   last = fresh.identity();
   ASSERT_TRUE(fresh.AddCell({Value("a")}, {Value(1.0)}).ok());
@@ -211,7 +214,8 @@ TEST(QueryKeyTest, CopiesMovesAndEditsRenewTheIdentity) {
 TEST(QueryKeyTest, ValueTypeTagsDoNotCollide) {
   StatisticalObject obj("typed");
   ASSERT_TRUE(obj.AddDimension(Dimension("d")).ok());
-  ASSERT_TRUE(obj.AddMeasure({.name = "m"}).ok());
+  ASSERT_TRUE(
+      obj.AddMeasure({.name = "m", .unit = "", .weight_measure = ""}).ok());
   ASSERT_TRUE(obj.AddCell({Value("1")}, {Value(2.0)}).ok());
   auto parsed_str = ParseQuery("SELECT sum(m) WHERE d = '1'");
   auto parsed_num = ParseQuery("SELECT sum(m) WHERE d = 1");
@@ -336,6 +340,56 @@ TEST(ResultCacheTest, HitsShareTheInsertedTableAndItsEncoding) {
               cap == entry_bytes)
         << cap;
     EXPECT_EQ(capped.stats().bytes, cap == entry_bytes ? entry_bytes : 0u);
+  }
+}
+
+// The splice a fold's Insert makes, over seeded stored tables and deltas
+// whose keys need escaping and whose cells include NULL, NaN, ±∞ and -0.0
+// (tests/merge_inputs.h): copying the bytes of the rows the merge copied
+// from the older encoding and encoding only the others gives ToJson() of
+// the merged table, and its row offsets, byte for byte — from the table
+// encoder itself and from a cache entry replaced by its next version.
+TEST(ResultCacheTest, SplicedEncodingEqualsAFreshOne) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const MergeCase c = MakeMergeCase(seed);
+    std::vector<size_t> copied;
+    Result<Table> merged = RollupFinalized({&c.stored, &c.delta}, MergeBy(),
+                                           MergeAggs(), MergeBy(), &copied);
+    ASSERT_TRUE(merged.ok()) << c.what << ": " << merged.status().ToString();
+
+    // Row offsets: each row's `[`, then the end of the last row.
+    std::vector<size_t> old_offsets;
+    const std::string old_json = c.stored.ToJson(&old_offsets);
+    ASSERT_EQ(old_json, c.stored.ToJson()) << c.what;
+    ASSERT_EQ(old_offsets.size(), c.stored.num_rows() + 1) << c.what;
+    for (size_t r = 0; r < c.stored.num_rows(); ++r)
+      EXPECT_EQ(old_json[old_offsets[r]], '[') << c.what << " row " << r;
+    EXPECT_EQ(old_json.substr(old_offsets.back()), "]}") << c.what;
+
+    std::vector<size_t> fresh_offsets, spliced_offsets;
+    const std::string fresh = merged->ToJson(&fresh_offsets);
+    const JsonSplice splice{&old_json, &old_offsets, &copied};
+    EXPECT_EQ(merged->ToJson(&spliced_offsets, &splice), fresh) << c.what;
+    EXPECT_EQ(spliced_offsets, fresh_offsets) << c.what;
+
+    // Through the cache: the older version's entry lends its bytes.
+    ResultCache rc(Tiny(1 << 20));
+    QueryKey key = KeyFor("SELECT sum(amount) BY store");
+    ASSERT_NE(rc.Insert(key, std::make_shared<const Table>(c.stored), false),
+              nullptr);
+    const cache::CachedResult older = rc.Lookup(key);
+    ASSERT_NE(older.row_offsets, nullptr);
+    EXPECT_EQ(*older.row_offsets, old_offsets) << c.what;
+    const JsonSplice from_entry{older.json.get(), older.row_offsets.get(),
+                                &copied};
+    ++key.object_rows;
+    std::shared_ptr<const std::string> json = rc.Insert(
+        key, std::make_shared<const Table>(*merged), false, &from_entry);
+    ASSERT_NE(json, nullptr) << c.what;
+    EXPECT_EQ(*json, serve::TableToJson(*merged)) << c.what;
+    const cache::CachedResult newer = rc.Lookup(key);
+    ASSERT_TRUE(newer.hit);
+    EXPECT_EQ(*newer.row_offsets, fresh_offsets) << c.what;
   }
 }
 
@@ -504,8 +558,8 @@ TEST(ResultCacheTest, NoDerivationForNonDistributive) {
 
 TEST(ResultCacheTest, EvictedEntriesLeaveTheIndex) {
   auto sample = FakeResult("x", 50);
-  ResultCache rc(
-      Tiny(sample->ByteSize() + serve::TableToJson(*sample).size() + 512));
+  ResultCache rc(Tiny(sample->ByteSize() + serve::TableToJson(*sample).size() +
+                      (sample->num_rows() + 1) * sizeof(size_t) + 512));
   QueryKey superset = KeyFor("SELECT sum(amount) BY store, city");
   rc.Insert(superset, FakeResult("r_by_store_city", 50), false);
   // A second insert evicts the first (budget holds one entry).

@@ -283,7 +283,9 @@ TEST(SDisaggregateTest, ProxySplitsAdditiveMeasures) {
       EXPECT_DOUBLE_EQ(r[pi].AsDouble(), 250.0);  // 1000 * 1/4
       EXPECT_DOUBLE_EQ(r[ai].AsDouble(), 50.0);   // rates copy, not split
     }
-    if (r[0] == Value("nv1")) EXPECT_DOUBLE_EQ(r[pi].AsDouble(), 100.0);
+    if (r[0] == Value("nv1")) {
+      EXPECT_DOUBLE_EQ(r[pi].AsDouble(), 100.0);
+    }
   }
   EXPECT_DOUBLE_EQ(total, 1100.0);  // additive totals conserved
 

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "merge_inputs.h"
+#include "statcube/common/cancellation.h"
 #include "statcube/relational/aggregate.h"
 #include "statcube/relational/expression.h"
 #include "statcube/relational/join.h"
@@ -346,6 +350,142 @@ TEST(AggregateTest, RollupMergeOfGlobalRows) {
   EXPECT_FALSE(RollupFinalized({}, {}, aggs, {}).ok());
   EXPECT_FALSE(
       RollupFinalized({&*a}, {}, {{AggFn::kAvg, "v", ""}}, {}).ok());
+}
+
+// `t`'s rows in reverse order: a table of two or more rows is then not
+// sorted, so a roll-up over it takes the hash path.
+Table Reversed(const Table& t) {
+  Table out(t.name(), t.schema());
+  for (size_t r = t.num_rows(); r-- > 0;) out.AppendRowUnchecked(t.row(r));
+  return out;
+}
+
+// The merge a cache fold runs, over seeded stored tables and deltas
+// (tests/merge_inputs.h): it equals the hash path's roll-up by
+// representation, and each row it reports as copied is a stored row, in
+// stored order.
+TEST(AggregateTest, RollupMergeCopiesLoneRowsAsTheHashPathRollsThemUp) {
+  size_t copied_rows = 0, other_rows = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const MergeCase c = MakeMergeCase(seed);
+    std::vector<size_t> copied;
+    Result<Table> merged = RollupFinalized({&c.stored, &c.delta}, MergeBy(),
+                                           MergeAggs(), MergeBy(), &copied);
+    ASSERT_TRUE(merged.ok()) << c.what << ": " << merged.status().ToString();
+    const Table stored_rev = Reversed(c.stored), delta_rev = Reversed(c.delta);
+    std::vector<size_t> none;
+    Result<Table> hashed = RollupFinalized(
+        {&stored_rev, &delta_rev}, MergeBy(), MergeAggs(), MergeBy(), &none);
+    ASSERT_TRUE(hashed.ok()) << c.what;
+    ExpectSameCells(*merged, *hashed, c.what);
+    if (c.stored.num_rows() > 1) {
+      EXPECT_EQ(none, std::vector<size_t>(hashed->num_rows(), kNoRow))
+          << c.what << ": the hash path copies nothing";
+    }
+
+    ASSERT_EQ(copied.size(), merged->num_rows()) << c.what;
+    size_t next = 0;  // copies come in stored order
+    for (size_t r = 0; r < copied.size(); ++r) {
+      if (copied[r] == kNoRow) {
+        ++other_rows;
+        continue;
+      }
+      ++copied_rows;
+      ASSERT_GE(copied[r], next) << c.what << " row " << r;
+      ASSERT_LT(copied[r], c.stored.num_rows()) << c.what << " row " << r;
+      next = copied[r] + 1;
+      for (size_t col = 0; col < merged->num_columns(); ++col)
+        EXPECT_TRUE(
+            SameRepr()(merged->at(r, col), c.stored.at(copied[r], col)))
+            << c.what << " row " << r << " col " << col;
+    }
+  }
+  // Both kinds of row occur: runs are copied, and touched rows, new keys
+  // and cells that do not re-aggregate to themselves are not.
+  EXPECT_GT(copied_rows, 1000u);
+  EXPECT_GT(other_rows, 1000u);
+}
+
+// A stored table that is not strictly sorted (two rows swapped, or a key
+// repeated) or that has a NaN key takes the hash path: no row is reported
+// copied, and the roll-up is the hash path's.
+TEST(AggregateTest, RollupMergeFallsBackToTheHashPath) {
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const MergeCase c = MakeMergeCase(seed);
+    if (c.stored.num_rows() < 3) continue;
+    const size_t mid = c.stored.num_rows() / 2;
+    Table swapped = c.stored;
+    std::swap(swapped.mutable_rows()[mid - 1], swapped.mutable_rows()[mid]);
+    Table repeated = c.stored;
+    repeated.mutable_rows().insert(repeated.mutable_rows().begin() + long(mid),
+                                   c.stored.row(mid));
+    for (const Table* stored : {&swapped, &repeated}) {
+      std::vector<size_t> copied;
+      Result<Table> merged = RollupFinalized({stored, &c.delta}, MergeBy(),
+                                             MergeAggs(), MergeBy(), &copied);
+      const Table stored_rev = Reversed(*stored);
+      const Table delta_rev = Reversed(c.delta);
+      Result<Table> hashed = RollupFinalized(
+          {&stored_rev, &delta_rev}, MergeBy(), MergeAggs(), MergeBy());
+      ASSERT_TRUE(merged.ok() && hashed.ok()) << c.what;
+      ExpectSameCells(*merged, *hashed, c.what);
+      EXPECT_EQ(copied, std::vector<size_t>(merged->num_rows(), kNoRow))
+          << c.what;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 60u);
+
+  // A NaN key compares equal to every number: whatever the hash path makes
+  // of it, the merge does not copy around it.
+  Schema s;
+  s.AddColumn("k", ValueType::kDouble);
+  s.AddColumn("count_all", ValueType::kInt64);
+  Table stored("t_by_k", s), delta("t_by_k", s);
+  for (double k : {1.0, std::nan(""), 3.0, 4.0})
+    stored.AppendRowUnchecked({Value(k), Value(int64_t(1))});
+  delta.AppendRowUnchecked({Value(5.0), Value(int64_t(1))});
+  const std::vector<AggSpec> count = {{AggFn::kCountAll, "", ""}};
+  std::vector<size_t> copied;
+  Result<Table> merged =
+      RollupFinalized({&stored, &delta}, {"k"}, count, {"k"}, &copied);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(copied, std::vector<size_t>(merged->num_rows(), kNoRow));
+}
+
+// A stop that fires while a run is being copied stops the merge: the
+// deadline falls inside one 100,000-row run, which the merge checks every
+// 1,024 rows.
+TEST(AggregateTest, RollupMergeStopsMidRun) {
+  Schema s;
+  s.AddColumn("k", ValueType::kInt64);
+  s.AddColumn("count_all", ValueType::kInt64);
+  Table stored("t_by_k", s), delta("t_by_k", s);
+  constexpr int64_t kRows = 100000;
+  for (int64_t k = 0; k < kRows; ++k)
+    stored.AppendRowUnchecked({Value(k), Value(int64_t(1))});
+  delta.AppendRowUnchecked({Value(kRows), Value(int64_t(1))});
+  const std::vector<AggSpec> count = {{AggFn::kCountAll, "", ""}};
+
+  // Unstopped, the run is every stored row, copied.
+  std::vector<size_t> copied;
+  const auto start = std::chrono::steady_clock::now();
+  Result<Table> whole =
+      RollupFinalized({&stored, &delta}, {"k"}, count, {"k"}, &copied);
+  const auto took = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(copied.size(), size_t(kRows + 1));
+  EXPECT_EQ(copied[kRows - 1], size_t(kRows - 1));
+
+  CancelContext ctx;
+  ctx.deadline_us = SteadyNowUs() + uint64_t(took.count()) / 8;
+  CancelScope scope(&ctx);
+  Result<Table> stopped =
+      RollupFinalized({&stored, &delta}, {"k"}, count, {"k"}, &copied);
+  EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded)
+      << stopped.status().ToString();
 }
 
 TEST(JoinTest, HashJoinInner) {

@@ -21,7 +21,8 @@ StatisticalObject MakeIncome() {
   prof.AddHierarchy(h);
   EXPECT_TRUE(obj.AddDimension(prof).ok());
   EXPECT_TRUE(obj.AddMeasure({"avg_income", "dollars",
-                              MeasureType::kValuePerUnit, AggFn::kAvg}).ok());
+                              MeasureType::kValuePerUnit, AggFn::kAvg, ""})
+                  .ok());
   return obj;
 }
 

@@ -195,10 +195,11 @@ std::string ServeCached(QueryFrontDoor& door, const std::string& text,
   obs::HttpResponse resp = door.ServeRequest(
       Post(R"({"query":)" + obs::JsonStr(text) + R"(,"cache":"derive"})"));
   EXPECT_EQ(resp.status, 200) << text << ": " << resp.body;
-  if (!cache_path.empty())
+  if (!cache_path.empty()) {
     EXPECT_NE(resp.body.find("\"cache\":\"" + cache_path + "\""),
               std::string::npos)
         << text << ": " << resp.body;
+  }
   const std::string member = "\"result\":";
   const size_t at = resp.body.find(member);
   if (at == std::string::npos || resp.body.size() < at + member.size() + 2)
@@ -287,6 +288,54 @@ TEST_F(FrontDoorCachedTest, AppendRetiresStoredBytes) {
       const std::string served = ServeCached(door, panel, "");
       EXPECT_NE(served, before[i]) << panel << " served pre-append bytes";
       EXPECT_EQ(served, Reference(obj, panel)) << panel;
+    }
+  }
+}
+
+// Append batches whose new products and stores put the finest panel's new
+// groups before, between and after its stored ones (a product with a
+// quote in its name among them), each batch also adding to a few existing
+// groups: after each one every panel is folded into its older entry, its
+// encoding spliced from that entry's bytes, and serves the reference
+// bytes, folded and then as a hit.
+TEST_F(FrontDoorCachedTest, FoldedAppendsServeTheReferenceBytes) {
+  RetailOptions opt;
+  opt.num_products = 6;
+  opt.num_stores = 4;
+  opt.num_cities = 2;
+  opt.num_days = 5;
+  opt.num_rows = 2000;
+  StatisticalObject obj = MakeRetailWorkload(opt).ValueOrDie().object;
+  QueryFrontDoor door(obj);
+  for (const char* panel : kDashboardPanels) ServeCached(door, panel, "");
+
+  // Products are "prod0".."prod5", stores "city0/s#0".."city1/s#1".
+  const std::vector<std::vector<std::pair<const char*, const char*>>>
+      batches = {
+          {{"a", "city0/s#0"}, {"prod", "city1/s#1"}},           // before
+          {{"prod2a", "city0/s#1"}, {"prod3", "city0/s#0a"}},    // between
+          {{"zz\"top", "city1/s#0"}, {"prod5", "zzz"}},          // after
+          {{"a", "aaa"}, {"prod2a", "city0/s#0a"}, {"m", "m"}},  // all three
+      };
+  const Value day = obj.data().row(0)[2];
+  size_t next = 0;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (const auto& [product, store] : batches[b])
+      ASSERT_TRUE(obj.AddCell({Value(product), Value(store), day},
+                              {Value(int64_t(2)), Value(2.25)})
+                      .ok());
+    for (int k = 0; k < 5; ++k, next += 397) {
+      const Row& like = obj.data().row(next % 2000);
+      ASSERT_TRUE(obj.AddCell({like[0], like[1], like[2]},
+                              {Value(int64_t(1)), Value(0.75)})
+                      .ok());
+    }
+    for (const std::string panel : kDashboardPanels) {
+      const std::string want = Reference(obj, panel);
+      EXPECT_EQ(ServeCached(door, panel, "folded"), want)
+          << panel << " after batch " << b;
+      EXPECT_EQ(ServeCached(door, panel, "hit"), want)
+          << panel << " after batch " << b;
     }
   }
 }

@@ -27,7 +27,7 @@ StatisticalObject MakeEmployment() {
   prof.AddHierarchy(h);
   EXPECT_TRUE(obj.AddDimension(prof).ok());
   EXPECT_TRUE(obj.AddMeasure({"employment", "", MeasureType::kStock,
-                              AggFn::kSum})
+                              AggFn::kSum, ""})
                   .ok());
   // Some cells.
   EXPECT_TRUE(obj.AddCell({Value("M"), Value(1991), Value("civil engineer")},
@@ -68,9 +68,9 @@ TEST(StatisticalObjectTest, DuplicateNamesRejected) {
   ASSERT_TRUE(fresh.AddDimension(Dimension("a")).ok());
   EXPECT_EQ(fresh.AddDimension(Dimension("a")).code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE(fresh.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
-  EXPECT_EQ(fresh.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).code(),
-            StatusCode::kAlreadyExists);
+  const SummaryMeasure m = {"m", "", MeasureType::kFlow, AggFn::kSum, ""};
+  ASSERT_TRUE(fresh.AddMeasure(m).ok());
+  EXPECT_EQ(fresh.AddMeasure(m).code(), StatusCode::kAlreadyExists);
 }
 
 TEST(StatisticalObjectTest, CellArityChecked) {
@@ -109,8 +109,8 @@ TEST(StatisticalObjectTest, FromTable) {
   ASSERT_TRUE(t.AppendRow({Value("apple"), Value("d1"), Value(5.0)}).ok());
 
   auto obj = StatisticalObject::FromTable(
-      t, {"product", "day"}, {{"qty", "dollars", MeasureType::kFlow, AggFn::kSum}},
-      {"day"});
+      t, {"product", "day"},
+      {{"qty", "dollars", MeasureType::kFlow, AggFn::kSum, ""}}, {"day"});
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->dimensions().size(), 2u);
   EXPECT_TRUE(obj->dimensions()[1].is_temporal());
@@ -119,11 +119,12 @@ TEST(StatisticalObjectTest, FromTable) {
 
   // Missing columns error.
   EXPECT_FALSE(StatisticalObject::FromTable(
-                   t, {"ghost"}, {{"qty", "", MeasureType::kFlow, AggFn::kSum}})
+                   t, {"ghost"},
+                   {{"qty", "", MeasureType::kFlow, AggFn::kSum, ""}})
                    .ok());
   EXPECT_FALSE(StatisticalObject::FromTable(
                    t, {"product"},
-                   {{"ghost", "", MeasureType::kFlow, AggFn::kSum}})
+                   {{"ghost", "", MeasureType::kFlow, AggFn::kSum, ""}})
                    .ok());
 }
 
@@ -181,7 +182,7 @@ TEST(StatisticalObjectTest, RegistersEachLeafOncePerRepresentation) {
     StatisticalObject obj("registry");
     ASSERT_TRUE(obj.AddDimension(Dimension("d")).ok());
     ASSERT_TRUE(
-        obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
+        obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
     std::vector<Value> linear;  // the registry as every call once kept it
     auto add_value = [&](const Value& v) {
       for (const Value& e : linear)
@@ -211,8 +212,10 @@ TEST(StatisticalObjectTest, CodeColumnsAndSlabsMirrorTheCells) {
   StatisticalObject obj("coded");
   ASSERT_TRUE(obj.AddDimension(Dimension("a")).ok());
   ASSERT_TRUE(obj.AddDimension(Dimension("b")).ok());
-  ASSERT_TRUE(obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
-  ASSERT_TRUE(obj.AddMeasure({"n", "", MeasureType::kFlow, AggFn::kSum}).ok());
+  ASSERT_TRUE(
+      obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
+  ASSERT_TRUE(
+      obj.AddMeasure({"n", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
   std::vector<Value> measures = corners;
   measures.push_back(Value::All());
   measures.push_back(Value(std::numeric_limits<double>::infinity()));

@@ -35,11 +35,12 @@ StatisticalObject MakeHmo() {
   EXPECT_TRUE(obj.AddDimension(month).ok());
 
   EXPECT_TRUE(obj.AddMeasure({"cost", "dollars", MeasureType::kFlow,
-                              AggFn::kSum}).ok());
+                              AggFn::kSum, ""}).ok());
   EXPECT_TRUE(obj.AddMeasure({"population", "", MeasureType::kStock,
-                              AggFn::kSum}).ok());
+                              AggFn::kSum, ""}).ok());
   EXPECT_TRUE(obj.AddMeasure({"avg_income", "dollars",
-                              MeasureType::kValuePerUnit, AggFn::kAvg}).ok());
+                              MeasureType::kValuePerUnit, AggFn::kAvg, ""})
+                  .ok());
   return obj;
 }
 

@@ -21,8 +21,9 @@ StatisticalObject MakeEmployment() {
   EXPECT_TRUE(h.Link(0, Value("junior sec"), Value("secretary")).ok());
   prof.AddHierarchy(h);
   EXPECT_TRUE(obj.AddDimension(prof).ok());
-  EXPECT_TRUE(
-      obj.AddMeasure({"employment", "", MeasureType::kStock, AggFn::kSum}).ok());
+  EXPECT_TRUE(obj.AddMeasure(
+                      {"employment", "", MeasureType::kStock, AggFn::kSum, ""})
+                  .ok());
 
   int64_t v = 100;
   for (const char* sex : {"M", "F"})
@@ -101,8 +102,9 @@ TEST(TableRenderTest, RejectsNonStrictNesting) {
   disease.AddHierarchy(dh);
   ASSERT_TRUE(obj.AddDimension(disease).ok());
   ASSERT_TRUE(obj.AddDimension(Dimension("city")).ok());
-  ASSERT_TRUE(
-      obj.AddMeasure({"cost", "dollars", MeasureType::kFlow, AggFn::kSum}).ok());
+  ASSERT_TRUE(obj.AddMeasure(
+                      {"cost", "dollars", MeasureType::kFlow, AggFn::kSum, ""})
+                  .ok());
   ASSERT_TRUE(
       obj.AddCell({Value("lung cancer"), Value("sf")}, {Value(5.0)}).ok());
 
@@ -134,7 +136,7 @@ TEST(TableRenderTest, EmptyCellsRenderAsDot) {
   ASSERT_TRUE(obj.AddDimension(Dimension("a")).ok());
   ASSERT_TRUE(obj.AddDimension(Dimension("b")).ok());
   ASSERT_TRUE(
-      obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum}).ok());
+      obj.AddMeasure({"m", "", MeasureType::kFlow, AggFn::kSum, ""}).ok());
   ASSERT_TRUE(obj.AddCell({Value("a1"), Value("b1")}, {Value(1.0)}).ok());
   ASSERT_TRUE(obj.AddCell({Value("a2"), Value("b2")}, {Value(2.0)}).ok());
   Render2DOptions opt;
